@@ -1,7 +1,7 @@
 //! Typed command-line interface shared by every `exp` subcommand.
 //!
 //! One parser produces one [`Cli`] value: [`CommonArgs`] (scale, jobs,
-//! out-dir, sim-threads, store, `--json`) apply uniformly to every
+//! out-dir, store, `--json`) apply uniformly to every
 //! subcommand, and [`Command`] carries the per-subcommand arguments.
 //! Parsing is position-independent — `exp --quick perf` and
 //! `exp perf --quick` mean the same thing — which keeps every historical
@@ -36,8 +36,6 @@ pub struct CommonArgs {
     pub jobs: Option<usize>,
     /// Output directory (`--out-dir`); `None` means `results/`.
     pub out_dir: Option<PathBuf>,
-    /// Per-simulation core-stepping threads (`--sim-threads`).
-    pub sim_threads: usize,
     /// Also print machine-readable JSON summaries (`--json`).
     pub json: bool,
     /// Idle fast-forward enabled (disabled by `--no-fast-forward`).
@@ -56,7 +54,6 @@ impl Default for CommonArgs {
             scale: Scale::Small,
             jobs: None,
             out_dir: None,
-            sim_threads: 1,
             json: false,
             fast_forward: true,
             store_dir: None,
@@ -95,11 +92,6 @@ pub struct PerfArgs {
     pub bench_out: PathBuf,
     /// Previous report to gate against (`--baseline`).
     pub baseline: Option<PathBuf>,
-    /// Sim-thread counts for the single-simulation sweep
-    /// (`--thread-sweep`; empty skips it).
-    pub thread_sweep: Vec<usize>,
-    /// Skip the E1..E11 batch (`--sweep-only`).
-    pub sweep_only: bool,
 }
 
 impl Default for PerfArgs {
@@ -107,8 +99,6 @@ impl Default for PerfArgs {
         PerfArgs {
             bench_out: PathBuf::from("BENCH_sim.json"),
             baseline: None,
-            thread_sweep: vec![1, 2, 4],
-            sweep_only: false,
         }
     }
 }
@@ -251,8 +241,6 @@ common options
   --scale SCALE     workload scale: tiny | small | large | full
                     (default small)
   --jobs N          worker threads for the run engine (default: all cores)
-  --sim-threads N   threads stepping the cores of each simulation
-                    (default 1; results are byte-identical at any value)
   --out-dir PATH    directory CSVs are written to (default: results/)
   --store PATH      persistent content-addressed result store: results
                     found there are never re-simulated, new results are
@@ -301,8 +289,8 @@ const PERF_HELP: &str = "\
 usage: exp perf [options]
 
 simulator throughput benchmark: run the full E1..E11 batch, report
-per-simulation and wall-clock-aggregate cycles/sec, sweep one simulation
-across sim-thread counts, write BENCH_sim.json. Refuses --store unless
+per-simulation and wall-clock-aggregate cycles/sec, write
+BENCH_sim.json. Refuses --store unless
 --replay auto|force is given (a warm store would fake the throughput
 numbers); with replay, the store supplies execution records only —
 cached results are still never served.
@@ -310,11 +298,6 @@ cached results are still never served.
   --bench-out PATH  where the JSON report goes (default BENCH_sim.json)
   --baseline PATH   compare against a previous report; exit 1 on a >25%
                     per-simulation cycles/sec regression
-  --thread-sweep L  comma-separated sim-thread counts for the
-                    single-simulation sweep (default 1,2,4; `none`
-                    skips it)
-  --sweep-only      skip the E1..E11 batch and run only the thread sweep
-                    (useful at --scale large); no baseline gating
 
 Common options (exp --help) apply.";
 
@@ -454,14 +437,6 @@ impl Cli {
                         .ok_or("--jobs needs a positive integer")?;
                     common.jobs = Some(n);
                 }
-                "--sim-threads" => {
-                    let n = it
-                        .next()
-                        .and_then(|v| v.parse::<usize>().ok())
-                        .filter(|&n| n > 0)
-                        .ok_or("--sim-threads needs a positive integer")?;
-                    common.sim_threads = n;
-                }
                 "--out-dir" => {
                     common.out_dir = Some(it.next().ok_or("--out-dir needs a path")?.into());
                 }
@@ -492,21 +467,6 @@ impl Cli {
                 "--baseline" => {
                     perf.baseline = Some(it.next().ok_or("--baseline needs a path")?.into());
                 }
-                "--thread-sweep" => {
-                    let v = it
-                        .next()
-                        .ok_or("--thread-sweep needs a list like 1,2,4 (or none)")?;
-                    if v == "none" {
-                        perf.thread_sweep.clear();
-                    } else {
-                        perf.thread_sweep = v
-                            .split(',')
-                            .map(|s| s.parse::<usize>().ok().filter(|&n| n > 0))
-                            .collect::<Option<Vec<usize>>>()
-                            .ok_or("--thread-sweep needs positive integers like 1,2,4")?;
-                    }
-                }
-                "--sweep-only" => perf.sweep_only = true,
                 "--seeds" => {
                     fuzz.seeds = it
                         .next()
@@ -593,14 +553,6 @@ impl Cli {
                 sample_every,
             }),
             "perf" => {
-                if perf.sweep_only {
-                    if perf.baseline.is_some() {
-                        return Err("--sweep-only runs no batch, so --baseline cannot gate".into());
-                    }
-                    if perf.thread_sweep.is_empty() {
-                        return Err("--sweep-only with --thread-sweep none would do nothing".into());
-                    }
-                }
                 if common.store_dir.is_some() && common.replay == ReplayMode::Off {
                     return Err(
                         "perf refuses --store without --replay auto|force: serving cached \
@@ -690,8 +642,8 @@ mod tests {
     #[test]
     fn flag_position_is_irrelevant() {
         assert_eq!(
-            cli(&["--jobs", "2", "perf", "--sweep-only"]),
-            cli(&["perf", "--sweep-only", "--jobs", "2"])
+            cli(&["--jobs", "2", "perf", "--baseline", "x.json"]),
+            cli(&["perf", "--baseline", "x.json", "--jobs", "2"])
         );
     }
 
@@ -715,7 +667,6 @@ mod tests {
         assert!(parse(&["--nonsense"]).is_err());
         assert!(parse(&[]).is_err());
         assert!(parse(&["submit"]).is_err());
-        assert!(parse(&["perf", "--sweep-only", "--baseline", "x.json"]).is_err());
     }
 
     #[test]

@@ -11,11 +11,9 @@
 //!   — are detected by content key and simulated once, within and across
 //!   experiments.
 //! * **Parallelism.** Unique specs fan out over [`parallel_map`] worker
-//!   threads. Each simulation is deterministic — including when it steps
-//!   its cores on multiple threads (`--sim-threads`, see
-//!   [`gpgpu_sim::set_sim_threads_default`]) — so results are
-//!   bit-identical to a serial run regardless of the worker count, the
-//!   per-simulation thread count, or completion order.
+//!   threads. Each simulation runs on one thread and is deterministic, so
+//!   results are bit-identical to a serial run regardless of the worker
+//!   count or completion order.
 //!
 //! The intended shape is two-phase: experiments *plan* (contribute specs),
 //! the engine *executes* the combined batch, then experiments *collect*
@@ -330,9 +328,6 @@ pub struct EngineSummary {
     pub replayed: usize,
     /// Worker-thread count.
     pub jobs: usize,
-    /// Per-simulation core-stepping thread count (the process-wide
-    /// `--sim-threads` default at summary time).
-    pub sim_threads: usize,
     /// Total wall-clock nanoseconds across executed runs (summed over
     /// worker threads, so this can exceed elapsed time).
     pub wall_nanos: u64,
@@ -353,8 +348,7 @@ impl EngineSummary {
     /// time: each executed run contributes its own wall time once, no
     /// matter how many `--jobs` workers ran concurrently. This is the
     /// rate a single simulation progresses at (and what the perf gate
-    /// compares); it rises with `--sim-threads` but is independent of
-    /// batch-level `--jobs` parallelism.
+    /// compares); it is independent of batch-level `--jobs` parallelism.
     pub fn cycles_per_second(&self) -> f64 {
         if self.wall_nanos == 0 {
             0.0
@@ -382,7 +376,7 @@ impl EngineSummary {
     /// downstream consumers can gate on compatibility.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"schema_version\":\"{}\",\"executed\":{},\"deduped\":{},\"store_hits\":{},\"replayed\":{},\"requested\":{},\"jobs\":{},\"sim_threads\":{},\"wall_nanos\":{},\"sim_cycles\":{},\"sim_instructions\":{},\"cycles_per_second\":{:.1}}}",
+            "{{\"schema_version\":\"{}\",\"executed\":{},\"deduped\":{},\"store_hits\":{},\"replayed\":{},\"requested\":{},\"jobs\":{},\"wall_nanos\":{},\"sim_cycles\":{},\"sim_instructions\":{},\"cycles_per_second\":{:.1}}}",
             crate::codec::SCHEMA_VERSION,
             self.executed,
             self.deduped,
@@ -390,7 +384,6 @@ impl EngineSummary {
             self.replayed,
             self.requested(),
             self.jobs,
-            self.sim_threads,
             self.wall_nanos,
             self.sim_cycles,
             self.sim_instructions,
@@ -403,14 +396,13 @@ impl fmt::Display for EngineSummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "[{} runs requested: {} simulated, {} deduplicated, {} from store, {} replayed; {} worker threads x {} sim threads; {} Mcycles in {:.1}s worker time ({:.1} Mcycles/s per simulation)]",
+            "[{} runs requested: {} simulated, {} deduplicated, {} from store, {} replayed; {} worker threads; {} Mcycles in {:.1}s worker time ({:.1} Mcycles/s per simulation)]",
             self.requested(),
             self.executed,
             self.deduped,
             self.store_hits,
             self.replayed,
             self.jobs,
-            self.sim_threads,
             self.sim_cycles / 1_000_000,
             self.wall_nanos as f64 / 1e9,
             self.cycles_per_second() / 1e6
@@ -842,7 +834,6 @@ impl RunEngine {
             store_hits: self.runs_from_store(),
             replayed: self.runs_replayed(),
             jobs: self.jobs,
-            sim_threads: gpgpu_sim::sim_threads_default(),
             wall_nanos: profiles.iter().map(|p| p.wall_nanos).sum(),
             sim_cycles: profiles.iter().map(|p| p.cycles).sum(),
             sim_instructions: profiles.iter().map(|p| p.instructions).sum(),

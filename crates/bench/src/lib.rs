@@ -18,7 +18,6 @@ pub mod cli;
 pub mod codec;
 pub mod engine;
 pub mod experiments;
-pub mod json;
 pub mod report;
 pub mod service;
 pub mod simcheck;
@@ -26,6 +25,7 @@ pub mod store;
 pub mod table;
 
 pub use engine::{EngineSummary, ReplayMode, RunEngine, RunKey, RunKind, RunProfile, RunResult, RunSpec};
+pub use gpgpu_sim::json;
 pub use service::ServerStats;
 pub use store::ResultStore;
 pub use table::Table;

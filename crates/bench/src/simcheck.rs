@@ -12,15 +12,13 @@
 //!
 //! * **Differential** — the idle fast-forward optimization
 //!   ([`GpuDevice::set_fast_forward`](gpgpu_sim::GpuDevice::set_fast_forward))
-//!   and parallel core stepping
-//!   ([`GpuDevice::set_sim_threads`](gpgpu_sim::GpuDevice::set_sim_threads))
-//!   must each be bit-identical to the reference sequential
-//!   cycle-by-cycle loop in statistics, telemetry, and final memory, and
-//!   a repeated run must be bit-identical to the first (determinism).
-//!   Record capture must not perturb any output, and timing replay from
-//!   the captured record ([`gpgpu_sim::GpuDevice::set_replay`]) must
-//!   reproduce direct execution's statistics, telemetry, and memory hash
-//!   under every CTA policy and thread count.
+//!   must be bit-identical to the reference cycle-by-cycle loop in
+//!   statistics, telemetry, and final memory, and a repeated run must be
+//!   bit-identical to the first (determinism). Record capture must not
+//!   perturb any output, and timing replay from the captured record
+//!   ([`gpgpu_sim::GpuDevice::set_replay`]) must reproduce direct
+//!   execution's statistics, telemetry, and memory hash under every CTA
+//!   policy.
 //! * **Functional** — because the generated kernels are race-free, final
 //!   global memory is computable on the CPU by mirroring each op through
 //!   [`gpgpu_isa::sem::eval_alu`]. Every CTA-scheduling policy in
@@ -507,29 +505,7 @@ pub fn run_case(
     fast_forward: bool,
     telemetry: bool,
 ) -> Result<RunOutput, SimError> {
-    // Inherit the process-wide `--sim-threads` default, so a fuzz sweep
-    // with parallel stepping enabled runs the whole oracle stack under
-    // the worker pool (results are byte-identical either way, and the
-    // explicit sequential-vs-parallel differential checks exactly that).
-    run_case_threads(case, cta, fast_forward, telemetry, gpgpu_sim::sim_threads_default())
-}
-
-/// As [`run_case`], stepping cores with `sim_threads` threads — the
-/// sequential-vs-parallel differential oracle runs every fuzz case
-/// through both paths and demands identical [`RunOutput`]s.
-///
-/// # Errors
-///
-/// As [`run_case`].
-pub fn run_case_threads(
-    case: &FuzzCase,
-    cta: Box<dyn CtaScheduler>,
-    fast_forward: bool,
-    telemetry: bool,
-    sim_threads: usize,
-) -> Result<RunOutput, SimError> {
-    run_case_mode(case, cta, fast_forward, telemetry, sim_threads, CaseMode::Direct)
-        .map(|(out, _)| out)
+    run_case_mode(case, cta, fast_forward, telemetry, CaseMode::Direct).map(|(out, _)| out)
 }
 
 /// How [`run_case_mode`] drives the device: plain execution, execution
@@ -545,7 +521,7 @@ pub enum CaseMode {
     Replay(Arc<ExecRecord>),
 }
 
-/// The full-control variant behind [`run_case_threads`]: also selects
+/// The full-control variant behind [`run_case`]: also selects
 /// capture or replay, and returns the captured record when capturing.
 ///
 /// # Errors
@@ -556,7 +532,6 @@ pub fn run_case_mode(
     cta: Box<dyn CtaScheduler>,
     fast_forward: bool,
     telemetry: bool,
-    sim_threads: usize,
     mode: CaseMode,
 ) -> Result<(RunOutput, Option<ExecRecord>), SimError> {
     let mut cfg = GpuConfig::test_small();
@@ -567,7 +542,6 @@ pub fn run_case_mode(
     let factory = warp.factory();
     let mut dev = GpuDevice::new(cfg, factory.as_ref(), cta);
     dev.set_fast_forward(fast_forward);
-    dev.set_sim_threads(sim_threads);
     let replaying = match &mode {
         CaseMode::Direct => false,
         CaseMode::Capture => {
@@ -897,42 +871,11 @@ pub fn check_case_with(
         _ => {}
     }
 
-    // Sequential vs parallel: stepping cores on worker threads must be
-    // invisible in every output (stats, memory hash, telemetry, buffers).
-    let parallel = run_case_threads(case, make_sched(baseline), true, true, 4);
-    match (&fast, &parallel) {
-        (Ok(a), Ok(p)) if a != p => {
-            let what = if a.stats != p.stats {
-                "SimStats"
-            } else if a.mem_hash != p.mem_hash {
-                "memory hash"
-            } else if a.telemetry != p.telemetry {
-                "telemetry"
-            } else {
-                "result buffers"
-            };
-            fails.push(fail(
-                "differential",
-                format!("{what} differ between sequential and parallel stepping"),
-            ));
-        }
-        (Ok(_), Err(e)) => fails.push(fail("run", format!("baseline (parallel): {e}"))),
-        _ => {}
-    }
-
     // Capture/replay: capturing must not perturb any output, and timing
     // replay from the captured record must reproduce direct execution —
     // stats, telemetry, and (via the record's carried hash) memory —
-    // under the baseline at both thread counts, and under every policy
-    // in the sweep below.
-    let record = match run_case_mode(
-        case,
-        make_sched(baseline),
-        true,
-        true,
-        gpgpu_sim::sim_threads_default(),
-        CaseMode::Capture,
-    ) {
+    // under the baseline, and under every policy in the sweep below.
+    let record = match run_case_mode(case, make_sched(baseline), true, true, CaseMode::Capture) {
         Err(e) => {
             fails.push(fail("run", format!("baseline (capture): {e}")));
             None
@@ -951,47 +894,30 @@ pub fn check_case_with(
         }
     };
     if let (Some(rec), Ok(a)) = (&record, &fast) {
-        for threads in [1usize, 4] {
-            match run_case_mode(
-                case,
-                make_sched(baseline),
-                true,
-                true,
-                threads,
-                CaseMode::Replay(Arc::clone(rec)),
-            ) {
-                Err(e) => fails.push(fail(
-                    "replay",
-                    format!("baseline replay ({threads} threads): {e}"),
-                )),
-                Ok((r, _)) => {
-                    if r.stats != a.stats {
-                        fails.push(fail(
-                            "replay",
-                            format!(
-                                "baseline replay ({threads} threads): \
-                                 SimStats differ from direct execution"
-                            ),
-                        ));
-                    }
-                    if r.mem_hash != a.mem_hash {
-                        fails.push(fail(
-                            "replay",
-                            format!(
-                                "record hash {:#018x} != direct memory hash {:#018x}",
-                                r.mem_hash, a.mem_hash
-                            ),
-                        ));
-                    }
-                    if r.telemetry != a.telemetry {
-                        fails.push(fail(
-                            "replay",
-                            format!(
-                                "baseline replay ({threads} threads): \
-                                 telemetry differs from direct execution"
-                            ),
-                        ));
-                    }
+        let replay = CaseMode::Replay(Arc::clone(rec));
+        match run_case_mode(case, make_sched(baseline), true, true, replay) {
+            Err(e) => fails.push(fail("replay", format!("baseline replay: {e}"))),
+            Ok((r, _)) => {
+                if r.stats != a.stats {
+                    fails.push(fail(
+                        "replay",
+                        "baseline replay: SimStats differ from direct execution",
+                    ));
+                }
+                if r.mem_hash != a.mem_hash {
+                    fails.push(fail(
+                        "replay",
+                        format!(
+                            "record hash {:#018x} != direct memory hash {:#018x}",
+                            r.mem_hash, a.mem_hash
+                        ),
+                    ));
+                }
+                if r.telemetry != a.telemetry {
+                    fails.push(fail(
+                        "replay",
+                        "baseline replay: telemetry differs from direct execution",
+                    ));
                 }
             }
         }
@@ -1034,7 +960,6 @@ pub fn check_case_with(
                         make_sched(policy),
                         true,
                         false,
-                        gpgpu_sim::sim_threads_default(),
                         CaseMode::Replay(Arc::clone(rec)),
                     ) {
                         Err(e) => fails.push(fail("replay", format!("{name} (replay): {e}"))),
@@ -1278,17 +1203,16 @@ mod tests {
     fn capture_then_replay_reproduces_direct_outputs() {
         let case = FuzzCase::generate(5, 1_000_000);
         let sched = || CtaPolicy::Baseline(None).scheduler();
-        let (direct, _) = run_case_mode(&case, sched(), true, true, 1, CaseMode::Direct)
-            .expect("direct runs");
-        let (captured, rec) = run_case_mode(&case, sched(), true, true, 1, CaseMode::Capture)
-            .expect("capture runs");
+        let (direct, _) =
+            run_case_mode(&case, sched(), true, true, CaseMode::Direct).expect("direct runs");
+        let (captured, rec) =
+            run_case_mode(&case, sched(), true, true, CaseMode::Capture).expect("capture runs");
         assert_eq!(direct, captured, "capture must not perturb outputs");
         let rec = Arc::new(rec.expect("capture yields a record"));
-        // Replay at a different thread count: stats, telemetry, and the
-        // record-carried hash must still match direct execution.
+        // Stats, telemetry, and the record-carried hash must match direct
+        // execution.
         let (replayed, _) =
-            run_case_mode(&case, sched(), true, true, 2, CaseMode::Replay(rec))
-                .expect("replay runs");
+            run_case_mode(&case, sched(), true, true, CaseMode::Replay(rec)).expect("replay runs");
         assert_eq!(replayed.stats, direct.stats);
         assert_eq!(replayed.telemetry, direct.telemetry);
         assert_eq!(replayed.mem_hash, direct.mem_hash);

@@ -74,6 +74,21 @@ fn unknown_argument_is_rejected() {
 }
 
 #[test]
+fn removed_thread_flags_are_unknown_arguments() {
+    // Cores are stepped on one thread; the flags that once chose more
+    // are gone and must fail as usage errors, not be silently ignored.
+    for args in [
+        &["--sim-threads", "2", "e1"][..],
+        &["perf", "--thread-sweep", "1,2"][..],
+        &["perf", "--sweep-only"][..],
+    ] {
+        let out = exp(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
+        assert!(stderr(&out).contains("unknown argument"), "{args:?}");
+    }
+}
+
+#[test]
 fn argument_errors_print_the_full_usage_text() {
     // Every malformed invocation must exit nonzero AND reprint the usage
     // block, so a mistyped flag never strands the user with a bare error.

@@ -10,12 +10,12 @@
 //! from the memory hierarchy.
 //!
 //! A cycle is split in two phases: a core-local *compute* phase
-//! ([`Core::cycle_compute`]) that may run concurrently across cores, and a
-//! *merge* phase ([`Core::cycle_merge`]) the device runs in fixed core
-//! order to apply staged global-memory operations and fabric traffic. The
-//! split is a pure restructuring of the sequential loop — outputs are
-//! byte-identical at any `--sim-threads` count (see `device.rs` and
-//! `parallel.rs`).
+//! ([`Core::cycle_compute`]) that the device runs for every core first,
+//! and a *merge* phase ([`Core::cycle_merge`]) the device then runs in
+//! fixed core order to apply staged global-memory operations and fabric
+//! traffic (see `GpuDevice::step`). Every core therefore computes a cycle
+//! against the same shared state, whatever its position in the core
+//! order.
 
 use crate::coalesce::{coalesce, shared_conflict_passes};
 use crate::config::GpuConfig;
@@ -52,8 +52,8 @@ use std::sync::Arc;
 /// holds per core at all times (checked by
 /// [`conservation_violations`](crate::invariants::conservation_violations)),
 /// so `issued_slots + Σ stall_* ` covers every scheduler slot exactly
-/// once. All counters are strictly observational and byte-identical at
-/// any `--sim-threads` count with fast-forward on or off.
+/// once. All counters are strictly observational and byte-identical
+/// with fast-forward on or off.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoreStats {
     /// Instructions issued (warp-instructions, not lane-ops).
@@ -289,14 +289,12 @@ enum SlotStall {
 /// Per-cycle staging buffers between the core's *compute* phase and the
 /// device's *merge* phase.
 ///
-/// The compute phase (`Core::cycle_compute`) is entirely core-local and
-/// can therefore run on a worker thread; everything that touches shared
-/// device state is deferred here and replayed by the merge phase
-/// (`Core::cycle_merge`) in fixed core order, reproducing the sequential
-/// loop's interleaving exactly. The same staging path runs at
-/// `--sim-threads 1`, so sequential/parallel identity is structural, not
-/// coincidental. Buffers are drained every cycle and keep their capacity,
-/// leaving the steady-state hot path allocation-free.
+/// The compute phase (`Core::cycle_compute`) is entirely core-local;
+/// everything that touches shared device state is deferred here and
+/// replayed by the merge phase (`Core::cycle_merge`) in fixed core order,
+/// so the order in which cores' effects reach memory and the fabric is
+/// fixed by core id alone. Buffers are drained every cycle and keep their
+/// capacity, leaving the steady-state hot path allocation-free.
 #[derive(Debug, Default)]
 struct CoreStaging {
     /// Fabric responses routed to this core, pre-drained by the device
@@ -383,7 +381,7 @@ pub struct Core {
     /// Capture-mode trace buffers (`None` in direct/replay execution).
     capture: Option<CaptureState>,
     /// Replay-mode execution record (`None` in direct/capture execution).
-    /// Shared read-only across cores, so `--sim-threads` composes.
+    /// Shared read-only across cores.
     replay: Option<Arc<ExecRecord>>,
 }
 
@@ -843,9 +841,9 @@ impl Core {
     /// The shared-state half of a cycle, run by the device in fixed core
     /// order: replays the staged functional global-memory operations (in
     /// issue order) and forwards the L1's downstream traffic into the
-    /// fabric. Replaying in core order reproduces the sequential loop's
-    /// memory and fabric interleaving exactly — the determinism argument
-    /// for the parallel core loop rests on this ordering.
+    /// fabric. Replaying in core order fixes the memory and fabric
+    /// interleaving across cores, which the simulator's determinism rests
+    /// on.
     pub(crate) fn cycle_merge(&mut self, now: Cycle, fabric: &mut MemFabric, gmem: &mut GlobalMem) {
         let mut ops = std::mem::take(&mut self.staging.gmem_ops);
         for op in ops.drain(..) {

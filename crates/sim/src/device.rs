@@ -4,7 +4,6 @@
 use crate::config::GpuConfig;
 use crate::core_model::Core;
 use crate::memory::GlobalMem;
-use crate::parallel::{worker_loop, ComputePool, CoreAccess, CoreCell};
 use crate::record::{CtaRecord, ExecRecord, KernelRecord, WarpTrace};
 use crate::sched_api::{
     CoreDispatchInfo, CtaCompleteEvent, CtaScheduler, DispatchView, KernelId, KernelSummary,
@@ -16,7 +15,7 @@ use gpgpu_isa::KernelDescriptor;
 use gpgpu_mem::{Cycle, MemFabric};
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Process-wide default for the idle fast-forward optimization (see
@@ -30,23 +29,18 @@ pub fn set_fast_forward_default(enabled: bool) {
     FAST_FORWARD_DEFAULT.store(enabled, Ordering::Relaxed);
 }
 
-/// Process-wide default for the number of simulation threads (see
-/// [`GpuDevice::set_sim_threads`]). `1` (the default) is the sequential
-/// path; results are byte-identical at any value.
-static SIM_THREADS_DEFAULT: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the process-wide default thread count for stepping cores inside
-/// [`GpuDevice::run`]. Devices read the default at construction;
-/// already-built devices are unaffected. Values are clamped to at least 1
-/// (and, per run, to the device's core count).
+/// Source-compatibility stub: a simulation always steps its cores on the
+/// calling thread, so `1` is the only valid thread count and setting it
+/// has no effect.
+///
+/// # Panics
+///
+/// Panics if `n != 1`.
 pub fn set_sim_threads_default(n: usize) {
-    SIM_THREADS_DEFAULT.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The current process-wide simulation thread-count default (for
-/// reporting; see [`set_sim_threads_default`]).
-pub fn sim_threads_default() -> usize {
-    SIM_THREADS_DEFAULT.load(Ordering::Relaxed)
+    assert_eq!(
+        n, 1,
+        "cores are stepped sequentially; only 1 simulation thread exists"
+    );
 }
 
 /// Observer invoked periodically from the main loop with
@@ -147,7 +141,7 @@ struct KernelState {
 ///    and memory.
 pub struct GpuDevice {
     cfg: Arc<GpuConfig>,
-    cores: Vec<CoreCell>,
+    cores: Vec<Core>,
     fabric: MemFabric,
     gmem: GlobalMem,
     kernels: Vec<KernelState>,
@@ -173,9 +167,6 @@ pub struct GpuDevice {
     malformed_dispatches: u64,
     /// Idle fast-forward enabled (see [`set_fast_forward`](Self::set_fast_forward)).
     fast_forward: bool,
-    /// Threads used to step cores inside [`run`](Self::run) (see
-    /// [`set_sim_threads`](Self::set_sim_threads)).
-    sim_threads: usize,
     /// Attached telemetry; `None` (the default) keeps every hook a single
     /// branch on the fast path.
     telemetry: Option<Telemetry>,
@@ -208,7 +199,7 @@ impl GpuDevice {
         cfg.validate();
         let cfg = Arc::new(cfg);
         let cores = (0..cfg.num_cores)
-            .map(|i| CoreCell::new(Core::new(i, Arc::clone(&cfg), warp_sched)))
+            .map(|i| Core::new(i, Arc::clone(&cfg), warp_sched))
             .collect();
         let fabric = MemFabric::new(cfg.fabric.clone());
         GpuDevice {
@@ -226,7 +217,6 @@ impl GpuDevice {
             dispatch_dirty: false,
             malformed_dispatches: 0,
             fast_forward: FAST_FORWARD_DEFAULT.load(Ordering::Relaxed),
-            sim_threads: SIM_THREADS_DEFAULT.load(Ordering::Relaxed),
             telemetry: None,
             progress: THREAD_PROGRESS.with(|p| {
                 p.borrow().as_ref().map(|(every, cb)| ProgressMeter {
@@ -239,18 +229,15 @@ impl GpuDevice {
         }
     }
 
-    /// Sets the number of threads [`run`](Self::run) uses to step cores
-    /// (clamped to at least 1; each run further clamps to the core count).
-    /// All outputs — statistics, memory contents, telemetry — are
-    /// byte-identical at any value; `1` keeps the lock-free sequential
-    /// path.
+    /// Source-compatibility stub: [`run`](Self::run) always steps the
+    /// cores on the calling thread, so `1` is the only valid thread count
+    /// and setting it has no effect.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n != 1`.
     pub fn set_sim_threads(&mut self, n: usize) {
-        self.sim_threads = n.max(1);
-    }
-
-    /// The configured simulation thread count.
-    pub fn sim_threads(&self) -> usize {
-        self.sim_threads
+        set_sim_threads_default(n);
     }
 
     /// Enables or disables the idle fast-forward for this device. When
@@ -269,21 +256,21 @@ impl GpuDevice {
     /// [`take_record`](Self::take_record) after [`run`](Self::run).
     pub fn set_capture(&mut self, on: bool) {
         for c in &mut self.cores {
-            c.get_mut().set_capture(on);
+            c.set_capture(on);
         }
     }
 
     /// Switches the device into timing-replay mode, driven by `record`
     /// (see [`crate::record`]). Kernels must be launched in the same
-    /// order as the capture run; any CTA policy, warp policy, and
-    /// `--sim-threads` value may differ. In replay, global memory is
+    /// order as the capture run; the CTA and warp policies may differ.
+    /// In replay, global memory is
     /// never read or written by kernels, so workload output verification
     /// must be skipped — the record's
     /// [`mem_hash`](ExecRecord::mem_hash) stands in for the final memory
     /// contents. Install before launching kernels.
     pub fn set_replay(&mut self, record: Arc<ExecRecord>) {
         for c in &mut self.cores {
-            c.get_mut().set_replay(Some(Arc::clone(&record)));
+            c.set_replay(Some(Arc::clone(&record)));
         }
     }
 
@@ -314,7 +301,7 @@ impl GpuDevice {
             .collect();
         let mut any = false;
         for c in &mut self.cores {
-            for cw in c.get_mut().take_captured() {
+            for cw in c.take_captured() {
                 any = true;
                 kernels[cw.kernel].ctas[cw.cta_id as usize].warps[cw.warp_in_cta as usize] =
                     cw.trace;
@@ -349,7 +336,7 @@ impl GpuDevice {
         let mut t = self.telemetry.take()?;
         t.final_sample(
             self.now,
-            &mut CoreAccess::Excl(&mut self.cores),
+            &self.cores,
             &self.fabric,
             self.gmem.resident_pages(),
         );
@@ -456,7 +443,7 @@ impl GpuDevice {
         self.kernels.iter().all(|k| k.phase == KernelPhase::Done)
     }
 
-    fn activate_pending(&mut self, cores: &mut CoreAccess<'_>) {
+    fn activate_pending(&mut self) {
         if self.pending_kernels == 0 {
             return;
         }
@@ -481,8 +468,8 @@ impl GpuDevice {
                 .enumerate()
                 .any(|(j, k)| j != i && k.phase == KernelPhase::Running);
             if self.cfg.flush_l1_on_kernel_launch && !any_other_running {
-                for c in 0..cores.len() {
-                    cores.get(c).flush_l1();
+                for core in &mut self.cores {
+                    core.flush_l1();
                 }
                 self.fabric.flush_l2();
             }
@@ -518,29 +505,23 @@ impl GpuDevice {
             .collect()
     }
 
-    fn core_dispatch_infos(
-        &self,
-        cores: &mut CoreAccess<'_>,
-        kernels: &[KernelSummary],
-    ) -> Vec<CoreDispatchInfo> {
-        (0..cores.len())
-            .map(|i| {
-                let core = cores.get(i);
-                CoreDispatchInfo {
-                    cta_count: core.active_cta_count(),
-                    kernel_ctas: kernels
-                        .iter()
-                        .map(|k| (k.id, core.cta_count_of(k.id)))
-                        .collect(),
-                    capacity: kernels
-                        .iter()
-                        .map(|k| (k.id, core.capacity_for(&self.kernels[k.id.0].desc)))
-                        .collect(),
-                    completed: kernels
-                        .iter()
-                        .map(|k| (k.id, core.completed_of(k.id)))
-                        .collect(),
-                }
+    fn core_dispatch_infos(&self, kernels: &[KernelSummary]) -> Vec<CoreDispatchInfo> {
+        self.cores
+            .iter()
+            .map(|core| CoreDispatchInfo {
+                cta_count: core.active_cta_count(),
+                kernel_ctas: kernels
+                    .iter()
+                    .map(|k| (k.id, core.cta_count_of(k.id)))
+                    .collect(),
+                capacity: kernels
+                    .iter()
+                    .map(|k| (k.id, core.capacity_for(&self.kernels[k.id.0].desc)))
+                    .collect(),
+                completed: kernels
+                    .iter()
+                    .map(|k| (k.id, core.completed_of(k.id)))
+                    .collect(),
             })
             .collect()
     }
@@ -552,25 +533,25 @@ impl GpuDevice {
     /// activation, CTA completion, or a prior round that dispatched or
     /// stopped early). A steady-state cycle therefore never rebuilds the
     /// [`KernelSummary`]/[`CoreDispatchInfo`] views.
-    fn dispatch_ctas(&mut self, cores: &mut CoreAccess<'_>) {
+    fn dispatch_ctas(&mut self) {
         if !self.dispatch_dirty {
             return;
         }
         self.dispatch_dirty = false;
         let mut cta_sched = self.cta_sched.take().expect("scheduler present");
         // Bounded by total CTA slots to guard against a policy that loops.
-        let max_rounds = cores.len() * self.cfg.max_ctas_per_core as usize + 1;
+        let max_rounds = self.cores.len() * self.cfg.max_ctas_per_core as usize + 1;
         for _ in 0..max_rounds {
             let kernels = self.kernel_summaries();
             if kernels.is_empty() {
                 break;
             }
-            let infos = self.core_dispatch_infos(cores, &kernels);
+            let infos = self.core_dispatch_infos(&kernels);
             let view = DispatchView::new(self.now, &kernels, &infos);
             let Some(d) = cta_sched.select(&view) else {
                 break;
             };
-            if d.core >= cores.len() || d.count == 0 {
+            if d.core >= self.cores.len() || d.count == 0 {
                 // Malformed decision: discard, count, and re-consult next
                 // cycle (the ungated loop would have).
                 self.malformed_dispatches += 1;
@@ -579,7 +560,7 @@ impl GpuDevice {
                     false,
                     "malformed CTA dispatch: core {} (of {}), count {}",
                     d.core,
-                    cores.len(),
+                    self.cores.len(),
                     d.count
                 );
                 break;
@@ -595,7 +576,7 @@ impl GpuDevice {
                 break;
             };
             let state = &self.kernels[d.kernel.0];
-            let capacity = cores.get(d.core).capacity_for(&state.desc);
+            let capacity = self.cores[d.core].capacity_for(&state.desc);
             let count = d.count.min(capacity).min(ks.remaining as u32);
             if count == 0 {
                 // Does not fit right now; core occupancy may change, so
@@ -607,10 +588,8 @@ impl GpuDevice {
             if self.telemetry.as_ref().is_some_and(Telemetry::events_enabled) {
                 // Co-schedule admission: this dispatch brings `d.kernel`
                 // onto a core already hosting a different kernel's CTAs.
-                let target = cores.get(d.core);
-                let admit =
-                    target.cta_count_of(d.kernel) == 0 && target.active_cta_count() > 0;
-                drop(target);
+                let target = &self.cores[d.core];
+                let admit = target.cta_count_of(d.kernel) == 0 && target.active_cta_count() > 0;
                 if admit {
                     let ev = TraceEvent::CkeAdmit {
                         cycle: self.now,
@@ -623,9 +602,7 @@ impl GpuDevice {
             for _ in 0..count {
                 let cta = self.kernels[d.kernel.0].next_cta;
                 self.kernels[d.kernel.0].next_cta += 1;
-                cores
-                    .get(d.core)
-                    .dispatch_cta(d.kernel, cta, &desc, &mut self.age_counter);
+                self.cores[d.core].dispatch_cta(d.kernel, cta, &desc, &mut self.age_counter);
                 if let Some(t) = self.telemetry.as_mut() {
                     t.record(TraceEvent::CtaDispatch {
                         cycle: self.now,
@@ -642,55 +619,37 @@ impl GpuDevice {
         self.cta_sched = Some(cta_sched);
     }
 
-    /// Advances the device one cycle (always on the sequential path;
-    /// [`run`](Self::run) is the entry point that steps cores in
-    /// parallel).
-    pub fn step(&mut self) {
-        let mut cores = std::mem::take(&mut self.cores);
-        self.step_with(&mut CoreAccess::Excl(&mut cores), None);
-        self.cores = cores;
-    }
-
-    /// One cycle over whatever core access mode the caller holds.
+    /// Advances the device one cycle.
     ///
-    /// The cycle is a fork/join: a *compute* phase steps every core's
-    /// private state (concurrently when `pool` is given, in a plain loop
-    /// otherwise — the phases and their order are identical either way),
-    /// then a *merge* phase drains each core's staged effects into the
-    /// shared memory system in fixed core order. Because the compute
-    /// phase touches no shared state, the merge reproduces exactly the
-    /// interleaving the historical one-core-at-a-time loop produced, so
-    /// outputs are byte-identical at any thread count.
-    fn step_with(&mut self, cores: &mut CoreAccess<'_>, pool: Option<&ComputePool>) {
-        self.activate_pending(cores);
-        self.dispatch_ctas(cores);
+    /// A cycle runs in two phases over the cores: a *compute* phase steps
+    /// every core's private state, then a *merge* phase drains each
+    /// core's staged effects into the shared memory system in fixed core
+    /// order. Because the compute phase touches no shared state, every
+    /// core computes against the memory image of the start of the cycle,
+    /// and the merge fixes the order in which their effects land.
+    pub fn step(&mut self) {
+        self.activate_pending();
+        self.dispatch_ctas();
 
         let now = self.now;
         // Prologue: hand every core the responses that arrived for it.
         // The fabric keeps per-core output queues and refills them only in
         // `tick` below, so draining them all up front hands each core the
         // same responses the historical interleaved loop did.
-        for i in 0..cores.len() {
-            let mut core = cores.get(i);
+        for core in &mut self.cores {
             while let Some(resp) = self.fabric.pop_response(core.id()) {
                 core.stage_response(resp);
             }
         }
 
-        // Fork: compute phase, core-private by construction.
-        match pool {
-            None => {
-                for i in 0..cores.len() {
-                    cores.get(i).cycle_compute(now);
-                }
-            }
-            Some(p) => p.run_phase(now, cores.shared().expect("parallel runs share cores")),
+        // Compute phase, core-private by construction.
+        for core in &mut self.cores {
+            core.cycle_compute(now);
         }
 
-        // Join: merge staged effects in fixed core order.
+        // Merge staged effects in fixed core order.
         let mut completions = Vec::new();
-        for i in 0..cores.len() {
-            let mut core = cores.get(i);
+        for core in &mut self.cores {
             core.cycle_merge(now, &mut self.fabric, &mut self.gmem);
             let id = core.id();
             for c in core.drain_completions() {
@@ -731,10 +690,11 @@ impl GpuDevice {
                 cta_sched.on_kernel_finish(c.kernel);
                 if self.telemetry.as_ref().is_some_and(Telemetry::events_enabled) {
                     let start = self.kernels[c.kernel.0].start_cycle;
-                    let mut instructions = 0u64;
-                    for i in 0..cores.len() {
-                        instructions += cores.get(i).issued_of(c.kernel);
-                    }
+                    let instructions = self
+                        .cores
+                        .iter()
+                        .map(|core| core.issued_of(c.kernel))
+                        .sum();
                     self.telemetry
                         .as_mut()
                         .expect("checked above")
@@ -765,16 +725,16 @@ impl GpuDevice {
         self.cta_sched = Some(cta_sched);
         self.now += 1;
         if let Some(t) = self.telemetry.as_mut() {
-            t.maybe_sample(self.now, cores, &self.fabric, self.gmem.resident_pages());
+            t.maybe_sample(
+                self.now,
+                &self.cores,
+                &self.fabric,
+                self.gmem.resident_pages(),
+            );
         }
     }
 
     /// Runs until every launched kernel completes.
-    ///
-    /// With [`set_sim_threads`](Self::set_sim_threads) above 1, cores are
-    /// stepped by a scoped worker pool for the duration of this call; the
-    /// pool is joined before returning, and all outputs are byte-identical
-    /// to the sequential path.
     ///
     /// # Errors
     ///
@@ -782,51 +742,21 @@ impl GpuDevice {
     /// [`SimError::Deadlock`] if nothing makes progress for the configured
     /// deadlock window.
     pub fn run(&mut self, max_cycles: u64) -> Result<(), SimError> {
-        let threads = self.sim_threads.min(self.cores.len()).max(1);
-        let mut cores = std::mem::take(&mut self.cores);
-        let result = if threads > 1 {
-            let pool = ComputePool::new(threads);
-            let shared: &[CoreCell] = &cores;
-            std::thread::scope(|s| {
-                for w in 1..threads {
-                    let pool = &pool;
-                    s.spawn(move || worker_loop(pool, shared, w));
-                }
-                let r = self.run_loop(&mut CoreAccess::Shared(shared), Some(&pool), max_cycles);
-                pool.shutdown();
-                r
-            })
-        } else {
-            self.run_loop(&mut CoreAccess::Excl(&mut cores), None, max_cycles)
-        };
-        self.cores = cores;
-        result
-    }
-
-    fn run_loop(
-        &mut self,
-        cores: &mut CoreAccess<'_>,
-        pool: Option<&ComputePool>,
-        max_cycles: u64,
-    ) -> Result<(), SimError> {
         let limit = self.now + max_cycles;
         while !self.all_done() {
             if self.now >= limit {
                 return Err(SimError::MaxCyclesExceeded { limit: max_cycles });
             }
-            self.step_with(cores, pool);
+            self.step();
             // Progress detection: any issued instruction counts.
-            let mut issued = 0u64;
-            for i in 0..cores.len() {
-                issued += cores.get(i).stats().issued;
-            }
+            let issued: u64 = self.cores.iter().map(|c| c.stats().issued).sum();
             if issued != self.last_issued_total {
                 self.last_issued_total = issued;
                 self.last_progress = self.now;
             } else if self.now - self.last_progress > self.cfg.deadlock_cycles {
                 return Err(SimError::Deadlock { at: self.now });
             } else if self.fast_forward {
-                self.fast_forward_idle(cores, limit);
+                self.fast_forward_idle(limit);
             }
             // Observation only: a fast-forward jump past several periods
             // fires once here rather than once per period.
@@ -852,11 +782,7 @@ impl GpuDevice {
     /// writeback wheel's next drain and the shared-pipe release (via
     /// [`Core::quiet_wake`]), the fabric's next event, the telemetry
     /// sample edge, the cycle budget, and the deadlock window.
-    ///
-    /// Runs entirely on the calling thread even inside a parallel run:
-    /// the worker pool is never signaled during a quiet span, so skipping
-    /// idle cycles carries none of the fork/join synchronization cost.
-    fn fast_forward_idle(&mut self, cores: &mut CoreAccess<'_>, limit: Cycle) {
+    fn fast_forward_idle(&mut self, limit: Cycle) {
         if self.dispatch_dirty {
             return; // CTA dispatch may act next cycle
         }
@@ -864,8 +790,8 @@ impl GpuDevice {
         // Deadlock detection must trip on the same cycle it would have:
         // step through the last cycle of the quiet window ourselves.
         let mut target = limit.min(self.last_progress + self.cfg.deadlock_cycles);
-        for i in 0..cores.len() {
-            match cores.get(i).quiet_wake(now) {
+        for core in &mut self.cores {
+            match core.quiet_wake(now) {
                 None => return,
                 Some(w) => target = target.min(w),
             }
@@ -882,18 +808,17 @@ impl GpuDevice {
             return;
         }
         let skipped = target - now;
-        for i in 0..cores.len() {
-            cores.get(i).account_skipped(skipped);
+        for core in &mut self.cores {
+            core.account_skipped(skipped);
         }
         self.now = target;
     }
 
-    /// Snapshot of run statistics. Cold path: takes each core's (always
-    /// uncontended outside [`run`](Self::run)) lock.
+    /// Snapshot of run statistics.
     pub fn stats(&self) -> SimStats {
         let mut l1 = gpgpu_mem::CacheStats::default();
         for c in &self.cores {
-            l1.merge(c.lock().l1_stats());
+            l1.merge(c.l1_stats());
         }
         let kernels = self
             .kernels
@@ -907,7 +832,7 @@ impl GpuDevice {
                 instructions: self
                     .cores
                     .iter()
-                    .map(|c| c.lock().issued_of(KernelId(i)))
+                    .map(|c| c.issued_of(KernelId(i)))
                     .sum(),
                 ctas: k.desc.cta_count(),
                 started: k.phase != KernelPhase::Pending,
@@ -916,11 +841,11 @@ impl GpuDevice {
             .collect();
         SimStats {
             cycles: self.now,
-            instructions: self.cores.iter().map(|c| c.lock().stats().issued).sum(),
+            instructions: self.cores.iter().map(|c| c.stats().issued).sum(),
             kernels,
             l1,
             fabric: self.fabric.stats(),
-            cores: self.cores.iter().map(|c| c.lock().stats().clone()).collect(),
+            cores: self.cores.iter().map(|c| c.stats().clone()).collect(),
             malformed_dispatches: self.malformed_dispatches,
         }
     }

@@ -34,8 +34,8 @@ mod config;
 pub mod core_model;
 mod device;
 pub mod invariants;
+pub mod json;
 mod memory;
-mod parallel;
 pub mod record;
 pub mod sched_api;
 pub mod simt;
@@ -46,7 +46,7 @@ pub use config::GpuConfig;
 pub use core_model::{Core, CoreCtaCompletion, CoreStats};
 pub use device::{
     clear_thread_progress, set_fast_forward_default, set_sim_threads_default, set_thread_progress,
-    sim_threads_default, ProgressCallback, GpuDevice, SimError,
+    GpuDevice, ProgressCallback, SimError,
 };
 pub use invariants::{assert_conservation, conservation_violations};
 pub use memory::{GlobalMem, SharedMem};

@@ -280,15 +280,15 @@ impl GlobalMem {
 /// One functional global-memory operation, staged by a core's issue stage
 /// and replayed against [`GlobalMem`] during the merge phase of the cycle.
 ///
-/// Staging exists so that the parallel core loop never touches the shared
-/// functional memory from a worker thread: every cycle, each core appends
-/// the global loads/stores it issued (in issue order) to its private
-/// staging buffer, and the device replays all buffers *in fixed core
-/// order* — reproducing exactly the interleaving the sequential loop
-/// produces, byte for byte, at any thread count. Deferring a load's
-/// functional read from issue to merge is safe because its destination
-/// register stays scoreboard-pending for at least the L1 hit latency, so
-/// no instruction can observe the value before the merge lands it.
+/// Staging keeps a core's compute phase from touching the shared
+/// functional memory: every cycle, each core appends the global
+/// loads/stores it issued (in issue order) to its private staging buffer,
+/// and the device replays all buffers *in fixed core order*, so the
+/// interleaving of cores' memory effects depends on core id alone.
+/// Deferring a load's functional read from issue to merge is safe because
+/// its destination register stays scoreboard-pending for at least the L1
+/// hit latency, so no instruction can observe the value before the merge
+/// lands it.
 ///
 /// For loads, `values` carries nothing on input; for stores it carries the
 /// lane values captured at issue time (register reads are warp-private and

@@ -3,12 +3,12 @@
 //!
 //! Functional execution — ALU semantics, SIMT reconvergence, address
 //! generation, memory contents — is invariant across CTA policies, warp
-//! policies, core counts, and `--sim-threads`: only *timing* differs. A
-//! capture run logs, per warp, the sequence of issued instructions (the
-//! program counter, the guard-resolved execution mask, and for memory
-//! operations the per-lane addresses) into an [`ExecRecord`]. A replay
-//! run then drives the identical issue/scoreboard/memory timing pipeline
-//! from that record without evaluating any semantics
+//! policies, and core counts: only *timing* differs. A capture run logs,
+//! per warp, the sequence of issued instructions (the program counter,
+//! the guard-resolved execution mask, and for memory operations the
+//! per-lane addresses) into an [`ExecRecord`]. A replay run then drives
+//! the identical issue/scoreboard/memory timing pipeline from that record
+//! without evaluating any semantics
 //! (`core_model.rs::execute_one_replay`): registers and predicates exist
 //! only as scoreboard bits, global and shared memory are never read or
 //! written, and addresses come from the trace.
@@ -16,7 +16,7 @@
 //! Replay is *byte-identical* to direct execution: `SimStats`, telemetry
 //! events and interval series, and (via [`ExecRecord::mem_hash`]) the
 //! final memory content hash all match exactly, under any CTA policy,
-//! warp policy, thread count, and fast-forward mode. The golden replay
+//! warp policy, and fast-forward mode. The golden replay
 //! suite (`tests/golden_replay.rs`) and the simcheck capture-replay
 //! differential oracle enforce this.
 //!
@@ -133,9 +133,9 @@ pub struct KernelRecord {
 /// final global-memory content hash observed at capture time.
 ///
 /// The record is the policy-independent functional artifact: one capture
-/// re-times under any CTA policy, warp policy, core count, or
-/// `--sim-threads` value. The carried `mem_hash` stands in for the final
-/// memory contents on replay runs (which never touch memory data).
+/// re-times under any CTA policy, warp policy, or core count. The carried
+/// `mem_hash` stands in for the final memory contents on replay runs
+/// (which never touch memory data).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecRecord {
     /// Per-kernel records, indexed by `KernelId.0` (launch order).
@@ -214,17 +214,17 @@ impl ExecRecord {
         }
         let mem_hash = read_u64(inp)?;
         let nk = read_len(inp)?;
-        let mut kernels = Vec::with_capacity(nk);
+        let mut kernels = prealloc(nk);
         for _ in 0..nk {
             let nc = read_len(inp)?;
-            let mut ctas = Vec::with_capacity(nc);
+            let mut ctas = prealloc(nc);
             for _ in 0..nc {
                 let nw = read_len(inp)?;
-                let mut warps = Vec::with_capacity(nw);
+                let mut warps = prealloc(nw);
                 for _ in 0..nw {
                     let ns = read_len(inp)?;
                     let mut trace = WarpTrace {
-                        steps: Vec::with_capacity(ns),
+                        steps: prealloc(ns),
                         addrs: Vec::new(),
                     };
                     for _ in 0..ns {
@@ -243,20 +243,43 @@ impl ExecRecord {
                         } else {
                             None
                         };
+                        reserve_next(&mut trace.steps, ns);
                         trace.push_step(pc, exec_mask, addrs.as_ref());
                     }
+                    reserve_next(&mut warps, nw);
                     warps.push(trace);
                 }
+                reserve_next(&mut ctas, nc);
                 ctas.push(CtaRecord { warps });
             }
+            reserve_next(&mut kernels, nk);
             kernels.push(KernelRecord { ctas });
         }
         Ok(ExecRecord { kernels, mem_hash })
     }
 }
 
-/// Bounds section counts so a corrupt stream cannot provoke an enormous
-/// up-front allocation (contents are still length-checked by `read_exact`).
+/// A vector for a section the stream says holds `n` elements. Counts come
+/// from the stream itself, so at most 64 KiB is reserved up front: a
+/// truncated or corrupt stream cannot claim memory its bytes do not back.
+/// Longer sections grow through [`reserve_next`].
+fn prealloc<T>(n: usize) -> Vec<T> {
+    const PREALLOC_BYTES: usize = 64 << 10;
+    Vec::with_capacity(n.min(PREALLOC_BYTES / std::mem::size_of::<T>().max(1)))
+}
+
+/// Makes room for one more element of a section of `total` elements
+/// (`v.len() < total`). Capacity at most doubles, so every reservation is
+/// backed by elements already decoded, and never passes `total`, so a
+/// complete section ends with capacity exactly `total`.
+fn reserve_next<T>(v: &mut Vec<T>, total: usize) {
+    if v.len() == v.capacity() {
+        v.reserve_exact(v.len().clamp(1, total - v.len()));
+    }
+}
+
+/// Bounds section counts (contents are still length-checked by
+/// `read_exact`).
 fn read_len<R: Read>(inp: &mut R) -> io::Result<usize> {
     let n = read_u32(inp)? as usize;
     const LIMIT: usize = 1 << 28;
@@ -330,6 +353,28 @@ mod tests {
         assert_eq!(back, rec);
         assert_eq!(back.total_steps(), 3);
         assert_eq!(back.warp_trace(0, 0, 0).steps.len(), 3);
+    }
+
+    #[test]
+    fn long_sections_decode_to_exact_capacity() {
+        // Past the up-front reservation a section grows while decoding,
+        // yet must end as tight as an exact reservation would leave it.
+        let mut long = WarpTrace::default();
+        for pc in 0..20_000 {
+            long.push_step(pc, 1, None);
+        }
+        let rec = ExecRecord {
+            kernels: vec![KernelRecord {
+                ctas: vec![CtaRecord { warps: vec![long] }],
+            }],
+            mem_hash: 7,
+        };
+        let mut buf = Vec::new();
+        rec.write_to(&mut buf).unwrap();
+        let back = ExecRecord::read_from(&mut buf.as_slice()).unwrap();
+        assert_eq!(back, rec);
+        let steps = &back.warp_trace(0, 0, 0).steps;
+        assert_eq!(steps.capacity(), steps.len());
     }
 
     #[test]

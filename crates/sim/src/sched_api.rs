@@ -85,10 +85,9 @@ impl<'a> IssueView<'a> {
 /// ascending slot order. Returning `None` or a slot not in `candidates`
 /// issues nothing this cycle.
 ///
-/// `Send` because a scheduler instance lives inside its core, and cores
-/// migrate to worker threads when the device steps them in parallel (see
-/// `--sim-threads`). Instances are never shared between threads — each is
-/// only ever driven by the thread stepping its core that cycle.
+/// `Send` because a scheduler instance lives inside its core, and a
+/// device (cores included) may be built on one thread and run on another.
+/// Instances are never shared between threads.
 pub trait WarpScheduler: fmt::Debug + Send {
     /// Policy name for reports.
     fn name(&self) -> &str;

@@ -1,11 +1,9 @@
 //! Simulation statistics: per-kernel and whole-run roll-ups.
 //!
-//! Every counter here is **thread-count invariant**: with parallel core
-//! stepping enabled (`GpuDevice::set_sim_threads`), shared counters are
-//! only mutated during the sequential merge phase, in fixed core order,
-//! so a run's [`SimStats`] is byte-identical at any `--sim-threads`
-//! value (enforced by `tests/golden_identity.rs` and the simcheck
-//! sequential-vs-parallel differential oracle).
+//! Every counter here is deterministic and purely observational: a run's
+//! [`SimStats`] is byte-identical with the idle fast-forward on or off
+//! (enforced by `tests/golden_identity.rs` and the simcheck differential
+//! oracle).
 
 use crate::core_model::CoreStats;
 use crate::sched_api::KernelId;

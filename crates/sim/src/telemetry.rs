@@ -22,12 +22,13 @@
 //! policy decisions, then the sample), so a trace is deterministic and
 //! byte-diffable regardless of how many worker threads the harness uses.
 //!
-//! Serialization is hand-rolled (the workspace has no external
-//! dependencies): events round-trip through flat JSON objects
-//! ([`TraceEvent::to_json`] / [`TraceEvent::from_json`]) and samples
-//! render as CSV rows ([`IntervalSample::csv_row`]).
+//! Events round-trip through flat JSON objects ([`TraceEvent::to_json`]
+//! writes them directly; [`TraceEvent::from_json`] reads them with the
+//! crate's one JSON parser, [`crate::json`]) and samples render as CSV
+//! rows ([`IntervalSample::csv_row`]).
 
-use crate::parallel::CoreAccess;
+use crate::core_model::Core;
+use crate::json::{quoted, Json};
 use crate::sched_api::KernelId;
 use gpgpu_mem::{Cycle, MemFabric};
 use std::fmt::Write as _;
@@ -175,9 +176,9 @@ impl TraceEvent {
             } => {
                 let _ = write!(
                     s,
-                    "{{\"type\":\"kernel-launch\",\"cycle\":{cycle},\"kernel\":{},\"name\":\"{}\",\"ctas\":{ctas}}}",
+                    "{{\"type\":\"kernel-launch\",\"cycle\":{cycle},\"kernel\":{},\"name\":{},\"ctas\":{ctas}}}",
                     kernel.0,
-                    escape_json(name)
+                    quoted(name)
                 );
             }
             TraceEvent::KernelComplete {
@@ -236,9 +237,9 @@ impl TraceEvent {
             } => {
                 let _ = write!(
                     s,
-                    "{{\"type\":\"policy\",\"cycle\":{cycle},\"core\":{core},\"kernel\":{},\"action\":\"{}\",\"value\":{value}}}",
+                    "{{\"type\":\"policy\",\"cycle\":{cycle},\"core\":{core},\"kernel\":{},\"action\":{},\"value\":{value}}}",
                     kernel.0,
-                    escape_json(action)
+                    quoted(action)
                 );
             }
         }
@@ -252,26 +253,17 @@ impl TraceEvent {
     /// Returns a description of the first syntax problem, unknown `type`,
     /// or missing field.
     pub fn from_json(line: &str) -> Result<TraceEvent, String> {
-        let fields = parse_flat_json(line)?;
+        let doc = Json::parse(line).map_err(|e| e.to_string())?;
         let str_field = |key: &str| -> Result<String, String> {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .and_then(|(_, v)| match v {
-                    JsonValue::Str(s) => Some(s.clone()),
-                    JsonValue::Num(_) => None,
-                })
+            doc.get(key)
+                .and_then(Json::as_str)
+                .map(str::to_string)
                 .ok_or_else(|| format!("missing string field {key:?}"))
         };
         let num_field = |key: &str| -> Result<u64, String> {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .and_then(|(_, v)| match v {
-                    JsonValue::Num(n) => Some(*n),
-                    JsonValue::Str(_) => None,
-                })
-                .ok_or_else(|| format!("missing numeric field {key:?}"))
+            doc.get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("missing unsigned integer field {key:?}"))
         };
         let cycle = num_field("cycle")?;
         match str_field("type")?.as_str() {
@@ -312,119 +304,6 @@ impl TraceEvent {
                 value: num_field("value")?,
             }),
             other => Err(format!("unknown event type {other:?}")),
-        }
-    }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    Str(String),
-    Num(u64),
-}
-
-/// Parses a flat JSON object of string and unsigned-integer values —
-/// exactly the shape [`TraceEvent::to_json`] produces.
-fn parse_flat_json(s: &str) -> Result<Vec<(String, JsonValue)>, String> {
-    let mut chars = s.trim().chars().peekable();
-    let mut out = Vec::new();
-    if chars.next() != Some('{') {
-        return Err("expected '{'".into());
-    }
-    loop {
-        match chars.peek() {
-            Some('}') => {
-                chars.next();
-                break;
-            }
-            Some('"') => {}
-            other => return Err(format!("expected key or '}}', got {other:?}")),
-        }
-        let key = parse_json_string(&mut chars)?;
-        if chars.next() != Some(':') {
-            return Err(format!("expected ':' after key {key:?}"));
-        }
-        let value = match chars.peek() {
-            Some('"') => JsonValue::Str(parse_json_string(&mut chars)?),
-            Some(c) if c.is_ascii_digit() => {
-                let mut n: u64 = 0;
-                while let Some(c) = chars.peek().copied() {
-                    if let Some(d) = c.to_digit(10) {
-                        chars.next();
-                        n = n
-                            .checked_mul(10)
-                            .and_then(|n| n.checked_add(u64::from(d)))
-                            .ok_or_else(|| format!("number overflow in field {key:?}"))?;
-                    } else {
-                        break;
-                    }
-                }
-                JsonValue::Num(n)
-            }
-            other => return Err(format!("unsupported value start {other:?} for key {key:?}")),
-        };
-        out.push((key, value));
-        match chars.next() {
-            Some(',') => continue,
-            Some('}') => break,
-            other => return Err(format!("expected ',' or '}}', got {other:?}")),
-        }
-    }
-    if chars.next().is_some() {
-        return Err("trailing characters after object".into());
-    }
-    Ok(out)
-}
-
-fn parse_json_string(
-    chars: &mut std::iter::Peekable<std::str::Chars<'_>>,
-) -> Result<String, String> {
-    if chars.next() != Some('"') {
-        return Err("expected '\"'".into());
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            Some('"') => return Ok(out),
-            Some('\\') => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('/') => out.push('/'),
-                Some('n') => out.push('\n'),
-                Some('t') => out.push('\t'),
-                Some('r') => out.push('\r'),
-                Some('u') => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        let d = chars
-                            .next()
-                            .and_then(|c| c.to_digit(16))
-                            .ok_or("bad \\u escape")?;
-                        code = code * 16 + d;
-                    }
-                    out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                }
-                other => return Err(format!("bad escape {other:?}")),
-            },
-            Some(c) => out.push(c),
-            None => return Err("unterminated string".into()),
         }
     }
 }
@@ -905,7 +784,7 @@ impl Telemetry {
     pub(crate) fn maybe_sample(
         &mut self,
         now: Cycle,
-        cores: &mut CoreAccess<'_>,
+        cores: &[Core],
         fabric: &MemFabric,
         gmem_pages: usize,
     ) {
@@ -922,7 +801,7 @@ impl Telemetry {
     pub(crate) fn final_sample(
         &mut self,
         now: Cycle,
-        cores: &mut CoreAccess<'_>,
+        cores: &[Core],
         fabric: &MemFabric,
         gmem_pages: usize,
     ) {
@@ -940,7 +819,7 @@ impl Telemetry {
         &mut self,
         start: Cycle,
         end: Cycle,
-        cores: &mut CoreAccess<'_>,
+        cores: &[Core],
         fabric: &MemFabric,
         gmem_pages: usize,
     ) {
@@ -951,8 +830,7 @@ impl Telemetry {
             ..IntervalSample::default()
         };
         let mut now = Baseline::default();
-        for i in 0..cores.len() {
-            let core = cores.get(i);
+        for core in cores {
             let cs = core.stats();
             now.instructions += cs.issued;
             now.issued_slots += cs.issued_slots;
@@ -1077,6 +955,18 @@ mod tests {
             "{\"type\":\"kernel-launch\"}",
             "{\"type\":\"nonsense\",\"cycle\":3}",
             "{\"type\":\"cta-retire\",\"cycle\":1,\"kernel\":0,\"cta\":0,\"core\":0} trailing",
+            "{\"type\":\"cta-retire\",\"cycle\":1,\"kernel\":0,\"cta\":0,\"core\":0}}",
+            // Negative and fractional numbers are not u64 counters.
+            "{\"type\":\"cta-retire\",\"cycle\":-1,\"kernel\":0,\"cta\":0,\"core\":0}",
+            "{\"type\":\"cta-retire\",\"cycle\":1.5,\"kernel\":0,\"cta\":0,\"core\":0}",
+            "{\"type\":\"cke-admit\",\"cycle\":1,\"kernel\":0,\"core\":2e0}",
+            // A field of the wrong type, and a missing one.
+            "{\"type\":\"cta-retire\",\"cycle\":\"1\",\"kernel\":0,\"cta\":0,\"core\":0}",
+            "{\"type\":\"cta-retire\",\"cycle\":1,\"kernel\":0,\"core\":0}",
+            "{\"type\":\"policy\",\"cycle\":1,\"core\":0,\"kernel\":0,\"value\":2}",
+            // An unknown or missing event type.
+            "{\"type\":\"cta-teleport\",\"cycle\":1,\"kernel\":0,\"cta\":0,\"core\":0}",
+            "{\"cycle\":1,\"kernel\":0,\"cta\":0,\"core\":0}",
         ] {
             assert!(TraceEvent::from_json(bad).is_err(), "accepted {bad:?}");
         }

@@ -29,8 +29,8 @@ impl fmt::Display for WorkloadClass {
 
 /// Problem-size presets. `Tiny` keeps unit tests fast; `Small` is the
 /// experiment-harness default (enough CTAs for several waves per core);
-/// `Large` is the long-run tier for parallel-stepping sweeps; `Full`
-/// approaches paper-scale grids.
+/// `Large` is the long-run tier for throughput measurements of a single
+/// simulation; `Full` approaches paper-scale grids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scale {
     /// A handful of CTAs — seconds of simulation for tests.
@@ -38,7 +38,7 @@ pub enum Scale {
     /// Hundreds of CTAs — the harness default.
     Small,
     /// Around a thousand CTAs per kernel — long enough per simulation
-    /// that `--sim-threads` scaling dominates batch-level parallelism.
+    /// that per-run cost dominates batch-level overheads.
     Large,
     /// Thousands of CTAs.
     Full,

@@ -1,14 +1,13 @@
 //! Golden bit-identity suite for the simulator fast path.
 //!
-//! The event-gated dispatch, idle fast-forward, and parallel core
-//! stepping in `gpgpu-sim` are pure wall-clock optimizations: every
-//! statistic, per-kernel result, memory byte, and telemetry byte must
-//! match the reference cycle-by-cycle loop
-//! (`GpuDevice::set_fast_forward(false)`, `--sim-threads 1`). These tests
-//! run a matrix of workloads against every named warp and CTA policy —
-//! fast path and thread counts {1, 2, 4} vs reference — and compare
-//! `SimStats`, the memory content hash, the serialized event trace, and
-//! the serialized interval series for exact equality.
+//! The event-gated dispatch and idle fast-forward in `gpgpu-sim` are pure
+//! wall-clock optimizations: every statistic, per-kernel result, memory
+//! byte, and telemetry byte must match the reference cycle-by-cycle loop
+//! (`GpuDevice::set_fast_forward(false)`). These tests run a matrix of
+//! workloads against every named warp and CTA policy — fast path vs
+//! reference — and compare `SimStats`, the memory content hash, the
+//! serialized event trace, and the serialized interval series for exact
+//! equality.
 
 use gpgpu_repro::sim::{GpuConfig, GpuDevice, MemorySink, SimStats, TelemetryConfig};
 use gpgpu_repro::tbs::{CtaPolicy, WarpPolicy};
@@ -21,20 +20,18 @@ const MAX_CYCLES: u64 = 50_000_000;
 const SAMPLE_EVERY: u64 = 500;
 
 /// One complete traced run; `fast` selects the optimized or the reference
-/// loop, `sim_threads` the core-stepping thread count. Returns the stats,
-/// the byte-serialized telemetry streams, and the memory content hash.
+/// loop. Returns the stats, the byte-serialized telemetry streams, and the
+/// memory content hash.
 fn run_once(
     workloads: &[&dyn Fn() -> Box<dyn Workload>],
     serial: bool,
     warp: WarpPolicy,
     cta: CtaPolicy,
     fast: bool,
-    sim_threads: usize,
 ) -> (SimStats, String, String, u64) {
     let factory = warp.factory();
     let mut gpu = GpuDevice::new(GpuConfig::fermi(), factory.as_ref(), cta.scheduler());
     gpu.set_fast_forward(fast);
-    gpu.set_sim_threads(sim_threads);
     gpu.enable_telemetry(TelemetryConfig::new(SAMPLE_EVERY), Box::new(MemorySink::new()));
     let mut instances: Vec<Box<dyn Workload>> = workloads.iter().map(|make| make()).collect();
     let mut prev = None;
@@ -71,40 +68,14 @@ fn assert_identical(
     warp: WarpPolicy,
     cta: CtaPolicy,
 ) {
-    let fast = run_once(workloads, serial, warp, cta, true, 1);
-    let reference = run_once(workloads, serial, warp, cta, false, 1);
+    let fast = run_once(workloads, serial, warp, cta, true);
+    let reference = run_once(workloads, serial, warp, cta, false);
     assert_eq!(fast.0, reference.0, "{label}: SimStats diverge");
     assert_eq!(fast.1, reference.1, "{label}: event traces diverge");
     assert_eq!(fast.2, reference.2, "{label}: interval series diverge");
     assert_eq!(fast.3, reference.3, "{label}: memory contents diverge");
     assert!(fast.0.instructions > 0, "{label}: trivial run proves nothing");
     assert_eq!(fast.0.malformed_dispatches, 0, "{label}: policy misbehaved");
-}
-
-/// Parallel stepping vs the sequential reference: `--sim-threads` must be
-/// invisible in every output, with and without the idle fast-forward.
-fn assert_thread_identical(
-    label: &str,
-    workloads: &[&dyn Fn() -> Box<dyn Workload>],
-    serial: bool,
-    warp: WarpPolicy,
-    cta: CtaPolicy,
-) {
-    let reference = run_once(workloads, serial, warp, cta, false, 1);
-    assert!(
-        reference.0.instructions > 0,
-        "{label}: trivial run proves nothing"
-    );
-    for threads in [1, 2, 4] {
-        for fast in [false, true] {
-            let par = run_once(workloads, serial, warp, cta, fast, threads);
-            let tag = format!("{label} @ threads={threads} fast={fast}");
-            assert_eq!(par.0, reference.0, "{tag}: SimStats diverge");
-            assert_eq!(par.1, reference.1, "{tag}: event traces diverge");
-            assert_eq!(par.2, reference.2, "{tag}: interval series diverge");
-            assert_eq!(par.3, reference.3, "{tag}: memory contents diverge");
-        }
-    }
 }
 
 fn vecadd() -> Box<dyn Workload> {
@@ -169,65 +140,10 @@ fn concurrent_pair_is_bit_identical() {
 }
 
 #[test]
-fn sim_threads_matrix_is_bit_identical() {
-    // The E2/E5/E8 trace-point shapes from the experiment grid, swept
-    // across `--sim-threads` {1, 2, 4}: the characterization baseline
-    // (E2), the LCS throttle (E5), and a concurrent pair under mixed CKE
-    // (E8, which exercises co-scheduled dispatch and multi-kernel merge
-    // ordering).
-    assert_thread_identical(
-        "e2: vecadd x gto x baseline",
-        &[&vecadd],
-        false,
-        WarpPolicy::Gto,
-        CtaPolicy::Baseline(None),
-    );
-    assert_thread_identical(
-        "e5: vecadd x gto x lcs:0.7",
-        &[&vecadd],
-        false,
-        WarpPolicy::Gto,
-        CtaPolicy::Lcs(0.7),
-    );
-    assert_thread_identical(
-        "e8: vecadd+fmaheavy x gto x mixed-cke:0.7",
-        &[&vecadd, &fmaheavy],
-        false,
-        WarpPolicy::Gto,
-        CtaPolicy::MixedCke(0.7),
-    );
-}
-
-#[test]
-fn sim_threads_exceeding_cores_is_bit_identical() {
-    // More threads than cores (fermi has 15) clamps rather than breaking.
-    let reference = run_once(
-        &[&gather],
-        false,
-        WarpPolicy::Gto,
-        CtaPolicy::Baseline(None),
-        false,
-        1,
-    );
-    let par = run_once(
-        &[&gather],
-        false,
-        WarpPolicy::Gto,
-        CtaPolicy::Baseline(None),
-        true,
-        64,
-    );
-    assert_eq!(par.0, reference.0, "oversubscribed: SimStats diverge");
-    assert_eq!(par.1, reference.1, "oversubscribed: event traces diverge");
-    assert_eq!(par.2, reference.2, "oversubscribed: interval series diverge");
-    assert_eq!(par.3, reference.3, "oversubscribed: memory contents diverge");
-}
-
-#[test]
 fn stall_accounting_is_live_and_bit_identical() {
     // The stall taxonomy and occupancy integrals are observation-only:
-    // every counter must be bit-identical across `--sim-threads` {1, 2, 4}
-    // × fast-forward on/off, must actually fire (a taxonomy that never
+    // every counter must be bit-identical with fast-forward on and off,
+    // must actually fire (a taxonomy that never
     // attributes anything proves nothing), and must obey the conservation
     // identity `Σ stall_* == idle_slots + stalled_slots` per core. The
     // gather workload keeps loads in flight (MemPending) while the
@@ -238,7 +154,6 @@ fn stall_accounting_is_live_and_bit_identical() {
         WarpPolicy::Gto,
         CtaPolicy::Baseline(None),
         false,
-        1,
     );
     let bd = reference.0.stall_breakdown();
     assert!(bd.core_cycles > 0, "cycle integrals never advanced");
@@ -259,22 +174,17 @@ fn stall_accounting_is_live_and_bit_identical() {
         );
     }
     gpgpu_repro::sim::assert_conservation(&reference.0);
-    for threads in [1, 2, 4] {
-        for fast in [false, true] {
-            let par = run_once(
-                &[&vecadd, &gather],
-                false,
-                WarpPolicy::Gto,
-                CtaPolicy::Baseline(None),
-                fast,
-                threads,
-            );
-            assert_eq!(
-                par.0.cores, reference.0.cores,
-                "threads={threads} fast={fast}: stall/occupancy counters diverge"
-            );
-        }
-    }
+    let fast = run_once(
+        &[&vecadd, &gather],
+        false,
+        WarpPolicy::Gto,
+        CtaPolicy::Baseline(None),
+        true,
+    );
+    assert_eq!(
+        fast.0.cores, reference.0.cores,
+        "fast-forward: stall/occupancy counters diverge"
+    );
 }
 
 #[test]

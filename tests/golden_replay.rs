@@ -1,14 +1,14 @@
 //! Golden bit-identity suite for execution-record replay.
 //!
 //! Replay (`gpgpu_sim::record`) re-times a captured functional execution
-//! under a possibly different CTA policy, warp policy, thread count, or
-//! fast-forward mode. It is a pure wall-clock optimization, so its
+//! under a possibly different CTA policy, warp policy, or fast-forward
+//! mode. It is a pure wall-clock optimization, so its
 //! contract is the same as the fast path's: `SimStats`, the serialized
 //! telemetry streams, and the memory content hash (carried by the record)
 //! must equal direct execution *byte for byte*. These tests capture each
 //! E2/E5/E8 workload shape once — under a policy deliberately different
-//! from the replay targets — and replay it across 3 CTA policies ×
-//! `--sim-threads` {1, 2}, comparing every output against a direct run.
+//! from the replay targets — and replay it across 3 CTA policies,
+//! comparing every output against a direct run.
 
 use gpgpu_repro::sim::{
     ExecRecord, GpuConfig, GpuDevice, MemorySink, SimStats, TelemetryConfig,
@@ -38,12 +38,10 @@ fn run_once(
     serial: bool,
     warp: WarpPolicy,
     cta: CtaPolicy,
-    sim_threads: usize,
     mode: Mode,
 ) -> (SimStats, String, String, u64, Option<ExecRecord>) {
     let factory = warp.factory();
     let mut gpu = GpuDevice::new(GpuConfig::fermi(), factory.as_ref(), cta.scheduler());
-    gpu.set_sim_threads(sim_threads);
     let replaying = match &mode {
         Mode::Direct => false,
         Mode::Capture => {
@@ -102,8 +100,8 @@ fn fmaheavy() -> Box<dyn Workload> {
 }
 
 /// Captures `workloads` once (under `capture_cta`), then replays under
-/// every (policy, sim_threads) combination and asserts byte-identity
-/// against a direct run of the same combination.
+/// every target policy and asserts byte-identity against a direct run
+/// under the same policy.
 fn assert_replay_identical(
     label: &str,
     workloads: &[&dyn Fn() -> Box<dyn Workload>],
@@ -116,7 +114,6 @@ fn assert_replay_identical(
         serial,
         WarpPolicy::Gto,
         capture_cta,
-        1,
         Mode::Capture,
     );
     let record = Arc::new(cap.4.expect("capture produced a record"));
@@ -124,7 +121,13 @@ fn assert_replay_identical(
 
     // Capture is observation-only: a direct run under the capture policy
     // must match the capture run byte for byte.
-    let direct_cap = run_once(workloads, serial, WarpPolicy::Gto, capture_cta, 1, Mode::Direct);
+    let direct_cap = run_once(
+        workloads,
+        serial,
+        WarpPolicy::Gto,
+        capture_cta,
+        Mode::Direct,
+    );
     assert_eq!(cap.0, direct_cap.0, "{label}: capture perturbed SimStats");
     assert_eq!(cap.1, direct_cap.1, "{label}: capture perturbed events");
     assert_eq!(cap.2, direct_cap.2, "{label}: capture perturbed intervals");
@@ -132,23 +135,23 @@ fn assert_replay_identical(
     assert_eq!(record.mem_hash, direct_cap.3, "{label}: record mem_hash wrong");
 
     for &(cname, cta) in targets {
-        for threads in [1, 2] {
-            let direct = run_once(workloads, serial, WarpPolicy::Gto, cta, threads, Mode::Direct);
-            let replay = run_once(
-                workloads,
-                serial,
-                WarpPolicy::Gto,
-                cta,
-                threads,
-                Mode::Replay(Arc::clone(&record)),
-            );
-            let tag = format!("{label} -> {cname} @ threads={threads}");
-            assert_eq!(replay.0, direct.0, "{tag}: SimStats diverge");
-            assert_eq!(replay.1, direct.1, "{tag}: event traces diverge");
-            assert_eq!(replay.2, direct.2, "{tag}: interval series diverge");
-            assert_eq!(replay.3, direct.3, "{tag}: memory hash diverges");
-            assert!(direct.0.instructions > 0, "{tag}: trivial run proves nothing");
-        }
+        let direct = run_once(workloads, serial, WarpPolicy::Gto, cta, Mode::Direct);
+        let replay = run_once(
+            workloads,
+            serial,
+            WarpPolicy::Gto,
+            cta,
+            Mode::Replay(Arc::clone(&record)),
+        );
+        let tag = format!("{label} -> {cname}");
+        assert_eq!(replay.0, direct.0, "{tag}: SimStats diverge");
+        assert_eq!(replay.1, direct.1, "{tag}: event traces diverge");
+        assert_eq!(replay.2, direct.2, "{tag}: interval series diverge");
+        assert_eq!(replay.3, direct.3, "{tag}: memory hash diverges");
+        assert!(
+            direct.0.instructions > 0,
+            "{tag}: trivial run proves nothing"
+        );
     }
 }
 
@@ -226,7 +229,6 @@ fn replay_survives_binary_round_trip() {
         false,
         WarpPolicy::Gto,
         CtaPolicy::Baseline(None),
-        1,
         Mode::Capture,
     );
     let record = cap.4.expect("capture produced a record");
@@ -239,7 +241,6 @@ fn replay_survives_binary_round_trip() {
         false,
         WarpPolicy::Gto,
         CtaPolicy::Lcs(0.7),
-        1,
         Mode::Direct,
     );
     let replay = run_once(
@@ -247,7 +248,6 @@ fn replay_survives_binary_round_trip() {
         false,
         WarpPolicy::Gto,
         CtaPolicy::Lcs(0.7),
-        1,
         Mode::Replay(decoded),
     );
     assert_eq!(replay.0, direct.0, "round-tripped record: SimStats diverge");
@@ -277,7 +277,6 @@ fn capture_replay_wall_clock_probe() {
             false,
             WarpPolicy::Gto,
             CtaPolicy::Baseline(None),
-            1,
             Mode::Direct,
         );
         let direct = t0.elapsed().as_secs_f64();
@@ -287,7 +286,6 @@ fn capture_replay_wall_clock_probe() {
             false,
             WarpPolicy::Gto,
             CtaPolicy::Baseline(None),
-            1,
             Mode::Capture,
         );
         let capture = t0.elapsed().as_secs_f64();
@@ -298,7 +296,6 @@ fn capture_replay_wall_clock_probe() {
             false,
             WarpPolicy::Gto,
             CtaPolicy::Lcs(0.7),
-            1,
             Mode::Replay(Arc::clone(&record)),
         );
         let replay = t0.elapsed().as_secs_f64();
@@ -319,7 +316,6 @@ fn replay_composes_with_fast_forward_off() {
         false,
         WarpPolicy::Gto,
         CtaPolicy::Baseline(None),
-        1,
         Mode::Capture,
     );
     let record = Arc::new(cap.4.expect("capture produced a record"));
@@ -328,7 +324,6 @@ fn replay_composes_with_fast_forward_off() {
         false,
         WarpPolicy::Gto,
         CtaPolicy::Bcs(2),
-        1,
         Mode::Direct,
     );
     for fast in [false, true] {

@@ -1155,9 +1155,8 @@ mod tests {
 
 /// Runs one spec to completion under the given [`RunMode`] and (except
 /// for replay, which never evaluates semantics) verifies it. Direct
-/// execution is exactly the pre-engine serial path (`run_workload` /
-/// `run_pair` on a fresh device), so results are bit-identical to ad-hoc
-/// call sites; capture and replay are bit-identical to direct execution
+/// execution is exactly the pre-engine serial path (`run_workload` on a
+/// fresh device), so results are bit-identical to ad-hoc call sites; capture and replay are bit-identical to direct execution
 /// (the golden replay suite's contract). Returns the captured record when
 /// `mode` was [`RunMode::Capture`].
 fn execute_spec_mode(spec: &RunSpec, mode: RunMode) -> (RunResult, Option<ExecRecord>) {

@@ -1,7 +1,7 @@
 //! E11 — generated-family sweep: the DSL workload families
 //! (`gpgpu_workloads::families`) under the paper's schedulers.
 //!
-//! The hand-written suite fixes 14 points in workload space; the
+//! The suite fixes 14 points in workload space; the
 //! families span it parametrically. This experiment sweeps one
 //! representative member per axis — coalesced and strided streams, a
 //! cache-resident tile kernel with and without shared-memory occupancy

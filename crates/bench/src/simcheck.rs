@@ -39,10 +39,8 @@
 //! failing seed reported by CI reproduces anywhere.
 
 use crate::parallel_map;
-use gpgpu_isa::dsl::{gen_kernel, GenCfg, GenKernel, MirrorMem};
-use gpgpu_isa::{
-    sem, AluOp, CmpOp, CmpTy, Dim2, KernelBuilder, KernelDescriptor, Program, SpecialReg,
-};
+use gpgpu_isa::dsl::{gen_kernel, DslKernel, GenCfg, GenKernel, MirrorMem};
+use gpgpu_isa::{sem, AluOp, CmpOp, CmpTy, Dim2, KernelDescriptor, Program, SpecialReg};
 use gpgpu_sim::{
     conservation_violations, CtaCompleteEvent, CtaScheduler, Dispatch, DispatchView, ExecRecord,
     GpuConfig, GpuDevice, KernelId, MemorySink, SimError, TelemetryConfig, TelemetryData,
@@ -203,11 +201,10 @@ impl FuzzCase {
         case
     }
 
-    /// Threads launched by kernel 1.
+    /// Threads launched by kernel 1 (saturating, so hostile extents
+    /// cannot overflow).
     pub fn threads(&self) -> u64 {
-        u64::from(self.grid.0) * u64::from(self.grid.1)
-            * u64::from(self.block.0)
-            * u64::from(self.block.1)
+        launch_threads(self.grid, self.block)
     }
 
     /// Threads launched by kernel 2 (0 when there is none).
@@ -215,9 +212,7 @@ impl FuzzCase {
         if self.ops2.is_empty() {
             return 0;
         }
-        u64::from(self.grid2.0) * u64::from(self.grid2.1)
-            * u64::from(self.block2.0)
-            * u64::from(self.block2.1)
+        launch_threads(self.grid2, self.block2)
     }
 
     /// Checks the spec is well-formed (shapes in range, op set closed,
@@ -229,13 +224,13 @@ impl FuzzCase {
             if g.0 == 0 || g.1 == 0 || b.0 == 0 || b.1 == 0 {
                 return Err(format!("zero extent in grid {g:?} / block {b:?}"));
             }
-            if b.0 * b.1 > 1024 {
+            if u64::from(b.0) * u64::from(b.1) > 1024 {
                 return Err(format!("block {b:?} exceeds 1024 threads"));
             }
             Ok(())
         };
         dims_ok(self.grid, self.block)?;
-        if self.threads() + self.threads2() > MAX_CASE_THREADS {
+        if self.threads().saturating_add(self.threads2()) > MAX_CASE_THREADS {
             return Err(format!("case launches more than {MAX_CASE_THREADS} threads"));
         }
         if self.ops.is_empty() || self.ops.len() > 64 {
@@ -330,14 +325,14 @@ impl FuzzCase {
                 "warp" => case.warp = value.trim().to_string(),
                 "grid" => case.grid = parse_dim(value).map_err(at)?,
                 "block" => case.block = parse_dim(value).map_err(at)?,
-                "trips" => case.trips = parse_num(value).map_err(at)? as u32,
+                "trips" => case.trips = parse_u32(value).map_err(at)?,
                 "ops" => case.ops = parse_ops(value).map_err(at)?,
                 "smem" => case.smem = parse_bool(value).map_err(at)?,
                 "divergent" => case.divergent = parse_bool(value).map_err(at)?,
                 "grid2" => case.grid2 = parse_dim(value).map_err(at)?,
                 "block2" => case.block2 = parse_dim(value).map_err(at)?,
                 "ops2" => case.ops2 = parse_ops(value).map_err(at)?,
-                "max_ctas" => case.max_ctas = parse_num(value).map_err(at)? as u32,
+                "max_ctas" => case.max_ctas = parse_u32(value).map_err(at)?,
                 "dsl" => case.dsl = parse_num(value).map_err(at)?,
                 "budget" => case.budget = parse_num(value).map_err(at)?,
                 other => return Err(format!("line {}: unknown key {other:?}", lineno + 1)),
@@ -349,6 +344,14 @@ impl FuzzCase {
         case.validate()?;
         Ok(case)
     }
+}
+
+/// Threads in a `grid` of `block`-shaped CTAs, saturating at `u64::MAX`.
+fn launch_threads(grid: (u32, u32), block: (u32, u32)) -> u64 {
+    u64::from(grid.0)
+        .saturating_mul(u64::from(grid.1))
+        .saturating_mul(u64::from(block.0))
+        .saturating_mul(u64::from(block.1))
 }
 
 fn gen_ops(g: &mut Gen, min: usize, max: usize) -> Vec<SlotOp> {
@@ -384,6 +387,10 @@ fn parse_ops(s: &str) -> Result<Vec<SlotOp>, String> {
 
 fn parse_num(s: &str) -> Result<u64, String> {
     s.trim().parse().map_err(|_| format!("bad number {s:?}"))
+}
+
+fn parse_u32(s: &str) -> Result<u32, String> {
+    u32::try_from(parse_num(s)?).map_err(|_| format!("{s:?} exceeds u32"))
 }
 
 fn parse_dim(s: &str) -> Result<(u32, u32), String> {
@@ -422,7 +429,7 @@ fn build_program(
     smem: bool,
     divergent: bool,
 ) -> Program {
-    let mut k = KernelBuilder::new(name, block);
+    let mut k = DslKernel::new(name, block);
     let base = k.param(0);
     let tid = k.global_tid_linear();
     let addr = k.imad(tid, 4u64, base);
@@ -453,7 +460,7 @@ fn build_program(
         });
     }
     k.st_global_u32(acc, addr, 0);
-    k.build().expect("generated programs are structured")
+    k.compile().expect("generated programs are structured")
 }
 
 /// Generator configuration for a DSL case: `trips` doubles as the segment
@@ -1197,6 +1204,20 @@ mod tests {
         assert!(FuzzCase::from_repro("ops=iadd:1\nblock=3x1\nsmem=1").is_err());
         assert!(FuzzCase::from_repro("ops=iadd:1\nwarp=nosuch").is_err());
         assert!(FuzzCase::from_repro("ops=frob:1").is_err());
+    }
+
+    /// Hostile extents and counts are rejected with an error: no
+    /// arithmetic overflow panic, no silent truncation to a valid value.
+    #[test]
+    fn repro_rejects_overflowing_input() {
+        for text in [
+            "ops=iadd:1\nblock=65536x65536",
+            "ops=iadd:1\ngrid=4294967295x4294967295\nblock=32x32",
+            "ops=iadd:1\ntrips=4294967297",
+            "ops=iadd:1\nmax_ctas=4294967304",
+        ] {
+            assert!(FuzzCase::from_repro(text).is_err(), "{text:?} accepted");
+        }
     }
 
     #[test]

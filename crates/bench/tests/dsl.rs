@@ -1,81 +1,15 @@
-//! Differential tests pinning the DSL ports against their hand-written
-//! originals: under every policy in the 13-entry sweep, a port must
-//! produce **byte-identical** `SimStats` and an identical global-memory
-//! content hash — the compiled programs are the same bytes, the inputs
-//! are the same bytes, so the timing model must not be able to tell them
-//! apart. A capture/replay pass (the `--replay auto` path) must also
-//! re-time DSL workloads to the same stats and memory hash.
+//! Capture/replay round-trips for DSL-compiled workloads: a capture pass
+//! followed by a replay (the `--replay auto` path) must re-time a suite
+//! kernel and a generated family member to the same stats and memory hash
+//! as a direct run.
 
-use gpgpu_sim::{GpuConfig, SimStats};
-use gpgpu_workloads::dslport::{DslReduction, DslSpmvEll, DslVecAdd};
-use gpgpu_workloads::irregular::SpmvEll;
-use gpgpu_workloads::reduce::Reduction;
+use gpgpu_sim::GpuConfig;
 use gpgpu_workloads::streaming::VecAdd;
-use gpgpu_workloads::{run_workload_mode, by_name, RunMode, Scale, Workload};
+use gpgpu_workloads::{by_name, run_workload_mode, RunMode, Scale, Workload};
 use std::sync::Arc;
 use tbs_core::{CtaPolicy, WarpPolicy};
 
 const MAX_CYCLES: u64 = 50_000_000;
-
-/// Runs one workload under one policy and returns (stats, memory hash).
-fn run(w: &mut dyn Workload, cta: CtaPolicy) -> (SimStats, u64) {
-    let factory = WarpPolicy::Gto.factory();
-    let (outcome, gpu, _, _) = run_workload_mode(
-        w,
-        GpuConfig::test_small(),
-        factory.as_ref(),
-        cta.scheduler(),
-        MAX_CYCLES,
-        None,
-        RunMode::Direct,
-    )
-    .unwrap_or_else(|e| panic!("{}: {e}", w.name()));
-    let hash = gpu.mem_ref().content_hash();
-    (outcome.stats, hash)
-}
-
-/// The tentpole acceptance check: for each ported kernel, every policy in
-/// the sweep sees byte-identical SimStats and memory hash between the
-/// hand-written original and the DSL port.
-fn assert_identical_across_sweep(
-    label: &str,
-    mut hand: Box<dyn Workload>,
-    mut dsl: Box<dyn Workload>,
-) {
-    for (policy_name, cta) in CtaPolicy::sweep_named() {
-        let (hs, hh) = run(hand.as_mut(), cta.clone());
-        let (ds, dh) = run(dsl.as_mut(), cta);
-        assert_eq!(hs, ds, "{label}: SimStats diverge under {policy_name}");
-        assert_eq!(hh, dh, "{label}: memory hash diverges under {policy_name}");
-    }
-}
-
-#[test]
-fn vecadd_port_identical_across_policy_sweep() {
-    assert_identical_across_sweep(
-        "vecadd",
-        Box::new(VecAdd::new(2048)),
-        Box::new(DslVecAdd::new(2048)),
-    );
-}
-
-#[test]
-fn reduction_port_identical_across_policy_sweep() {
-    assert_identical_across_sweep(
-        "reduction",
-        Box::new(Reduction::new(2048)),
-        Box::new(DslReduction::new(2048)),
-    );
-}
-
-#[test]
-fn spmv_ell_port_identical_across_policy_sweep() {
-    assert_identical_across_sweep(
-        "spmv-ell",
-        Box::new(SpmvEll::new(512, 4)),
-        Box::new(DslSpmvEll::new(512, 4)),
-    );
-}
 
 /// Capture a DSL workload once, then replay the record: stats and the
 /// record's memory hash must match the direct run exactly (the engine's
@@ -128,8 +62,8 @@ fn assert_capture_replay_roundtrip(mut mk: impl FnMut() -> Box<dyn Workload>) {
 }
 
 #[test]
-fn dsl_port_capture_replay_roundtrip() {
-    assert_capture_replay_roundtrip(|| Box::new(DslVecAdd::new(2048)));
+fn vecadd_capture_replay_roundtrip() {
+    assert_capture_replay_roundtrip(|| Box::new(VecAdd::new(2048)));
 }
 
 #[test]

@@ -1,35 +1,25 @@
-//! An assembler with structured control-flow helpers.
+//! The kernel DSL's assembler: instruction emission with fresh-register
+//! allocation, and structured control-flow layout.
 
-use crate::instr::{AddrExpr, Guard, Instr, Instruction};
+use crate::instr::{Guard, Instr, Instruction};
 use crate::program::{Program, ProgramError, MAX_PREDS, MAX_REGS};
-use crate::types::{
-    AccessWidth, AluOp, CmpOp, CmpTy, Dim2, MemSpace, Operand, PBoolOp, Pc, Pred, Reg, SpecialReg,
-};
+use crate::types::{AluOp, CmpOp, CmpTy, Operand, Pc, Pred, Reg};
 
 /// A forward-referencable position in the program being built.
-///
-/// Created with [`KernelBuilder::label`] and resolved with
-/// [`KernelBuilder::bind`]; all labels must be bound before
-/// [`KernelBuilder::build`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Label(usize);
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Label(usize);
 
-/// Builds a [`Program`] instruction by instruction, with fresh-register
-/// allocation and structured control-flow helpers that emit correct
-/// reconvergence PCs for the SIMT stack.
+/// Builds a [`Program`] instruction by instruction. The structured helpers
+/// ([`if_then`](Self::if_then), [`if_then_else`](Self::if_then_else),
+/// [`for_range`](Self::for_range)) emit correct reconvergence PCs: both
+/// sides of every divergent branch reach the branch's reconvergence point,
+/// which the simulator's SIMT stack relies on.
 ///
-/// The structured helpers ([`if_then`](Self::if_then),
-/// [`if_then_else`](Self::if_then_else), [`loop_while`](Self::loop_while),
-/// [`for_range`](Self::for_range)) are the recommended way to express
-/// control flow: they guarantee that both sides of every divergent branch
-/// reach the branch's reconvergence point, which the simulator's SIMT stack
-/// relies on. Raw labels and branches are available for unusual shapes.
-///
-/// See the [crate-level example](crate) for typical usage.
+/// [`DslKernel::compile`](crate::dsl::DslKernel::compile) is the only
+/// client; kernels are written in the DSL.
 #[derive(Debug)]
-pub struct KernelBuilder {
+pub(crate) struct KernelBuilder {
     name: String,
-    block: Dim2,
     instrs: Vec<Instruction>,
     labels: Vec<Option<Pc>>,
     /// (instruction index, label, which field) patches to apply at build.
@@ -46,11 +36,10 @@ enum PatchField {
 }
 
 impl KernelBuilder {
-    /// Starts building a kernel named `name` with CTA shape `block`.
-    pub fn new(name: impl Into<String>, block: Dim2) -> Self {
+    /// Starts building a kernel named `name`.
+    pub(crate) fn new(name: impl Into<String>) -> Self {
         KernelBuilder {
             name: name.into(),
-            block,
             instrs: Vec::new(),
             labels: Vec::new(),
             patches: Vec::new(),
@@ -60,17 +49,12 @@ impl KernelBuilder {
         }
     }
 
-    /// The CTA shape this kernel is being built for.
-    pub fn block_dim(&self) -> Dim2 {
-        self.block
-    }
-
     /// Allocates a fresh general-purpose register.
     ///
     /// # Panics
     ///
     /// Panics if more than 64 registers are allocated.
-    pub fn reg(&mut self) -> Reg {
+    pub(crate) fn reg(&mut self) -> Reg {
         assert!(self.next_reg < MAX_REGS, "out of registers (limit 64)");
         let r = Reg(self.next_reg as u8);
         self.next_reg += 1;
@@ -82,36 +66,15 @@ impl KernelBuilder {
     /// # Panics
     ///
     /// Panics if more than 8 predicates are allocated.
-    pub fn pred(&mut self) -> Pred {
+    pub(crate) fn pred(&mut self) -> Pred {
         assert!(self.next_pred < MAX_PREDS, "out of predicates (limit 8)");
         let p = Pred(self.next_pred as u8);
         self.next_pred += 1;
         p
     }
 
-    /// Number of general-purpose registers allocated so far. Kernel
-    /// generators use this to set an exact `regs_per_thread` on the
-    /// descriptor instead of guessing a budget.
-    pub fn regs_used(&self) -> u16 {
-        self.next_reg
-    }
-
-    /// Number of predicate registers allocated so far.
-    pub fn preds_used(&self) -> u16 {
-        self.next_pred
-    }
-
-    /// Number of instructions emitted so far.
-    pub fn len(&self) -> usize {
-        self.instrs.len()
-    }
-
-    /// Whether no instructions have been emitted yet.
-    pub fn is_empty(&self) -> bool {
-        self.instrs.is_empty()
-    }
-
-    fn emit(&mut self, op: Instr) -> usize {
+    /// Appends `op` under the current guard; returns its index.
+    pub(crate) fn emit(&mut self, op: Instr) -> usize {
         let idx = self.instrs.len();
         self.instrs.push(Instruction {
             guard: self.guard,
@@ -122,8 +85,7 @@ impl KernelBuilder {
 
     // ----- labels -------------------------------------------------------
 
-    /// Creates a new unbound label.
-    pub fn label(&mut self) -> Label {
+    fn label(&mut self) -> Label {
         self.labels.push(None);
         Label(self.labels.len() - 1)
     }
@@ -133,26 +95,19 @@ impl KernelBuilder {
     /// # Panics
     ///
     /// Panics if the label was already bound.
-    pub fn bind(&mut self, label: Label) {
-        assert!(
-            self.labels[label.0].is_none(),
-            "label bound twice"
-        );
+    fn bind(&mut self, label: Label) {
+        assert!(self.labels[label.0].is_none(), "label bound twice");
         self.labels[label.0] = Some(self.instrs.len() as Pc);
     }
 
-    /// Emits an unconditional branch to `label`.
-    pub fn bra(&mut self, label: Label) {
+    fn bra(&mut self, label: Label) {
         let idx = self.emit(Instr::Bra { target: 0 });
         self.patches.push((idx, label, PatchField::Target));
     }
 
-    /// Emits a conditional branch to `target`, taken in lanes where
+    /// A conditional branch to `target`, taken in lanes where
     /// `pred != neg`, reconverging at `reconv`.
-    ///
-    /// Prefer the structured helpers; when using this directly you are
-    /// responsible for ensuring both paths reach `reconv`.
-    pub fn bra_cond(&mut self, pred: Pred, neg: bool, target: Label, reconv: Label) {
+    fn bra_cond(&mut self, pred: Pred, neg: bool, target: Label, reconv: Label) {
         let idx = self.emit(Instr::BraCond {
             pred,
             neg,
@@ -163,355 +118,24 @@ impl KernelBuilder {
         self.patches.push((idx, reconv, PatchField::Reconv));
     }
 
-    // ----- straight-line instruction helpers ----------------------------
-
-    /// `dst = src`.
-    pub fn mov_to(&mut self, dst: Reg, src: impl Into<Operand>) {
-        let src = src.into();
-        self.emit(Instr::Mov { dst, src });
-    }
-
-    /// Returns a fresh register holding `src`.
-    pub fn movi(&mut self, src: impl Into<Operand>) -> Reg {
-        let dst = self.reg();
-        self.mov_to(dst, src);
-        dst
-    }
-
-    /// Reads special register `sreg` into a fresh register.
-    pub fn special(&mut self, sreg: SpecialReg) -> Reg {
-        let dst = self.reg();
-        self.emit(Instr::Special { dst, sreg });
-        dst
-    }
-
-    /// Loads kernel parameter `index` into a fresh register.
-    pub fn param(&mut self, index: u8) -> Reg {
-        let dst = self.reg();
-        self.emit(Instr::Param { dst, index });
-        dst
-    }
-
-    /// Emits a binary ALU op into an existing register.
-    pub fn alu_to(
-        &mut self,
-        op: AluOp,
-        dst: Reg,
-        a: impl Into<Operand>,
-        b: impl Into<Operand>,
-    ) {
-        let (a, b) = (a.into(), b.into());
-        self.emit(Instr::Alu {
-            op,
-            dst,
-            a,
-            b,
-            c: Operand::Imm(0),
-        });
-    }
-
-    /// Emits a binary ALU op into a fresh register.
-    pub fn alu(&mut self, op: AluOp, a: impl Into<Operand>, b: impl Into<Operand>) -> Reg {
-        let dst = self.reg();
-        self.alu_to(op, dst, a, b);
-        dst
-    }
-
-    /// Emits a ternary ALU op (`IMad`/`FFma`) into a fresh register.
-    pub fn alu3(
-        &mut self,
-        op: AluOp,
-        a: impl Into<Operand>,
-        b: impl Into<Operand>,
-        c: impl Into<Operand>,
-    ) -> Reg {
-        let dst = self.reg();
-        self.alu3_to(op, dst, a, b, c);
-        dst
-    }
-
-    /// Emits a ternary ALU op into an existing register.
-    pub fn alu3_to(
-        &mut self,
-        op: AluOp,
-        dst: Reg,
-        a: impl Into<Operand>,
-        b: impl Into<Operand>,
-        c: impl Into<Operand>,
-    ) {
-        let (a, b, c) = (a.into(), b.into(), c.into());
-        self.emit(Instr::Alu { op, dst, a, b, c });
-    }
-
-    /// `a + b` into a fresh register.
-    pub fn iadd(&mut self, a: impl Into<Operand>, b: impl Into<Operand>) -> Reg {
-        self.alu(AluOp::IAdd, a, b)
-    }
-
-    /// `a - b` into a fresh register.
-    pub fn isub(&mut self, a: impl Into<Operand>, b: impl Into<Operand>) -> Reg {
-        self.alu(AluOp::ISub, a, b)
-    }
-
-    /// `a * b` into a fresh register.
-    pub fn imul(&mut self, a: impl Into<Operand>, b: impl Into<Operand>) -> Reg {
-        self.alu(AluOp::IMul, a, b)
-    }
-
-    /// `a * b + c` into a fresh register.
-    pub fn imad(
-        &mut self,
-        a: impl Into<Operand>,
-        b: impl Into<Operand>,
-        c: impl Into<Operand>,
-    ) -> Reg {
-        self.alu3(AluOp::IMad, a, b, c)
-    }
-
-    /// `a << b` into a fresh register.
-    pub fn shl(&mut self, a: impl Into<Operand>, b: impl Into<Operand>) -> Reg {
-        self.alu(AluOp::Shl, a, b)
-    }
-
-    /// `a >> b` (logical) into a fresh register.
-    pub fn shr(&mut self, a: impl Into<Operand>, b: impl Into<Operand>) -> Reg {
-        self.alu(AluOp::ShrL, a, b)
-    }
-
-    /// `a & b` into a fresh register.
-    pub fn and(&mut self, a: impl Into<Operand>, b: impl Into<Operand>) -> Reg {
-        self.alu(AluOp::And, a, b)
-    }
-
-    /// `a ^ b` into a fresh register.
-    pub fn xor(&mut self, a: impl Into<Operand>, b: impl Into<Operand>) -> Reg {
-        self.alu(AluOp::Xor, a, b)
-    }
-
-    /// `a % b` (unsigned, SFU path) into a fresh register.
-    pub fn urem(&mut self, a: impl Into<Operand>, b: impl Into<Operand>) -> Reg {
-        self.alu(AluOp::URem, a, b)
-    }
-
-    /// `f32` add into a fresh register.
-    pub fn fadd(&mut self, a: impl Into<Operand>, b: impl Into<Operand>) -> Reg {
-        self.alu(AluOp::FAdd, a, b)
-    }
-
-    /// `f32` multiply into a fresh register.
-    pub fn fmul(&mut self, a: impl Into<Operand>, b: impl Into<Operand>) -> Reg {
-        self.alu(AluOp::FMul, a, b)
-    }
-
-    /// Fused multiply-add `a * b + c` into a fresh register.
-    pub fn ffma(
-        &mut self,
-        a: impl Into<Operand>,
-        b: impl Into<Operand>,
-        c: impl Into<Operand>,
-    ) -> Reg {
-        self.alu3(AluOp::FFma, a, b, c)
-    }
-
-    /// Fused multiply-add into an existing register (accumulator form).
-    pub fn ffma_to(
-        &mut self,
-        dst: Reg,
-        a: impl Into<Operand>,
-        b: impl Into<Operand>,
-        c: impl Into<Operand>,
-    ) {
-        self.alu3_to(AluOp::FFma, dst, a, b, c)
-    }
-
-    /// Compares `a` and `b` into a fresh predicate.
-    pub fn setp(
-        &mut self,
-        cmp: CmpOp,
-        ty: CmpTy,
-        a: impl Into<Operand>,
-        b: impl Into<Operand>,
-    ) -> Pred {
-        let dst = self.pred();
-        self.setp_to(dst, cmp, ty, a, b);
-        dst
-    }
-
-    /// Compares `a` and `b` into an existing predicate.
-    pub fn setp_to(
-        &mut self,
-        dst: Pred,
-        cmp: CmpOp,
-        ty: CmpTy,
-        a: impl Into<Operand>,
-        b: impl Into<Operand>,
-    ) {
-        let (a, b) = (a.into(), b.into());
-        self.emit(Instr::SetP { dst, cmp, ty, a, b });
-    }
-
-    /// Combines two predicates into a fresh one.
-    pub fn pbool(&mut self, op: PBoolOp, a: Pred, b: Pred) -> Pred {
-        let dst = self.pred();
-        self.pbool_to(dst, op, a, b);
-        dst
-    }
-
-    /// Combines two predicates into an existing one.
-    pub fn pbool_to(&mut self, dst: Pred, op: PBoolOp, a: Pred, b: Pred) {
-        self.emit(Instr::PBool { dst, op, a, b });
-    }
-
-    /// `if pred { a } else { b }` into a fresh register.
-    pub fn sel(&mut self, pred: Pred, a: impl Into<Operand>, b: impl Into<Operand>) -> Reg {
-        let dst = self.reg();
-        let (a, b) = (a.into(), b.into());
-        self.emit(Instr::Sel { dst, pred, a, b });
-        dst
-    }
-
-    /// Emits a CTA-wide barrier.
-    pub fn bar(&mut self) {
-        self.emit(Instr::Bar);
-    }
-
-    /// Emits a thread exit.
-    pub fn exit(&mut self) {
-        self.emit(Instr::Exit);
-    }
-
-    // ----- memory --------------------------------------------------------
-
-    /// Loads `width` bytes per lane from global memory at `[base + offset]`.
-    pub fn ld_global(&mut self, base: Reg, offset: i64, width: AccessWidth) -> Reg {
-        let dst = self.reg();
-        self.emit(Instr::Ld {
-            space: MemSpace::Global,
-            dst,
-            addr: AddrExpr::new(base, offset),
-            width,
-        });
-        dst
-    }
-
-    /// 4-byte global load.
-    pub fn ld_global_u32(&mut self, base: Reg, offset: i64) -> Reg {
-        self.ld_global(base, offset, AccessWidth::W4)
-    }
-
-    /// 4-byte global load into an existing register (register-reuse form
-    /// for unrolled loops).
-    pub fn ld_global_u32_to(&mut self, dst: Reg, base: Reg, offset: i64) {
-        self.emit(Instr::Ld {
-            space: MemSpace::Global,
-            dst,
-            addr: AddrExpr::new(base, offset),
-            width: AccessWidth::W4,
-        });
-    }
-
-    /// Stores `width` bytes per lane to global memory at `[base + offset]`.
-    pub fn st_global(&mut self, src: impl Into<Operand>, base: Reg, offset: i64, width: AccessWidth) {
-        let src = src.into();
-        self.emit(Instr::St {
-            space: MemSpace::Global,
-            src,
-            addr: AddrExpr::new(base, offset),
-            width,
-        });
-    }
-
-    /// 4-byte global store.
-    pub fn st_global_u32(&mut self, src: impl Into<Operand>, base: Reg, offset: i64) {
-        self.st_global(src, base, offset, AccessWidth::W4)
-    }
-
-    /// 4-byte shared-memory load from `[base + offset]` (CTA-local address).
-    pub fn ld_shared_u32(&mut self, base: Reg, offset: i64) -> Reg {
-        let dst = self.reg();
-        self.emit(Instr::Ld {
-            space: MemSpace::Shared,
-            dst,
-            addr: AddrExpr::new(base, offset),
-            width: AccessWidth::W4,
-        });
-        dst
-    }
-
-    /// 4-byte shared-memory load into an existing register (register-reuse
-    /// form for unrolled loops).
-    pub fn ld_shared_u32_to(&mut self, dst: Reg, base: Reg, offset: i64) {
-        self.emit(Instr::Ld {
-            space: MemSpace::Shared,
-            dst,
-            addr: AddrExpr::new(base, offset),
-            width: AccessWidth::W4,
-        });
-    }
-
-    /// 4-byte shared-memory store to `[base + offset]` (CTA-local address).
-    pub fn st_shared_u32(&mut self, src: impl Into<Operand>, base: Reg, offset: i64) {
-        let src = src.into();
-        self.emit(Instr::St {
-            space: MemSpace::Shared,
-            src,
-            addr: AddrExpr::new(base, offset),
-            width: AccessWidth::W4,
-        });
-    }
-
-    // ----- common idioms --------------------------------------------------
-
-    /// `ctaid.x * ntid.x + tid.x` — the global 1-D thread index.
-    pub fn global_tid_x(&mut self) -> Reg {
-        let ctaid = self.special(SpecialReg::CtaIdX);
-        let ntid = self.special(SpecialReg::NTidX);
-        let tid = self.special(SpecialReg::TidX);
-        self.imad(ctaid, ntid, tid)
-    }
-
-    /// The linearized global thread index for any grid/block shape:
-    /// `cta_linear * (ntid.x * ntid.y) + tid.y * ntid.x + tid.x`. Every
-    /// thread in the launch gets a distinct index in
-    /// `[0, cta_count * threads_per_cta)`, which makes 2-D launches
-    /// addressable with 1-D buffers (the fuzzer's generated kernels rely
-    /// on this for race-free per-thread slots).
-    pub fn global_tid_linear(&mut self) -> Reg {
-        let cta = self.special(SpecialReg::CtaLinear);
-        let ntx = self.special(SpecialReg::NTidX);
-        let nty = self.special(SpecialReg::NTidY);
-        let per_cta = self.imul(ntx, nty);
-        let ty = self.special(SpecialReg::TidY);
-        let tx = self.special(SpecialReg::TidX);
-        let local = self.imad(ty, ntx, tx);
-        self.imad(cta, per_cta, local)
-    }
-
-    // ----- guards ---------------------------------------------------------
+    // ----- structured control flow ----------------------------------------
 
     /// Emits the instructions produced by `body` under guard
     /// `pred == expect`: guarded lanes skip execution (no register write, no
     /// memory access) but the warp still spends the issue slot.
     ///
-    /// Guards are cheaper than divergence for short bodies (no SIMT-stack
-    /// traffic) and are how boundary checks around stores are usually
-    /// expressed.
-    ///
     /// # Panics
     ///
-    /// Panics if guards are nested (combine predicates with
-    /// [`pbool`](Self::pbool) instead).
-    pub fn with_guard(&mut self, pred: Pred, expect: bool, body: impl FnOnce(&mut Self)) {
+    /// Panics if guards are nested.
+    pub(crate) fn with_guard(&mut self, pred: Pred, expect: bool, body: impl FnOnce(&mut Self)) {
         assert!(self.guard.is_none(), "nested guards are not supported");
         self.guard = Some(Guard { pred, expect });
         body(self);
         self.guard = None;
     }
 
-    // ----- structured control flow ----------------------------------------
-
     /// `if pred { body }` with correct reconvergence.
-    pub fn if_then(&mut self, pred: Pred, body: impl FnOnce(&mut Self)) {
+    pub(crate) fn if_then(&mut self, pred: Pred, body: impl FnOnce(&mut Self)) {
         let end = self.label();
         // Lanes where !pred jump straight to the reconvergence point.
         self.bra_cond(pred, true, end, end);
@@ -521,7 +145,7 @@ impl KernelBuilder {
 
     /// `if pred { then_body } else { else_body }` with correct
     /// reconvergence.
-    pub fn if_then_else(
+    pub(crate) fn if_then_else(
         &mut self,
         pred: Pred,
         then_body: impl FnOnce(&mut Self),
@@ -537,60 +161,50 @@ impl KernelBuilder {
         self.bind(l_end);
     }
 
-    /// `while cond { body }`. `cond` is evaluated at the loop head each
-    /// iteration and must return the continue-predicate. Lanes whose
-    /// predicate is false leave the loop and wait at the exit until all
-    /// lanes reconverge.
-    pub fn loop_while(
+    /// A counted loop: `for i in (start..end).step_by(step) { body(i) }`
+    /// with unsigned comparison, costing one register (the induction
+    /// variable, which holds `end`-or-beyond after the loop) and one
+    /// predicate (the continue condition, evaluated at the loop head each
+    /// iteration). Lanes whose condition is false leave the loop and wait
+    /// at the exit until all lanes reconverge.
+    pub(crate) fn for_range(
         &mut self,
-        cond: impl FnOnce(&mut Self) -> Pred,
-        body: impl FnOnce(&mut Self),
+        start: Operand,
+        end: Operand,
+        step: Operand,
+        body: impl FnOnce(&mut Self, Reg),
     ) {
+        let i = self.reg();
+        self.emit(Instr::Mov { dst: i, src: start });
         let head = self.label();
         let exit = self.label();
         self.bind(head);
-        let p = cond(self);
+        let p = self.pred();
+        self.emit(Instr::SetP {
+            dst: p,
+            cmp: CmpOp::Lt,
+            ty: CmpTy::U64,
+            a: Operand::Reg(i),
+            b: end,
+        });
         // Lanes where !p exit the loop; exit is also the reconvergence point.
         self.bra_cond(p, true, exit, exit);
-        body(self);
+        body(self, i);
+        self.emit(Instr::Alu {
+            op: AluOp::IAdd,
+            dst: i,
+            a: Operand::Reg(i),
+            b: step,
+            c: Operand::Imm(0),
+        });
         self.bra(head);
         self.bind(exit);
     }
 
-    /// A counted loop: `for i in (start..end).step_by(step) { body(i) }`
-    /// with unsigned comparison. Returns the induction register (which holds
-    /// `end`-or-beyond after the loop).
-    pub fn for_range(
-        &mut self,
-        start: impl Into<Operand>,
-        end: impl Into<Operand>,
-        step: impl Into<Operand>,
-        body: impl FnOnce(&mut Self, Reg),
-    ) -> Reg {
-        let (end, step) = (end.into(), step.into());
-        let i = self.movi(start);
-        self.loop_while(
-            |k| k.setp(CmpOp::Lt, CmpTy::U64, i, end),
-            |k| {
-                body(k, i);
-                k.alu_to(AluOp::IAdd, i, i, step);
-            },
-        );
-        i
-    }
-
-    /// Emits `n` dependent FFMA instructions on an accumulator — the
-    /// standard way workloads add tunable compute intensity.
-    pub fn ffma_chain(&mut self, acc: Reg, mul: impl Into<Operand> + Copy, n: usize) {
-        for _ in 0..n {
-            self.ffma_to(acc, acc, mul, 1.0f32);
-        }
-    }
-
     // ----- finalization ----------------------------------------------------
 
-    /// Finalizes the program: appends a trailing `Exit` if needed, resolves
-    /// labels, and validates.
+    /// Finalizes the program: appends the trailing `Exit`, resolves labels,
+    /// and validates.
     ///
     /// # Errors
     ///
@@ -599,15 +213,9 @@ impl KernelBuilder {
     /// # Panics
     ///
     /// Panics if any label referenced by a branch was never bound.
-    pub fn build(mut self) -> Result<Program, ProgramError> {
-        let needs_exit = match self.instrs.last() {
-            Some(i) => !(i.guard.is_none() && matches!(i.op, Instr::Exit)),
-            None => true,
-        };
-        if needs_exit {
-            self.guard = None;
-            self.emit(Instr::Exit);
-        }
+    pub(crate) fn build(mut self) -> Result<Program, ProgramError> {
+        self.guard = None;
+        self.emit(Instr::Exit);
         for (idx, label, field) in &self.patches {
             let pc = self.labels[label.0].expect("branch references an unbound label");
             match (&mut self.instrs[*idx].op, field) {
@@ -624,32 +232,30 @@ impl KernelBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instr::Instr;
 
-    #[test]
-    fn trailing_exit_appended() {
-        let mut k = KernelBuilder::new("t", Dim2::x(32));
-        k.movi(1u64);
-        let p = k.build().unwrap();
-        assert!(matches!(p.fetch(p.len() as Pc - 1).op, Instr::Exit));
+    fn mov(k: &mut KernelBuilder, dst: Reg, v: u64) {
+        k.emit(Instr::Mov {
+            dst,
+            src: Operand::Imm(v),
+        });
     }
 
     #[test]
-    fn explicit_exit_not_duplicated() {
-        let mut k = KernelBuilder::new("t", Dim2::x(32));
-        k.movi(1u64);
-        k.exit();
+    fn trailing_exit_appended() {
+        let mut k = KernelBuilder::new("t");
+        let r = k.reg();
+        mov(&mut k, r, 1);
         let p = k.build().unwrap();
         assert_eq!(p.len(), 2);
+        assert!(matches!(p.fetch(1).op, Instr::Exit));
     }
 
     #[test]
     fn if_then_layout() {
-        let mut k = KernelBuilder::new("t", Dim2::x(32));
+        let mut k = KernelBuilder::new("t");
         let p0 = k.pred();
-        k.if_then(p0, |k| {
-            k.movi(1u64);
-        });
+        let r = k.reg();
+        k.if_then(p0, |k| mov(k, r, 1));
         let prog = k.build().unwrap();
         // 0: BraCond(!p0 -> 2, reconv 2); 1: MOV; 2: EXIT
         match prog.fetch(0).op {
@@ -669,14 +275,10 @@ mod tests {
 
     #[test]
     fn if_then_else_layout() {
-        let mut k = KernelBuilder::new("t", Dim2::x(32));
+        let mut k = KernelBuilder::new("t");
         let p0 = k.pred();
         let a = k.reg();
-        k.if_then_else(
-            p0,
-            |k| k.mov_to(a, 1u64),
-            |k| k.mov_to(a, 2u64),
-        );
+        k.if_then_else(p0, |k| mov(k, a, 1), |k| mov(k, a, 2));
         let prog = k.build().unwrap();
         // 0: BraCond(!p0 -> else@3, reconv 4); 1: MOV a,1; 2: BRA 4; 3: MOV a,2; 4: EXIT
         match prog.fetch(0).op {
@@ -694,37 +296,48 @@ mod tests {
 
     #[test]
     fn loop_layout() {
-        let mut k = KernelBuilder::new("t", Dim2::x(32));
-        let n = k.movi(4u64);
-        k.for_range(0u64, n, 1u64, |k, i| {
-            k.iadd(i, 1u64);
+        let mut k = KernelBuilder::new("t");
+        let r = k.reg();
+        k.for_range(Operand::Imm(0), Operand::Imm(4), Operand::Imm(1), |k, _| {
+            mov(k, r, 1)
         });
         let prog = k.build().unwrap();
-        // Find the backward branch.
-        let has_backward = prog
-            .instructions()
-            .iter()
-            .enumerate()
-            .any(|(pc, ins)| matches!(ins.op, Instr::Bra { target } if (target as usize) < pc));
-        assert!(has_backward, "loop must contain a backward branch");
+        // 0: MOV i,0; 1: SETP p0, i<4; 2: BraCond(!p0 -> 6, reconv 6);
+        // 3: MOV; 4: IADD i,i,1; 5: BRA 1; 6: EXIT
+        assert_eq!(prog.len(), 7);
+        match prog.fetch(2).op {
+            Instr::BraCond { target, reconv, .. } => {
+                assert_eq!(target, 6);
+                assert_eq!(reconv, 6);
+            }
+            ref other => panic!("expected BraCond, got {other:?}"),
+        }
+        match prog.fetch(5).op {
+            Instr::Bra { target } => assert_eq!(target, 1),
+            ref other => panic!("expected backward Bra, got {other:?}"),
+        }
     }
 
     #[test]
     fn guard_applies_only_inside() {
-        let mut k = KernelBuilder::new("t", Dim2::x(32));
+        let mut k = KernelBuilder::new("t");
         let p0 = k.pred();
         let r = k.reg();
-        k.with_guard(p0, true, |k| k.mov_to(r, 1u64));
-        k.mov_to(r, 2u64);
+        k.with_guard(p0, true, |k| mov(k, r, 1));
+        mov(&mut k, r, 2);
         let prog = k.build().unwrap();
         assert!(prog.fetch(0).guard.is_some());
         assert!(prog.fetch(1).guard.is_none());
+        assert!(
+            prog.fetch(2).guard.is_none(),
+            "the trailing exit is unguarded"
+        );
     }
 
     #[test]
     #[should_panic(expected = "unbound label")]
     fn unbound_label_panics() {
-        let mut k = KernelBuilder::new("t", Dim2::x(32));
+        let mut k = KernelBuilder::new("t");
         let l = k.label();
         k.bra(l);
         let _ = k.build();
@@ -733,7 +346,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "bound twice")]
     fn double_bind_panics() {
-        let mut k = KernelBuilder::new("t", Dim2::x(32));
+        let mut k = KernelBuilder::new("t");
         let l = k.label();
         k.bind(l);
         k.bind(l);
@@ -741,72 +354,12 @@ mod tests {
 
     #[test]
     fn fresh_registers_monotonic() {
-        let mut k = KernelBuilder::new("t", Dim2::x(32));
+        let mut k = KernelBuilder::new("t");
         let a = k.reg();
         let b = k.reg();
-        assert_ne!(a, b);
         assert_eq!(b.0, a.0 + 1);
-    }
-
-    #[test]
-    fn global_tid_x_uses_imad() {
-        let mut k = KernelBuilder::new("t", Dim2::x(64));
-        let g = k.global_tid_x();
-        let n = k.movi(0u64);
-        k.iadd(g, n);
-        let p = k.build().unwrap();
-        assert!(p
-            .instructions()
-            .iter()
-            .any(|i| matches!(i.op, Instr::Alu { op: AluOp::IMad, .. })));
-    }
-
-    #[test]
-    fn allocation_accessors_track_fresh_registers() {
-        let mut k = KernelBuilder::new("t", Dim2::x(32));
-        assert_eq!(k.regs_used(), 0);
-        assert_eq!(k.preds_used(), 0);
-        let _ = k.reg();
-        let _ = k.movi(3u64); // allocates one more
-        let _ = k.pred();
-        assert_eq!(k.regs_used(), 2);
-        assert_eq!(k.preds_used(), 1);
-    }
-
-    #[test]
-    fn global_tid_linear_reads_both_dims() {
-        let mut k = KernelBuilder::new("t", Dim2::new(8, 4));
-        let g = k.global_tid_linear();
-        let n = k.movi(0u64);
-        k.iadd(g, n);
-        let p = k.build().unwrap();
-        for s in [
-            SpecialReg::CtaLinear,
-            SpecialReg::NTidX,
-            SpecialReg::NTidY,
-            SpecialReg::TidX,
-            SpecialReg::TidY,
-        ] {
-            assert!(
-                p.instructions()
-                    .iter()
-                    .any(|i| matches!(i.op, Instr::Special { sreg, .. } if sreg == s)),
-                "missing special read {s:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn ffma_chain_emits_n() {
-        let mut k = KernelBuilder::new("t", Dim2::x(32));
-        let acc = k.movi(1.0f32);
-        k.ffma_chain(acc, 1.0001f32, 5);
-        let p = k.build().unwrap();
-        let n_ffma = p
-            .instructions()
-            .iter()
-            .filter(|i| matches!(i.op, Instr::Alu { op: AluOp::FFma, .. }))
-            .count();
-        assert_eq!(n_ffma, 5);
+        let p = k.pred();
+        let q = k.pred();
+        assert_eq!(q.0, p.0 + 1);
     }
 }

@@ -1,28 +1,27 @@
-//! A structured kernel DSL with a compiler to [`Program`] and a CPU-mirror
-//! evaluator.
+//! The kernel DSL: a structured kernel front end with a compiler to
+//! [`Program`] and a CPU-mirror evaluator.
 //!
-//! [`KernelBuilder`] assembles instructions; this module sits one level
-//! above it: a [`DslKernel`] records a *statement tree* (straight-line ops,
-//! guards, `if`/`else`, counted loops, barriers) whose semantics are known
-//! by construction. From that one tree we derive three things:
+//! Every kernel in the workspace is written here. A [`DslKernel`] records a
+//! *statement tree* (straight-line ops, guards, `if`/`else`, counted loops,
+//! barriers) whose semantics are known by construction. From that one tree
+//! we derive three things:
 //!
-//! 1. **A [`Program`]** — [`DslKernel::compile`] walks the tree and drives
-//!    `KernelBuilder` through exactly the calls a hand-written kernel would
-//!    make, in recording order. Because fresh-register allocation in the
-//!    builder is deterministic, a DSL kernel that mirrors a hand-written
-//!    builder sequence compiles to a *byte-identical* `Program` (same
-//!    instructions, same register numbers) — which is how the differential
-//!    tests in `gpgpu-bench` pin the DSL against the hand-written suite.
+//! 1. **A [`Program`]** — [`DslKernel::compile`] walks the tree in recording
+//!    order and emits instructions through the crate-internal assembler,
+//!    which lays out structured control flow with correct reconvergence
+//!    PCs. Register allocation is deterministic (one fresh register per
+//!    fresh value, in recording order), so the same tree always compiles
+//!    to the same bytes.
 //! 2. **A CPU mirror** — [`DslKernel::mirror`] executes the tree directly,
 //!    statement-lockstep across a CTA with SIMT active masks, using the
 //!    same [`sem`](crate::sem) evaluation functions the simulator uses.
 //!    Every generated workload therefore ships with its own functional
 //!    oracle: expected memory contents without running the simulator.
 //! 3. **Static validation** — [`DslKernel::validate`] checks use-before-def
-//!    on values and predicates, rejects barriers under divergent control
-//!    flow (which would deadlock the device), and bounds register/predicate
-//!    pressure *before* compilation, so generators can never trip the
-//!    builder's panics.
+//!    on values and predicates, rejects barriers outside CTA-uniform
+//!    control flow (which would deadlock the device), and bounds
+//!    register/predicate pressure *before* compilation, so generators can
+//!    never trip the assembler's panics.
 //!
 //! [`gen_kernel`] produces random-but-race-free kernels (per-thread output
 //! slots, shared-memory exchange only across top-level barriers) from a
@@ -30,10 +29,11 @@
 //! on it.
 
 use crate::builder::KernelBuilder;
+use crate::instr::{AddrExpr, Instr};
 use crate::program::{Program, ProgramError};
 use crate::sem;
 use crate::types::{
-    AluOp, CmpOp, CmpTy, Dim2, MemSpace, Operand, PBoolOp, Pred, Reg, SpecialReg,
+    AccessWidth, AluOp, CmpOp, CmpTy, Dim2, MemSpace, Operand, PBoolOp, Pred, Reg, SpecialReg,
 };
 use gpgpu_testkit::Gen;
 use std::collections::HashMap;
@@ -145,8 +145,8 @@ pub enum DslError {
         what: String,
     },
     /// A barrier appeared under divergent control flow (an `if`, a guard,
-    /// or a loop whose bounds are not uniform immediates), which would
-    /// deadlock the device.
+    /// or a loop whose bounds are not CTA-uniform), which would deadlock
+    /// the device.
     BarrierInDivergentFlow,
     /// The kernel would allocate more registers than the ISA allows.
     TooManyRegs {
@@ -195,10 +195,10 @@ impl Error for DslError {
 
 /// Records a structured kernel as a statement tree.
 ///
-/// The method set deliberately shadows [`KernelBuilder`]'s, so porting a
-/// hand-written kernel is a mechanical translation — and because
-/// [`compile`](Self::compile) drives the builder through the same calls in
-/// the same order, the port produces a byte-identical [`Program`].
+/// Fresh-form methods (`param`, `iadd`, `ld_global_u32`, ...) return a new
+/// value that compiles to a new register; `_to` forms write an existing
+/// value (from [`declare`](Self::declare) or an earlier statement), which
+/// is how loops reuse registers. See the [crate-level example](crate).
 #[derive(Debug, Clone)]
 pub struct DslKernel {
     name: String,
@@ -273,16 +273,16 @@ impl DslKernel {
     // ----- declarations --------------------------------------------------
 
     /// Allocates a value without writing it, for `_to`-style register reuse
-    /// (compiles to a bare `KernelBuilder::reg()` call). The value must be
-    /// written before it is read.
+    /// (compiles to a register allocation with no instruction). The value
+    /// must be written before it is read.
     pub fn declare(&mut self) -> Val {
         let v = self.fresh_val(0);
         self.push(Stmt::Declare { dst: v });
         v
     }
 
-    /// Allocates a predicate without writing it (compiles to
-    /// `KernelBuilder::pred()`).
+    /// Allocates a predicate without writing it (compiles to a predicate
+    /// allocation with no instruction).
     pub fn declare_pred(&mut self) -> PredVal {
         let p = self.fresh_pred();
         self.push(Stmt::DeclarePred { dst: p });
@@ -485,8 +485,8 @@ impl DslKernel {
     }
 
     /// A CTA-wide barrier. Only valid under uniform control flow (top level
-    /// or immediate-bounded loops); [`validate`](Self::validate) rejects it
-    /// elsewhere.
+    /// or loops with CTA-uniform bounds); [`validate`](Self::validate)
+    /// rejects it elsewhere.
     pub fn bar(&mut self) {
         self.push(Stmt::Bar);
     }
@@ -536,7 +536,7 @@ impl DslKernel {
     }
 
     /// Records `body` under guard `pred == expect` (lane predication, no
-    /// SIMT-stack traffic). Guards cannot nest, matching the builder.
+    /// SIMT-stack traffic). Guards cannot nest.
     ///
     /// # Panics
     ///
@@ -570,7 +570,7 @@ impl DslKernel {
     /// A counted loop `for i in (start..end).step_by(step)` with unsigned
     /// comparison; `body` receives the induction value. Returns the
     /// induction value (holds `end`-or-beyond after the loop). Costs one
-    /// register and one internal predicate, like the builder's `for_range`.
+    /// register and one internal continue-predicate.
     pub fn for_range(
         &mut self,
         start: impl Into<Src>,
@@ -581,7 +581,7 @@ impl DslKernel {
         let i = Val(self.next_val);
         self.next_val += 1;
         self.regs_planned += 1;
-        self.preds_planned += 1; // loop_while's internal continue-predicate
+        self.preds_planned += 1; // the loop's internal continue-predicate
         let body = self.nested(|k| body(k, i));
         self.push(Stmt::ForRange {
             induction: i,
@@ -599,6 +599,13 @@ impl DslKernel {
     /// values and predicates, barrier placement, and register/predicate
     /// budgets.
     ///
+    /// A barrier is accepted only in CTA-uniform control flow: at top
+    /// level, or inside counted loops whose bounds are CTA-uniform and that
+    /// are themselves in uniform flow. A value is CTA-uniform when it is an
+    /// immediate, a parameter, a CTA-level special register (`NTid*`,
+    /// `CtaId*`, `NCtaId*`, `CtaLinear`), or a `Mov`/ALU result of uniform
+    /// values — and every write to it happened in uniform flow.
+    ///
     /// # Errors
     ///
     /// Returns the first [`DslError`] found.
@@ -609,129 +616,25 @@ impl DslKernel {
         if self.preds_planned > MAX_PREDS {
             return Err(DslError::TooManyPreds { needed: self.preds_planned });
         }
-        let mut vals = vec![false; self.next_val as usize];
-        let mut preds = vec![false; self.next_pred as usize];
-        Self::validate_block(&self.frames[0], &mut vals, &mut preds, true)
-    }
-
-    fn check_src(s: &Src, vals: &[bool]) -> Result<(), DslError> {
-        if let Src::Val(v) = s {
-            if !vals[v.0 as usize] {
-                return Err(DslError::UseBeforeDef { what: format!("value v{}", v.0) });
-            }
-        }
-        Ok(())
-    }
-
-    fn check_pred(p: &PredVal, preds: &[bool]) -> Result<(), DslError> {
-        if !preds[p.0 as usize] {
-            return Err(DslError::UseBeforeDef { what: format!("predicate p{}", p.0) });
-        }
-        Ok(())
-    }
-
-    /// Walks a block in recording order. `vals`/`preds` track
-    /// defined-somewhere-earlier (the same linear notion the compiled
-    /// program obeys, since emission order equals recording order).
-    /// `uniform` is true when every lane of the CTA is guaranteed active.
-    fn validate_block(
-        body: &[Stmt],
-        vals: &mut Vec<bool>,
-        preds: &mut Vec<bool>,
-        uniform: bool,
-    ) -> Result<(), DslError> {
-        for s in body {
-            match s {
-                Stmt::Declare { .. } | Stmt::DeclarePred { .. } => {}
-                Stmt::Param { dst, .. }
-                | Stmt::Special { dst, .. }
-                | Stmt::GlobalTidX { dst }
-                | Stmt::GlobalTidLinear { dst } => vals[dst.0 as usize] = true,
-                Stmt::Mov { dst, src } => {
-                    Self::check_src(src, vals)?;
-                    vals[dst.0 as usize] = true;
-                }
-                Stmt::Alu { op, dst, a, b, c } => {
-                    Self::check_src(a, vals)?;
-                    Self::check_src(b, vals)?;
-                    if op.is_ternary() {
-                        Self::check_src(c, vals)?;
-                    }
-                    vals[dst.0 as usize] = true;
-                }
-                Stmt::SetP { dst, a, b, .. } => {
-                    Self::check_src(a, vals)?;
-                    Self::check_src(b, vals)?;
-                    preds[dst.0 as usize] = true;
-                }
-                Stmt::PBool { dst, a, b, .. } => {
-                    Self::check_pred(a, preds)?;
-                    Self::check_pred(b, preds)?;
-                    preds[dst.0 as usize] = true;
-                }
-                Stmt::Sel { dst, pred, a, b } => {
-                    Self::check_pred(pred, preds)?;
-                    Self::check_src(a, vals)?;
-                    Self::check_src(b, vals)?;
-                    vals[dst.0 as usize] = true;
-                }
-                Stmt::Ld { dst, base, .. } => {
-                    Self::check_src(&Src::Val(*base), vals)?;
-                    vals[dst.0 as usize] = true;
-                }
-                Stmt::St { src, base, .. } => {
-                    Self::check_src(src, vals)?;
-                    Self::check_src(&Src::Val(*base), vals)?;
-                }
-                Stmt::Bar => {
-                    if !uniform {
-                        return Err(DslError::BarrierInDivergentFlow);
-                    }
-                }
-                Stmt::Guard { pred, body, .. } => {
-                    Self::check_pred(pred, preds)?;
-                    Self::validate_block(body, vals, preds, false)?;
-                }
-                Stmt::IfThen { pred, body } => {
-                    Self::check_pred(pred, preds)?;
-                    Self::validate_block(body, vals, preds, false)?;
-                }
-                Stmt::IfThenElse { pred, then_body, else_body } => {
-                    Self::check_pred(pred, preds)?;
-                    Self::validate_block(then_body, vals, preds, false)?;
-                    Self::validate_block(else_body, vals, preds, false)?;
-                }
-                Stmt::ForRange { induction, start, end, step, body } => {
-                    Self::check_src(start, vals)?;
-                    Self::check_src(end, vals)?;
-                    Self::check_src(step, vals)?;
-                    vals[induction.0 as usize] = true;
-                    // The trip count is uniform only when all bounds are
-                    // immediates; otherwise lanes may run different counts
-                    // and a barrier inside would deadlock.
-                    let body_uniform = uniform
-                        && matches!(start, Src::Imm(_))
-                        && matches!(end, Src::Imm(_))
-                        && matches!(step, Src::Imm(_));
-                    Self::validate_block(body, vals, preds, body_uniform)?;
-                }
-            }
-        }
-        Ok(())
+        let mut c = Checker {
+            vals: vec![false; self.next_val as usize],
+            preds: vec![false; self.next_pred as usize],
+            varying: vec![false; self.next_val as usize],
+        };
+        c.block(&self.frames[0], true)
     }
 
     // ----- compilation ----------------------------------------------------
 
-    /// Compiles the statement tree to a validated [`Program`] by driving a
-    /// [`KernelBuilder`] through the same helper calls, in recording order,
-    /// that a hand-written kernel would make.
+    /// Compiles the statement tree, in recording order, to a validated
+    /// [`Program`].
     ///
     /// # Errors
     ///
     /// Returns a [`DslError`] if validation or program validation fails.
     pub fn compile(&self) -> Result<Program, DslError> {
         self.validate()?;
-        let mut k = KernelBuilder::new(self.name.clone(), self.block);
+        let mut k = KernelBuilder::new(self.name.clone());
         let mut ctx = CompileCtx {
             regs: vec![None; self.next_val as usize],
             preds: vec![None; self.next_pred as usize],
@@ -778,6 +681,150 @@ impl DslKernel {
 }
 
 // ---------------------------------------------------------------------------
+// Validation
+// ---------------------------------------------------------------------------
+
+/// Walks the tree in recording order. `vals`/`preds` track
+/// defined-somewhere-earlier (the same linear notion the compiled program
+/// obeys, since emission order equals recording order). `varying` marks
+/// values that may differ across the lanes of a CTA; a mark is never
+/// cleared, so the analysis stays conservative across loop back edges.
+struct Checker {
+    vals: Vec<bool>,
+    preds: Vec<bool>,
+    varying: Vec<bool>,
+}
+
+impl Checker {
+    fn check_src(&self, s: &Src) -> Result<(), DslError> {
+        if let Src::Val(v) = s {
+            if !self.vals[v.0 as usize] {
+                return Err(DslError::UseBeforeDef { what: format!("value v{}", v.0) });
+            }
+        }
+        Ok(())
+    }
+
+    fn check_pred(&self, p: &PredVal) -> Result<(), DslError> {
+        if !self.preds[p.0 as usize] {
+            return Err(DslError::UseBeforeDef { what: format!("predicate p{}", p.0) });
+        }
+        Ok(())
+    }
+
+    fn is_uniform(&self, s: &Src) -> bool {
+        match s {
+            Src::Imm(_) => true,
+            Src::Val(v) => !self.varying[v.0 as usize],
+        }
+    }
+
+    /// Records a write of `dst`; `uniform` says whether every lane of the
+    /// CTA writes the same value.
+    fn define(&mut self, dst: Val, uniform: bool) {
+        self.vals[dst.0 as usize] = true;
+        if !uniform {
+            self.varying[dst.0 as usize] = true;
+        }
+    }
+
+    /// `flow` is true when every lane of the CTA is guaranteed active.
+    fn block(&mut self, body: &[Stmt], flow: bool) -> Result<(), DslError> {
+        for s in body {
+            match s {
+                Stmt::Declare { .. } | Stmt::DeclarePred { .. } => {}
+                Stmt::Param { dst, .. } => self.define(*dst, flow),
+                Stmt::Special { dst, sreg } => {
+                    let cta_level = !matches!(
+                        sreg,
+                        SpecialReg::TidX | SpecialReg::TidY | SpecialReg::LaneId
+                    );
+                    self.define(*dst, flow && cta_level);
+                }
+                Stmt::GlobalTidX { dst } | Stmt::GlobalTidLinear { dst } => {
+                    self.define(*dst, false)
+                }
+                Stmt::Mov { dst, src } => {
+                    self.check_src(src)?;
+                    self.define(*dst, flow && self.is_uniform(src));
+                }
+                Stmt::Alu { op, dst, a, b, c } => {
+                    self.check_src(a)?;
+                    self.check_src(b)?;
+                    let mut uniform = flow && self.is_uniform(a) && self.is_uniform(b);
+                    if op.is_ternary() {
+                        self.check_src(c)?;
+                        uniform &= self.is_uniform(c);
+                    }
+                    self.define(*dst, uniform);
+                }
+                Stmt::SetP { dst, a, b, .. } => {
+                    self.check_src(a)?;
+                    self.check_src(b)?;
+                    self.preds[dst.0 as usize] = true;
+                }
+                Stmt::PBool { dst, a, b, .. } => {
+                    self.check_pred(a)?;
+                    self.check_pred(b)?;
+                    self.preds[dst.0 as usize] = true;
+                }
+                Stmt::Sel { dst, pred, a, b } => {
+                    self.check_pred(pred)?;
+                    self.check_src(a)?;
+                    self.check_src(b)?;
+                    self.define(*dst, false);
+                }
+                Stmt::Ld { dst, base, .. } => {
+                    self.check_src(&Src::Val(*base))?;
+                    self.define(*dst, false);
+                }
+                Stmt::St { src, base, .. } => {
+                    self.check_src(src)?;
+                    self.check_src(&Src::Val(*base))?;
+                }
+                Stmt::Bar => {
+                    if !flow {
+                        return Err(DslError::BarrierInDivergentFlow);
+                    }
+                }
+                Stmt::Guard { pred, body, .. } | Stmt::IfThen { pred, body } => {
+                    self.check_pred(pred)?;
+                    self.block(body, false)?;
+                }
+                Stmt::IfThenElse { pred, then_body, else_body } => {
+                    self.check_pred(pred)?;
+                    self.block(then_body, false)?;
+                    self.block(else_body, false)?;
+                }
+                Stmt::ForRange { induction, start, end, step, body } => {
+                    self.check_src(start)?;
+                    self.check_src(end)?;
+                    self.check_src(step)?;
+                    // Every lane runs the same trip count only when the
+                    // bounds are uniform; otherwise a barrier inside would
+                    // deadlock. The body may make a bound (or a value it
+                    // reads) varying for later iterations, so re-walk it
+                    // until the varying set stops growing.
+                    loop {
+                        let before = self.varying.iter().filter(|&&v| v).count();
+                        let uniform = flow
+                            && self.is_uniform(start)
+                            && self.is_uniform(end)
+                            && self.is_uniform(step);
+                        self.define(*induction, uniform);
+                        self.block(body, uniform)?;
+                        if self.varying.iter().filter(|&&v| v).count() == before {
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Compiler
 // ---------------------------------------------------------------------------
 
@@ -802,9 +849,8 @@ impl CompileCtx {
         self.preds[p.0 as usize].expect("validated: predicate defined before use")
     }
 
-    /// The register for a destination value, allocating fresh on first
-    /// write — reproducing exactly the allocation a hand-written
-    /// fresh-form helper (`alu`, `movi`, `ld_*`) performs.
+    /// The register for a destination value, allocated fresh on first
+    /// write (the fresh forms `alu`, `movi`, `ld_*`).
     fn dst_reg(&mut self, k: &mut KernelBuilder, v: Val) -> Reg {
         match self.regs[v.0 as usize] {
             Some(r) => r,
@@ -828,6 +874,20 @@ impl CompileCtx {
     }
 }
 
+/// Reads special register `sreg` into a fresh register.
+fn emit_special(k: &mut KernelBuilder, sreg: SpecialReg) -> Reg {
+    let dst = k.reg();
+    k.emit(Instr::Special { dst, sreg });
+    dst
+}
+
+/// `op(a, b, c)` into a fresh register.
+fn emit_alu(k: &mut KernelBuilder, op: AluOp, a: Reg, b: Reg, c: Operand) -> Reg {
+    let dst = k.reg();
+    k.emit(Instr::Alu { op, dst, a: Operand::Reg(a), b: Operand::Reg(b), c });
+    dst
+}
+
 fn emit_block(body: &[Stmt], k: &mut KernelBuilder, ctx: &mut CompileCtx) {
     for s in body {
         match s {
@@ -840,64 +900,73 @@ fn emit_block(body: &[Stmt], k: &mut KernelBuilder, ctx: &mut CompileCtx) {
                 ctx.preds[dst.0 as usize] = Some(r);
             }
             Stmt::Param { dst, index } => {
-                let r = k.param(*index);
+                let r = k.reg();
+                k.emit(Instr::Param { dst: r, index: *index });
                 ctx.regs[dst.0 as usize] = Some(r);
             }
             Stmt::Special { dst, sreg } => {
-                let r = k.special(*sreg);
-                ctx.regs[dst.0 as usize] = Some(r);
+                ctx.regs[dst.0 as usize] = Some(emit_special(k, *sreg));
             }
             Stmt::GlobalTidX { dst } => {
-                let r = k.global_tid_x();
+                // ctaid.x * ntid.x + tid.x
+                let ctaid = emit_special(k, SpecialReg::CtaIdX);
+                let ntid = emit_special(k, SpecialReg::NTidX);
+                let tid = emit_special(k, SpecialReg::TidX);
+                let r = emit_alu(k, AluOp::IMad, ctaid, ntid, Operand::Reg(tid));
                 ctx.regs[dst.0 as usize] = Some(r);
             }
             Stmt::GlobalTidLinear { dst } => {
-                let r = k.global_tid_linear();
+                // cta_linear * (ntid.x * ntid.y) + tid.y * ntid.x + tid.x
+                let cta = emit_special(k, SpecialReg::CtaLinear);
+                let ntx = emit_special(k, SpecialReg::NTidX);
+                let nty = emit_special(k, SpecialReg::NTidY);
+                let per_cta = emit_alu(k, AluOp::IMul, ntx, nty, Operand::Imm(0));
+                let ty = emit_special(k, SpecialReg::TidY);
+                let tx = emit_special(k, SpecialReg::TidX);
+                let local = emit_alu(k, AluOp::IMad, ty, ntx, Operand::Reg(tx));
+                let r = emit_alu(k, AluOp::IMad, cta, per_cta, Operand::Reg(local));
                 ctx.regs[dst.0 as usize] = Some(r);
             }
             Stmt::Mov { dst, src } => {
                 let src = ctx.operand(src);
                 let r = ctx.dst_reg(k, *dst);
-                k.mov_to(r, src);
+                k.emit(Instr::Mov { dst: r, src });
             }
             Stmt::Alu { op, dst, a, b, c } => {
                 let (a, b, c) = (ctx.operand(a), ctx.operand(b), ctx.operand(c));
                 let r = ctx.dst_reg(k, *dst);
-                k.alu3_to(*op, r, a, b, c);
+                k.emit(Instr::Alu { op: *op, dst: r, a, b, c });
             }
             Stmt::SetP { dst, cmp, ty, a, b } => {
                 let (a, b) = (ctx.operand(a), ctx.operand(b));
                 let p = ctx.dst_pred(k, *dst);
-                k.setp_to(p, *cmp, *ty, a, b);
+                k.emit(Instr::SetP { dst: p, cmp: *cmp, ty: *ty, a, b });
             }
             Stmt::PBool { dst, op, a, b } => {
                 let (a, b) = (ctx.pred_of(*a), ctx.pred_of(*b));
                 let p = ctx.dst_pred(k, *dst);
-                k.pbool_to(p, *op, a, b);
+                k.emit(Instr::PBool { dst: p, op: *op, a, b });
             }
             Stmt::Sel { dst, pred, a, b } => {
                 let p = ctx.pred_of(*pred);
                 let (a, b) = (ctx.operand(a), ctx.operand(b));
-                let r = k.sel(p, a, b);
+                let r = k.reg();
+                k.emit(Instr::Sel { dst: r, pred: p, a, b });
                 ctx.regs[dst.0 as usize] = Some(r);
             }
             Stmt::Ld { space, dst, base, offset } => {
-                let base = ctx.reg_of(*base);
+                let addr = AddrExpr::new(ctx.reg_of(*base), *offset);
                 let r = ctx.dst_reg(k, *dst);
-                match space {
-                    MemSpace::Global => k.ld_global_u32_to(r, base, *offset),
-                    MemSpace::Shared => k.ld_shared_u32_to(r, base, *offset),
-                }
+                k.emit(Instr::Ld { space: *space, dst: r, addr, width: AccessWidth::W4 });
             }
             Stmt::St { space, src, base, offset } => {
                 let src = ctx.operand(src);
-                let base = ctx.reg_of(*base);
-                match space {
-                    MemSpace::Global => k.st_global_u32(src, base, *offset),
-                    MemSpace::Shared => k.st_shared_u32(src, base, *offset),
-                }
+                let addr = AddrExpr::new(ctx.reg_of(*base), *offset);
+                k.emit(Instr::St { space: *space, src, addr, width: AccessWidth::W4 });
             }
-            Stmt::Bar => k.bar(),
+            Stmt::Bar => {
+                k.emit(Instr::Bar);
+            }
             Stmt::Guard { pred, expect, body } => {
                 let p = ctx.pred_of(*pred);
                 k.with_guard(p, *expect, |k| emit_block(body, k, ctx));
@@ -943,7 +1012,6 @@ fn emit_block(body: &[Stmt], k: &mut KernelBuilder, ctx: &mut CompileCtx) {
 ///
 /// Returns a description of the first violating read.
 pub fn check_program_liveness(p: &Program) -> Result<(), String> {
-    use crate::instr::Instr;
     let mut regs = 0u64;
     let mut preds = 0u8;
     for (pc, ins) in p.instructions().iter().enumerate() {
@@ -1427,33 +1495,12 @@ pub fn gen_kernel(g: &mut Gen, cfg: &GenCfg) -> GenKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::KernelBuilder;
 
-    /// The DSL's vecadd must compile to byte-for-byte the same program the
-    /// hand-written builder sequence produces.
+    /// The compiler's output is pinned instruction by instruction: fresh
+    /// registers in recording order, the guard idiom expanded in place, and
+    /// structured control flow with the reconvergence PC at the join.
     #[test]
-    fn vecadd_compiles_byte_identical() {
-        // Hand-written, as in the crate-level example.
-        let mut k = KernelBuilder::new("vecadd", Dim2::x(256));
-        let a = k.param(0);
-        let b = k.param(1);
-        let c = k.param(2);
-        let n = k.param(3);
-        let gid = k.global_tid_x();
-        let in_range = k.setp(CmpOp::Lt, CmpTy::U64, gid, n);
-        k.if_then(in_range, |k| {
-            let off = k.shl(gid, 2u64);
-            let pa = k.iadd(a, off);
-            let pb = k.iadd(b, off);
-            let pc = k.iadd(c, off);
-            let va = k.ld_global_u32(pa, 0);
-            let vb = k.ld_global_u32(pb, 0);
-            let vc = k.iadd(va, vb);
-            k.st_global_u32(vc, pc, 0);
-        });
-        let hand = k.build().unwrap();
-
-        // DSL translation.
+    fn vecadd_compiles_to_pinned_listing() {
         let mut d = DslKernel::new("vecadd", Dim2::x(256));
         let a = d.param(0);
         let b = d.param(1);
@@ -1471,8 +1518,68 @@ mod tests {
             let vc = d.iadd(va, vb);
             d.st_global_u32(vc, pc, 0);
         });
-        let dsl = d.compile().unwrap();
-        assert_eq!(dsl, hand);
+        let expect = "   0: LDP r0, param[0]
+   1: LDP r1, param[1]
+   2: LDP r2, param[2]
+   3: LDP r3, param[3]
+   4: S2R r4, CtaIdX
+   5: S2R r5, NTidX
+   6: S2R r6, TidX
+   7: IMad r7, r4, r5, r6
+   8: SETP.Lt.U64 p0, r7, r3
+   9: BRA.!p0 18 (reconv 18)
+  10: Shl r8, r7, #2
+  11: IAdd r9, r0, r8
+  12: IAdd r10, r1, r8
+  13: IAdd r11, r2, r8
+  14: LD.Global.4 r12, [r9 +0]
+  15: LD.Global.4 r13, [r10 +0]
+  16: IAdd r14, r12, r13
+  17: ST.Global.4 [r11 +0], r14
+  18: EXIT
+";
+        assert_eq!(d.compile().unwrap().disassemble(), expect);
+    }
+
+    /// The thread-index idioms expand to their documented instruction
+    /// sequences and register counts.
+    #[test]
+    fn thread_index_idioms_expand_in_place() {
+        let mut d = DslKernel::new("t", Dim2::new(8, 4));
+        let g = d.global_tid_linear();
+        let x = d.global_tid_x();
+        d.iadd(g, x);
+        let p = d.compile().unwrap();
+        let listing = p.disassemble();
+        let expect = "   0: S2R r0, CtaLinear
+   1: S2R r1, NTidX
+   2: S2R r2, NTidY
+   3: IMul r3, r1, r2
+   4: S2R r4, TidY
+   5: S2R r5, TidX
+   6: IMad r6, r4, r1, r5
+   7: IMad r7, r0, r3, r6
+   8: S2R r8, CtaIdX
+   9: S2R r9, NTidX
+  10: S2R r10, TidX
+  11: IMad r11, r8, r9, r10
+";
+        assert!(listing.starts_with(expect), "{listing}");
+        assert_eq!(u16::from(p.reg_count()), d.regs_planned());
+    }
+
+    #[test]
+    fn ffma_chain_emits_n() {
+        let mut d = DslKernel::new("t", Dim2::x(32));
+        let acc = d.movi(1.0f32);
+        d.ffma_chain(acc, 1.0001f32, 5);
+        let p = d.compile().unwrap();
+        let n_ffma = p
+            .instructions()
+            .iter()
+            .filter(|i| matches!(i.op, Instr::Alu { op: AluOp::FFma, .. }))
+            .count();
+        assert_eq!(n_ffma, 5);
     }
 
     /// Mirror result for vecadd equals element-wise wrapping addition.
@@ -1599,6 +1706,124 @@ mod tests {
         let mut d = DslKernel::new("t", Dim2::x(32));
         let n = d.global_tid_x();
         d.for_range(0u64, n, 1u64, |d, _| d.bar());
+        assert_eq!(d.validate(), Err(DslError::BarrierInDivergentFlow));
+    }
+
+    /// A barrier inside a loop whose bounds are CTA-uniform values (not
+    /// just immediates) is accepted: params, CTA-level specials, and ALU
+    /// results of those, defined in uniform flow.
+    #[test]
+    fn uniform_bounded_loop_may_hold_a_barrier() {
+        let uniform_bounds: [fn(&mut DslKernel) -> Val; 5] = [
+            |d| d.param(0),
+            |d| {
+                let pn = d.param(0);
+                d.shr(pn, 4u64) // matmul-tiled's tile count
+            },
+            |d| d.special(SpecialReg::NTidX),
+            |d| {
+                let cta = d.special(SpecialReg::CtaLinear);
+                let ny = d.special(SpecialReg::NCtaIdY);
+                d.imad(cta, ny, 1u64)
+            },
+            |d| {
+                let n = d.declare();
+                let p = d.param(1);
+                d.mov_to(n, p);
+                n
+            },
+        ];
+        for (i, bound) in uniform_bounds.iter().enumerate() {
+            let mut d = DslKernel::new("t", Dim2::x(32));
+            let n = bound(&mut d);
+            d.for_range(0u64, n, 1u64, |d, _| d.bar());
+            assert_eq!(d.validate(), Ok(()), "case {i}");
+        }
+
+        // Nested uniform loops, the inner one bounded by the outer
+        // induction value.
+        let mut d = DslKernel::new("t", Dim2::x(32));
+        let n = d.param(0);
+        d.for_range(0u64, n, 1u64, |d, i| {
+            d.for_range(0u64, i, 1u64, |d, _| d.bar());
+        });
+        assert_eq!(d.validate(), Ok(()));
+    }
+
+    /// Values that may differ across the lanes of a CTA never make a loop
+    /// barrier-safe, however they are reached.
+    #[test]
+    fn varying_bounded_loop_barrier_rejected() {
+        let varying_bounds: [fn(&mut DslKernel) -> Val; 7] = [
+            |d| d.special(SpecialReg::TidX),
+            |d| d.special(SpecialReg::LaneId),
+            |d| {
+                let ty = d.special(SpecialReg::TidY);
+                let pn = d.param(0);
+                d.iadd(pn, ty)
+            },
+            |d| {
+                let pa = d.param(0);
+                d.ld_global_u32(pa, 0)
+            },
+            // A param read under divergence leaves inactive lanes stale.
+            |d| {
+                let n = d.declare();
+                let tid = d.special(SpecialReg::TidX);
+                let p = d.setp(CmpOp::Lt, CmpTy::U64, tid, 4u64);
+                d.if_then(p, |d| {
+                    let pn = d.param(0);
+                    d.mov_to(n, pn);
+                });
+                n
+            },
+            // Uniform at first, then overwritten under a guard.
+            |d| {
+                let n = d.param(0);
+                let tid = d.special(SpecialReg::TidX);
+                let p = d.setp(CmpOp::Lt, CmpTy::U64, tid, 4u64);
+                d.with_guard(p, true, |d| d.mov_to(n, 1u64));
+                n
+            },
+            // Uniform at first, then overwritten with a lane-varying value
+            // inside a uniform loop.
+            |d| {
+                let n = d.param(0);
+                d.for_range(0u64, 2u64, 1u64, |d, _| {
+                    let tid = d.special(SpecialReg::TidX);
+                    d.alu_to(AluOp::IAdd, n, n, tid);
+                });
+                n
+            },
+        ];
+        for (i, bound) in varying_bounds.iter().enumerate() {
+            let mut d = DslKernel::new("t", Dim2::x(32));
+            let n = bound(&mut d);
+            d.for_range(0u64, n, 1u64, |d, _| d.bar());
+            assert_eq!(
+                d.validate(),
+                Err(DslError::BarrierInDivergentFlow),
+                "case {i}"
+            );
+        }
+
+        // The loop's own body makes its bound varying for the second trip.
+        let mut d = DslKernel::new("t", Dim2::x(32));
+        let n = d.param(0);
+        d.for_range(0u64, n, 1u64, |d, _| {
+            d.bar();
+            let tid = d.special(SpecialReg::TidX);
+            d.alu_to(AluOp::IAdd, n, n, tid);
+        });
+        assert_eq!(d.validate(), Err(DslError::BarrierInDivergentFlow));
+
+        // A uniform-bounded loop nested in a varying-bounded one.
+        let mut d = DslKernel::new("t", Dim2::x(32));
+        let tid = d.special(SpecialReg::TidX);
+        let n = d.param(0);
+        d.for_range(0u64, tid, 1u64, |d, _| {
+            d.for_range(0u64, n, 1u64, |d, _| d.bar());
+        });
         assert_eq!(d.validate(), Err(DslError::BarrierInDivergentFlow));
     }
 

@@ -113,8 +113,7 @@ pub enum Instr {
     ///
     /// A lane takes the branch when `pred != neg` (i.e. `neg = false` means
     /// "taken when true"). `reconv` is the immediate reconvergence point; the
-    /// builder's structured control-flow helpers guarantee both paths reach
-    /// it.
+    /// DSL's structured control flow guarantees both paths reach it.
     BraCond {
         /// Condition predicate.
         pred: Pred,

@@ -252,6 +252,7 @@ impl KernelDescriptorBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dsl::DslKernel;
     use crate::program::exit_only;
 
     fn prog() -> Arc<Program> {
@@ -301,10 +302,9 @@ mod tests {
 
     #[test]
     fn missing_params_rejected() {
-        use crate::{Dim2, KernelBuilder};
-        let mut k = KernelBuilder::new("p", Dim2::x(32));
+        let mut k = DslKernel::new("p", Dim2::x(32));
         k.param(2); // reads slots 0..=2
-        let p = Arc::new(k.build().unwrap());
+        let p = Arc::new(k.compile().unwrap());
         let e = KernelDescriptor::builder(p, Dim2::x(1), Dim2::x(32))
             .params([1, 2])
             .build()
@@ -325,12 +325,11 @@ mod tests {
 
     #[test]
     fn regs_override_validated() {
-        use crate::{Dim2, KernelBuilder};
-        let mut k = KernelBuilder::new("p", Dim2::x(32));
+        let mut k = DslKernel::new("p", Dim2::x(32));
         let a = k.movi(0u64);
         let b = k.movi(1u64);
         k.iadd(a, b); // uses 3 registers
-        let p = Arc::new(k.build().unwrap());
+        let p = Arc::new(k.compile().unwrap());
         let e = KernelDescriptor::builder(Arc::clone(&p), Dim2::x(1), Dim2::x(32))
             .regs_per_thread(2)
             .build()

@@ -1,4 +1,4 @@
-//! A small SASS-like SIMT instruction set, kernel builder, and functional
+//! A small SASS-like SIMT instruction set, kernel DSL, and functional
 //! semantics for the HPCA'14 thread-block-scheduling reproduction.
 //!
 //! The paper's mechanisms (LCS, BCS, mixed concurrent kernel execution) are
@@ -8,9 +8,13 @@
 //! * [`Instruction`] / [`Instr`] — a register-based, per-lane SIMT ISA with
 //!   integer/float ALU ops, SFU ops, predicates, divergent branches carrying
 //!   explicit reconvergence PCs, barriers, and global/shared memory accesses.
-//! * [`KernelBuilder`] — an assembler with structured control-flow helpers
-//!   (`if_then`, `if_then_else`, `loop_while`, `for_range`) that guarantee
-//!   well-formed reconvergence structure.
+//! * [`dsl`] — the one way to write a kernel: a [`DslKernel`](dsl::DslKernel)
+//!   records a statement tree with structured control flow (`if_then`,
+//!   `if_then_else`, `for_range`, guards) that guarantees well-formed
+//!   reconvergence, validates it (use-before-def, barrier placement,
+//!   register budgets), compiles it to a [`Program`], executes it on the
+//!   CPU as a functional oracle, and generates random race-free kernels
+//!   from a seed. Its assembler is internal to this crate.
 //! * [`Program`] — a validated instruction sequence.
 //! * [`KernelDescriptor`] — a program plus launch geometry and per-CTA
 //!   resource demands (registers, shared memory), the unit the thread-block
@@ -18,19 +22,16 @@
 //! * [`sem`] — pure functional semantics (`eval_alu`, `eval_cmp`), used by
 //!   the simulator to execute programs *functionally correctly* while timing
 //!   is modeled separately.
-//! * [`dsl`] — a structured kernel DSL one level above the builder: records
-//!   a statement tree, compiles it to a byte-identical [`Program`], executes
-//!   it on the CPU as a functional oracle, and generates random race-free
-//!   kernels from a seed.
 //!
 //! # Example
 //!
-//! Build a `vecadd`-style kernel: `c[i] = a[i] + b[i]` for `i < n`.
+//! Write a `vecadd`-style kernel: `c[i] = a[i] + b[i]` for `i < n`.
 //!
 //! ```
-//! use gpgpu_isa::{KernelBuilder, SpecialReg, CmpOp, CmpTy, Dim2};
+//! use gpgpu_isa::dsl::DslKernel;
+//! use gpgpu_isa::{CmpOp, CmpTy, Dim2};
 //!
-//! let mut k = KernelBuilder::new("vecadd", Dim2::x(256));
+//! let mut k = DslKernel::new("vecadd", Dim2::x(256));
 //! let a = k.param(0);
 //! let b = k.param(1);
 //! let c = k.param(2);
@@ -47,7 +48,7 @@
 //!     let vc = k.iadd(va, vb);
 //!     k.st_global_u32(vc, pc, 0);
 //! });
-//! let program = k.build().expect("valid program");
+//! let program = k.compile().expect("valid program");
 //! assert!(program.len() > 0);
 //! ```
 
@@ -62,7 +63,6 @@ mod program;
 pub mod sem;
 mod types;
 
-pub use builder::{KernelBuilder, Label};
 pub use instr::{AddrExpr, Guard, Instr, Instruction, SrcRegs};
 pub use kernel::{KernelDescriptor, KernelDescriptorBuilder, KernelError};
 pub use kernel::MAX_THREADS_PER_CTA;

@@ -7,8 +7,9 @@ use std::fmt;
 
 /// A validated, immutable SIMT program.
 ///
-/// Programs are normally produced by [`KernelBuilder`](crate::KernelBuilder),
-/// which guarantees structured control flow; [`Program::from_instructions`]
+/// Programs are normally produced by
+/// [`DslKernel::compile`](crate::dsl::DslKernel::compile), which guarantees
+/// structured control flow; [`Program::from_instructions`]
 /// performs the checks that can be verified without control-flow analysis
 /// (branch targets in range, register indices within bounds, a terminating
 /// `Exit` reachable by fallthrough).

@@ -1,11 +1,12 @@
 //! Property-style tests for the ISA: functional semantics laws and
-//! builder well-formedness over randomly generated structured programs.
+//! DSL well-formedness over randomly generated structured programs.
 //!
 //! Cases are drawn from the seeded SplitMix64 generator in
 //! `gpgpu-testkit` (shared across the workspace), so the crate builds
 //! with no third-party dependencies and every run checks the same cases.
 
-use gpgpu_isa::{sem, AluOp, CmpOp, CmpTy, Dim2, KernelBuilder, PBoolOp, Pc};
+use gpgpu_isa::dsl::DslKernel;
+use gpgpu_isa::{sem, AluOp, CmpOp, CmpTy, Dim2, PBoolOp, Pc};
 use gpgpu_testkit::Gen;
 
 const CASES: usize = 512;
@@ -149,7 +150,7 @@ fn structured_programs_always_validate() {
     let mut g = Gen::new(9);
     for _ in 0..128 {
         let shapes: Vec<Shape> = (0..g.range(1, 6)).map(|_| random_shape(&mut g)).collect();
-        let mut k = KernelBuilder::new("prop", Dim2::x(32));
+        let mut k = DslKernel::new("prop", Dim2::x(32));
         let x = k.movi(1u64);
         for s in &shapes {
             match s {
@@ -194,7 +195,7 @@ fn structured_programs_always_validate() {
                 }
             }
         }
-        let prog = k.build().expect("structured programs always validate");
+        let prog = k.compile().expect("structured programs always validate");
         let len = prog.len() as Pc;
         for ins in prog.instructions() {
             match ins.op {

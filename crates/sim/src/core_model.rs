@@ -1967,7 +1967,8 @@ pub fn instr_name(desc: &KernelDescriptor, pc: Pc) -> String {
 mod tests {
     use super::*;
     use crate::sched_api::WarpSchedulerFactory;
-    use gpgpu_isa::{CmpOp, CmpTy, Dim2, KernelBuilder};
+    use gpgpu_isa::dsl::DslKernel;
+    use gpgpu_isa::{CmpOp, CmpTy, Dim2};
     use gpgpu_mem::FabricConfig;
 
     /// Trivial loose-round-robin scheduler for core unit tests (the real
@@ -2037,7 +2038,7 @@ mod tests {
 
     /// c[i] = a[i] + b[i]
     fn vecadd_desc(n: u32, a: u64, b: u64, c: u64) -> Arc<KernelDescriptor> {
-        let mut k = KernelBuilder::new("vecadd", Dim2::x(64));
+        let mut k = DslKernel::new("vecadd", Dim2::x(64));
         let pa = k.param(0);
         let pb = k.param(1);
         let pc = k.param(2);
@@ -2054,7 +2055,7 @@ mod tests {
             let vc = k.iadd(va, vb);
             k.st_global_u32(vc, ec, 0);
         });
-        let prog = Arc::new(k.build().unwrap());
+        let prog = Arc::new(k.compile().unwrap());
         Arc::new(
             KernelDescriptor::builder(prog, Dim2::x(n.div_ceil(64)), Dim2::x(64))
                 .params([a, b, c, u64::from(n)])
@@ -2100,9 +2101,9 @@ mod tests {
         let cfg = small_cfg();
         let core = Core::new(0, Arc::clone(&cfg), &TestFactory);
         // 256 threads/CTA, 20 regs/thread, 0 smem: thread-limited to 6.
-        let mut k = KernelBuilder::new("t", Dim2::x(256));
+        let mut k = DslKernel::new("t", Dim2::x(256));
         k.movi(0u64);
-        let prog = Arc::new(k.build().unwrap());
+        let prog = Arc::new(k.compile().unwrap());
         let d = Arc::new(
             KernelDescriptor::builder(prog, Dim2::x(100), Dim2::x(256))
                 .regs_per_thread(20)
@@ -2112,9 +2113,9 @@ mod tests {
         assert_eq!(core.capacity_for(&d), 6); // 1536 / 256
         assert_eq!(Core::hw_max_ctas(&cfg, &d), 6);
         // Shared-memory-limited: 20 KiB per CTA -> 2 CTAs.
-        let mut k = KernelBuilder::new("t2", Dim2::x(64));
+        let mut k = DslKernel::new("t2", Dim2::x(64));
         k.movi(0u64);
-        let prog = Arc::new(k.build().unwrap());
+        let prog = Arc::new(k.compile().unwrap());
         let d = Arc::new(
             KernelDescriptor::builder(prog, Dim2::x(100), Dim2::x(64))
                 .smem_per_cta(20 * 1024)
@@ -2123,9 +2124,9 @@ mod tests {
         );
         assert_eq!(Core::hw_max_ctas(&cfg, &d), 2);
         // Register-limited: 64 regs * 256 threads = 16384 -> 2 CTAs.
-        let mut k = KernelBuilder::new("t3", Dim2::x(256));
+        let mut k = DslKernel::new("t3", Dim2::x(256));
         k.movi(0u64);
-        let prog = Arc::new(k.build().unwrap());
+        let prog = Arc::new(k.compile().unwrap());
         let d = Arc::new(
             KernelDescriptor::builder(prog, Dim2::x(100), Dim2::x(256))
                 .regs_per_thread(64)
@@ -2144,7 +2145,7 @@ mod tests {
         let mut gmem = GlobalMem::new();
         let out = gmem.alloc(128 * 4);
 
-        let mut k = KernelBuilder::new("barrier", Dim2::x(128)); // 4 warps
+        let mut k = DslKernel::new("barrier", Dim2::x(128)); // 4 warps
         let pout = k.param(0);
         let tid = k.special(SpecialReg::TidX);
         // shared[tid] = tid
@@ -2160,7 +2161,7 @@ mod tests {
         let goff = k.shl(tid, 2u64);
         let gaddr = k.iadd(pout, goff);
         k.st_global_u32(v, gaddr, 0);
-        let prog = Arc::new(k.build().unwrap());
+        let prog = Arc::new(k.compile().unwrap());
         let desc = Arc::new(
             KernelDescriptor::builder(prog, Dim2::x(1), Dim2::x(128))
                 .smem_per_cta(128 * 4)
@@ -2186,17 +2187,17 @@ mod tests {
         let mut gmem = GlobalMem::new();
         let out = gmem.alloc(32 * 4);
 
-        let mut k = KernelBuilder::new("div", Dim2::x(32));
+        let mut k = DslKernel::new("div", Dim2::x(32));
         let pout = k.param(0);
         let tid = k.special(SpecialReg::TidX);
         let bit = k.and(tid, 1u64);
         let is_even = k.setp(CmpOp::Eq, CmpTy::U64, bit, 0u64);
-        let v = k.reg();
+        let v = k.declare();
         k.if_then_else(is_even, |k| k.mov_to(v, 10u64), |k| k.mov_to(v, 20u64));
         let off = k.shl(tid, 2u64);
         let gaddr = k.iadd(pout, off);
         k.st_global_u32(v, gaddr, 0);
-        let prog = Arc::new(k.build().unwrap());
+        let prog = Arc::new(k.compile().unwrap());
         let desc = Arc::new(
             KernelDescriptor::builder(prog, Dim2::x(1), Dim2::x(32))
                 .params([out])
@@ -2221,7 +2222,7 @@ mod tests {
         let mut gmem = GlobalMem::new();
         let out = gmem.alloc(32 * 4);
 
-        let mut k = KernelBuilder::new("loop", Dim2::x(32));
+        let mut k = DslKernel::new("loop", Dim2::x(32));
         let pout = k.param(0);
         let tid = k.special(SpecialReg::TidX);
         let acc = k.movi(0u64);
@@ -2231,7 +2232,7 @@ mod tests {
         let off = k.shl(tid, 2u64);
         let gaddr = k.iadd(pout, off);
         k.st_global_u32(acc, gaddr, 0);
-        let prog = Arc::new(k.build().unwrap());
+        let prog = Arc::new(k.compile().unwrap());
         let desc = Arc::new(
             KernelDescriptor::builder(prog, Dim2::x(1), Dim2::x(32))
                 .params([out])
@@ -2287,7 +2288,7 @@ mod tests {
         let out = gmem.alloc(32 * 4);
         gmem.write_u32_slice(out, &vec![7u32; 32]);
 
-        let mut k = KernelBuilder::new("guard", Dim2::x(32));
+        let mut k = DslKernel::new("guard", Dim2::x(32));
         let pout = k.param(0);
         let tid = k.special(SpecialReg::TidX);
         let low = k.setp(CmpOp::Lt, CmpTy::U64, tid, 16u64);
@@ -2296,7 +2297,7 @@ mod tests {
         k.with_guard(low, true, |k| {
             k.st_global_u32(99u64, gaddr, 0);
         });
-        let prog = Arc::new(k.build().unwrap());
+        let prog = Arc::new(k.compile().unwrap());
         let desc = Arc::new(
             KernelDescriptor::builder(prog, Dim2::x(1), Dim2::x(32))
                 .params([out])
@@ -2317,7 +2318,7 @@ mod tests {
     fn coalesced_load_uses_fewer_transactions_than_strided() {
         let cfg = small_cfg();
         let build = |stride: u64| {
-            let mut k = KernelBuilder::new("access", Dim2::x(32));
+            let mut k = DslKernel::new("access", Dim2::x(32));
             let pin = k.param(0);
             let tid = k.special(SpecialReg::TidX);
             let off = k.imul(tid, stride);
@@ -2325,7 +2326,7 @@ mod tests {
             let v = k.ld_global_u32(gaddr, 0);
             let o = k.iadd(v, 0u64);
             let _ = o;
-            let prog = Arc::new(k.build().unwrap());
+            let prog = Arc::new(k.compile().unwrap());
             Arc::new(
                 KernelDescriptor::builder(prog, Dim2::x(1), Dim2::x(32))
                     .params([0x10000])
@@ -2350,9 +2351,9 @@ mod tests {
 
     #[test]
     fn special_values() {
-        let mut k = KernelBuilder::new("s", Dim2::new(16, 2));
+        let mut k = DslKernel::new("s", Dim2::new(16, 2));
         k.movi(0u64);
-        let prog = Arc::new(k.build().unwrap());
+        let prog = Arc::new(k.compile().unwrap());
         let d = KernelDescriptor::builder(prog, Dim2::new(3, 2), Dim2::new(16, 2))
             .build()
             .unwrap();

@@ -4,7 +4,7 @@
 //! one side at a time and merges the lanes back together at the branch's
 //! reconvergence PC. The implementation assumes *structured* control flow
 //! (both sides of a divergent branch eventually reach its reconvergence
-//! PC), which the `gpgpu-isa` builder guarantees.
+//! PC), which the `gpgpu-isa` kernel DSL guarantees.
 
 use gpgpu_isa::Pc;
 

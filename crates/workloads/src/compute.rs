@@ -4,7 +4,8 @@
 //! class where LCS must learn *not* to throttle.
 
 use crate::common::{first_mismatch_f32, VerifyError, Workload, WorkloadClass};
-use gpgpu_isa::{CmpOp, CmpTy, Dim2, KernelBuilder, KernelDescriptor, SpecialReg};
+use gpgpu_isa::dsl::DslKernel;
+use gpgpu_isa::{CmpOp, CmpTy, Dim2, KernelDescriptor, SpecialReg};
 use gpgpu_sim::GlobalMem;
 use std::sync::Arc;
 
@@ -51,7 +52,7 @@ impl Workload for FmaHeavy {
         gmem.write_f32_slice(input, &xv);
         self.bufs = Some((input, output));
 
-        let mut k = KernelBuilder::new("fmaheavy", Dim2::x(BLOCK));
+        let mut k = DslKernel::new("fmaheavy", Dim2::x(BLOCK));
         let pin = k.param(0);
         let pout = k.param(1);
         let pn = k.param(2);
@@ -70,7 +71,7 @@ impl Workload for FmaHeavy {
             let eout = k.iadd(pout, off);
             k.st_global_u32(v, eout, 0);
         });
-        let prog = Arc::new(k.build().expect("fmaheavy is well-formed"));
+        let prog = Arc::new(k.compile().expect("fmaheavy is well-formed"));
         KernelDescriptor::builder(prog, Dim2::x(self.n.div_ceil(BLOCK)), Dim2::x(BLOCK))
             .regs_per_thread(20)
             .params([input, output, u64::from(self.n), u64::from(self.iters)])
@@ -144,7 +145,7 @@ impl Workload for KMeansDist {
         gmem.write_f32_slice(cents, &cv);
         self.bufs = Some((pts, cents, out));
 
-        let mut k = KernelBuilder::new("kmeansdist", Dim2::x(BLOCK));
+        let mut k = DslKernel::new("kmeansdist", Dim2::x(BLOCK));
         let ppts = k.param(0);
         let pcents = k.param(1);
         let pout = k.param(2);
@@ -182,7 +183,7 @@ impl Workload for KMeansDist {
             let eo = k.iadd(pout, poff);
             k.st_global_u32(best_i, eo, 0);
         });
-        let prog = Arc::new(k.build().expect("kmeansdist is well-formed"));
+        let prog = Arc::new(k.compile().expect("kmeansdist is well-formed"));
         KernelDescriptor::builder(prog, Dim2::x(self.n.div_ceil(BLOCK)), Dim2::x(BLOCK))
             .regs_per_thread(24)
             .smem_per_cta(self.k * 4)

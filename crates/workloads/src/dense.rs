@@ -7,7 +7,8 @@
 //! each other and adding occupancy *hurts*.
 
 use crate::common::{first_mismatch_f32, VerifyError, Workload, WorkloadClass};
-use gpgpu_isa::{AluOp, Dim2, KernelBuilder, KernelDescriptor, SpecialReg};
+use gpgpu_isa::dsl::DslKernel;
+use gpgpu_isa::{AluOp, Dim2, KernelDescriptor, SpecialReg};
 use gpgpu_sim::GlobalMem;
 use std::sync::Arc;
 
@@ -58,7 +59,7 @@ impl Workload for MatMulTiled {
         gmem.write_f32_slice(b, &matrix(n, |r, cc| ((r * 3 + cc) % 11) as f32 * 0.5));
         self.bufs = Some((a, b, c));
 
-        let mut k = KernelBuilder::new("matmul-tiled", Dim2::new(TILE, TILE));
+        let mut k = DslKernel::new("matmul-tiled", Dim2::new(TILE, TILE));
         let pa = k.param(0);
         let pb = k.param(1);
         let pc = k.param(2);
@@ -84,8 +85,8 @@ impl Workload for MatMulTiled {
         // Global strides.
         let row_n = k.imul(row, pn); // row * n
         let n_tiles = k.shr(pn, 4u64);
-        let va = k.reg();
-        let vb = k.reg();
+        let va = k.declare();
+        let vb = k.declare();
         k.for_range(0u64, n_tiles, 1u64, |k, t| {
             let t_t = k.imul(t, u64::from(TILE));
             // A[row][t*T + tx]
@@ -117,7 +118,7 @@ impl Workload for MatMulTiled {
         let c_off = k.shl(c_idx, 2u64);
         let ec = k.iadd(pc, c_off);
         k.st_global_u32(acc, ec, 0);
-        let prog = Arc::new(k.build().expect("matmul-tiled is well-formed"));
+        let prog = Arc::new(k.compile().expect("matmul-tiled is well-formed"));
         KernelDescriptor::builder(
             prog,
             Dim2::new(n / TILE, n / TILE),
@@ -197,7 +198,7 @@ impl Workload for MatMulNaive {
         self.bufs = Some((a, b, c));
 
         // Block (32, 4): warps span a row fragment (coalesced B columns).
-        let mut k = KernelBuilder::new("matmul-naive", Dim2::new(32, 4));
+        let mut k = DslKernel::new("matmul-naive", Dim2::new(32, 4));
         let pa = k.param(0);
         let pb = k.param(1);
         let pc = k.param(2);
@@ -210,10 +211,10 @@ impl Workload for MatMulNaive {
         let row = k.imad(by, 4u64, ty);
         let row_n = k.imul(row, pn);
         let acc = k.movi(0.0f32);
-        let va = k.reg();
-        let vb = k.reg();
-        let ea = k.reg();
-        let eb = k.reg();
+        let va = k.declare();
+        let vb = k.declare();
+        let ea = k.declare();
+        let eb = k.declare();
         // ea = pa + row*n*4 (advance by 4 per k); eb = pb + col*4 (advance
         // by n*4 per k).
         let row_n4 = k.shl(row_n, 2u64);
@@ -232,7 +233,7 @@ impl Workload for MatMulNaive {
         let c_off = k.shl(c_idx, 2u64);
         let ec = k.iadd(pc, c_off);
         k.st_global_u32(acc, ec, 0);
-        let prog = Arc::new(k.build().expect("matmul-naive is well-formed"));
+        let prog = Arc::new(k.compile().expect("matmul-naive is well-formed"));
         KernelDescriptor::builder(prog, Dim2::new(n / 32, n / 4), Dim2::new(32, 4))
             .params([a, b, c, u64::from(n)])
             .build()
@@ -304,7 +305,7 @@ impl Workload for Transpose {
         gmem.write_u32_slice(src, &sv);
         self.bufs = Some((src, dst));
 
-        let mut k = KernelBuilder::new("transpose", Dim2::new(32, 8));
+        let mut k = DslKernel::new("transpose", Dim2::new(32, 8));
         let psrc = k.param(0);
         let pdst = k.param(1);
         let pn = k.param(2);
@@ -324,7 +325,7 @@ impl Workload for Transpose {
         let out_off = k.shl(out_idx, 2u64);
         let edst = k.iadd(pdst, out_off);
         k.st_global_u32(v, edst, 0);
-        let prog = Arc::new(k.build().expect("transpose is well-formed"));
+        let prog = Arc::new(k.compile().expect("transpose is well-formed"));
         KernelDescriptor::builder(prog, Dim2::new(n / 32, n / 8), Dim2::new(32, 8))
             .regs_per_thread(16)
             .params([src, dst, u64::from(n)])

@@ -9,7 +9,7 @@
 //! e.g. `gen:stream/stride=33,ffma=16` or `gen:rand/seed=7,segs=9`. The
 //! string is the workload's *name*, so it flows through `RunSpec` content
 //! keys unchanged — generated runs dedup, persist in the result store,
-//! and record/replay exactly like hand-written suite members. Parsing is
+//! and record/replay exactly like suite members. Parsing is
 //! strict (unknown families or knobs, malformed pairs, and out-of-range
 //! values all reject) so a spec either names one deterministic workload
 //! or nothing.

@@ -6,7 +6,8 @@
 use crate::common::{
     first_mismatch_f32, first_mismatch_u32, SplitMix64, VerifyError, Workload, WorkloadClass,
 };
-use gpgpu_isa::{AluOp, CmpOp, CmpTy, Dim2, KernelBuilder, KernelDescriptor};
+use gpgpu_isa::dsl::DslKernel;
+use gpgpu_isa::{AluOp, CmpOp, CmpTy, Dim2, KernelDescriptor};
 use gpgpu_sim::GlobalMem;
 use std::sync::Arc;
 
@@ -94,7 +95,7 @@ impl Workload for SpmvEll {
         gmem.write_f32_slice(x, &xv);
         self.bufs = Some((vals, cols, x, y));
 
-        let mut k = KernelBuilder::new("spmv-ell", Dim2::x(BLOCK));
+        let mut k = DslKernel::new("spmv-ell", Dim2::x(BLOCK));
         let pvals = k.param(0);
         let pcols = k.param(1);
         let px = k.param(2);
@@ -105,11 +106,11 @@ impl Workload for SpmvEll {
         let in_range = k.setp(CmpOp::Lt, CmpTy::U64, row, prows);
         k.if_then(in_range, |k| {
             let acc = k.movi(0.0f32);
-            let v = k.reg();
-            let c = k.reg();
-            let xv = k.reg();
+            let v = k.declare();
+            let c = k.declare();
+            let xv = k.declare();
             // Column-major ELL: element (slot, row) at slot*rows + row.
-            let e = k.reg(); // byte offset of (slot, row)
+            let e = k.declare(); // byte offset of (slot, row)
             let row4 = k.shl(row, 2u64);
             k.mov_to(e, row4);
             let stride = k.shl(prows, 2u64);
@@ -127,7 +128,7 @@ impl Workload for SpmvEll {
             let ey = k.iadd(py, row4);
             k.st_global_u32(acc, ey, 0);
         });
-        let prog = Arc::new(k.build().expect("spmv-ell is well-formed"));
+        let prog = Arc::new(k.compile().expect("spmv-ell is well-formed"));
         KernelDescriptor::builder(prog, Dim2::x(rows.div_ceil(BLOCK)), Dim2::x(BLOCK))
             .params([vals, cols, x, y, u64::from(rows), u64::from(kk)])
             .build()
@@ -206,7 +207,7 @@ impl Workload for RandomGather {
         gmem.write_u32_slice(idx, &iv);
         self.bufs = Some((data, idx, out));
 
-        let mut k = KernelBuilder::new("gather", Dim2::x(BLOCK));
+        let mut k = DslKernel::new("gather", Dim2::x(BLOCK));
         let pdata = k.param(0);
         let pidx = k.param(1);
         let pout = k.param(2);
@@ -217,11 +218,11 @@ impl Workload for RandomGather {
         k.if_then(in_range, |k| {
             let acc = k.movi(0u64);
             let base = k.imul(gid, pd);
-            let e = k.reg();
+            let e = k.declare();
             let b4 = k.shl(base, 2u64);
             k.mov_to(e, b4);
-            let j = k.reg();
-            let val = k.reg();
+            let j = k.declare();
+            let val = k.declare();
             k.for_range(0u64, pd, 1u64, |k, _jj| {
                 let ei = k.iadd(pidx, e);
                 k.ld_global_u32_to(j, ei, 0);
@@ -235,7 +236,7 @@ impl Workload for RandomGather {
             let eo = k.iadd(pout, goff);
             k.st_global_u32(acc, eo, 0);
         });
-        let prog = Arc::new(k.build().expect("gather is well-formed"));
+        let prog = Arc::new(k.compile().expect("gather is well-formed"));
         KernelDescriptor::builder(prog, Dim2::x(n.div_ceil(BLOCK)), Dim2::x(BLOCK))
             .params([data, idx, out, u64::from(n), u64::from(d)])
             .build()

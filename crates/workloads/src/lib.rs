@@ -4,9 +4,10 @@
 //! The paper evaluates on Rodinia/Parboil/CUDA-SDK binaries, grouped into
 //! compute-intensive (C), memory-intensive (M), and cache-sensitive (X)
 //! kernels. Those binaries cannot run on a from-scratch simulator, so this
-//! crate provides hand-written kernels (in the `gpgpu-isa` mini-ISA)
-//! reproducing each group's access pattern — and because the simulator
-//! executes functionally, every workload *verifies its own output*.
+//! crate provides kernels written in the `gpgpu-isa` kernel DSL
+//! ([`DslKernel`](gpgpu_isa::dsl::DslKernel)) reproducing each group's
+//! access pattern — and because the simulator executes functionally, every
+//! workload *verifies its own output* against a hand-written CPU reference.
 //!
 //! See [`suite`] for the full list and [`runner`] for one-call execution.
 
@@ -16,7 +17,6 @@
 mod common;
 pub mod compute;
 pub mod dense;
-pub mod dslport;
 pub mod families;
 pub mod irregular;
 pub mod reduce;
@@ -29,8 +29,7 @@ pub use common::{
     WorkloadClass,
 };
 pub use runner::{
-    run_pair, run_pair_mode, run_pair_traced, run_workload, run_workload_mode,
-    run_workload_traced, run_workload_with_device, RunError, RunMode, RunOutcome,
+    run_pair_mode, run_workload, run_workload_mode, RunError, RunMode, RunOutcome,
     DEFAULT_MAX_CYCLES,
 };
 
@@ -68,8 +67,7 @@ pub fn suite(scale: Scale) -> Vec<Box<dyn Workload>> {
     ]
 }
 
-/// Constructs one workload by name at the given scale: a hand-written
-/// suite member, or — for `gen:`-prefixed names — a generated family
+/// Constructs one workload by name at the given scale: a suite member, or — for `gen:`-prefixed names — a generated family
 /// member (see [`families`]). Because generated workloads are addressed
 /// purely by name, they flow through run-spec content keys, the result
 /// store, and record/replay exactly like suite members.

@@ -3,7 +3,8 @@
 //! pattern where warp-level progress imbalance inside a CTA matters.
 
 use crate::common::{first_mismatch_u32, f32_close, VerifyError, Workload, WorkloadClass};
-use gpgpu_isa::{AluOp, CmpOp, CmpTy, Dim2, KernelBuilder, KernelDescriptor, Reg, SpecialReg};
+use gpgpu_isa::dsl::{DslKernel, Val};
+use gpgpu_isa::{AluOp, CmpOp, CmpTy, Dim2, KernelDescriptor, SpecialReg};
 use gpgpu_sim::GlobalMem;
 use std::sync::Arc;
 
@@ -13,11 +14,11 @@ const BLOCK: u32 = 256;
 /// which thread 0 ends holding the total at shared address 0. `saddr` must
 /// hold `tid * 4`. `op` combines values (IAdd for exact sums, FAdd for
 /// dot products).
-fn emit_tree_reduce(k: &mut KernelBuilder, tid: Reg, saddr: Reg, op: AluOp) {
-    let v1 = k.reg();
-    let v2 = k.reg();
-    let acc = k.reg();
-    let active = k.pred();
+fn emit_tree_reduce(k: &mut DslKernel, tid: Val, saddr: Val, op: AluOp) {
+    let v1 = k.declare();
+    let v2 = k.declare();
+    let acc = k.declare();
+    let active = k.declare_pred();
     let mut s = BLOCK / 2;
     while s >= 1 {
         k.bar();
@@ -76,7 +77,7 @@ impl Workload for Reduction {
         gmem.write_u32_slice(input, &iv);
         self.bufs = Some((input, out));
 
-        let mut k = KernelBuilder::new("reduction", Dim2::x(BLOCK));
+        let mut k = DslKernel::new("reduction", Dim2::x(BLOCK));
         let pin = k.param(0);
         let pout = k.param(1);
         let tid = k.special(SpecialReg::TidX);
@@ -101,7 +102,7 @@ impl Workload for Reduction {
             let eo = k.iadd(pout, coff);
             k.st_global_u32(total, eo, 0);
         });
-        let prog = Arc::new(k.build().expect("reduction is well-formed"));
+        let prog = Arc::new(k.compile().expect("reduction is well-formed"));
         KernelDescriptor::builder(prog, Dim2::x(self.ctas()), Dim2::x(BLOCK))
             .smem_per_cta(BLOCK * 4)
             .params([input, out])
@@ -184,7 +185,7 @@ impl Workload for DotProduct {
         gmem.write_f32_slice(b, &bv);
         self.bufs = Some((a, b, out));
 
-        let mut k = KernelBuilder::new("dot", Dim2::x(BLOCK));
+        let mut k = DslKernel::new("dot", Dim2::x(BLOCK));
         let pa = k.param(0);
         let pb = k.param(1);
         let pout = k.param(2);
@@ -207,7 +208,7 @@ impl Workload for DotProduct {
             let eo = k.iadd(pout, coff);
             k.st_global_u32(total, eo, 0);
         });
-        let prog = Arc::new(k.build().expect("dot is well-formed"));
+        let prog = Arc::new(k.compile().expect("dot is well-formed"));
         KernelDescriptor::builder(prog, Dim2::x(self.ctas()), Dim2::x(BLOCK))
             .smem_per_cta(BLOCK * 4)
             .params([a, b, out])

@@ -108,73 +108,41 @@ pub fn run_workload(
     cta: Box<dyn CtaScheduler>,
     max_cycles: u64,
 ) -> Result<RunOutcome, RunError> {
-    run_workload_with_device(workload, cfg, warp, cta, max_cycles).map(|(o, _)| o)
+    run_workload_mode(workload, cfg, warp, cta, max_cycles, None, RunMode::Direct)
+        .map(|(outcome, ..)| outcome)
 }
 
-/// As [`run_workload`], but also hands back the device for post-run
-/// inspection (memory contents, scheduler state via
-/// [`CtaScheduler::as_any`]).
-///
-/// # Errors
-///
-/// As [`run_workload`].
-pub fn run_workload_with_device(
-    workload: &mut dyn Workload,
+/// A fresh device set up for `mode`, with in-memory telemetry when
+/// `telemetry` is given.
+fn device(
     cfg: GpuConfig,
     warp: &dyn WarpSchedulerFactory,
     cta: Box<dyn CtaScheduler>,
-    max_cycles: u64,
-) -> Result<(RunOutcome, GpuDevice), RunError> {
+    telemetry: Option<TelemetryConfig>,
+    mode: &RunMode,
+) -> GpuDevice {
     let mut gpu = GpuDevice::new(cfg, warp, cta);
-    let desc = workload.prepare(gpu.mem());
-    let kernel = gpu.launch(desc);
-    gpu.run(max_cycles)?;
-    workload.verify(gpu.mem_ref())?;
-    let outcome = RunOutcome {
-        stats: gpu.stats(),
-        kernel,
-    };
-    Ok((outcome, gpu))
+    match mode {
+        RunMode::Direct => {}
+        RunMode::Capture => gpu.set_capture(true),
+        RunMode::Replay(rec) => gpu.set_replay(Arc::clone(rec)),
+    }
+    if let Some(t) = telemetry {
+        gpu.enable_telemetry(t, Box::new(MemorySink::new()));
+    }
+    gpu
 }
 
-/// As [`run_workload_with_device`], with telemetry attached for the whole
-/// run: interval samples and trace events are collected in memory and
-/// returned alongside the outcome.
+/// As [`run_workload`], parameterized over [`RunMode`] and optional
+/// telemetry. Returns the outcome, the device (for post-run inspection of
+/// memory contents, or scheduler state via [`CtaScheduler::as_any`]), the
+/// telemetry data (when `telemetry` was given), and the captured record
+/// (when `mode` was [`RunMode::Capture`]).
 ///
 /// # Errors
 ///
-/// As [`run_workload`] (telemetry from a failed run is discarded).
-pub fn run_workload_traced(
-    workload: &mut dyn Workload,
-    cfg: GpuConfig,
-    warp: &dyn WarpSchedulerFactory,
-    cta: Box<dyn CtaScheduler>,
-    max_cycles: u64,
-    telemetry: TelemetryConfig,
-) -> Result<(RunOutcome, GpuDevice, TelemetryData), RunError> {
-    let mut gpu = GpuDevice::new(cfg, warp, cta);
-    gpu.enable_telemetry(telemetry, Box::new(MemorySink::new()));
-    let desc = workload.prepare(gpu.mem());
-    let kernel = gpu.launch(desc);
-    gpu.run(max_cycles)?;
-    workload.verify(gpu.mem_ref())?;
-    let outcome = RunOutcome {
-        stats: gpu.stats(),
-        kernel,
-    };
-    let data = gpu.take_telemetry_data().unwrap_or_default();
-    Ok((outcome, gpu, data))
-}
-
-/// As [`run_workload_with_device`], parameterized over [`RunMode`] and
-/// optional telemetry: the single entry point behind capture and replay
-/// runs. Returns the outcome, the device, the telemetry data (when
-/// `telemetry` was given), and the captured record (when `mode` was
-/// [`RunMode::Capture`]).
-///
-/// # Errors
-///
-/// As [`run_workload`]; replay runs skip output verification.
+/// As [`run_workload`] (telemetry from a failed run is discarded); replay
+/// runs skip output verification.
 pub fn run_workload_mode(
     workload: &mut dyn Workload,
     cfg: GpuConfig,
@@ -184,25 +152,11 @@ pub fn run_workload_mode(
     telemetry: Option<TelemetryConfig>,
     mode: RunMode,
 ) -> Result<(RunOutcome, GpuDevice, Option<TelemetryData>, Option<ExecRecord>), RunError> {
-    let mut gpu = GpuDevice::new(cfg, warp, cta);
-    let replaying = match &mode {
-        RunMode::Direct => false,
-        RunMode::Capture => {
-            gpu.set_capture(true);
-            false
-        }
-        RunMode::Replay(rec) => {
-            gpu.set_replay(Arc::clone(rec));
-            true
-        }
-    };
-    if let Some(t) = telemetry {
-        gpu.enable_telemetry(t, Box::new(MemorySink::new()));
-    }
+    let mut gpu = device(cfg, warp, cta, telemetry, &mode);
     let desc = workload.prepare(gpu.mem());
     let kernel = gpu.launch(desc);
     gpu.run(max_cycles)?;
-    if !replaying {
+    if !matches!(mode, RunMode::Replay(_)) {
         workload.verify(gpu.mem_ref())?;
     }
     let outcome = RunOutcome {
@@ -214,8 +168,9 @@ pub fn run_workload_mode(
     Ok((outcome, gpu, data, record))
 }
 
-/// As [`run_pair`], parameterized over [`RunMode`] and optional
-/// telemetry (see [`run_workload_mode`]).
+/// Runs two workloads on one device — both launched at cycle 0, or `b`
+/// after `a` when `serial` — and verifies both, parameterized over
+/// [`RunMode`] and optional telemetry (see [`run_workload_mode`]).
 ///
 /// # Errors
 ///
@@ -232,21 +187,7 @@ pub fn run_pair_mode(
     telemetry: Option<TelemetryConfig>,
     mode: RunMode,
 ) -> Result<(SimStats, KernelId, KernelId, Option<TelemetryData>, Option<ExecRecord>), RunError> {
-    let mut gpu = GpuDevice::new(cfg, warp, cta);
-    let replaying = match &mode {
-        RunMode::Direct => false,
-        RunMode::Capture => {
-            gpu.set_capture(true);
-            false
-        }
-        RunMode::Replay(rec) => {
-            gpu.set_replay(Arc::clone(rec));
-            true
-        }
-    };
-    if let Some(t) = telemetry {
-        gpu.enable_telemetry(t, Box::new(MemorySink::new()));
-    }
+    let mut gpu = device(cfg, warp, cta, telemetry, &mode);
     let desc_a = a.prepare(gpu.mem());
     let desc_b = b.prepare(gpu.mem());
     let ka = gpu.launch(desc_a);
@@ -256,74 +197,11 @@ pub fn run_pair_mode(
         gpu.launch(desc_b)
     };
     gpu.run(max_cycles)?;
-    if !replaying {
+    if !matches!(mode, RunMode::Replay(_)) {
         a.verify(gpu.mem_ref())?;
         b.verify(gpu.mem_ref())?;
     }
     let data = gpu.take_telemetry_data();
     let record = gpu.take_record();
     Ok((gpu.stats(), ka, kb, data, record))
-}
-
-/// Runs two workloads concurrently (both launched at cycle 0) and verifies
-/// both. Returns the outcome with total cycles and both kernels' stats.
-///
-/// # Errors
-///
-/// As [`run_workload`].
-pub fn run_pair(
-    a: &mut dyn Workload,
-    b: &mut dyn Workload,
-    cfg: GpuConfig,
-    warp: &dyn WarpSchedulerFactory,
-    cta: Box<dyn CtaScheduler>,
-    serial: bool,
-    max_cycles: u64,
-) -> Result<(SimStats, KernelId, KernelId), RunError> {
-    let mut gpu = GpuDevice::new(cfg, warp, cta);
-    let desc_a = a.prepare(gpu.mem());
-    let desc_b = b.prepare(gpu.mem());
-    let ka = gpu.launch(desc_a);
-    let kb = if serial {
-        gpu.launch_after(desc_b, ka)
-    } else {
-        gpu.launch(desc_b)
-    };
-    gpu.run(max_cycles)?;
-    a.verify(gpu.mem_ref())?;
-    b.verify(gpu.mem_ref())?;
-    Ok((gpu.stats(), ka, kb))
-}
-
-/// As [`run_pair`], with telemetry attached for the whole run.
-///
-/// # Errors
-///
-/// As [`run_workload`] (telemetry from a failed run is discarded).
-#[allow(clippy::too_many_arguments)]
-pub fn run_pair_traced(
-    a: &mut dyn Workload,
-    b: &mut dyn Workload,
-    cfg: GpuConfig,
-    warp: &dyn WarpSchedulerFactory,
-    cta: Box<dyn CtaScheduler>,
-    serial: bool,
-    max_cycles: u64,
-    telemetry: TelemetryConfig,
-) -> Result<(SimStats, KernelId, KernelId, TelemetryData), RunError> {
-    let mut gpu = GpuDevice::new(cfg, warp, cta);
-    gpu.enable_telemetry(telemetry, Box::new(MemorySink::new()));
-    let desc_a = a.prepare(gpu.mem());
-    let desc_b = b.prepare(gpu.mem());
-    let ka = gpu.launch(desc_a);
-    let kb = if serial {
-        gpu.launch_after(desc_b, ka)
-    } else {
-        gpu.launch(desc_b)
-    };
-    gpu.run(max_cycles)?;
-    a.verify(gpu.mem_ref())?;
-    b.verify(gpu.mem_ref())?;
-    let data = gpu.take_telemetry_data().unwrap_or_default();
-    Ok((gpu.stats(), ka, kb, data))
 }

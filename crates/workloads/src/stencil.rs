@@ -7,9 +7,8 @@
 //! scatters adjacent rows across cores, pushing that reuse out to the L2).
 
 use crate::common::{first_mismatch_f32, VerifyError, Workload, WorkloadClass};
-use gpgpu_isa::{
-    AluOp, CmpOp, CmpTy, Dim2, KernelBuilder, KernelDescriptor, PBoolOp, Pred, Reg, SpecialReg,
-};
+use gpgpu_isa::dsl::{DslKernel, PredVal, Val};
+use gpgpu_isa::{AluOp, CmpOp, CmpTy, Dim2, KernelDescriptor, PBoolOp, SpecialReg};
 use gpgpu_sim::GlobalMem;
 use std::sync::Arc;
 
@@ -28,19 +27,19 @@ fn grid_data(w: u32, h: u32) -> Vec<f32> {
 
 /// Registers/predicates shared by the unrolled per-column bodies.
 struct StencilRegs {
-    y_in: Pred,
-    interior: Pred,
-    scratch_p: [Pred; 2],
-    off: Reg,
-    ec: Reg,
-    c: Reg,
-    v: [Reg; 4],
-    result: Reg,
+    y_in: PredVal,
+    interior: PredVal,
+    scratch_p: [PredVal; 2],
+    off: Val,
+    ec: Val,
+    c: Val,
+    v: [Val; 4],
+    result: Val,
 }
 
 /// Emits the common stencil prologue: `y` bounds check and shared scratch
 /// registers. `x = tid + j*BLOCK` per unrolled step.
-fn stencil_prologue(k: &mut KernelBuilder, ph: Reg) -> (Reg, Reg, StencilRegs) {
+fn stencil_prologue(k: &mut DslKernel, ph: Val) -> (Val, Val, StencilRegs) {
     let tid = k.special(SpecialReg::TidX);
     let y = k.special(SpecialReg::CtaLinear); // one CTA per row
     let y_lo = k.setp(CmpOp::Gt, CmpTy::U64, y, 0u64);
@@ -49,20 +48,20 @@ fn stencil_prologue(k: &mut KernelBuilder, ph: Reg) -> (Reg, Reg, StencilRegs) {
     let y_in = k.pbool(PBoolOp::And, y_lo, y_hi);
     let regs = StencilRegs {
         y_in,
-        interior: k.pred(),
-        scratch_p: [k.pred(), k.pred()],
-        off: k.reg(),
-        ec: k.reg(),
-        c: k.reg(),
-        v: [k.reg(), k.reg(), k.reg(), k.reg()],
-        result: k.reg(),
+        interior: k.declare_pred(),
+        scratch_p: [k.declare_pred(), k.declare_pred()],
+        off: k.declare(),
+        ec: k.declare(),
+        c: k.declare(),
+        v: [k.declare(), k.declare(), k.declare(), k.declare()],
+        result: k.declare(),
     };
     (tid, y, regs)
 }
 
 /// Computes, for unrolled column step `j`, the per-lane element offset
 /// (`off = (y*W + tid + j*BLOCK) * 4`) and the `interior` predicate.
-fn stencil_column(k: &mut KernelBuilder, tid: Reg, y: Reg, j: u32, r: &StencilRegs) {
+fn stencil_column(k: &mut DslKernel, tid: Val, y: Val, j: u32, r: &StencilRegs) {
     let x_const = u64::from(j * STENCIL_BLOCK);
     // off = (y*W + tid + j*BLOCK) * 4
     let idx = k.imad(y, u64::from(STENCIL_WIDTH), tid);
@@ -120,7 +119,7 @@ impl Workload for Stencil2d {
         self.bufs = Some((src, dst));
 
         let row_bytes = i64::from(w) * 4;
-        let mut k = KernelBuilder::new("stencil2d", Dim2::x(STENCIL_BLOCK));
+        let mut k = DslKernel::new("stencil2d", Dim2::x(STENCIL_BLOCK));
         let psrc = k.param(0);
         let pdst = k.param(1);
         let ph = k.param(2);
@@ -142,10 +141,9 @@ impl Workload for Stencil2d {
                 k.alu_to(AluOp::FMul, r.result, r.result, 0.2f32);
             });
             k.alu_to(AluOp::IAdd, r.ec, pdst, r.off);
-            let ec = r.ec;
-            k.st_global_u32(r.result, ec, 0);
+            k.st_global_u32(r.result, r.ec, 0);
         }
-        let prog = Arc::new(k.build().expect("stencil2d is well-formed"));
+        let prog = Arc::new(k.compile().expect("stencil2d is well-formed"));
         KernelDescriptor::builder(prog, Dim2::new(1, h), Dim2::x(STENCIL_BLOCK))
             .params([src, dst, u64::from(h)])
             .build()
@@ -226,13 +224,13 @@ impl Workload for Hotspot {
         self.bufs = Some((temp, power, out));
 
         let row_bytes = i64::from(w) * 4;
-        let mut k = KernelBuilder::new("hotspot", Dim2::x(STENCIL_BLOCK));
+        let mut k = DslKernel::new("hotspot", Dim2::x(STENCIL_BLOCK));
         let ptemp = k.param(0);
         let ppower = k.param(1);
         let pout = k.param(2);
         let ph = k.param(3);
         let (tid, y, r) = stencil_prologue(&mut k, ph);
-        let scratch = k.reg();
+        let scratch = k.declare();
         for j in 0..COLS_PER_THREAD {
             stencil_column(&mut k, tid, y, j, &r);
             k.alu_to(AluOp::IAdd, r.ec, ptemp, r.off);
@@ -258,10 +256,9 @@ impl Workload for Hotspot {
                 k.alu3_to(AluOp::FFma, r.result, r.v[0], HS_CAP, r.c);
             });
             k.alu_to(AluOp::IAdd, r.ec, pout, r.off);
-            let ec = r.ec;
-            k.st_global_u32(r.result, ec, 0);
+            k.st_global_u32(r.result, r.ec, 0);
         }
-        let prog = Arc::new(k.build().expect("hotspot is well-formed"));
+        let prog = Arc::new(k.compile().expect("hotspot is well-formed"));
         KernelDescriptor::builder(prog, Dim2::new(1, h), Dim2::x(STENCIL_BLOCK))
             .params([temp, power, out, u64::from(h)])
             .build()

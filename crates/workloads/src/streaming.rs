@@ -5,7 +5,8 @@
 //! few resident CTAs (the LCS sweet spot is small).
 
 use crate::common::{first_mismatch_f32, first_mismatch_u32, VerifyError, Workload, WorkloadClass};
-use gpgpu_isa::{CmpOp, CmpTy, Dim2, KernelBuilder, KernelDescriptor};
+use gpgpu_isa::dsl::DslKernel;
+use gpgpu_isa::{CmpOp, CmpTy, Dim2, KernelDescriptor};
 use gpgpu_sim::GlobalMem;
 use std::sync::Arc;
 
@@ -45,7 +46,7 @@ impl Workload for VecAdd {
         gmem.write_u32_slice(b, &bv);
         self.bufs = Some((a, b, c));
 
-        let mut k = KernelBuilder::new("vecadd", Dim2::x(BLOCK));
+        let mut k = DslKernel::new("vecadd", Dim2::x(BLOCK));
         let pa = k.param(0);
         let pb = k.param(1);
         let pc = k.param(2);
@@ -62,7 +63,7 @@ impl Workload for VecAdd {
             let vc = k.iadd(va, vb);
             k.st_global_u32(vc, ec, 0);
         });
-        let prog = Arc::new(k.build().expect("vecadd is well-formed"));
+        let prog = Arc::new(k.compile().expect("vecadd is well-formed"));
         KernelDescriptor::builder(prog, Dim2::x(self.n.div_ceil(BLOCK)), Dim2::x(BLOCK))
             .regs_per_thread(16)
             .params([a, b, c, u64::from(self.n)])
@@ -130,7 +131,7 @@ impl Workload for Saxpy {
         gmem.write_f32_slice(y, &self.y0);
         self.bufs = Some((x, y));
 
-        let mut k = KernelBuilder::new("saxpy", Dim2::x(BLOCK));
+        let mut k = DslKernel::new("saxpy", Dim2::x(BLOCK));
         let px = k.param(0);
         let py = k.param(1);
         let pn = k.param(2);
@@ -145,7 +146,7 @@ impl Workload for Saxpy {
             let r = k.ffma(vx, self.alpha, vy);
             k.st_global_u32(r, ey, 0);
         });
-        let prog = Arc::new(k.build().expect("saxpy is well-formed"));
+        let prog = Arc::new(k.compile().expect("saxpy is well-formed"));
         KernelDescriptor::builder(prog, Dim2::x(self.n.div_ceil(BLOCK)), Dim2::x(BLOCK))
             .regs_per_thread(16)
             .params([x, y, u64::from(self.n)])
@@ -215,7 +216,7 @@ impl Workload for StridedCopy {
         gmem.write_u32_slice(src, &sv);
         self.bufs = Some((src, dst));
 
-        let mut k = KernelBuilder::new("stridedcopy", Dim2::x(BLOCK));
+        let mut k = DslKernel::new("stridedcopy", Dim2::x(BLOCK));
         let psrc = k.param(0);
         let pdst = k.param(1);
         let pn = k.param(2);
@@ -232,7 +233,7 @@ impl Workload for StridedCopy {
             let edst = k.iadd(pdst, doff);
             k.st_global_u32(v, edst, 0);
         });
-        let prog = Arc::new(k.build().expect("stridedcopy is well-formed"));
+        let prog = Arc::new(k.compile().expect("stridedcopy is well-formed"));
         KernelDescriptor::builder(prog, Dim2::x(self.n.div_ceil(BLOCK)), Dim2::x(BLOCK))
             .regs_per_thread(16)
             .params([src, dst, u64::from(self.n), u64::from(self.stride)])

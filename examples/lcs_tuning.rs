@@ -9,7 +9,7 @@
 use gpgpu_repro::sim::GpuConfig;
 use gpgpu_repro::tbs::{CtaPolicy, Lcs, WarpPolicy};
 use gpgpu_repro::workloads::irregular::SpmvEll;
-use gpgpu_repro::workloads::{run_workload, run_workload_with_device};
+use gpgpu_repro::workloads::{run_workload, run_workload_mode, RunMode};
 
 const MAX_CYCLES: u64 = 400_000_000;
 
@@ -49,12 +49,14 @@ fn main() {
 
     println!("\nLCS (gamma = 0.7), deciding per core from the monitoring period:");
     let mut w = spmv();
-    let (out, gpu) = run_workload_with_device(
+    let (out, gpu, ..) = run_workload_mode(
         &mut w,
         GpuConfig::fermi(),
         warp.as_ref(),
         CtaPolicy::Lcs(0.7).scheduler(),
         MAX_CYCLES,
+        None,
+        RunMode::Direct,
     )
     .expect("runs and verifies");
     println!(

@@ -11,7 +11,7 @@
 use gpgpu_repro::sim::GpuConfig;
 use gpgpu_repro::tbs::CtaPolicy;
 use gpgpu_repro::tbs::WarpPolicy;
-use gpgpu_repro::workloads::{by_name, run_pair, Scale};
+use gpgpu_repro::workloads::{by_name, run_pair_mode, RunMode, Scale};
 
 const MAX_CYCLES: u64 = 400_000_000;
 
@@ -19,7 +19,7 @@ fn run_mode(mem: &str, comp: &str, cta: CtaPolicy, serial: bool) -> u64 {
     let mut a = by_name(mem, Scale::Small).expect("suite member");
     let mut b = by_name(comp, Scale::Small).expect("suite member");
     let warp = WarpPolicy::Gto.factory();
-    let (stats, _, _) = run_pair(
+    let (stats, ..) = run_pair_mode(
         a.as_mut(),
         b.as_mut(),
         GpuConfig::fermi(),
@@ -27,6 +27,8 @@ fn run_mode(mem: &str, comp: &str, cta: CtaPolicy, serial: bool) -> u64 {
         cta.scheduler(),
         serial,
         MAX_CYCLES,
+        None,
+        RunMode::Direct,
     )
     .expect("both kernels run and verify");
     stats.cycles

@@ -1,18 +1,19 @@
-//! Quickstart: build a kernel with the ISA builder, run it on the
-//! simulated Fermi-class GPU, and verify the output.
+//! Quickstart: write a kernel in the kernel DSL, run it on the simulated
+//! Fermi-class GPU, and verify the output.
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 
-use gpgpu_repro::isa::{CmpOp, CmpTy, Dim2, KernelBuilder, KernelDescriptor};
+use gpgpu_repro::isa::dsl::DslKernel;
+use gpgpu_repro::isa::{CmpOp, CmpTy, Dim2, KernelDescriptor};
 use gpgpu_repro::sim::{GpuConfig, GpuDevice};
 use gpgpu_repro::tbs::{CtaPolicy, WarpPolicy};
 use std::sync::Arc;
 
 fn main() {
     // 1. Write a kernel: c[i] = a[i] * 3 + b[i] for i < n.
-    let mut k = KernelBuilder::new("triad", Dim2::x(256));
+    let mut k = DslKernel::new("triad", Dim2::x(256));
     let pa = k.param(0);
     let pb = k.param(1);
     let pc = k.param(2);
@@ -30,7 +31,7 @@ fn main() {
         let vc = k.iadd(t, vb);
         k.st_global_u32(vc, ec, 0);
     });
-    let program = Arc::new(k.build().expect("well-formed kernel"));
+    let program = Arc::new(k.compile().expect("well-formed kernel"));
     println!("kernel:\n{}", program.disassemble());
 
     // 2. Build the GPU with the paper's reference policies (GTO warp

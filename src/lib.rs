@@ -4,7 +4,7 @@
 //! Re-exports the workspace crates under one roof so examples and
 //! integration tests can `use gpgpu_repro::...`:
 //!
-//! * [`isa`] — the SIMT mini-ISA and kernel builder.
+//! * [`isa`] — the SIMT mini-ISA and the kernel DSL.
 //! * [`mem`] — caches, interconnect, and DRAM substrate.
 //! * [`sim`] — the cycle-level GPU simulator.
 //! * [`tbs`] — the paper's contribution: LCS, BCS + BAWS, mixed CKE, and

@@ -3,7 +3,8 @@
 //! constructs kernels that isolate one effect and asserts the *direction*
 //! of the timing change.
 
-use gpgpu_repro::isa::{AluOp, Dim2, KernelBuilder, KernelDescriptor, SpecialReg};
+use gpgpu_repro::isa::dsl::DslKernel;
+use gpgpu_repro::isa::{AluOp, Dim2, KernelDescriptor, SpecialReg};
 use gpgpu_repro::sim::{GpuConfig, GpuDevice};
 use gpgpu_repro::tbs::{CtaPolicy, WarpPolicy};
 use std::sync::Arc;
@@ -25,17 +26,17 @@ fn run_kernel(cfg: GpuConfig, desc: KernelDescriptor) -> u64 {
 /// A load-chase kernel: each thread performs `n` dependent global loads
 /// with the given element stride between threads.
 fn load_kernel(stride_bytes: u64, loads: u64, ctas: u32) -> KernelDescriptor {
-    let mut k = KernelBuilder::new("loads", Dim2::x(256));
+    let mut k = DslKernel::new("loads", Dim2::x(256));
     let gid = k.global_tid_x();
     let base = k.imul(gid, stride_bytes);
     let addr = k.iadd(base, 0x10_0000u64);
-    let v = k.reg();
+    let v = k.declare();
     k.for_range(0u64, loads, 1u64, |k, _| {
         k.ld_global_u32_to(v, addr, 0);
         // Consume the value so the next iteration depends on it.
         k.alu_to(AluOp::IAdd, addr, addr, 4096u64);
     });
-    let prog = Arc::new(k.build().expect("well-formed"));
+    let prog = Arc::new(k.compile().expect("well-formed"));
     KernelDescriptor::builder(prog, Dim2::x(ctas), Dim2::x(256))
         .build()
         .expect("valid")
@@ -72,12 +73,12 @@ fn bigger_l1_helps_reuse() {
     // A kernel that re-walks a 24 KiB array: fits a 48 KiB L1, thrashes a
     // 4 KiB one.
     let reuse_kernel = || {
-        let mut k = KernelBuilder::new("reuse", Dim2::x(256));
+        let mut k = DslKernel::new("reuse", Dim2::x(256));
         let tid = k.special(SpecialReg::TidX);
         let off = k.shl(tid, 2u64);
         let base = k.iadd(off, 0x10_0000u64);
-        let v = k.reg();
-        let addr = k.reg();
+        let v = k.declare();
+        let addr = k.declare();
         k.for_range(0u64, 24u64, 1u64, |k, _round| {
             k.mov_to(addr, base);
             // 24 lines per round per warp → ~24 KiB footprint per CTA wave.
@@ -86,7 +87,7 @@ fn bigger_l1_helps_reuse() {
                 k.alu_to(AluOp::IAdd, addr, addr, 3072u64);
             });
         });
-        let prog = Arc::new(k.build().expect("well-formed"));
+        let prog = Arc::new(k.compile().expect("well-formed"));
         KernelDescriptor::builder(prog, Dim2::x(2), Dim2::x(256))
             .build()
             .expect("valid")
@@ -106,12 +107,12 @@ fn bigger_l1_helps_reuse() {
 #[test]
 fn sfu_ops_cost_more_than_int_ops() {
     let alu_kernel = |op: AluOp| {
-        let mut k = KernelBuilder::new("alu", Dim2::x(256));
+        let mut k = DslKernel::new("alu", Dim2::x(256));
         let v = k.movi(3u64);
         for _ in 0..64 {
             k.alu_to(op, v, v, 3u64);
         }
-        let prog = Arc::new(k.build().expect("well-formed"));
+        let prog = Arc::new(k.compile().expect("well-formed"));
         KernelDescriptor::builder(prog, Dim2::x(4), Dim2::x(256))
             .build()
             .expect("valid")
@@ -127,14 +128,14 @@ fn sfu_ops_cost_more_than_int_ops() {
 #[test]
 fn shared_memory_bank_conflicts_cost_cycles() {
     let shared_kernel = |stride_words: u64| {
-        let mut k = KernelBuilder::new("smem", Dim2::x(256));
+        let mut k = DslKernel::new("smem", Dim2::x(256));
         let tid = k.special(SpecialReg::TidX);
         let addr = k.imul(tid, stride_words * 4);
-        let v = k.reg();
+        let v = k.declare();
         k.for_range(0u64, 32u64, 1u64, |k, _| {
             k.ld_shared_u32_to(v, addr, 0);
         });
-        let prog = Arc::new(k.build().expect("well-formed"));
+        let prog = Arc::new(k.compile().expect("well-formed"));
         KernelDescriptor::builder(prog, Dim2::x(2), Dim2::x(256))
             .smem_per_cta(48 * 1024)
             .build()
@@ -155,16 +156,16 @@ fn dram_row_locality_is_faster_than_row_thrash() {
     // every access.
     let sequential = run_kernel(GpuConfig::test_small(), load_kernel(4, 32, 8));
     let (thrash_cycles, thrash_rowhit) = {
-        let mut k = KernelBuilder::new("thrash", Dim2::x(256));
+        let mut k = DslKernel::new("thrash", Dim2::x(256));
         let gid = k.global_tid_x();
         let base = k.imul(gid, 4u64);
         let addr = k.iadd(base, 0x10_0000u64);
-        let v = k.reg();
+        let v = k.declare();
         k.for_range(0u64, 32u64, 1u64, |k, _| {
             k.ld_global_u32_to(v, addr, 0);
             k.alu_to(AluOp::IAdd, addr, addr, (1u64 << 20) + 128);
         });
-        let prog = Arc::new(k.build().expect("well-formed"));
+        let prog = Arc::new(k.compile().expect("well-formed"));
         let desc = KernelDescriptor::builder(prog, Dim2::x(8), Dim2::x(256))
             .build()
             .expect("valid");
@@ -196,16 +197,16 @@ fn occupancy_limits_resident_ctas() {
     // full complement — visible as a large runtime difference for a
     // latency-bound workload.
     let kernel = |smem: u32| {
-        let mut k = KernelBuilder::new("occ", Dim2::x(256));
+        let mut k = DslKernel::new("occ", Dim2::x(256));
         let gid = k.global_tid_x();
         let base = k.imul(gid, 4096u64);
         let addr = k.iadd(base, 0x10_0000u64);
-        let v = k.reg();
+        let v = k.declare();
         k.for_range(0u64, 8u64, 1u64, |k, _| {
             k.ld_global_u32_to(v, addr, 0);
             k.alu_to(AluOp::IAdd, addr, addr, 4096u64);
         });
-        let prog = Arc::new(k.build().expect("well-formed"));
+        let prog = Arc::new(k.compile().expect("well-formed"));
         KernelDescriptor::builder(prog, Dim2::x(16), Dim2::x(256))
             .smem_per_cta(smem)
             .build()

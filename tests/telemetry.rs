@@ -5,23 +5,24 @@
 
 use gpgpu_repro::sim::{GpuConfig, KernelId, KernelStats, TelemetryConfig, TelemetryData, TraceEvent};
 use gpgpu_repro::tbs::{CtaPolicy, WarpPolicy};
-use gpgpu_repro::workloads::{by_name, run_workload, run_workload_traced, RunOutcome, Scale};
+use gpgpu_repro::workloads::{by_name, run_workload, run_workload_mode, RunMode, RunOutcome, Scale};
 
 const MAX_CYCLES: u64 = 50_000_000;
 
 fn traced_run(name: &str, cta: CtaPolicy, sample_every: u64) -> (RunOutcome, TelemetryData) {
     let mut w = by_name(name, Scale::Tiny).expect("suite member");
     let factory = WarpPolicy::Gto.factory();
-    let (outcome, _gpu, data) = run_workload_traced(
+    let (outcome, _gpu, data, _) = run_workload_mode(
         w.as_mut(),
         GpuConfig::test_small(),
         factory.as_ref(),
         cta.scheduler(),
         MAX_CYCLES,
-        TelemetryConfig::new(sample_every),
+        Some(TelemetryConfig::new(sample_every)),
+        RunMode::Direct,
     )
     .expect("traced run completes");
-    (outcome, data)
+    (outcome, data.expect("telemetry was enabled"))
 }
 
 #[test]

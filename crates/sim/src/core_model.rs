@@ -231,43 +231,143 @@ struct LoadTrack {
     remaining: u32,
 }
 
-/// Memoized readiness verdict for one warp slot. A warp's scoreboard
-/// outcome only changes through its own issue or an unblocking event
-/// (writeback, load completion, barrier release, dispatch into the
-/// slot), so between those the per-cycle scan can reuse the verdict.
-/// Structural resources (LSQ space, shared pipe) are shared state and
-/// are re-checked fresh on every scan.
+/// Warp-local readiness verdict for one warp slot. Structural resources
+/// (LSQ space, shared pipe) are shared state and are not part of it: the
+/// issue stage checks them fresh against the `ReadyMem*` classes. The
+/// discriminant indexes [`ReadyTable::class`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ReadyState {
-    /// No cached verdict; run the full readiness check.
-    Unknown,
-    /// Blocked for a warp-local reason; the payload records why, for
-    /// stall attribution. Cached together with the verdict: both become
-    /// stale through exactly the same unblocking events.
-    Blocked(BlockCause),
     /// Ready, with no structural dependence.
     Ready,
     /// Scoreboard passed; issues iff the LSQ has space.
     ReadyMemGlobal,
     /// Scoreboard passed; issues iff the shared-memory pipe is free.
     ReadyMemShared,
+    /// Scoreboard dependency with global-memory loads outstanding.
+    BlockedMem,
+    /// Scoreboard dependency on an in-flight ALU/SFU/shared writeback.
+    BlockedScoreboard,
+    /// Waiting at a CTA barrier.
+    BlockedBarrier,
 }
 
-/// Why a warp-local readiness check came back blocked (carried inside
-/// [`ReadyState::Blocked`] so the stall classifier can attribute the
-/// partition's lost cycle without re-deriving anything).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BlockCause {
-    /// Waiting at a CTA barrier.
-    Barrier,
-    /// Scoreboard dependency on an in-flight ALU/SFU/shared writeback.
-    Scoreboard,
-    /// Scoreboard dependency with global-memory loads outstanding.
-    Mem,
+const READY_CLASSES: usize = 6;
+
+/// The issue stage's view of every warp slot, as bitmasks (one `u64` word
+/// per 64 slots): occupancy, the class of each slot's memoized
+/// [`ReadyState`], and which verdicts are stale. A verdict only changes
+/// through the warp's own issue or an unblocking event (writeback, load
+/// completion, barrier release, dispatch into the slot); each of those
+/// calls [`invalidate`](Self::invalidate), and the issue stage
+/// re-evaluates just a partition's dirty slots, so a blocked warp costs
+/// nothing per cycle.
+#[derive(Debug)]
+struct ReadyTable {
+    /// `class[c]`: slots whose verdict is the [`ReadyState`] with
+    /// discriminant `c`. An occupied, clean slot is in exactly one class;
+    /// bits of dirty or empty slots are meaningless.
+    class: [Vec<u64>; READY_CLASSES],
+    /// Slots whose verdict must be re-evaluated before it is read.
+    dirty: Vec<u64>,
+    /// Slots holding a resident warp.
+    occupied: Vec<u64>,
+    /// `part[s]`: the slots scheduler partition `s` owns (`s`,
+    /// `s + nsched`, …).
+    part: Vec<Vec<u64>>,
+}
+
+impl ReadyTable {
+    fn new(slots: usize, nsched: usize) -> Self {
+        let words = slots.div_ceil(64);
+        let part = (0..nsched)
+            .map(|s| {
+                let mut m = vec![0; words];
+                for slot in (s..slots).step_by(nsched) {
+                    m[slot >> 6] |= 1u64 << (slot & 63);
+                }
+                m
+            })
+            .collect();
+        ReadyTable {
+            class: std::array::from_fn(|_| vec![0; words]),
+            dirty: vec![0; words],
+            occupied: vec![0; words],
+            part,
+        }
+    }
+
+    /// Marks `slot`'s verdict stale.
+    fn invalidate(&mut self, slot: usize) {
+        self.dirty[slot >> 6] |= 1u64 << (slot & 63);
+    }
+
+    /// Records `slot` as occupied (with a stale verdict) or empty.
+    fn set_occupied(&mut self, slot: usize, on: bool) {
+        let bit = 1u64 << (slot & 63);
+        if on {
+            self.occupied[slot >> 6] |= bit;
+            self.dirty[slot >> 6] |= bit;
+        } else {
+            self.occupied[slot >> 6] &= !bit;
+        }
+    }
+
+    /// Stores a fresh verdict for `slot`, clearing its dirty bit.
+    fn set(&mut self, slot: usize, state: ReadyState) {
+        let (w, bit) = (slot >> 6, 1u64 << (slot & 63));
+        for c in &mut self.class {
+            c[w] &= !bit;
+        }
+        self.class[state as usize][w] |= bit;
+        self.dirty[w] &= !bit;
+    }
+
+    /// Occupied slots of partition `s` in word `w`.
+    fn occupied_in(&self, s: usize, w: usize) -> u64 {
+        self.occupied[w] & self.part[s][w]
+    }
+
+    /// Whether partition `s` holds any resident warp.
+    fn partition_occupied(&self, s: usize) -> bool {
+        (0..self.occupied.len()).any(|w| self.occupied_in(s, w) != 0)
+    }
+
+    /// Issuable slots of partition `s` in word `w`, given the structural
+    /// resources. Valid once the partition's dirty slots are re-evaluated.
+    fn candidates(&self, s: usize, w: usize, lsq_has_space: bool, shared_free: bool) -> u64 {
+        let mut ready = self.class[ReadyState::Ready as usize][w];
+        if lsq_has_space {
+            ready |= self.class[ReadyState::ReadyMemGlobal as usize][w];
+        }
+        if shared_free {
+            ready |= self.class[ReadyState::ReadyMemShared as usize][w];
+        }
+        ready & self.occupied_in(s, w)
+    }
+
+    /// Attributes a stalled partition (occupied, no candidates) to one
+    /// taxonomy cause: the highest-priority cause any of its warps shows,
+    /// memory > execution unit > scoreboard > barrier (barrier only when
+    /// no warp waits on the scoreboard).
+    fn classify_stall(&self, s: usize, lsq_has_space: bool, shared_free: bool) -> SlotStall {
+        let any = |state: ReadyState| {
+            (0..self.occupied.len())
+                .any(|w| self.class[state as usize][w] & self.occupied_in(s, w) != 0)
+        };
+        if any(ReadyState::BlockedMem) || (!lsq_has_space && any(ReadyState::ReadyMemGlobal)) {
+            SlotStall::MemPending
+        } else if !shared_free && any(ReadyState::ReadyMemShared) {
+            SlotStall::ExecBusy
+        } else if any(ReadyState::BlockedBarrier) && !any(ReadyState::BlockedScoreboard) {
+            SlotStall::Barrier
+        } else {
+            SlotStall::Scoreboard
+        }
+    }
 }
 
 /// Why one scheduler partition failed to issue this cycle. Recorded per
-/// partition during the issue scan and folded into [`CoreStats`] once the
+/// partition during the issue stage and folded into [`CoreStats`] once the
 /// cycle's quiet verdict is known (quiet cycles collapse into
 /// `stall_ff_idle` so live and fast-forwarded accounting agree).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -353,25 +453,17 @@ pub struct Core {
     /// Persistent scratch for the issue stage (candidate list handed to
     /// the warp scheduler), reused so steady-state cycles do not allocate.
     scratch_candidates: Vec<usize>,
-    /// Persistent ready-warp bitmask (one bit per warp slot), rebuilt per
-    /// scheduler each cycle and used to validate the scheduler's pick.
-    ready_mask: Vec<u64>,
     /// Whether the most recent issue stage found any ready warp. Lets
     /// [`quiet_wake`](Self::quiet_wake) reuse the issue stage's readiness
-    /// scan instead of repeating it; only meaningful immediately after
+    /// verdict instead of repeating it; only meaningful immediately after
     /// [`cycle`](Self::cycle) for the same cycle.
     had_ready_warp: bool,
-    /// Per-slot readiness memo (see [`ReadyState`]). Reset to `Unknown`
-    /// on every event that can change the warp-local verdict: the warp
-    /// issuing, a writeback landing in the slot, a tracked load
-    /// completing, a barrier release, or a new warp dispatched into the
-    /// slot.
-    ready_state: Vec<ReadyState>,
-    /// One bit per warp slot, set while a warp is resident. The issue
-    /// scan reads this (and `ready_state`) instead of poking the fat
-    /// `Option<Warp>` array — the steady-state scan then touches two
-    /// cache lines instead of one per slot.
-    occupied_mask: Vec<u64>,
+    /// Occupancy and memoized readiness of every warp slot (see
+    /// [`ReadyTable`]).
+    ready: ReadyTable,
+    /// Resident CTAs (occupied `cta_slots`), kept so the per-cycle
+    /// occupancy integral does not walk the slots.
+    resident_ctas: u32,
     /// Persistent scratch recording each scheduler partition's outcome
     /// for the current cycle; folded into the stall taxonomy at the end
     /// of the issue stage once the quiet verdict is known.
@@ -412,7 +504,6 @@ impl Core {
             .max(cfg.l1_latency)
             .max(cfg.shared_latency + WARP_SIZE as u32 - 1);
         let wheel_size = (max_wb_delay as usize + 2).next_power_of_two();
-        let ready_words = (cfg.max_warps_per_core as usize).div_ceil(64);
         Core {
             id,
             cta_slots: (0..cfg.max_ctas_per_core as usize).map(|_| None).collect(),
@@ -442,10 +533,12 @@ impl Core {
             issued_per_kernel: Vec::new(),
             completed_per_kernel: Vec::new(),
             scratch_candidates: Vec::new(),
-            ready_mask: vec![0; ready_words],
             had_ready_warp: false,
-            ready_state: vec![ReadyState::Unknown; cfg.max_warps_per_core as usize],
-            occupied_mask: vec![0; ready_words],
+            ready: ReadyTable::new(
+                cfg.max_warps_per_core as usize,
+                cfg.num_sched_per_core as usize,
+            ),
+            resident_ctas: 0,
             scratch_outcomes: Vec::new(),
             staging: CoreStaging::default(),
             capture: None,
@@ -486,7 +579,11 @@ impl Core {
 
     /// Number of resident CTAs.
     pub fn active_cta_count(&self) -> u32 {
-        self.cta_slots.iter().filter(|s| s.is_some()).count() as u32
+        debug_assert_eq!(
+            self.resident_ctas as usize,
+            self.cta_slots.iter().flatten().count()
+        );
+        self.resident_ctas
     }
 
     /// Resident CTAs belonging to `kernel`.
@@ -521,7 +618,7 @@ impl Core {
     /// How many additional CTAs of `desc` fit right now, considering CTA
     /// slots, threads, warps, registers, and shared memory.
     pub fn capacity_for(&self, desc: &KernelDescriptor) -> u32 {
-        let free_slots = self.cta_slots.iter().filter(|s| s.is_none()).count() as u32;
+        let free_slots = self.cfg.max_ctas_per_core - self.active_cta_count();
         let threads = desc.threads_per_cta();
         let warps = desc.warps_per_cta();
         let by_threads = (self.cfg.max_threads_per_core - self.used_threads) / threads;
@@ -650,8 +747,7 @@ impl Core {
                 cap.bufs[w].addrs.clear();
             }
             self.warp_meta[w] = Some(meta);
-            self.ready_state[w] = ReadyState::Unknown;
-            self.occupied_mask[w >> 6] |= 1u64 << (w & 63);
+            self.ready.set_occupied(w, true);
             for s in &mut self.schedulers {
                 s.on_warp_start(w, &meta);
             }
@@ -660,6 +756,7 @@ impl Core {
         self.used_warps += desc.warps_per_cta();
         self.used_regs += desc.regs_per_thread() * threads;
         self.used_smem += desc.smem_per_cta();
+        self.resident_ctas += 1;
         self.cta_slots[slot] = Some(CtaState {
             kernel,
             cta_id,
@@ -718,7 +815,7 @@ impl Core {
 
     /// Whether the core holds no work at all.
     pub fn is_idle(&self) -> bool {
-        self.cta_slots.iter().all(Option::is_none)
+        self.active_cta_count() == 0
             && self.lsq.is_empty()
             && self.live_loads == 0
             && self.fill_wait.is_empty()
@@ -747,7 +844,7 @@ impl Core {
     /// that could issue — so cycles must not be skipped.
     ///
     /// Valid only immediately after [`cycle`](Self::cycle) for that same
-    /// `now`: it reuses the issue stage's readiness scan
+    /// `now`: it reuses the issue stage's readiness verdict
     /// (`had_ready_warp`) rather than repeating it. Readiness cannot
     /// appear out of thin air afterwards — it only changes through
     /// writebacks (capped by `wb_next`), the shared pipe draining (capped
@@ -775,7 +872,7 @@ impl Core {
     /// cycles, exactly as the cycle-by-cycle loop would have: a scheduler
     /// partition with resident warps (none ready, by the quiet check)
     /// stalls, an empty one idles. Warp residency cannot change during
-    /// quiet cycles, so one scan covers the whole span.
+    /// quiet cycles, so one occupancy check covers the whole span.
     ///
     /// Cycle accounting follows the same closed form: every skipped cycle
     /// is quiet by construction, so each would have booked its scheduler
@@ -785,10 +882,7 @@ impl Core {
     pub(crate) fn account_skipped(&mut self, cycles: u64) {
         let nsched = self.schedulers.len();
         for s in 0..nsched {
-            let occupied = (s..self.warps.len())
-                .step_by(nsched)
-                .any(|slot| self.occupied_mask[slot >> 6] & (1u64 << (slot & 63)) != 0);
-            if occupied {
+            if self.ready.partition_occupied(s) {
                 self.stats.stalled_slots += cycles;
             } else {
                 self.stats.idle_slots += cycles;
@@ -802,8 +896,8 @@ impl Core {
 
     /// Advances the core one cycle: the compute phase followed immediately
     /// by this core's merge phase. Convenience for single-core callers
-    /// (unit tests); the device drives the two phases separately so the
-    /// compute phases of all cores can run concurrently.
+    /// (unit tests); the device runs every core's compute phase before any
+    /// merge phase.
     pub fn cycle(
         &mut self,
         now: Cycle,
@@ -817,16 +911,15 @@ impl Core {
 
     /// Queues a fabric response for [`cycle_compute`](Self::cycle_compute)
     /// to handle (the device pre-drains per-core crossbar queues before
-    /// the compute phase so workers never touch the fabric).
+    /// the compute phase).
     pub(crate) fn stage_response(&mut self, resp: MemResponse) {
         self.staging.responses.push(resp);
     }
 
     /// The core-local half of a cycle: staged responses, writebacks, the
     /// L1 side of the load/store unit, and the issue stage. Touches no
-    /// shared device state — global-memory reads/writes and downstream
-    /// fabric traffic are staged for [`cycle_merge`](Self::cycle_merge) —
-    /// so the device may run this concurrently across cores.
+    /// shared device state: global-memory reads/writes and downstream
+    /// fabric traffic are staged for [`cycle_merge`](Self::cycle_merge).
     pub(crate) fn cycle_compute(&mut self, now: Cycle) {
         let mut resps = std::mem::take(&mut self.staging.responses);
         for resp in resps.drain(..) {
@@ -892,13 +985,13 @@ impl Core {
                         WbEvent::Reg { warp, reg } => {
                             if let Some(w) = self.warps[warp].as_mut() {
                                 w.pending_regs &= !(1u64 << reg);
-                                self.ready_state[warp] = ReadyState::Unknown;
+                                self.ready.invalidate(warp);
                             }
                         }
                         WbEvent::Pred { warp, pred } => {
                             if let Some(w) = self.warps[warp].as_mut() {
                                 w.pending_preds &= !(1u8 << pred);
-                                self.ready_state[warp] = ReadyState::Unknown;
+                                self.ready.invalidate(warp);
                             }
                         }
                         WbEvent::LoadPartDone { token } => {
@@ -912,7 +1005,7 @@ impl Core {
                                 if let Some(w) = self.warps[warp].as_mut() {
                                     w.pending_regs &= !(1u64 << reg);
                                     w.outstanding_loads -= 1;
-                                    self.ready_state[warp] = ReadyState::Unknown;
+                                    self.ready.invalidate(warp);
                                 }
                             }
                         }
@@ -1018,10 +1111,10 @@ impl Core {
     /// hits the slot.
     fn readiness(&mut self, slot: usize) -> ReadyState {
         let Some(w) = self.warps[slot].as_mut() else {
-            return ReadyState::Blocked(BlockCause::Scoreboard);
+            return ReadyState::BlockedScoreboard;
         };
         if w.at_barrier {
-            return ReadyState::Blocked(BlockCause::Barrier);
+            return ReadyState::BlockedBarrier;
         }
         // Replay mode reads the next pc from the recorded trace (the
         // SIMT stack is not simulated); direct execution syncs the stack.
@@ -1032,16 +1125,16 @@ impl Core {
         } else {
             match w.stack.sync(w.exited) {
                 Some((pc, _mask)) => pc,
-                None => return ReadyState::Blocked(BlockCause::Scoreboard),
+                None => return ReadyState::BlockedScoreboard,
             }
         };
         // Any scoreboard wait while the warp has global loads in flight is
         // attributed to memory — the load's latency is what the warp is
         // really paying for — otherwise to the in-core writeback pipe.
         let dep = if w.outstanding_loads > 0 {
-            ReadyState::Blocked(BlockCause::Mem)
+            ReadyState::BlockedMem
         } else {
-            ReadyState::Blocked(BlockCause::Scoreboard)
+            ReadyState::BlockedScoreboard
         };
         let ins = *w.desc.program().fetch(pc);
         // Scoreboard: sources, destination, and involved predicates.
@@ -1095,67 +1188,61 @@ impl Core {
         }
     }
 
-    /// The per-scheduler issue stage. Steady-state cycles run entirely on
-    /// persistent scratch buffers (candidate list, ready bitmask) — no
-    /// per-cycle allocation. CTA retirements land in the staging buffer
-    /// for the merge phase to drain.
+    /// The per-scheduler issue stage. Each partition re-evaluates only its
+    /// dirty slots, then reads its candidates and, when it cannot issue,
+    /// its stall cause off the [`ReadyTable`] masks; steady-state cycles
+    /// do not allocate. CTA retirements land in the staging buffer for the
+    /// merge phase to drain.
     fn issue(&mut self, now: Cycle) {
         let nsched = self.schedulers.len();
+        let words = self.ready.occupied.len();
         let mut schedulers = std::mem::take(&mut self.schedulers);
         let mut candidates = std::mem::take(&mut self.scratch_candidates);
-        let mut ready = std::mem::take(&mut self.ready_mask);
         let mut outcomes = std::mem::take(&mut self.scratch_outcomes);
         outcomes.clear();
         self.had_ready_warp = false;
         for (s, sched) in schedulers.iter_mut().enumerate() {
-            let mut occupied_any = false;
-            candidates.clear();
-            ready.fill(0);
-            // Structural resources are re-read per scheduler: the
-            // previous scheduler's issue may have consumed them.
-            let lsq_has_space = self.lsq.len() < self.cfg.ldst_queue_len;
-            let shared_free = self.shared_pipe_free <= now;
-            for slot in (s..self.warps.len()).step_by(nsched) {
-                if self.occupied_mask[slot >> 6] & (1u64 << (slot & 63)) != 0 {
-                    occupied_any = true;
-                    let state = match self.ready_state[slot] {
-                        ReadyState::Unknown => {
-                            let st = self.readiness(slot);
-                            self.ready_state[slot] = st;
-                            st
-                        }
-                        st => st,
-                    };
-                    let ready_now = match state {
-                        ReadyState::Ready => true,
-                        ReadyState::ReadyMemGlobal => lsq_has_space,
-                        ReadyState::ReadyMemShared => shared_free,
-                        ReadyState::Blocked(_) | ReadyState::Unknown => false,
-                    };
-                    if ready_now {
-                        candidates.push(slot);
-                        ready[slot >> 6] |= 1u64 << (slot & 63);
-                    }
-                }
-            }
-            if !occupied_any {
+            if !self.ready.partition_occupied(s) {
                 self.stats.idle_slots += 1;
                 outcomes.push(SlotStall::NoResident);
                 continue;
             }
+            // Structural resources are re-read per scheduler: the
+            // previous scheduler's issue may have consumed them.
+            let lsq_has_space = self.lsq.len() < self.cfg.ldst_queue_len;
+            let shared_free = self.shared_pipe_free <= now;
+            candidates.clear();
+            for w in 0..words {
+                let mut stale = self.ready.dirty[w] & self.ready.occupied_in(s, w);
+                while stale != 0 {
+                    let slot = (w << 6) | stale.trailing_zeros() as usize;
+                    stale &= stale - 1;
+                    let state = self.readiness(slot);
+                    self.ready.set(slot, state);
+                }
+                // Ascending slot order: policies break ties by position.
+                let mut ready = self.ready.candidates(s, w, lsq_has_space, shared_free);
+                while ready != 0 {
+                    candidates.push((w << 6) | ready.trailing_zeros() as usize);
+                    ready &= ready - 1;
+                }
+            }
             if candidates.is_empty() {
                 self.stats.stalled_slots += 1;
-                outcomes.push(self.classify_stall(s, nsched, lsq_has_space, shared_free));
+                outcomes.push(self.ready.classify_stall(s, lsq_has_space, shared_free));
                 continue;
             }
             self.had_ready_warp = true;
             let view = IssueView::new(now, self.id, &self.warp_meta);
             let picked = sched.pick(&view, &candidates);
-            // Validate the pick against the ready bitmask (O(1), vs. a
+            // Validate the pick against the candidate mask (O(1), vs. a
             // linear scan of the candidate list).
-            let Some(slot) =
-                picked.filter(|&p| p >> 6 < ready.len() && ready[p >> 6] & (1u64 << (p & 63)) != 0)
-            else {
+            let Some(slot) = picked.filter(|&p| {
+                p >> 6 < words
+                    && self.ready.candidates(s, p >> 6, lsq_has_space, shared_free)
+                        & (1u64 << (p & 63))
+                        != 0
+            }) else {
                 // Defensive path: ready work existed but the policy
                 // declined it — the issue unit sat on its hands.
                 self.stats.stalled_slots += 1;
@@ -1167,7 +1254,7 @@ impl Core {
             outcomes.push(SlotStall::Issued);
             // Issuing advances the warp's pc and scoreboard state: its
             // cached verdict is stale.
-            self.ready_state[slot] = ReadyState::Unknown;
+            self.ready.invalidate(slot);
             if let Some(c) = self.execute_one(slot, now) {
                 self.staging.completions.push(c);
             }
@@ -1176,9 +1263,8 @@ impl Core {
         // work in flight on this core — is exactly one the idle
         // fast-forward may skip (`quiet_wake`); booking it as
         // `stall_ff_idle` here, from core-local state only, keeps every
-        // counter byte-identical across fast-forward modes and thread
-        // counts. Non-quiet cycles book the per-partition attributions
-        // recorded during the scan.
+        // counter byte-identical across fast-forward modes. Non-quiet
+        // cycles book the per-partition attributions recorded above.
         let quiet = !self.had_ready_warp
             && self.lsq.is_empty()
             && self.staged_downstream.is_none()
@@ -1200,7 +1286,6 @@ impl Core {
         self.stats.core_cycles += 1;
         self.stats.cta_resident_cycles += u64::from(self.active_cta_count());
         self.stats.warp_resident_cycles += u64::from(self.used_warps);
-        self.ready_mask = ready;
         self.scratch_candidates = candidates;
         self.scratch_outcomes = outcomes;
         self.schedulers = schedulers;
@@ -1208,44 +1293,6 @@ impl Core {
             for s in &mut self.schedulers {
                 s.on_warp_finish(slot);
             }
-        }
-    }
-
-    /// Attributes a stalled scheduler partition (occupied, no candidates)
-    /// to one taxonomy cause by OR-ing the per-warp verdicts and picking
-    /// the highest-priority cause present: memory > execution unit >
-    /// scoreboard > barrier. Reads only memoized state — by the time a
-    /// partition stalls, every occupied slot's verdict was just computed
-    /// or cached by the scan.
-    fn classify_stall(
-        &self,
-        s: usize,
-        nsched: usize,
-        lsq_has_space: bool,
-        shared_free: bool,
-    ) -> SlotStall {
-        let (mut mem, mut exec, mut sb, mut bar) = (false, false, false, false);
-        for slot in (s..self.warps.len()).step_by(nsched) {
-            if self.occupied_mask[slot >> 6] & (1u64 << (slot & 63)) == 0 {
-                continue;
-            }
-            match self.ready_state[slot] {
-                ReadyState::Blocked(BlockCause::Mem) => mem = true,
-                ReadyState::Blocked(BlockCause::Scoreboard) => sb = true,
-                ReadyState::Blocked(BlockCause::Barrier) => bar = true,
-                ReadyState::ReadyMemGlobal if !lsq_has_space => mem = true,
-                ReadyState::ReadyMemShared if !shared_free => exec = true,
-                _ => {}
-            }
-        }
-        if mem {
-            SlotStall::MemPending
-        } else if exec {
-            SlotStall::ExecBusy
-        } else if bar && !sb {
-            SlotStall::Barrier
-        } else {
-            SlotStall::Scoreboard
         }
     }
 
@@ -1275,7 +1322,7 @@ impl Core {
             shared_pipe_free,
             stats,
             issued_per_kernel,
-            ready_state,
+            ready,
             staging,
             id: core_id,
             ..
@@ -1452,16 +1499,7 @@ impl Core {
                 w.at_barrier = true;
                 cta.barrier_arrived += 1;
                 if cta.barrier_arrived >= cta.live_warps {
-                    cta.barrier_arrived = 0;
-                    for &ws in &cta.warp_slots {
-                        if let Some(other) = warps_get_mut(warps, ws, slot) {
-                            other.at_barrier = false;
-                        }
-                        ready_state[ws] = ReadyState::Unknown;
-                    }
-                    // `warps_get_mut` cannot hand back `slot` itself, so
-                    // clear it explicitly.
-                    warps[slot].as_mut().expect("self").at_barrier = false;
+                    release_barrier(cta, warps, ready);
                 }
             }
             Instr::Ld { space, dst, addr, width } => {
@@ -1664,7 +1702,7 @@ impl Core {
             shared_pipe_free,
             stats,
             issued_per_kernel,
-            ready_state,
+            ready,
             staging,
             id: core_id,
             ..
@@ -1739,14 +1777,7 @@ impl Core {
                 w.at_barrier = true;
                 cta.barrier_arrived += 1;
                 if cta.barrier_arrived >= cta.live_warps {
-                    cta.barrier_arrived = 0;
-                    for &ws in &cta.warp_slots {
-                        if let Some(other) = warps_get_mut(warps, ws, slot) {
-                            other.at_barrier = false;
-                        }
-                        ready_state[ws] = ReadyState::Unknown;
-                    }
-                    warps[slot].as_mut().expect("self").at_barrier = false;
+                    release_barrier(cta, warps, ready);
                 }
             }
             Instr::Ld { space, dst, width, .. } => match space {
@@ -1868,35 +1899,21 @@ impl Core {
         }
         self.warps[slot] = None;
         self.warp_meta[slot] = None;
-        self.occupied_mask[slot >> 6] &= !(1u64 << (slot & 63));
+        self.ready.set_occupied(slot, false);
         self.finished_warps.push(slot);
-        let release_slots = {
-            let cta = self.cta_slots[cta_slot].as_mut().expect("cta present");
-            cta.live_warps -= 1;
-            if cta.live_warps > 0 {
-                // A warp exiting can release a barrier the rest wait at.
-                if cta.barrier_arrived >= cta.live_warps {
-                    cta.barrier_arrived = 0;
-                    Some(cta.warp_slots.clone())
-                } else {
-                    Some(Vec::new())
-                }
-            } else {
-                None
-            }
-        };
-        if let Some(release) = release_slots {
-            for ws in release {
-                if let Some(w) = self.warps[ws].as_mut() {
-                    w.at_barrier = false;
-                    self.ready_state[ws] = ReadyState::Unknown;
-                }
+        let cta = self.cta_slots[cta_slot].as_mut().expect("cta present");
+        cta.live_warps -= 1;
+        if cta.live_warps > 0 {
+            // A warp exiting can release a barrier the rest wait at.
+            if cta.barrier_arrived >= cta.live_warps {
+                release_barrier(cta, &mut self.warps, &mut self.ready);
             }
             return None;
         }
         // CTA complete: snapshot first (including the finished CTA), then
         // free resources.
         let cta = self.cta_slots[cta_slot].take().expect("cta present");
+        self.resident_ctas -= 1;
         let mut snapshot = self.cta_slot_snapshot();
         snapshot.push(CtaIssueSample {
             kernel: cta.kernel,
@@ -1921,13 +1938,15 @@ impl Core {
     }
 }
 
-/// Mutable access to another warp slot while `exclude` is conceptually
-/// borrowed (used for barrier release; returns `None` for `exclude`).
-fn warps_get_mut(warps: &mut [Option<Warp>], idx: usize, exclude: usize) -> Option<&mut Warp> {
-    if idx == exclude {
-        None
-    } else {
-        warps[idx].as_mut()
+/// Releases every warp of `cta` from its barrier, invalidating their
+/// readiness verdicts.
+fn release_barrier(cta: &mut CtaState, warps: &mut [Option<Warp>], ready: &mut ReadyTable) {
+    cta.barrier_arrived = 0;
+    for &ws in &cta.warp_slots {
+        if let Some(w) = warps[ws].as_mut() {
+            w.at_barrier = false;
+            ready.invalidate(ws);
+        }
     }
 }
 
@@ -2022,12 +2041,24 @@ mod tests {
         gmem: &mut GlobalMem,
         max_cycles: u64,
     ) -> (u64, Vec<CoreCtaCompletion>) {
+        run_core_inspecting(core, fabric, gmem, max_cycles, |_, _| {})
+    }
+
+    /// [`run_core_to_completion`], calling `inspect` after every cycle.
+    fn run_core_inspecting(
+        core: &mut Core,
+        fabric: &mut MemFabric,
+        gmem: &mut GlobalMem,
+        max_cycles: u64,
+        mut inspect: impl FnMut(&mut Core, Cycle),
+    ) -> (u64, Vec<CoreCtaCompletion>) {
         let mut completions = Vec::new();
         for now in 0..max_cycles {
             while let Some(r) = fabric.pop_response(0) {
                 core.handle_response(now, r);
             }
             completions.extend(core.cycle(now, fabric, gmem));
+            inspect(core, now);
             fabric.tick(now);
             if core.is_idle() && fabric.quiesced() {
                 return (now, completions);
@@ -2347,6 +2378,215 @@ mod tests {
         let strided = run(build(512));
         assert_eq!(coalesced, 1);
         assert_eq!(strided, 32);
+    }
+
+    /// Checks the [`ReadyTable`] memo against the warps it describes:
+    /// occupancy mirrors the warp slots, and every occupied slot whose
+    /// verdict is not marked stale sits in exactly the class a fresh
+    /// `readiness` puts it in. Returns how many clean slots it checked.
+    fn assert_memo_sound(core: &mut Core, now: Cycle) -> usize {
+        let mut checked = 0;
+        for slot in 0..core.warps.len() {
+            let (w, bit) = (slot >> 6, 1u64 << (slot & 63));
+            let occupied = core.ready.occupied[w] & bit != 0;
+            assert_eq!(
+                occupied,
+                core.warps[slot].is_some(),
+                "slot {slot} occupancy at cycle {now}"
+            );
+            if !occupied || core.ready.dirty[w] & bit != 0 {
+                continue;
+            }
+            let memo: Vec<usize> = (0..READY_CLASSES)
+                .filter(|&c| core.ready.class[c][w] & bit != 0)
+                .collect();
+            let fresh = core.readiness(slot);
+            assert_eq!(
+                memo,
+                [fresh as usize],
+                "slot {slot} at cycle {now}: memoized classes {memo:?}, fresh verdict {fresh:?}"
+            );
+            checked += 1;
+        }
+        checked
+    }
+
+    /// Runs every CTA of `desc` on one core with the memo checked after
+    /// each cycle: directly with capture on, then replayed from the record
+    /// that run captured. Returns how many clean slots were checked.
+    fn check_memo_direct_and_replayed(
+        desc: &Arc<KernelDescriptor>,
+        gmem: impl Fn() -> GlobalMem,
+    ) -> usize {
+        let cfg = small_cfg();
+        let ctas = u64::from(desc.grid().x);
+        let mut checked = 0;
+        let mut run = |replay: Option<Arc<ExecRecord>>| {
+            let mut fabric = MemFabric::new(cfg.fabric.clone());
+            let mut gmem = gmem();
+            let mut core = Core::new(0, Arc::clone(&cfg), &TestFactory);
+            core.set_capture(replay.is_none());
+            core.set_replay(replay);
+            let mut age = 0;
+            for cta in 0..ctas {
+                core.dispatch_cta(KernelId(0), cta, desc, &mut age);
+            }
+            run_core_inspecting(&mut core, &mut fabric, &mut gmem, 100_000, |core, now| {
+                checked += assert_memo_sound(core, now);
+            });
+            core.take_captured()
+        };
+        let mut record = crate::record::KernelRecord::default();
+        record
+            .ctas
+            .resize_with(ctas as usize, || crate::record::CtaRecord {
+                warps: vec![WarpTrace::default(); desc.warps_per_cta() as usize],
+            });
+        for cw in run(None) {
+            record.ctas[cw.cta_id as usize].warps[cw.warp_in_cta as usize] = cw.trace;
+        }
+        run(Some(Arc::new(ExecRecord {
+            kernels: vec![record],
+            mem_hash: 0,
+        })));
+        checked
+    }
+
+    #[test]
+    fn ready_table_memo_matches_fresh_readiness_every_cycle() {
+        // Two 4-warp CTAs: a global load, a barrier loop exchanging values
+        // through shared memory, then a divergent tail with a second load.
+        let setup = || {
+            let mut gmem = GlobalMem::new();
+            let input = gmem.alloc(256 * 4);
+            let out = gmem.alloc(256 * 4);
+            gmem.write_u32_slice(input, &(0..256).collect::<Vec<u32>>());
+            (gmem, input, out)
+        };
+        let (_, input, out) = setup();
+        let mut k = DslKernel::new("memo", Dim2::x(128));
+        let pin = k.param(0);
+        let pout = k.param(1);
+        let tid = k.special(SpecialReg::TidX);
+        let gid = k.global_tid_x();
+        let goff = k.shl(gid, 2u64);
+        let src = k.iadd(pin, goff);
+        let v = k.ld_global_u32(src, 0);
+        let acc = k.movi(0u64);
+        let saddr = k.shl(tid, 2u64);
+        let other = k.iadd(tid, 32u64);
+        let wrapped = k.and(other, 127u64);
+        let oaddr = k.shl(wrapped, 2u64);
+        k.for_range(0u64, 3u64, 1u64, |k, i| {
+            let x = k.iadd(v, i);
+            k.st_shared_u32(x, saddr, 0);
+            k.bar();
+            let y = k.ld_shared_u32(oaddr, 0);
+            k.alu_to(gpgpu_isa::AluOp::IAdd, acc, acc, y);
+            k.bar();
+        });
+        let bit = k.and(tid, 1u64);
+        let is_even = k.setp(CmpOp::Eq, CmpTy::U64, bit, 0u64);
+        k.if_then_else(
+            is_even,
+            |k| k.alu_to(gpgpu_isa::AluOp::IAdd, acc, acc, 1u64),
+            |k| {
+                let again = k.ld_global_u32(src, 0);
+                k.alu_to(gpgpu_isa::AluOp::IAdd, acc, acc, again);
+            },
+        );
+        let dst = k.iadd(pout, goff);
+        k.st_global_u32(acc, dst, 0);
+        let prog = Arc::new(k.compile().unwrap());
+        let desc = Arc::new(
+            KernelDescriptor::builder(prog, Dim2::x(2), Dim2::x(128))
+                .smem_per_cta(128 * 4)
+                .params([input, out])
+                .build()
+                .unwrap(),
+        );
+        let checked = check_memo_direct_and_replayed(&desc, || setup().0);
+        assert!(checked > 1000, "only {checked} clean slots checked");
+
+        // Warp 0 exits behind a global load while warp 1 already waits at
+        // a barrier, so the exit releases it. Structured DSL code cannot
+        // express this (its barriers are CTA-uniform), hence raw code.
+        use gpgpu_isa::{Guard, Pred, Reg};
+        let early = Some(Guard {
+            pred: Pred(0),
+            expect: true,
+        });
+        let instrs = vec![
+            Instruction::new(Instr::Special {
+                dst: Reg(0),
+                sreg: SpecialReg::TidX,
+            }),
+            Instruction::new(Instr::SetP {
+                dst: Pred(0),
+                cmp: CmpOp::Lt,
+                ty: CmpTy::U64,
+                a: Operand::Reg(Reg(0)),
+                b: Operand::Imm(32),
+            }),
+            Instruction {
+                guard: early,
+                op: Instr::Ld {
+                    space: MemSpace::Global,
+                    dst: Reg(1),
+                    addr: gpgpu_isa::AddrExpr {
+                        base: Reg(0),
+                        offset: 0x1000,
+                    },
+                    width: AccessWidth::W4,
+                },
+            },
+            Instruction {
+                guard: early,
+                op: Instr::Exit,
+            },
+            Instruction::new(Instr::Bar),
+            Instruction::new(Instr::Exit),
+        ];
+        let prog = Arc::new(gpgpu_isa::Program::from_instructions("early-exit", instrs).unwrap());
+        let desc = Arc::new(
+            KernelDescriptor::builder(prog, Dim2::x(1), Dim2::x(64))
+                .build()
+                .unwrap(),
+        );
+        assert!(check_memo_direct_and_replayed(&desc, GlobalMem::new) > 0);
+    }
+
+    #[test]
+    fn stall_priority_is_mem_then_exec_then_scoreboard_then_barrier() {
+        use ReadyState::*;
+        // Two partitions over eight slots; partition 0 owns 0, 2, 4, 6.
+        let mut t = ReadyTable::new(8, 2);
+        let put = |t: &mut ReadyTable, slot: usize, state: ReadyState| {
+            t.set_occupied(slot, true);
+            t.set(slot, state);
+        };
+        // A memory-blocked warp in the other partition and a stale class
+        // bit on an empty slot of this one must not count.
+        put(&mut t, 1, BlockedMem);
+        put(&mut t, 6, BlockedMem);
+        t.set_occupied(6, false);
+        put(&mut t, 0, BlockedBarrier);
+        assert_eq!(t.classify_stall(0, false, false), SlotStall::Barrier);
+        put(&mut t, 2, BlockedScoreboard);
+        assert_eq!(t.classify_stall(0, false, false), SlotStall::Scoreboard);
+        put(&mut t, 4, ReadyMemShared);
+        assert_eq!(t.candidates(0, 0, false, true), 1 << 4);
+        assert_eq!(t.candidates(0, 0, false, false), 0);
+        assert_eq!(t.classify_stall(0, false, false), SlotStall::ExecBusy);
+        put(&mut t, 2, ReadyMemGlobal);
+        assert_eq!(t.candidates(0, 0, true, false), 1 << 2);
+        assert_eq!(t.classify_stall(0, false, false), SlotStall::MemPending);
+        put(&mut t, 2, BlockedMem);
+        assert_eq!(t.classify_stall(0, true, false), SlotStall::MemPending);
+        // Re-setting a slot moves it between classes rather than adding one.
+        put(&mut t, 2, BlockedScoreboard);
+        assert_eq!(t.classify_stall(0, true, false), SlotStall::ExecBusy);
+        assert_eq!(t.occupied_in(1, 0), 1 << 1);
     }
 
     #[test]

@@ -23,7 +23,10 @@
 //! stays trivial.
 
 use crate::{parallel_map, Harness};
-use gpgpu_sim::{ExecRecord, GpuConfig, KernelId, SimStats, TelemetryConfig, TelemetryData};
+use gpgpu_isa::KernelDescriptor;
+use gpgpu_sim::{
+    ExecRecord, GlobalMem, GpuConfig, KernelId, SimStats, TelemetryConfig, TelemetryData,
+};
 use gpgpu_workloads::{by_name, run_pair_mode, run_workload_mode, RunMode, RunOutcome, Scale};
 use std::collections::HashMap;
 use std::fmt;
@@ -521,7 +524,15 @@ impl RunEngine {
         if let Some(r) = self.records.lock().expect("not poisoned").get(prefix) {
             return Some(Arc::clone(r));
         }
-        let rec = Arc::new(self.store.as_ref()?.load_record(spec)?);
+        let store = self.store.as_ref()?;
+        let rec = store.load_record(spec)?;
+        // A record that decodes but was captured from other kernels would
+        // send replay past the end of its traces: it is corrupt too.
+        if let Err(why) = rec.check_covers(&spec_kernels(spec)) {
+            store.evict_record(spec, &why);
+            return None;
+        }
+        let rec = Arc::new(rec);
         let mut cache = self.records.lock().expect("not poisoned");
         Some(Arc::clone(cache.entry(prefix.to_string()).or_insert(rec)))
     }
@@ -1151,6 +1162,24 @@ mod tests {
             RunSpec::single(&h, "vecadd", WarpPolicy::Gto, CtaPolicy::Lcs(0.7)).key()
         );
     }
+}
+
+/// The kernels `spec` launches, prepared as its run prepares them and in
+/// launch order: what a record replaying `spec` must cover.
+fn spec_kernels(spec: &RunSpec) -> Vec<KernelDescriptor> {
+    let names = match &spec.kind {
+        RunKind::Single { workload } => vec![workload],
+        RunKind::Pair { a, b, .. } => vec![a, b],
+    };
+    let mut mem = GlobalMem::new();
+    names
+        .into_iter()
+        .map(|name| {
+            by_name(name, spec.scale)
+                .unwrap_or_else(|| panic!("unknown workload {name:?}"))
+                .prepare(&mut mem)
+        })
+        .collect()
 }
 
 /// Runs one spec to completion under the given [`RunMode`] and (except

@@ -331,16 +331,25 @@ impl ResultStore {
         match ExecRecord::read_from(&mut bytes.as_slice()) {
             Ok(rec) => Some(rec),
             Err(why) => {
-                let quarantined = path.with_extension("bin.corrupt");
-                let _ = std::fs::rename(&path, &quarantined);
-                eprintln!(
-                    "warning: evicting corrupt record {} ({why})",
-                    path.display()
-                );
-                self.evicted_corrupt.fetch_add(1, Ordering::Relaxed);
+                self.evict_record(spec, &why);
                 None
             }
         }
+    }
+
+    /// Quarantines the record of `spec`'s replay group as corrupt
+    /// (renamed `*.corrupt`, counted in
+    /// [`StoreStats::evicted_corrupt`]), freeing its address for a fresh
+    /// capture.
+    pub(crate) fn evict_record(&self, spec: &RunSpec, why: &dyn std::fmt::Display) {
+        let path = self.record_path(spec);
+        let quarantined = path.with_extension("bin.corrupt");
+        let _ = std::fs::rename(&path, &quarantined);
+        eprintln!(
+            "warning: evicting corrupt record {} ({why})",
+            path.display()
+        );
+        self.evicted_corrupt.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Writes `bytes` to `path` atomically: a unique temp file in the

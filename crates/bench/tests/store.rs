@@ -3,9 +3,9 @@
 //! and concurrent writers sharing one store directory.
 
 use gpgpu_bench::store::content_address;
-use gpgpu_bench::{Harness, ResultStore, RunEngine, RunSpec};
+use gpgpu_bench::{Harness, ReplayMode, ResultStore, RunEngine, RunSpec};
 use gpgpu_testkit::TempDir;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tbs_core::{CtaPolicy, WarpPolicy};
 
@@ -15,6 +15,23 @@ fn quick() -> Harness {
 
 fn spec(h: &Harness, name: &str) -> RunSpec {
     RunSpec::single(h, name, WarpPolicy::Gto, CtaPolicy::Baseline(None))
+}
+
+/// Every file below `root`, recursively.
+fn files_under(root: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    let mut dirs = vec![root.to_path_buf()];
+    while let Some(d) = dirs.pop() {
+        for entry in std::fs::read_dir(&d).expect("readable dir") {
+            let p = entry.expect("entry").path();
+            if p.is_dir() {
+                dirs.push(p);
+            } else {
+                files.push(p);
+            }
+        }
+    }
+    files
 }
 
 fn entry_file(store: &ResultStore, s: &RunSpec) -> PathBuf {
@@ -73,6 +90,60 @@ fn corrupt_entries_are_evicted_and_resimulated() {
     // The address is clear again: a save and a load work normally.
     store.save(&s, &result, 2).expect("re-save succeeds");
     assert!(store.load(&s).is_some(), "address serves hits again");
+}
+
+#[test]
+fn records_that_do_not_cover_the_launch_are_evicted_and_recaptured() {
+    let dir = TempDir::new("store-record-shape");
+    let h = quick();
+    // One replay group: vecadd under three CTA limits.
+    let specs: Vec<RunSpec> = [None, Some(1), Some(2)]
+        .into_iter()
+        .map(|limit| RunSpec::single(&h, "vecadd", WarpPolicy::Gto, CtaPolicy::Baseline(limit)))
+        .collect();
+    let run = |mode| {
+        let store = Arc::new(ResultStore::open(dir.path()).expect("store opens"));
+        let mut engine = RunEngine::new(1);
+        engine.set_replay_mode(mode);
+        engine.attach_store(Arc::clone(&store));
+        engine.execute_batch(&specs);
+        let stats: Vec<_> = specs.iter().map(|s| engine.get(s).stats.clone()).collect();
+        (store, engine.runs_replayed(), stats)
+    };
+    let (_, cold_replayed, cold) = run(ReplayMode::Force);
+    assert_eq!(cold_replayed, 2);
+
+    // Drop the results and rewrite the record as a well-formed record of
+    // no kernels: the magic, a zero memory hash and a zero kernel count.
+    let mut records = 0;
+    for f in files_under(dir.path()) {
+        if f.extension().is_some_and(|e| e == "json") {
+            std::fs::remove_file(&f).expect("remove entry");
+        } else if f.to_string_lossy().ends_with(".record.bin") {
+            let mut bytes = gpgpu_sim::record::RECORD_MAGIC.to_vec();
+            bytes.extend([0; 12]);
+            std::fs::write(&f, bytes).expect("rewrite record");
+            records += 1;
+        }
+    }
+    assert_eq!(records, 1, "one record per replay group");
+
+    // Replaying it used to index past the record and panic. Now the
+    // record is quarantined like undecodable bytes and captured afresh.
+    let (store, warm_replayed, warm) = run(ReplayMode::Auto);
+    assert_eq!(warm, cold, "same results as the cold run");
+    assert_eq!(warm_replayed, 2, "the group replays from a fresh capture");
+    assert_eq!(store.stats().evicted_corrupt, 1);
+    let files = files_under(dir.path());
+    let named = |suffix: &str| {
+        files
+            .iter()
+            .filter(|f| f.to_string_lossy().ends_with(suffix))
+            .count()
+    };
+    assert_eq!(named(".record.bin.corrupt"), 1, "evidence is quarantined");
+    assert_eq!(named(".record.bin"), 1, "the recaptured record is stored");
+    assert!(store.load_record(&specs[0]).is_some(), "and decodes");
 }
 
 #[test]
@@ -157,18 +228,7 @@ fn concurrent_writers_share_one_store() {
     for s in &specs {
         assert!(store.load(s).is_some(), "entry for {:?} readable", s.key());
     }
-    let mut files = Vec::new();
-    let mut dirs = vec![dir.path().to_path_buf()];
-    while let Some(d) = dirs.pop() {
-        for entry in std::fs::read_dir(&d).expect("readable dir") {
-            let p = entry.expect("entry").path();
-            if p.is_dir() {
-                dirs.push(p);
-            } else {
-                files.push(p);
-            }
-        }
-    }
+    let files = files_under(dir.path());
     assert!(
         files.iter().all(|p| p.extension().is_some_and(|e| e == "json")),
         "no temp or corrupt litter: {files:?}"

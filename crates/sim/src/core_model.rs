@@ -9,25 +9,24 @@
 //! destination register until every coalesced line transaction returns
 //! from the memory hierarchy.
 //!
-//! A cycle is split in two phases: a core-local *compute* phase
-//! ([`Core::cycle_compute`]) that the device runs for every core first,
-//! and a *merge* phase ([`Core::cycle_merge`]) the device then runs in
-//! fixed core order to apply staged global-memory operations and fabric
-//! traffic (see `GpuDevice::step`). Every core therefore computes a cycle
-//! against the same shared state, whatever its position in the core
-//! order.
+//! A core advances only through [`Core::cycle`], one pass per cycle:
+//! fabric responses, writebacks, the L1 port, the issue stage, then
+//! downstream traffic into the fabric. Global loads read and stores write
+//! [`GlobalMem`] at issue, so one core's global effects land in issue
+//! order; the device runs the cores in ascending id (see
+//! `GpuDevice::step`), which fixes the order across cores.
 
 use crate::coalesce::{coalesce, shared_conflict_passes};
 use crate::config::GpuConfig;
-use crate::memory::{GlobalMem, GmemOp, SharedMem};
+use crate::memory::{GlobalMem, SharedMem};
 use crate::record::{ExecRecord, WarpTrace};
 use crate::sched_api::{
     CtaIssueSample, IssueView, KernelId, WarpMeta, WarpScheduler, WarpSchedulerFactory,
 };
 use crate::simt::{LaneMask, SimtStack};
 use gpgpu_isa::{
-    sem, AccessWidth, ExecClass, Instr, Instruction, KernelDescriptor, MemSpace, Operand, Pc,
-    SpecialReg, WARP_SIZE,
+    sem, ExecClass, Instr, Instruction, KernelDescriptor, MemSpace, Operand, Pc, SpecialReg,
+    WARP_SIZE,
 };
 use gpgpu_mem::{
     cache::DownstreamKind, Access, AccessKind, Cache, Cycle, MemFabric, MemRequest, MemResponse,
@@ -139,6 +138,8 @@ impl CoreStats {
 /// into a [`CtaCompleteEvent`](crate::sched_api::CtaCompleteEvent)).
 #[derive(Debug, Clone)]
 pub struct CoreCtaCompletion {
+    /// Core the CTA ran on.
+    pub core: usize,
     /// Kernel the CTA belonged to.
     pub kernel: KernelId,
     /// Global CTA id.
@@ -386,27 +387,6 @@ enum SlotStall {
     Barrier,
 }
 
-/// Per-cycle staging buffers between the core's *compute* phase and the
-/// device's *merge* phase.
-///
-/// The compute phase (`Core::cycle_compute`) is entirely core-local;
-/// everything that touches shared device state is deferred here and
-/// replayed by the merge phase (`Core::cycle_merge`) in fixed core order,
-/// so the order in which cores' effects reach memory and the fabric is
-/// fixed by core id alone. Buffers are drained every cycle and keep their
-/// capacity, leaving the steady-state hot path allocation-free.
-#[derive(Debug, Default)]
-struct CoreStaging {
-    /// Fabric responses routed to this core, pre-drained by the device
-    /// before the compute phase starts (per-core crossbar output queues,
-    /// so pre-draining cannot reorder anything).
-    responses: Vec<MemResponse>,
-    /// Functional global-memory operations in issue order.
-    gmem_ops: Vec<GmemOp>,
-    /// CTAs that retired during the compute phase, in retirement order.
-    completions: Vec<CoreCtaCompletion>,
-}
-
 /// One streaming multiprocessor.
 pub struct Core {
     id: usize,
@@ -468,8 +448,6 @@ pub struct Core {
     /// for the current cycle; folded into the stall taxonomy at the end
     /// of the issue stage once the quiet verdict is known.
     scratch_outcomes: Vec<SlotStall>,
-    /// Compute-phase output buffers, drained by the merge phase.
-    staging: CoreStaging,
     /// Capture-mode trace buffers (`None` in direct/replay execution).
     capture: Option<CaptureState>,
     /// Replay-mode execution record (`None` in direct/capture execution).
@@ -540,7 +518,6 @@ impl Core {
             ),
             resident_ctas: 0,
             scratch_outcomes: Vec::new(),
-            staging: CoreStaging::default(),
             capture: None,
             replay: None,
             cfg,
@@ -784,7 +761,7 @@ impl Core {
     }
 
     /// Handles a memory-fabric response (an L1 line fill).
-    pub fn handle_response(&mut self, now: Cycle, resp: MemResponse) {
+    fn handle_response(&mut self, now: Cycle, resp: MemResponse) {
         let Some(i) = self.fill_wait.iter().position(|(id, _)| *id == resp.id) else {
             return; // not ours / already handled
         };
@@ -894,77 +871,25 @@ impl Core {
         self.stats.warp_resident_cycles += u64::from(self.used_warps) * cycles;
     }
 
-    /// Advances the core one cycle: the compute phase followed immediately
-    /// by this core's merge phase. Convenience for single-core callers
-    /// (unit tests); the device runs every core's compute phase before any
-    /// merge phase.
+    /// Advances the core one cycle, in one pass: this core's fabric
+    /// responses, writebacks, the L1 side of the load/store unit, the
+    /// issue stage (global loads and stores access `gmem` at issue, in
+    /// issue order), and downstream traffic into the fabric. CTAs that
+    /// retire are appended to `completions` in retirement order.
     pub fn cycle(
         &mut self,
         now: Cycle,
         fabric: &mut MemFabric,
         gmem: &mut GlobalMem,
-    ) -> Vec<CoreCtaCompletion> {
-        self.cycle_compute(now);
-        self.cycle_merge(now, fabric, gmem);
-        self.staging.completions.drain(..).collect()
-    }
-
-    /// Queues a fabric response for [`cycle_compute`](Self::cycle_compute)
-    /// to handle (the device pre-drains per-core crossbar queues before
-    /// the compute phase).
-    pub(crate) fn stage_response(&mut self, resp: MemResponse) {
-        self.staging.responses.push(resp);
-    }
-
-    /// The core-local half of a cycle: staged responses, writebacks, the
-    /// L1 side of the load/store unit, and the issue stage. Touches no
-    /// shared device state: global-memory reads/writes and downstream
-    /// fabric traffic are staged for [`cycle_merge`](Self::cycle_merge).
-    pub(crate) fn cycle_compute(&mut self, now: Cycle) {
-        let mut resps = std::mem::take(&mut self.staging.responses);
-        for resp in resps.drain(..) {
+        completions: &mut Vec<CoreCtaCompletion>,
+    ) {
+        while let Some(resp) = fabric.pop_response(self.id) {
             self.handle_response(now, resp);
         }
-        self.staging.responses = resps;
         self.process_writebacks(now);
         self.pump_l1(now);
-        self.issue(now);
-    }
-
-    /// The shared-state half of a cycle, run by the device in fixed core
-    /// order: replays the staged functional global-memory operations (in
-    /// issue order) and forwards the L1's downstream traffic into the
-    /// fabric. Replaying in core order fixes the memory and fabric
-    /// interleaving across cores, which the simulator's determinism rests
-    /// on.
-    pub(crate) fn cycle_merge(&mut self, now: Cycle, fabric: &mut MemFabric, gmem: &mut GlobalMem) {
-        let mut ops = std::mem::take(&mut self.staging.gmem_ops);
-        for op in ops.drain(..) {
-            if op.is_store {
-                if op.touch_only {
-                    gmem.touch_store(&op);
-                } else {
-                    gmem.apply_store(&op);
-                }
-            } else {
-                let w = self.warps[op.warp]
-                    .as_mut()
-                    .expect("warp with a staged load is still resident");
-                for lane in 0..WARP_SIZE {
-                    if op.mask & (1 << lane) != 0 {
-                        w.regs[op.reg as usize][lane] = gmem.read_width(op.addrs[lane], op.width);
-                    }
-                }
-            }
-        }
-        self.staging.gmem_ops = ops;
+        self.issue(now, gmem, completions);
         self.forward_downstream(now, fabric);
-    }
-
-    /// Drains the CTAs that retired during the last compute phase, in
-    /// retirement order.
-    pub(crate) fn drain_completions(&mut self) -> std::vec::Drain<'_, CoreCtaCompletion> {
-        self.staging.completions.drain(..)
     }
 
     fn process_writebacks(&mut self, now: Cycle) {
@@ -1031,9 +956,9 @@ impl Core {
     }
 
     /// Drives the L1 side of the load/store unit. The downstream messages
-    /// an access produces stay queued inside the cache until the merge
-    /// phase forwards them ([`forward_downstream`](Self::forward_downstream)) —
-    /// the same cycle, exactly as the former combined pump did.
+    /// an access produces stay queued inside the cache until
+    /// [`forward_downstream`](Self::forward_downstream) sends them at the
+    /// end of the same cycle.
     fn pump_l1(&mut self, now: Cycle) {
         // One L1 port: service the head transaction.
         if let Some(&txn) = self.lsq.front() {
@@ -1066,9 +991,7 @@ impl Core {
     }
 
     /// Forwards L1 downstream messages (fetches, write-throughs,
-    /// writebacks) into the fabric until it back-pressures. Runs in the
-    /// merge phase: the fabric is shared, so submissions must happen in
-    /// fixed core order.
+    /// writebacks) into the fabric until it back-pressures.
     fn forward_downstream(&mut self, now: Cycle, fabric: &mut MemFabric) {
         loop {
             if self.staged_downstream.is_none() {
@@ -1191,9 +1114,13 @@ impl Core {
     /// The per-scheduler issue stage. Each partition re-evaluates only its
     /// dirty slots, then reads its candidates and, when it cannot issue,
     /// its stall cause off the [`ReadyTable`] masks; steady-state cycles
-    /// do not allocate. CTA retirements land in the staging buffer for the
-    /// merge phase to drain.
-    fn issue(&mut self, now: Cycle) {
+    /// do not allocate. CTAs that retire are appended to `completions`.
+    fn issue(
+        &mut self,
+        now: Cycle,
+        gmem: &mut GlobalMem,
+        completions: &mut Vec<CoreCtaCompletion>,
+    ) {
         let nsched = self.schedulers.len();
         let words = self.ready.occupied.len();
         let mut schedulers = std::mem::take(&mut self.schedulers);
@@ -1255,9 +1182,7 @@ impl Core {
             // Issuing advances the warp's pc and scoreboard state: its
             // cached verdict is stale.
             self.ready.invalidate(slot);
-            if let Some(c) = self.execute_one(slot, now) {
-                self.staging.completions.push(c);
-            }
+            completions.extend(self.execute_one(slot, now, gmem));
         }
         // Cycle accounting. A quiet cycle — no ready warp and no memory
         // work in flight on this core — is exactly one the idle
@@ -1298,18 +1223,30 @@ impl Core {
 
     /// Executes the next instruction of the warp in `slot` (readiness
     /// already verified). Returns a completion if this retired the warp's
-    /// CTA. Global-memory effects are staged, not applied — the merge
-    /// phase replays them in core order.
-    fn execute_one(&mut self, slot: usize, now: Cycle) -> Option<CoreCtaCompletion> {
-        if self.replay.is_some() {
-            return self.execute_one_replay(slot, now);
-        }
+    /// CTA.
+    ///
+    /// The step — pc, execution mask, and a memory instruction's per-lane
+    /// addresses — comes from the SIMT stack and registers in direct
+    /// execution and from the warp's recorded trace in replay. Only the
+    /// functional effects (register, predicate and memory values, the
+    /// SIMT stack) are direct-only; replay just materializes the pages a
+    /// global store would write. The timing is common to both: issue
+    /// statistics, latencies and scoreboard bits, coalescing and LSQ
+    /// traffic, shared-pipe passes, barriers, and retirement. Global
+    /// loads read and stores write `gmem` here, at issue.
+    fn execute_one(
+        &mut self,
+        slot: usize,
+        now: Cycle,
+        gmem: &mut GlobalMem,
+    ) -> Option<CoreCtaCompletion> {
         let cfg = Arc::clone(&self.cfg);
         let Core {
             warps,
             cta_slots,
             warp_meta,
             capture,
+            replay,
             lsq,
             wb_wheel,
             wb_mask,
@@ -1323,28 +1260,51 @@ impl Core {
             stats,
             issued_per_kernel,
             ready,
-            staging,
             id: core_id,
             ..
         } = self;
         let wb_mask = *wb_mask;
         let w = warps[slot].as_mut().expect("warp present");
-        let (pc, mask) = w.stack.sync(w.exited).expect("ready warp has a pc");
-        let ins = *w.desc.program().fetch(pc);
-
-        // Effective lane set: active mask restricted by the guard.
-        let exec_mask = match ins.guard {
-            Some(g) => {
-                let pv = w.preds[g.pred.0 as usize];
-                mask & if g.expect { pv } else { !pv }
-            }
-            None => mask,
+        let recorded = replay.as_deref().map(|rec| {
+            let trace = rec.warp_trace(w.kernel.0, w.cta_id, w.warp_in_cta);
+            (trace, trace.steps[w.trace_cursor as usize])
+        });
+        let direct = recorded.is_none();
+        let (pc, active) = match recorded {
+            Some((_, step)) => (step.pc, step.exec_mask),
+            None => w.stack.sync(w.exited).expect("ready warp has a pc"),
         };
-
-        // Capture: memory arms fill in the generated addresses below
-        // (a stack copy — the arena push is the only heap traffic).
-        let capturing = capture.is_some();
-        let mut cap_addrs: Option<[u64; WARP_SIZE]> = None;
+        let ins = *w.desc.program().fetch(pc);
+        // Effective lane set: the active mask restricted by the guard (a
+        // recorded mask is already guard-resolved).
+        let exec_mask = match ins.guard {
+            Some(g) if direct => {
+                let pv = w.preds[g.pred.0 as usize];
+                active & if g.expect { pv } else { !pv }
+            }
+            _ => active,
+        };
+        let lanes = |m: LaneMask| (0..WARP_SIZE).filter(move |l| m & (1 << l) != 0);
+        let read = |w: &Warp, op: Operand, lane: usize| -> u64 {
+            match op {
+                Operand::Reg(r) => w.regs[r.0 as usize][lane],
+                Operand::Imm(v) => v,
+            }
+        };
+        // Per-lane addresses of a memory instruction (zero elsewhere and
+        // in inactive lanes).
+        let mut addrs = [0u64; WARP_SIZE];
+        if let Instr::Ld { addr, .. } | Instr::St { addr, .. } = ins.op {
+            match recorded {
+                Some((trace, step)) => addrs = trace.addrs_of(&step).copied().unwrap_or_default(),
+                None => {
+                    for lane in lanes(exec_mask) {
+                        addrs[lane] =
+                            w.regs[addr.base.0 as usize][lane].wrapping_add(addr.offset as u64);
+                    }
+                }
+            }
+        }
 
         // Statistics. The per-kernel vector was grown at dispatch time, so
         // the hot path is a plain indexed increment.
@@ -1356,14 +1316,6 @@ impl Core {
         let cta = cta_slots[w.cta_slot].as_mut().expect("cta present");
         cta.issued += 1;
 
-        let read = |w: &Warp, op: Operand, lane: usize| -> u64 {
-            match op {
-                Operand::Reg(r) => w.regs[r.0 as usize][lane],
-                Operand::Imm(v) => v,
-            }
-        };
-        let lanes = |m: LaneMask| (0..WARP_SIZE).filter(move |l| m & (1 << l) != 0);
-
         macro_rules! schedule_wb {
             ($t:expr, $ev:expr) => {{
                 let t: Cycle = $t;
@@ -1374,113 +1326,113 @@ impl Core {
                 }
             }};
         }
-        macro_rules! schedule_reg_wb {
-            ($t:expr, $reg:expr) => {
-                schedule_wb!(
-                    $t,
-                    WbEvent::Reg {
-                        warp: slot,
-                        reg: $reg,
-                    }
-                )
-            };
+        // Marks a register (predicate) scoreboard-pending until cycle `t`.
+        macro_rules! pend_reg {
+            ($reg:expr, $t:expr) => {{
+                let reg: u8 = $reg;
+                w.pending_regs |= 1u64 << reg;
+                schedule_wb!($t, WbEvent::Reg { warp: slot, reg });
+            }};
         }
+        macro_rules! pend_pred {
+            ($pred:expr) => {{
+                let pred: u8 = $pred;
+                w.pending_preds |= 1u8 << pred;
+                schedule_wb!(
+                    now + u64::from(cfg.int_latency),
+                    WbEvent::Pred { warp: slot, pred }
+                );
+            }};
+        }
+        let int_done = now + u64::from(cfg.int_latency);
 
         match ins.op {
             Instr::Alu { op, dst, a, b, c } => {
-                for lane in lanes(exec_mask) {
-                    let (av, bv, cv) = (read(w, a, lane), read(w, b, lane), read(w, c, lane));
-                    w.regs[dst.0 as usize][lane] = sem::eval_alu(op, av, bv, cv);
+                if direct {
+                    for lane in lanes(exec_mask) {
+                        let (av, bv, cv) = (read(w, a, lane), read(w, b, lane), read(w, c, lane));
+                        w.regs[dst.0 as usize][lane] = sem::eval_alu(op, av, bv, cv);
+                    }
                 }
                 let lat = match ins.exec_class() {
                     ExecClass::Sfu => cfg.sfu_latency,
                     ExecClass::FpAlu => cfg.fp_latency,
                     _ => cfg.int_latency,
                 };
-                w.pending_regs |= 1u64 << dst.0;
-                schedule_reg_wb!(now + u64::from(lat), dst.0);
-                w.stack.advance();
+                pend_reg!(dst.0, now + u64::from(lat));
             }
             Instr::Mov { dst, src } => {
-                for lane in lanes(exec_mask) {
-                    w.regs[dst.0 as usize][lane] = read(w, src, lane);
+                if direct {
+                    for lane in lanes(exec_mask) {
+                        w.regs[dst.0 as usize][lane] = read(w, src, lane);
+                    }
                 }
-                w.pending_regs |= 1u64 << dst.0;
-                schedule_reg_wb!(now + u64::from(cfg.int_latency), dst.0);
-                w.stack.advance();
+                pend_reg!(dst.0, int_done);
             }
             Instr::Special { dst, sreg } => {
-                for lane in lanes(exec_mask) {
-                    w.regs[dst.0 as usize][lane] =
-                        special_value(sreg, &w.desc, w.cta_id, w.warp_in_cta, lane);
+                if direct {
+                    for lane in lanes(exec_mask) {
+                        w.regs[dst.0 as usize][lane] =
+                            special_value(sreg, &w.desc, w.cta_id, w.warp_in_cta, lane);
+                    }
                 }
-                w.pending_regs |= 1u64 << dst.0;
-                schedule_reg_wb!(now + u64::from(cfg.int_latency), dst.0);
-                w.stack.advance();
+                pend_reg!(dst.0, int_done);
             }
             Instr::Param { dst, index } => {
-                let v = w.desc.params()[index as usize];
-                for lane in lanes(exec_mask) {
-                    w.regs[dst.0 as usize][lane] = v;
-                }
-                w.pending_regs |= 1u64 << dst.0;
-                schedule_reg_wb!(now + u64::from(cfg.int_latency), dst.0);
-                w.stack.advance();
-            }
-            Instr::SetP { dst, cmp, ty, a, b } => {
-                let mut pv = w.preds[dst.0 as usize];
-                for lane in lanes(exec_mask) {
-                    let r = sem::eval_cmp(cmp, ty, read(w, a, lane), read(w, b, lane));
-                    if r {
-                        pv |= 1 << lane;
-                    } else {
-                        pv &= !(1 << lane);
+                if direct {
+                    let v = w.desc.params()[index as usize];
+                    for lane in lanes(exec_mask) {
+                        w.regs[dst.0 as usize][lane] = v;
                     }
                 }
-                w.preds[dst.0 as usize] = pv;
-                w.pending_preds |= 1u8 << dst.0;
-                schedule_wb!(
-                    now + u64::from(cfg.int_latency),
-                    WbEvent::Pred { warp: slot, pred: dst.0 }
-                );
-                w.stack.advance();
-            }
-            Instr::PBool { dst, op, a, b } => {
-                let (av, bv) = (w.preds[a.0 as usize], w.preds[b.0 as usize]);
-                let mut pv = w.preds[dst.0 as usize];
-                for lane in lanes(exec_mask) {
-                    let bit = 1u32 << lane;
-                    let r = sem::eval_pbool(op, av & bit != 0, bv & bit != 0);
-                    if r {
-                        pv |= bit;
-                    } else {
-                        pv &= !bit;
-                    }
-                }
-                w.preds[dst.0 as usize] = pv;
-                w.pending_preds |= 1u8 << dst.0;
-                schedule_wb!(
-                    now + u64::from(cfg.int_latency),
-                    WbEvent::Pred { warp: slot, pred: dst.0 }
-                );
-                w.stack.advance();
+                pend_reg!(dst.0, int_done);
             }
             Instr::Sel { dst, pred, a, b } => {
-                let pv = w.preds[pred.0 as usize];
-                for lane in lanes(exec_mask) {
-                    let v = if pv & (1 << lane) != 0 {
-                        read(w, a, lane)
-                    } else {
-                        read(w, b, lane)
-                    };
-                    w.regs[dst.0 as usize][lane] = v;
+                if direct {
+                    let pv = w.preds[pred.0 as usize];
+                    for lane in lanes(exec_mask) {
+                        let pick = if pv & (1 << lane) != 0 { a } else { b };
+                        w.regs[dst.0 as usize][lane] = read(w, pick, lane);
+                    }
                 }
-                w.pending_regs |= 1u64 << dst.0;
-                schedule_reg_wb!(now + u64::from(cfg.int_latency), dst.0);
-                w.stack.advance();
+                pend_reg!(dst.0, int_done);
             }
+            Instr::SetP { dst, cmp, ty, a, b } => {
+                if direct {
+                    let mut pv = w.preds[dst.0 as usize];
+                    for lane in lanes(exec_mask) {
+                        if sem::eval_cmp(cmp, ty, read(w, a, lane), read(w, b, lane)) {
+                            pv |= 1 << lane;
+                        } else {
+                            pv &= !(1 << lane);
+                        }
+                    }
+                    w.preds[dst.0 as usize] = pv;
+                }
+                pend_pred!(dst.0);
+            }
+            Instr::PBool { dst, op, a, b } => {
+                if direct {
+                    let (av, bv) = (w.preds[a.0 as usize], w.preds[b.0 as usize]);
+                    let mut pv = w.preds[dst.0 as usize];
+                    for lane in lanes(exec_mask) {
+                        let bit = 1u32 << lane;
+                        if sem::eval_pbool(op, av & bit != 0, bv & bit != 0) {
+                            pv |= bit;
+                        } else {
+                            pv &= !bit;
+                        }
+                    }
+                    w.preds[dst.0 as usize] = pv;
+                }
+                pend_pred!(dst.0);
+            }
+            // Control flow moves the SIMT stack; in replay it is the trace
+            // itself, and there is nothing to time.
             Instr::Bra { target } => {
-                w.stack.jump(target);
+                if direct {
+                    w.stack.jump(target);
+                }
             }
             Instr::BraCond {
                 pred,
@@ -1488,138 +1440,53 @@ impl Core {
                 target,
                 reconv,
             } => {
-                let pv = w.preds[pred.0 as usize];
-                let cond = if neg { !pv } else { pv };
-                let taken = mask & cond;
-                let fall = mask & !cond;
-                w.stack.branch(taken, fall, target, reconv);
+                if direct {
+                    let pv = w.preds[pred.0 as usize];
+                    let cond = if neg { !pv } else { pv };
+                    w.stack
+                        .branch(active & cond, active & !cond, target, reconv);
+                }
+            }
+            Instr::Exit => {
+                if direct {
+                    w.exited |= exec_mask;
+                }
             }
             Instr::Bar => {
-                w.stack.advance();
                 w.at_barrier = true;
                 cta.barrier_arrived += 1;
                 if cta.barrier_arrived >= cta.live_warps {
                     release_barrier(cta, warps, ready);
                 }
             }
-            Instr::Ld { space, dst, addr, width } => {
-                let mut addrs = [0u64; WARP_SIZE];
+            Instr::Ld { space, width, .. } | Instr::St { space, width, .. } => {
+                let load_dst = match ins.op {
+                    Instr::Ld { dst, .. } => Some(dst.0),
+                    _ => None,
+                };
                 for lane in lanes(exec_mask) {
-                    addrs[lane] =
-                        w.regs[addr.base.0 as usize][lane].wrapping_add(addr.offset as u64);
-                }
-                if capturing {
-                    cap_addrs = Some(addrs);
+                    let a = addrs[lane];
+                    match (ins.op, space, direct) {
+                        (Instr::Ld { dst, .. }, MemSpace::Global, true) => {
+                            w.regs[dst.0 as usize][lane] = gmem.read_width(a, width);
+                        }
+                        (Instr::Ld { dst, .. }, MemSpace::Shared, true) => {
+                            w.regs[dst.0 as usize][lane] = cta.shared.read_width(a, width);
+                        }
+                        (Instr::St { src, .. }, MemSpace::Global, true) => {
+                            gmem.write_width(a, read(w, src, lane), width);
+                        }
+                        (Instr::St { src, .. }, MemSpace::Shared, true) => {
+                            cta.shared.write_width(a, read(w, src, lane), width);
+                        }
+                        // Replay writes no data, but page materialization
+                        // is a telemetry observable (`gmem_pages`).
+                        (Instr::St { .. }, MemSpace::Global, false) => gmem.touch_store(a, width),
+                        _ => {}
+                    }
                 }
                 match space {
                     MemSpace::Global => {
-                        // Stage the functional read for the merge phase.
-                        // The destination register stays scoreboard-pending
-                        // well past the merge, so nothing can observe it
-                        // before the staged read lands.
-                        if exec_mask != 0 {
-                            staging.gmem_ops.push(GmemOp {
-                                is_store: false,
-                                touch_only: false,
-                                warp: slot,
-                                reg: dst.0,
-                                width,
-                                addrs,
-                                values: [0; WARP_SIZE],
-                                mask: exec_mask,
-                            });
-                        }
-                        let lines = coalesce(
-                            &addrs,
-                            exec_mask,
-                            width.bytes(),
-                            u64::from(cfg.l1.line_bytes),
-                        );
-                        if lines.is_empty() {
-                            // Fully guarded off: behaves like a short ALU op.
-                            w.pending_regs |= 1u64 << dst.0;
-                            schedule_reg_wb!(now + u64::from(cfg.int_latency), dst.0);
-                        } else {
-                            stats.gmem_transactions += lines.len() as u64;
-                            let track = LoadTrack {
-                                warp: slot,
-                                reg: dst.0,
-                                remaining: lines.len() as u32,
-                            };
-                            let token = match load_free.pop() {
-                                Some(i) => {
-                                    load_slab[i as usize] = track;
-                                    u64::from(i)
-                                }
-                                None => {
-                                    load_slab.push(track);
-                                    (load_slab.len() - 1) as u64
-                                }
-                            };
-                            *live_loads += 1;
-                            w.pending_regs |= 1u64 << dst.0;
-                            w.outstanding_loads += 1;
-                            for &line in &lines {
-                                *next_req += 1;
-                                lsq.push_back(Txn {
-                                    id: ReqId(((*core_id as u64) << 48) | *next_req),
-                                    line,
-                                    token: Some(token),
-                                    is_store: false,
-                                });
-                            }
-                        }
-                    }
-                    MemSpace::Shared => {
-                        for lane in lanes(exec_mask) {
-                            let v = match width {
-                                AccessWidth::W4 => u64::from(cta.shared.read_u32(addrs[lane])),
-                                AccessWidth::W8 => cta.shared.read_u64(addrs[lane]),
-                            };
-                            w.regs[dst.0 as usize][lane] = v;
-                        }
-                        let passes = shared_conflict_passes(&addrs, exec_mask).max(1);
-                        stats.shared_replays += u64::from(passes - 1);
-                        *shared_pipe_free = now + u64::from(passes);
-                        w.pending_regs |= 1u64 << dst.0;
-                        schedule_reg_wb!(
-                            now + u64::from(cfg.shared_latency) + u64::from(passes - 1),
-                            dst.0
-                        );
-                    }
-                }
-                w.stack.advance();
-            }
-            Instr::St { space, src, addr, width } => {
-                let mut addrs = [0u64; WARP_SIZE];
-                for lane in lanes(exec_mask) {
-                    addrs[lane] =
-                        w.regs[addr.base.0 as usize][lane].wrapping_add(addr.offset as u64);
-                }
-                if capturing {
-                    cap_addrs = Some(addrs);
-                }
-                match space {
-                    MemSpace::Global => {
-                        // Stage the functional write with lane values
-                        // captured now (registers are warp-private, so
-                        // they cannot change before the merge applies it).
-                        if exec_mask != 0 {
-                            let mut values = [0u64; WARP_SIZE];
-                            for lane in lanes(exec_mask) {
-                                values[lane] = read(w, src, lane);
-                            }
-                            staging.gmem_ops.push(GmemOp {
-                                is_store: true,
-                                touch_only: false,
-                                warp: slot,
-                                reg: 0,
-                                width,
-                                addrs,
-                                values,
-                                mask: exec_mask,
-                            });
-                        }
                         let lines = coalesce(
                             &addrs,
                             exec_mask,
@@ -1627,253 +1494,84 @@ impl Core {
                             u64::from(cfg.l1.line_bytes),
                         );
                         stats.gmem_transactions += lines.len() as u64;
+                        // A load holds its register until every line
+                        // transaction returns, tracked by a slab token.
+                        let token = match load_dst {
+                            // Fully guarded off: behaves like a short ALU op.
+                            Some(reg) if lines.is_empty() => {
+                                pend_reg!(reg, int_done);
+                                None
+                            }
+                            Some(reg) => {
+                                let track = LoadTrack {
+                                    warp: slot,
+                                    reg,
+                                    remaining: lines.len() as u32,
+                                };
+                                let token = match load_free.pop() {
+                                    Some(i) => {
+                                        load_slab[i as usize] = track;
+                                        u64::from(i)
+                                    }
+                                    None => {
+                                        load_slab.push(track);
+                                        (load_slab.len() - 1) as u64
+                                    }
+                                };
+                                *live_loads += 1;
+                                w.pending_regs |= 1u64 << reg;
+                                w.outstanding_loads += 1;
+                                Some(token)
+                            }
+                            None => None,
+                        };
                         for &line in &lines {
                             *next_req += 1;
                             lsq.push_back(Txn {
                                 id: ReqId(((*core_id as u64) << 48) | *next_req),
                                 line,
-                                token: None,
-                                is_store: true,
+                                token,
+                                is_store: load_dst.is_none(),
                             });
                         }
                     }
                     MemSpace::Shared => {
-                        for lane in lanes(exec_mask) {
-                            let v = read(w, src, lane);
-                            match width {
-                                AccessWidth::W4 => cta.shared.write_u32(addrs[lane], v as u32),
-                                AccessWidth::W8 => cta.shared.write_u64(addrs[lane], v),
-                            }
-                        }
                         let passes = shared_conflict_passes(&addrs, exec_mask).max(1);
                         stats.shared_replays += u64::from(passes - 1);
                         *shared_pipe_free = now + u64::from(passes);
+                        if let Some(reg) = load_dst {
+                            let done = now + u64::from(cfg.shared_latency) + u64::from(passes - 1);
+                            pend_reg!(reg, done);
+                        }
                     }
                 }
-                w.stack.advance();
-            }
-            Instr::Exit => {
-                w.exited |= exec_mask;
-                w.stack.advance();
             }
         }
 
         if let Some(cap) = capture {
-            cap.bufs[slot].push_step(pc, exec_mask, cap_addrs.as_ref());
+            let is_mem = matches!(ins.op, Instr::Ld { .. } | Instr::St { .. });
+            cap.bufs[slot].push_step(pc, exec_mask, is_mem.then_some(&addrs));
         }
 
-        // Did the warp finish?
+        // Advance the warp and check whether it finished: a replayed warp
+        // retires when its cursor reaches the end of its trace, which is
+        // exactly the issue after which the direct run retired it.
         let w = warps[slot].as_mut().expect("warp present");
-        if w.stack.is_done(w.exited) {
-            let cta_slot = w.cta_slot;
-            let kernel = w.kernel;
-            self.retire_warp(slot, cta_slot, kernel, now)
-        } else {
-            None
-        }
-    }
-
-    /// Replay-mode twin of [`execute_one`](Self::execute_one): issues the
-    /// next recorded step of the warp in `slot`, performing every timing
-    /// action of direct execution — statistics, scoreboard pending bits,
-    /// writeback scheduling, coalescing, LSQ traffic, bank-conflict
-    /// replays, barrier bookkeeping — while never evaluating semantics.
-    /// Register/predicate values, shared/global memory data, and the
-    /// SIMT stack are untouched; execution masks and addresses come from
-    /// the record. The warp retires when its cursor reaches the end of
-    /// its trace, which is exactly the issue after which the direct run
-    /// retired it.
-    fn execute_one_replay(&mut self, slot: usize, now: Cycle) -> Option<CoreCtaCompletion> {
-        let cfg = Arc::clone(&self.cfg);
-        let rec = Arc::clone(self.replay.as_ref().expect("replay record installed"));
-        let Core {
-            warps,
-            cta_slots,
-            warp_meta,
-            lsq,
-            wb_wheel,
-            wb_mask,
-            wb_pending,
-            wb_next,
-            load_slab,
-            load_free,
-            live_loads,
-            next_req,
-            shared_pipe_free,
-            stats,
-            issued_per_kernel,
-            ready,
-            staging,
-            id: core_id,
-            ..
-        } = self;
-        let wb_mask = *wb_mask;
-        let w = warps[slot].as_mut().expect("warp present");
-        let trace = rec.warp_trace(w.kernel.0, w.cta_id, w.warp_in_cta);
-        let step = trace.steps[w.trace_cursor as usize];
-        let ins = *w.desc.program().fetch(step.pc);
-        let exec_mask = step.exec_mask;
-        let zero_addrs = [0u64; WARP_SIZE];
-        let addrs: &[u64; WARP_SIZE] = trace.addrs_of(&step).unwrap_or(&zero_addrs);
-
-        stats.issued += 1;
-        issued_per_kernel[w.kernel.0] += 1;
-        if let Some(m) = warp_meta[slot].as_mut() {
-            m.issued += 1;
-        }
-        let cta = cta_slots[w.cta_slot].as_mut().expect("cta present");
-        cta.issued += 1;
-
-        macro_rules! schedule_wb {
-            ($t:expr, $ev:expr) => {{
-                let t: Cycle = $t;
-                wb_wheel[(t as usize) & wb_mask].push($ev);
-                *wb_pending += 1;
-                if t < *wb_next {
-                    *wb_next = t;
-                }
-            }};
-        }
-        macro_rules! schedule_reg_wb {
-            ($t:expr, $reg:expr) => {
-                schedule_wb!(
-                    $t,
-                    WbEvent::Reg {
-                        warp: slot,
-                        reg: $reg,
-                    }
-                )
-            };
-        }
-
-        match ins.op {
-            Instr::Alu { dst, .. } => {
-                let lat = match ins.exec_class() {
-                    ExecClass::Sfu => cfg.sfu_latency,
-                    ExecClass::FpAlu => cfg.fp_latency,
-                    _ => cfg.int_latency,
-                };
-                w.pending_regs |= 1u64 << dst.0;
-                schedule_reg_wb!(now + u64::from(lat), dst.0);
+        let finished = match recorded {
+            Some((trace, _)) => {
+                w.trace_cursor += 1;
+                w.trace_cursor as usize == trace.steps.len()
             }
-            Instr::Mov { dst, .. }
-            | Instr::Special { dst, .. }
-            | Instr::Param { dst, .. }
-            | Instr::Sel { dst, .. } => {
-                w.pending_regs |= 1u64 << dst.0;
-                schedule_reg_wb!(now + u64::from(cfg.int_latency), dst.0);
+            None => {
+                if !matches!(ins.op, Instr::Bra { .. } | Instr::BraCond { .. }) {
+                    w.stack.advance();
+                }
+                w.stack.is_done(w.exited)
             }
-            Instr::SetP { dst, .. } | Instr::PBool { dst, .. } => {
-                w.pending_preds |= 1u8 << dst.0;
-                schedule_wb!(
-                    now + u64::from(cfg.int_latency),
-                    WbEvent::Pred { warp: slot, pred: dst.0 }
-                );
-            }
-            Instr::Bra { .. } | Instr::BraCond { .. } | Instr::Exit => {
-                // Control flow is the trace itself; nothing to time.
-            }
-            Instr::Bar => {
-                w.at_barrier = true;
-                cta.barrier_arrived += 1;
-                if cta.barrier_arrived >= cta.live_warps {
-                    release_barrier(cta, warps, ready);
-                }
-            }
-            Instr::Ld { space, dst, width, .. } => match space {
-                MemSpace::Global => {
-                    let lines =
-                        coalesce(addrs, exec_mask, width.bytes(), u64::from(cfg.l1.line_bytes));
-                    if lines.is_empty() {
-                        w.pending_regs |= 1u64 << dst.0;
-                        schedule_reg_wb!(now + u64::from(cfg.int_latency), dst.0);
-                    } else {
-                        stats.gmem_transactions += lines.len() as u64;
-                        let track = LoadTrack {
-                            warp: slot,
-                            reg: dst.0,
-                            remaining: lines.len() as u32,
-                        };
-                        let token = match load_free.pop() {
-                            Some(i) => {
-                                load_slab[i as usize] = track;
-                                u64::from(i)
-                            }
-                            None => {
-                                load_slab.push(track);
-                                (load_slab.len() - 1) as u64
-                            }
-                        };
-                        *live_loads += 1;
-                        w.pending_regs |= 1u64 << dst.0;
-                        w.outstanding_loads += 1;
-                        for &line in &lines {
-                            *next_req += 1;
-                            lsq.push_back(Txn {
-                                id: ReqId(((*core_id as u64) << 48) | *next_req),
-                                line,
-                                token: Some(token),
-                                is_store: false,
-                            });
-                        }
-                    }
-                }
-                MemSpace::Shared => {
-                    let passes = shared_conflict_passes(addrs, exec_mask).max(1);
-                    stats.shared_replays += u64::from(passes - 1);
-                    *shared_pipe_free = now + u64::from(passes);
-                    w.pending_regs |= 1u64 << dst.0;
-                    schedule_reg_wb!(
-                        now + u64::from(cfg.shared_latency) + u64::from(passes - 1),
-                        dst.0
-                    );
-                }
-            },
-            Instr::St { space, width, .. } => match space {
-                MemSpace::Global => {
-                    // Replay never writes data, but page materialization is
-                    // a telemetry observable (`gmem_pages`): stage a
-                    // touch-only store so the merge phase allocates the
-                    // same pages on the same cycle as direct execution.
-                    if exec_mask != 0 {
-                        staging.gmem_ops.push(GmemOp {
-                            is_store: true,
-                            touch_only: true,
-                            warp: slot,
-                            reg: 0,
-                            width,
-                            addrs: *addrs,
-                            values: [0; WARP_SIZE],
-                            mask: exec_mask,
-                        });
-                    }
-                    let lines =
-                        coalesce(addrs, exec_mask, width.bytes(), u64::from(cfg.l1.line_bytes));
-                    stats.gmem_transactions += lines.len() as u64;
-                    for &line in &lines {
-                        *next_req += 1;
-                        lsq.push_back(Txn {
-                            id: ReqId(((*core_id as u64) << 48) | *next_req),
-                            line,
-                            token: None,
-                            is_store: true,
-                        });
-                    }
-                }
-                MemSpace::Shared => {
-                    let passes = shared_conflict_passes(addrs, exec_mask).max(1);
-                    stats.shared_replays += u64::from(passes - 1);
-                    *shared_pipe_free = now + u64::from(passes);
-                }
-            },
-        }
-
-        let w = warps[slot].as_mut().expect("warp present");
-        w.trace_cursor += 1;
-        if w.trace_cursor as usize == trace.steps.len() {
-            let cta_slot = w.cta_slot;
-            let kernel = w.kernel;
-            self.retire_warp(slot, cta_slot, kernel, now)
+        };
+        if finished {
+            let (cta_slot, kernel) = (w.cta_slot, w.kernel);
+            self.retire_warp(slot, cta_slot, kernel)
         } else {
             None
         }
@@ -1885,7 +1583,6 @@ impl Core {
         slot: usize,
         cta_slot: usize,
         kernel: KernelId,
-        _now: Cycle,
     ) -> Option<CoreCtaCompletion> {
         if let Some(cap) = &mut self.capture {
             if let Some(w) = self.warps[slot].as_ref() {
@@ -1929,6 +1626,7 @@ impl Core {
         self.stats.ctas_completed += 1;
         self.completed_per_kernel[kernel.0] += 1;
         Some(CoreCtaCompletion {
+            core: self.id,
             kernel,
             cta_id: cta.cta_id,
             completed_on_core: self.completed_per_kernel[kernel.0],
@@ -1987,7 +1685,7 @@ mod tests {
     use super::*;
     use crate::sched_api::WarpSchedulerFactory;
     use gpgpu_isa::dsl::DslKernel;
-    use gpgpu_isa::{CmpOp, CmpTy, Dim2};
+    use gpgpu_isa::{AccessWidth, CmpOp, CmpTy, Dim2};
     use gpgpu_mem::FabricConfig;
 
     /// Trivial loose-round-robin scheduler for core unit tests (the real
@@ -2054,10 +1752,7 @@ mod tests {
     ) -> (u64, Vec<CoreCtaCompletion>) {
         let mut completions = Vec::new();
         for now in 0..max_cycles {
-            while let Some(r) = fabric.pop_response(0) {
-                core.handle_response(now, r);
-            }
-            completions.extend(core.cycle(now, fabric, gmem));
+            core.cycle(now, fabric, gmem, &mut completions);
             inspect(core, now);
             fabric.tick(now);
             if core.is_idle() && fabric.quiesced() {

@@ -621,40 +621,20 @@ impl GpuDevice {
 
     /// Advances the device one cycle.
     ///
-    /// A cycle runs in two phases over the cores: a *compute* phase steps
-    /// every core's private state, then a *merge* phase drains each
-    /// core's staged effects into the shared memory system in fixed core
-    /// order. Because the compute phase touches no shared state, every
-    /// core computes against the memory image of the start of the cycle,
-    /// and the merge fixes the order in which their effects land.
+    /// The cores act in ascending id, each running its whole cycle
+    /// ([`Core::cycle`]) before the next starts: its global-memory
+    /// accesses land at issue, in issue order, and its requests enter the
+    /// fabric in that same core order. Then the fabric ticks. Responses
+    /// reach a core's output queue only in `tick`, so no core sees a
+    /// response earlier or later because of where it sits in the order.
     pub fn step(&mut self) {
         self.activate_pending();
         self.dispatch_ctas();
 
         let now = self.now;
-        // Prologue: hand every core the responses that arrived for it.
-        // The fabric keeps per-core output queues and refills them only in
-        // `tick` below, so draining them all up front hands each core the
-        // same responses the historical interleaved loop did.
-        for core in &mut self.cores {
-            while let Some(resp) = self.fabric.pop_response(core.id()) {
-                core.stage_response(resp);
-            }
-        }
-
-        // Compute phase, core-private by construction.
-        for core in &mut self.cores {
-            core.cycle_compute(now);
-        }
-
-        // Merge staged effects in fixed core order.
         let mut completions = Vec::new();
         for core in &mut self.cores {
-            core.cycle_merge(now, &mut self.fabric, &mut self.gmem);
-            let id = core.id();
-            for c in core.drain_completions() {
-                completions.push((id, c));
-            }
+            core.cycle(now, &mut self.fabric, &mut self.gmem, &mut completions);
         }
         self.fabric.tick(now);
 
@@ -663,9 +643,9 @@ impl GpuDevice {
             self.dispatch_dirty = true;
         }
         let mut cta_sched = self.cta_sched.take().expect("scheduler present");
-        for (core, c) in completions {
+        for c in completions {
             let ev = CtaCompleteEvent {
-                core,
+                core: c.core,
                 kernel: c.kernel,
                 cta_id: c.cta_id,
                 cycle: now,
@@ -679,7 +659,7 @@ impl GpuDevice {
                     cycle: now,
                     kernel: c.kernel,
                     cta: c.cta_id,
-                    core,
+                    core: c.core,
                 });
             }
             let k = &mut self.kernels[c.kernel.0];

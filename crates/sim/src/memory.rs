@@ -5,7 +5,7 @@
 //! results (verifiable by tests), while the timing of each access is
 //! modeled separately by the cache hierarchy and DRAM.
 
-use gpgpu_isa::{AccessWidth, WARP_SIZE};
+use gpgpu_isa::AccessWidth;
 use std::collections::HashMap;
 
 const PAGE_BYTES: usize = 4096;
@@ -246,73 +246,18 @@ impl GlobalMem {
         }
     }
 
-    /// Applies one staged store in lane order (see [`GmemOp`]).
-    pub(crate) fn apply_store(&mut self, op: &GmemOp) {
-        for lane in 0..WARP_SIZE {
-            if op.mask & (1 << lane) != 0 {
-                self.write_width(op.addrs[lane], op.values[lane], op.width);
-            }
-        }
-    }
-
-    /// Materializes (without modifying) every page the store would write:
-    /// replay's stand-in for [`GlobalMem::apply_store`], keeping
+    /// Materializes (without modifying) every page a `width` write at
+    /// `addr` would touch: replay's stand-in for a store lane, keeping
     /// `resident_pages` — a telemetry observable — on the same trajectory
     /// as direct execution while leaving contents untouched (pages start
     /// zeroed, and [`GlobalMem::content_hash`] skips all-zero pages).
-    pub(crate) fn touch_store(&mut self, op: &GmemOp) {
-        let bytes = match op.width {
-            AccessWidth::W4 => 4,
-            AccessWidth::W8 => 8,
-        };
-        for lane in 0..WARP_SIZE {
-            if op.mask & (1 << lane) != 0 {
-                // A lane write can straddle a page boundary; touch each
-                // byte's page the way the per-byte writes would.
-                for b in 0..bytes {
-                    let _ = self.page_mut(op.addrs[lane] + b);
-                }
-            }
+    pub(crate) fn touch_store(&mut self, addr: u64, width: AccessWidth) {
+        // A lane write can straddle a page boundary; touch each byte's
+        // page the way the per-byte writes would.
+        for b in 0..width.bytes() {
+            let _ = self.page_mut(addr + b);
         }
     }
-}
-
-/// One functional global-memory operation, staged by a core's issue stage
-/// and replayed against [`GlobalMem`] during the merge phase of the cycle.
-///
-/// Staging keeps a core's compute phase from touching the shared
-/// functional memory: every cycle, each core appends the global
-/// loads/stores it issued (in issue order) to its private staging buffer,
-/// and the device replays all buffers *in fixed core order*, so the
-/// interleaving of cores' memory effects depends on core id alone.
-/// Deferring a load's functional read from issue to merge is safe because
-/// its destination register stays scoreboard-pending for at least the L1
-/// hit latency, so no instruction can observe the value before the merge
-/// lands it.
-///
-/// For loads, `values` carries nothing on input; for stores it carries the
-/// lane values captured at issue time (register reads are warp-private and
-/// cannot change between issue and merge within a cycle).
-#[derive(Debug, Clone)]
-pub(crate) struct GmemOp {
-    /// `true` for a store (apply `values`), `false` for a load (fill the
-    /// warp's destination register from memory).
-    pub is_store: bool,
-    /// Replay stores only: materialize the written pages but leave their
-    /// contents alone (replay never touches memory data).
-    pub touch_only: bool,
-    /// Destination warp slot (loads only).
-    pub warp: usize,
-    /// Destination register index (loads only).
-    pub reg: u8,
-    /// Access width of every lane.
-    pub width: AccessWidth,
-    /// Per-lane byte addresses.
-    pub addrs: [u64; WARP_SIZE],
-    /// Per-lane store values (stores only).
-    pub values: [u64; WARP_SIZE],
-    /// Active lanes.
-    pub mask: u32,
 }
 
 /// A CTA's functional shared-memory scratchpad (byte-addressable,
@@ -370,6 +315,22 @@ impl SharedMem {
         let a = addr as usize;
         if a + 8 <= self.bytes.len() {
             self.bytes[a..a + 8].copy_from_slice(&v.to_le_bytes());
+        }
+    }
+
+    /// Reads one lane value of the given access width.
+    pub(crate) fn read_width(&self, addr: u64, width: AccessWidth) -> u64 {
+        match width {
+            AccessWidth::W4 => u64::from(self.read_u32(addr)),
+            AccessWidth::W8 => self.read_u64(addr),
+        }
+    }
+
+    /// Writes one lane value of the given access width.
+    pub(crate) fn write_width(&mut self, addr: u64, v: u64, width: AccessWidth) {
+        match width {
+            AccessWidth::W4 => self.write_u32(addr, v as u32),
+            AccessWidth::W8 => self.write_u64(addr, v),
         }
     }
 }

@@ -9,7 +9,7 @@
 //! per-lane addresses) into an [`ExecRecord`]. A replay run then drives
 //! the identical issue/scoreboard/memory timing pipeline from that record
 //! without evaluating any semantics
-//! (`core_model.rs::execute_one_replay`): registers and predicates exist
+//! (`Core::execute_one` in replay mode): registers and predicates exist
 //! only as scoreboard bits, global and shared memory are never read or
 //! written, and addresses come from the trace.
 //!
@@ -35,7 +35,7 @@
 //! policy-independent prefix of the run's content key.
 
 use crate::simt::LaneMask;
-use gpgpu_isa::{Pc, WARP_SIZE};
+use gpgpu_isa::{KernelDescriptor, Pc, WARP_SIZE};
 use std::io::{self, Read, Write};
 
 /// Magic bytes opening a serialized record ("GPGPU Record v1").
@@ -151,9 +151,61 @@ impl ExecRecord {
     ///
     /// Panics when the record does not cover the requested warp — the
     /// record was captured from a different workload/scale than the
-    /// replay run (a key-derivation bug, never a scheduling difference).
+    /// replay run. [`check_covers`](Self::check_covers) rules this out
+    /// before a record from outside the process is replayed.
     pub fn warp_trace(&self, kernel: usize, cta_id: u64, warp_in_cta: u32) -> &WarpTrace {
         &self.kernels[kernel].ctas[cta_id as usize].warps[warp_in_cta as usize]
+    }
+
+    /// Checks that the record has the shape of a run of `kernels` (in
+    /// launch order): one kernel record per kernel, one CTA record per
+    /// CTA of its grid, one non-empty trace per warp of a CTA, and no pc
+    /// past the end of the kernel's program. Replay indexes the record by
+    /// exactly these coordinates, so a record that decodes but fails the
+    /// check must be treated as corrupt.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first mismatch found.
+    pub fn check_covers(&self, kernels: &[KernelDescriptor]) -> Result<(), String> {
+        if self.kernels.len() != kernels.len() {
+            return Err(format!(
+                "{} kernel records for {} kernels",
+                self.kernels.len(),
+                kernels.len()
+            ));
+        }
+        for (k, (rec, desc)) in self.kernels.iter().zip(kernels).enumerate() {
+            if rec.ctas.len() as u64 != desc.cta_count() {
+                return Err(format!(
+                    "kernel {k}: {} CTA records for a grid of {}",
+                    rec.ctas.len(),
+                    desc.cta_count()
+                ));
+            }
+            let warps = desc.warps_per_cta() as usize;
+            let program_len = desc.program().len();
+            for (c, cta) in rec.ctas.iter().enumerate() {
+                if cta.warps.len() != warps {
+                    return Err(format!(
+                        "kernel {k} CTA {c}: {} warp traces for {warps} warps",
+                        cta.warps.len()
+                    ));
+                }
+                for (w, trace) in cta.warps.iter().enumerate() {
+                    if trace.steps.is_empty() {
+                        return Err(format!("kernel {k} CTA {c} warp {w}: empty trace"));
+                    }
+                    if let Some(s) = trace.steps.iter().find(|s| s.pc as usize >= program_len) {
+                        return Err(format!(
+                            "kernel {k} CTA {c} warp {w}: pc {} past a {program_len}-instruction program",
+                            s.pc
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Total issued warp-instructions across the whole record.
@@ -329,6 +381,50 @@ mod tests {
                 KernelRecord { ctas: vec![] },
             ],
             mem_hash: 0xdead_beef_cafe_f00d,
+        }
+    }
+
+    #[test]
+    fn check_covers_rejects_every_shape_mismatch() {
+        use gpgpu_isa::dsl::DslKernel;
+        use gpgpu_isa::Dim2;
+        let mut k = DslKernel::new("shape", Dim2::x(64));
+        k.movi(1u64);
+        let prog = std::sync::Arc::new(k.compile().unwrap());
+        let len = prog.len() as Pc;
+        // Two CTAs of two warps each.
+        let desc = KernelDescriptor::builder(prog, Dim2::x(2), Dim2::x(64))
+            .build()
+            .unwrap();
+        let mut trace = WarpTrace::default();
+        for pc in 0..len {
+            trace.push_step(pc, u32::MAX, None);
+        }
+        let cta = CtaRecord {
+            warps: vec![trace.clone(), trace],
+        };
+        let good = ExecRecord {
+            kernels: vec![KernelRecord {
+                ctas: vec![cta.clone(), cta],
+            }],
+            mem_hash: 0,
+        };
+        let kernels = [desc];
+        assert_eq!(good.check_covers(&kernels), Ok(()));
+
+        let mut bad: Vec<ExecRecord> = Vec::new();
+        let mut edit = |f: &dyn Fn(&mut ExecRecord)| {
+            let mut r = good.clone();
+            f(&mut r);
+            bad.push(r);
+        };
+        edit(&|r| r.kernels.clear());
+        edit(&|r| r.kernels[0].ctas.truncate(1));
+        edit(&|r| r.kernels[0].ctas[1].warps.truncate(1));
+        edit(&|r| r.kernels[0].ctas[1].warps[1].steps.clear());
+        edit(&|r| r.kernels[0].ctas[0].warps[1].steps[0].pc = len);
+        for r in &bad {
+            assert!(r.check_covers(&kernels).is_err(), "{r:?}");
         }
     }
 

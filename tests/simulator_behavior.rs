@@ -219,3 +219,47 @@ fn occupancy_limits_resident_ctas() {
         "shared-memory-limited occupancy ({starved}) must underperform full occupancy ({packed})"
     );
 }
+
+#[test]
+fn same_cycle_global_stores_land_in_core_then_issue_order() {
+    // Every thread stores `tag + 1` to one shared word. The kernel is
+    // lock-step and branch-free with no loads, so every warp issues its
+    // store in the same cycle; the final word shows which store landed
+    // last. The rule: cores act in ascending id, and within a core the
+    // later issue (scheduler partition 0 issues before partition 1) wins.
+    let race = |tag: SpecialReg, shift: u64, ctas: u32, threads: u32| {
+        let mut k = DslKernel::new("race", Dim2::x(threads));
+        let out = k.param(0);
+        let t = k.special(tag);
+        let t = k.shr(t, shift);
+        let v = k.iadd(t, 1u64);
+        k.st_global_u32(v, out, 0);
+        let prog = Arc::new(k.compile().expect("well-formed"));
+        let mut g = gpu(GpuConfig::test_small());
+        let word = g.alloc(4);
+        let desc = KernelDescriptor::builder(prog, Dim2::x(ctas), Dim2::x(threads))
+            .params([word])
+            .build()
+            .expect("valid");
+        g.launch(desc);
+        g.run(MAX_CYCLES).expect("completes");
+        let stats = g.stats();
+        (g.mem_ref().read_u32(word), stats)
+    };
+
+    // Round-robin puts CTA 0 on core 0 and CTA 1 on core 1, one warp each.
+    let (word, stats) = race(SpecialReg::CtaLinear, 0, 2, 32);
+    assert!(stats.cores.iter().all(|c| c.ctas_completed == 1));
+    assert_eq!(
+        word, 2,
+        "core 1's store (CTA 1 stores 1 + 1) must land last"
+    );
+
+    // One CTA of two warps: warp slots 0 and 1 sit on partitions 0 and 1;
+    // each thread stores its warp index (tid >> 5) + 1.
+    let (word, _) = race(SpecialReg::TidX, 5, 1, 64);
+    assert_eq!(
+        word, 2,
+        "warp 1's store (issued by partition 1) must land last"
+    );
+}

@@ -12,13 +12,15 @@
 //! named by hand. That makes adding a simulation-affecting field a
 //! *visible* decision here (and in [`content_key`], which would otherwise
 //! silently change meaning), instead of an accident of a `Debug` derive.
+//! The one exception is the per-core counters, which are observations,
+//! not identity: they walk the counter registry ([`gpgpu_sim::COUNTERS`]).
 
 use crate::engine::{RunKind, RunResult, RunSpec};
 use crate::json::Json;
 use gpgpu_mem::{
     CacheConfig, CacheStats, DramConfig, DramStats, FabricConfig, FabricStats, XbarStats,
 };
-use gpgpu_sim::{GpuConfig, KernelStats, SimStats};
+use gpgpu_sim::{CoreStats, GpuConfig, KernelStats, SimStats, COUNTERS};
 use gpgpu_workloads::Scale;
 use std::fmt;
 use tbs_core::{CtaPolicy, WarpPolicy};
@@ -188,19 +190,6 @@ fn get_u64(obj: &Json, key: &str) -> Result<u64, CodecError> {
     obj.get(key)
         .and_then(Json::as_u64)
         .ok_or_else(|| err(format!("missing or non-integer field {key:?}")))
-}
-
-/// Like [`get_u64`] but treats an *absent* key as 0 while still
-/// rejecting a present-but-mistyped value. Used for counters added in
-/// schema minor bumps so documents written by older same-major writers
-/// keep decoding.
-fn get_u64_or_zero(obj: &Json, key: &str) -> Result<u64, CodecError> {
-    match obj.get(key) {
-        None => Ok(0),
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| err(format!("non-integer field {key:?}"))),
-    }
 }
 
 fn get_u32(obj: &Json, key: &str) -> Result<u32, CodecError> {
@@ -546,46 +535,23 @@ fn kernel_stats_from_json(v: &Json) -> Result<KernelStats, CodecError> {
     })
 }
 
-fn core_stats_to_json(c: &gpgpu_sim::CoreStats) -> Json {
-    Json::obj()
-        .with("issued", Json::UInt(c.issued))
-        .with("idle_slots", Json::UInt(c.idle_slots))
-        .with("stalled_slots", Json::UInt(c.stalled_slots))
-        .with("issued_slots", Json::UInt(c.issued_slots))
-        .with("gmem_transactions", Json::UInt(c.gmem_transactions))
-        .with("shared_replays", Json::UInt(c.shared_replays))
-        .with("ctas_completed", Json::UInt(c.ctas_completed))
-        .with("core_cycles", Json::UInt(c.core_cycles))
-        .with("stall_no_resident", Json::UInt(c.stall_no_resident))
-        .with("stall_scoreboard", Json::UInt(c.stall_scoreboard))
-        .with("stall_mem_pending", Json::UInt(c.stall_mem_pending))
-        .with("stall_exec_busy", Json::UInt(c.stall_exec_busy))
-        .with("stall_barrier", Json::UInt(c.stall_barrier))
-        .with("stall_ff_idle", Json::UInt(c.stall_ff_idle))
-        .with("cta_resident_cycles", Json::UInt(c.cta_resident_cycles))
-        .with("warp_resident_cycles", Json::UInt(c.warp_resident_cycles))
+fn core_stats_to_json(c: &CoreStats) -> Json {
+    COUNTERS
+        .iter()
+        .fold(Json::obj(), |o, k| o.with(k.name, Json::UInt((k.get)(c))))
 }
 
-fn core_stats_from_json(v: &Json) -> Result<gpgpu_sim::CoreStats, CodecError> {
-    Ok(gpgpu_sim::CoreStats {
-        issued: get_u64(v, "issued")?,
-        idle_slots: get_u64(v, "idle_slots")?,
-        stalled_slots: get_u64(v, "stalled_slots")?,
-        issued_slots: get_u64(v, "issued_slots")?,
-        gmem_transactions: get_u64(v, "gmem_transactions")?,
-        shared_replays: get_u64(v, "shared_replays")?,
-        ctas_completed: get_u64(v, "ctas_completed")?,
-        // Schema 1.1 additions: absent in 1.0 documents, decoded as 0.
-        core_cycles: get_u64_or_zero(v, "core_cycles")?,
-        stall_no_resident: get_u64_or_zero(v, "stall_no_resident")?,
-        stall_scoreboard: get_u64_or_zero(v, "stall_scoreboard")?,
-        stall_mem_pending: get_u64_or_zero(v, "stall_mem_pending")?,
-        stall_exec_busy: get_u64_or_zero(v, "stall_exec_busy")?,
-        stall_barrier: get_u64_or_zero(v, "stall_barrier")?,
-        stall_ff_idle: get_u64_or_zero(v, "stall_ff_idle")?,
-        cta_resident_cycles: get_u64_or_zero(v, "cta_resident_cycles")?,
-        warp_resident_cycles: get_u64_or_zero(v, "warp_resident_cycles")?,
-    })
+fn core_stats_from_json(v: &Json) -> Result<CoreStats, CodecError> {
+    let mut c = CoreStats::default();
+    for k in COUNTERS {
+        // Counters added after schema 1.0 decode as 0 when absent, so
+        // older same-major entries stay readable; a mistyped one is an error.
+        *(k.get_mut)(&mut c) = match v.get(k.name) {
+            None if k.since != "1.0" => 0,
+            _ => get_u64(v, k.name)?,
+        };
+    }
+    Ok(c)
 }
 
 /// Encodes full [`SimStats`] (every counter, so a decoded result is

@@ -18,6 +18,7 @@
 
 use crate::coalesce::{coalesce, shared_conflict_passes};
 use crate::config::GpuConfig;
+use crate::counters::CoreStats;
 use crate::memory::{GlobalMem, SharedMem};
 use crate::record::{ExecRecord, WarpTrace};
 use crate::sched_api::{
@@ -34,105 +35,6 @@ use gpgpu_mem::{
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// Per-core issue/stall statistics.
-///
-/// Beyond the legacy slot counters, every scheduler-slot cycle that fails
-/// to issue is attributed to exactly one cause in a fixed taxonomy (the
-/// six `stall_*` counters), and cycle-weighted occupancy integrals record
-/// how full the core was while time passed. The accounting identity
-///
-/// ```text
-/// stall_no_resident + stall_scoreboard + stall_mem_pending
-///   + stall_exec_busy + stall_barrier + stall_ff_idle
-///   == idle_slots + stalled_slots
-/// ```
-///
-/// holds per core at all times (checked by
-/// [`conservation_violations`](crate::invariants::conservation_violations)),
-/// so `issued_slots + Σ stall_* ` covers every scheduler slot exactly
-/// once. All counters are strictly observational and byte-identical
-/// with fast-forward on or off.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CoreStats {
-    /// Instructions issued (warp-instructions, not lane-ops).
-    pub issued: u64,
-    /// Scheduler-slot cycles with no resident warps at all.
-    pub idle_slots: u64,
-    /// Scheduler-slot cycles where warps existed but none were ready.
-    pub stalled_slots: u64,
-    /// Scheduler-slot cycles that issued.
-    pub issued_slots: u64,
-    /// Global-memory line transactions generated.
-    pub gmem_transactions: u64,
-    /// Shared-memory replays beyond the first pass (bank conflicts).
-    pub shared_replays: u64,
-    /// CTAs completed.
-    pub ctas_completed: u64,
-    /// Core cycles observed (live plus fast-forwarded); equals the device
-    /// clock, since every core is stepped (or accounted) every cycle.
-    pub core_cycles: u64,
-    /// Non-issuing slots of a scheduler partition with no resident warps
-    /// (undersubscribed core), outside fast-forwardable quiet cycles.
-    pub stall_no_resident: u64,
-    /// Non-issuing slots where every resident warp waits on a scoreboard
-    /// dependency (an in-flight ALU/SFU/shared writeback).
-    pub stall_scoreboard: u64,
-    /// Non-issuing slots attributable to the memory system: a warp with
-    /// global loads outstanding, or a global access stopped by a full
-    /// LSQ/MSHR.
-    pub stall_mem_pending: u64,
-    /// Non-issuing slots where a ready shared-memory access waits for the
-    /// shared pipe (bank-conflict replays in flight).
-    pub stall_exec_busy: u64,
-    /// Non-issuing slots where every resident warp waits at a CTA barrier.
-    pub stall_barrier: u64,
-    /// Slots of provably-quiet cycles: nothing on this core could issue or
-    /// make progress without an external event. These are exactly the
-    /// cycles the idle fast-forward may skip, booked identically whether
-    /// it does or not.
-    pub stall_ff_idle: u64,
-    /// Cycle-weighted resident-CTA integral: Σ over cycles of the CTA
-    /// count. Divide by `core_cycles` for average CTA occupancy.
-    pub cta_resident_cycles: u64,
-    /// Cycle-weighted resident-warp integral: Σ over cycles of the
-    /// resident warp count. Divide by `core_cycles` for average warp
-    /// occupancy.
-    pub warp_resident_cycles: u64,
-}
-
-impl CoreStats {
-    /// Sum of the six stall-taxonomy counters; always equals
-    /// `idle_slots + stalled_slots`.
-    pub fn stall_total(&self) -> u64 {
-        self.stall_no_resident
-            + self.stall_scoreboard
-            + self.stall_mem_pending
-            + self.stall_exec_busy
-            + self.stall_barrier
-            + self.stall_ff_idle
-    }
-
-    /// Average resident CTAs over the core's lifetime (0 when no cycles
-    /// have elapsed).
-    pub fn avg_resident_ctas(&self) -> f64 {
-        if self.core_cycles == 0 {
-            0.0
-        } else {
-            self.cta_resident_cycles as f64 / self.core_cycles as f64
-        }
-    }
-
-    /// Average resident warps over the core's lifetime (0 when no cycles
-    /// have elapsed).
-    pub fn avg_resident_warps(&self) -> f64 {
-        if self.core_cycles == 0 {
-            0.0
-        } else {
-            self.warp_resident_cycles as f64 / self.core_cycles as f64
-        }
-    }
-}
 
 /// A CTA that retired from this core this cycle (the device wraps this
 /// into a [`CtaCompleteEvent`](crate::sched_api::CtaCompleteEvent)).

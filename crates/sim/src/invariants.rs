@@ -150,7 +150,7 @@ pub fn assert_conservation(stats: &SimStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::core_model::CoreStats;
+    use crate::counters::CoreStats;
     use crate::sched_api::KernelId;
     use crate::stats::KernelStats;
 

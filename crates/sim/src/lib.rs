@@ -32,6 +32,7 @@
 pub mod coalesce;
 mod config;
 pub mod core_model;
+pub mod counters;
 mod device;
 pub mod invariants;
 pub mod json;
@@ -43,7 +44,10 @@ mod stats;
 pub mod telemetry;
 
 pub use config::GpuConfig;
-pub use core_model::{Core, CoreCtaCompletion, CoreStats};
+pub use core_model::{Core, CoreCtaCompletion};
+pub use counters::{
+    CoreStats, Counter, Sample, StallBreakdown, COUNTERS, STALL_CATEGORIES, STALL_LABELS,
+};
 pub use device::{
     clear_thread_progress, set_fast_forward_default, set_sim_threads_default, set_thread_progress,
     GpuDevice, ProgressCallback, SimError,
@@ -56,7 +60,7 @@ pub use sched_api::{
     IssueView, KernelId, KernelSummary, WarpMeta, WarpScheduler, WarpSchedulerFactory,
 };
 pub use simt::{LaneMask, SimtStack, FULL_MASK};
-pub use stats::{KernelStats, SimStats, StallBreakdown};
+pub use stats::{KernelStats, SimStats};
 pub use telemetry::{
     CsvSink, IntervalSample, JsonlSink, MemorySink, NullSink, PolicyDecision, Telemetry,
     TelemetryConfig, TelemetryData, TraceEvent, TraceSink,

@@ -5,7 +5,7 @@
 //! (enforced by `tests/golden_identity.rs` and the simcheck differential
 //! oracle).
 
-use crate::core_model::CoreStats;
+use crate::counters::{ratio, CoreStats, StallBreakdown};
 use crate::sched_api::KernelId;
 use gpgpu_mem::{CacheStats, Cycle, FabricStats};
 
@@ -56,23 +56,13 @@ impl KernelStats {
     /// 0 while the kernel is in flight — mid-run consumers (the interval
     /// sampler, progress reports) should use [`ipc_at`](Self::ipc_at).
     pub fn ipc(&self) -> f64 {
-        let c = self.cycles();
-        if c == 0 {
-            0.0
-        } else {
-            self.instructions as f64 / c as f64
-        }
+        ratio(self.instructions, self.cycles())
     }
 
     /// Instructions per cycle as of cycle `now`: meaningful mid-run
     /// (in-flight kernels report their IPC so far rather than 0).
     pub fn ipc_at(&self, now: Cycle) -> f64 {
-        let c = self.elapsed(now);
-        if c == 0 {
-            0.0
-        } else {
-            self.instructions as f64 / c as f64
-        }
+        ratio(self.instructions, self.elapsed(now))
     }
 }
 
@@ -100,11 +90,7 @@ pub struct SimStats {
 impl SimStats {
     /// Aggregate instructions-per-cycle over the whole run.
     pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.instructions as f64 / self.cycles as f64
-        }
+        ratio(self.instructions, self.cycles)
     }
 
     /// The stats entry for `kernel`.
@@ -115,112 +101,11 @@ impl SimStats {
     /// Device-wide cycle-accounting roll-up: the stall taxonomy and
     /// occupancy integrals summed over every core.
     pub fn stall_breakdown(&self) -> StallBreakdown {
-        let mut b = StallBreakdown::default();
+        let mut total = CoreStats::default();
         for c in &self.cores {
-            b.core_cycles += c.core_cycles;
-            b.issued_slots += c.issued_slots;
-            b.idle_slots += c.idle_slots;
-            b.stalled_slots += c.stalled_slots;
-            b.no_resident += c.stall_no_resident;
-            b.scoreboard += c.stall_scoreboard;
-            b.mem_pending += c.stall_mem_pending;
-            b.exec_busy += c.stall_exec_busy;
-            b.barrier += c.stall_barrier;
-            b.ff_idle += c.stall_ff_idle;
-            b.cta_resident_cycles += c.cta_resident_cycles;
-            b.warp_resident_cycles += c.warp_resident_cycles;
+            total.add(c);
         }
-        b
-    }
-}
-
-/// Device-wide cycle accounting: where every scheduler slot went, summed
-/// over cores (see [`CoreStats`] for the per-core counters and the
-/// conservation identity). Built by [`SimStats::stall_breakdown`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StallBreakdown {
-    /// Core cycles summed over cores (device cycles × core count).
-    pub core_cycles: u64,
-    /// Scheduler slots that issued.
-    pub issued_slots: u64,
-    /// Scheduler slots with no resident warps (legacy counter).
-    pub idle_slots: u64,
-    /// Scheduler slots with resident but unready warps (legacy counter).
-    pub stalled_slots: u64,
-    /// `NoResidentWarp` stall slots.
-    pub no_resident: u64,
-    /// `ScoreboardDep` stall slots.
-    pub scoreboard: u64,
-    /// `MemPending` (outstanding loads / LSQ / MSHR-full) stall slots.
-    pub mem_pending: u64,
-    /// `ExecUnitBusy` (shared-pipe busy, pick-declined) stall slots.
-    pub exec_busy: u64,
-    /// `BarrierWait` stall slots.
-    pub barrier: u64,
-    /// `FastForwardedIdle` (provably quiet cycle) stall slots.
-    pub ff_idle: u64,
-    /// Cycle-weighted resident-CTA integral summed over cores.
-    pub cta_resident_cycles: u64,
-    /// Cycle-weighted resident-warp integral summed over cores.
-    pub warp_resident_cycles: u64,
-}
-
-impl StallBreakdown {
-    /// Sum of the six taxonomy counters; equals
-    /// `idle_slots + stalled_slots` by the conservation identity.
-    pub fn stall_total(&self) -> u64 {
-        self.no_resident
-            + self.scoreboard
-            + self.mem_pending
-            + self.exec_busy
-            + self.barrier
-            + self.ff_idle
-    }
-
-    /// Every scheduler slot accounted: issued plus all stall categories.
-    pub fn total_slots(&self) -> u64 {
-        self.issued_slots + self.stall_total()
-    }
-
-    /// `count` as a fraction of all scheduler slots (0 when empty).
-    pub fn slot_fraction(&self, count: u64) -> f64 {
-        let total = self.total_slots();
-        if total == 0 {
-            0.0
-        } else {
-            count as f64 / total as f64
-        }
-    }
-
-    /// Average resident CTAs per core over the run.
-    pub fn avg_resident_ctas(&self) -> f64 {
-        if self.core_cycles == 0 {
-            0.0
-        } else {
-            self.cta_resident_cycles as f64 / self.core_cycles as f64
-        }
-    }
-
-    /// Average resident warps per core over the run.
-    pub fn avg_resident_warps(&self) -> f64 {
-        if self.core_cycles == 0 {
-            0.0
-        } else {
-            self.warp_resident_cycles as f64 / self.core_cycles as f64
-        }
-    }
-
-    /// `(label, count)` pairs for the six taxonomy categories, in
-    /// rendering order (the labels are the ISSUE/DESIGN taxonomy names).
-    pub fn categories(&self) -> [(&'static str, u64); 6] {
-        [
-            ("NoResidentWarp", self.no_resident),
-            ("ScoreboardDep", self.scoreboard),
-            ("MemPending", self.mem_pending),
-            ("ExecUnitBusy", self.exec_busy),
-            ("BarrierWait", self.barrier),
-            ("FastForwardedIdle", self.ff_idle),
-        ]
+        total.breakdown()
     }
 }
 

@@ -25,9 +25,12 @@
 //! Events round-trip through flat JSON objects ([`TraceEvent::to_json`]
 //! writes them directly; [`TraceEvent::from_json`] reads them with the
 //! crate's one JSON parser, [`crate::json`]) and samples render as CSV
-//! rows ([`IntervalSample::csv_row`]).
+//! rows ([`IntervalSample::csv_row`]) or JSON lines
+//! ([`IntervalSample::to_json`]), whose counter columns come from the
+//! [counter registry](crate::counters).
 
 use crate::core_model::Core;
+use crate::counters::{ratio, CoreStats, Counter, Sample, COUNTERS};
 use crate::json::{quoted, Json};
 use crate::sched_api::KernelId;
 use gpgpu_mem::{Cycle, MemFabric};
@@ -316,14 +319,9 @@ pub struct IntervalSample {
     pub cycle_start: Cycle,
     /// End of the interval (exclusive; the sampling instant).
     pub cycle_end: Cycle,
-    /// Warp-instructions issued in the interval.
-    pub instructions: u64,
-    /// Scheduler slots that issued in the interval.
-    pub issued_slots: u64,
-    /// Scheduler slots where warps existed but none were ready.
-    pub stalled_slots: u64,
-    /// Scheduler slots with no resident warps at all.
-    pub idle_slots: u64,
+    /// Every registry counter's delta over the interval, summed over
+    /// cores (`core.issued` is the warp-instructions issued).
+    pub core: CoreStats,
     /// Resident CTAs per core at the sampling instant.
     pub core_ctas: Vec<u32>,
     /// Resident warps per core at the sampling instant.
@@ -349,26 +347,6 @@ pub struct IntervalSample {
     /// 4 KiB functional-memory pages materialized by the end of the
     /// interval (the workload's touched footprint).
     pub gmem_pages: u64,
-    /// `NoResidentWarp` stall slots in the interval, summed over cores.
-    pub stall_no_resident: u64,
-    /// `ScoreboardDep` stall slots in the interval.
-    pub stall_scoreboard: u64,
-    /// `MemPending` (outstanding loads / LSQ full) stall slots in the
-    /// interval.
-    pub stall_mem_pending: u64,
-    /// `ExecUnitBusy` stall slots in the interval.
-    pub stall_exec_busy: u64,
-    /// `BarrierWait` stall slots in the interval.
-    pub stall_barrier: u64,
-    /// `FastForwardedIdle` (provably quiet cycle) stall slots in the
-    /// interval.
-    pub stall_ff_idle: u64,
-    /// Cycle-weighted resident-CTA integral over the interval, summed
-    /// over cores.
-    pub cta_resident_cycles: u64,
-    /// Cycle-weighted resident-warp integral over the interval, summed
-    /// over cores.
-    pub warp_resident_cycles: u64,
 }
 
 impl IntervalSample {
@@ -379,128 +357,138 @@ impl IntervalSample {
 
     /// Whole-device IPC over the interval.
     pub fn ipc(&self) -> f64 {
-        let c = self.cycles();
-        if c == 0 {
-            0.0
-        } else {
-            self.instructions as f64 / c as f64
-        }
+        ratio(self.core.issued, self.cycles())
     }
 
-    /// Total resident CTAs at the sampling instant.
-    pub fn resident_ctas(&self) -> u32 {
-        self.core_ctas.iter().sum()
-    }
-
-    /// Total resident warps at the sampling instant.
-    pub fn resident_warps(&self) -> u32 {
-        self.core_warps.iter().sum()
-    }
-
-    /// L1 hit rate over the interval (0 when idle).
-    pub fn l1_hit_rate(&self) -> f64 {
-        rate(self.l1_hits, self.l1_accesses)
-    }
-
-    /// L2 hit rate over the interval (0 when idle).
-    pub fn l2_hit_rate(&self) -> f64 {
-        rate(self.l2_hits, self.l2_accesses)
-    }
-
-    /// DRAM row-hit rate over the interval (0 when idle).
-    pub fn dram_row_hit_rate(&self) -> f64 {
-        rate(self.dram_row_hits, self.dram_row_hits + self.dram_row_misses)
-    }
-
-    /// Average resident CTAs per core over the interval (cycle-weighted,
-    /// unlike the instantaneous `resident_ctas` snapshot).
-    pub fn avg_resident_ctas(&self) -> f64 {
-        let denom = self.cycles() * self.core_ctas.len() as u64;
-        if denom == 0 {
-            0.0
-        } else {
-            self.cta_resident_cycles as f64 / denom as f64
-        }
-    }
-
-    /// Average resident warps per core over the interval (cycle-weighted).
-    pub fn avg_resident_warps(&self) -> f64 {
-        let denom = self.cycles() * self.core_warps.len() as u64;
-        if denom == 0 {
-            0.0
-        } else {
-            self.warp_resident_cycles as f64 / denom as f64
-        }
+    /// `delta` per core and per cycle of the interval: for an occupancy
+    /// integral, the cycle-weighted average occupancy of one core.
+    pub fn per_core_mean(&self, delta: u64) -> f64 {
+        ratio(delta, self.cycles() * self.core_ctas.len() as u64)
     }
 
     /// The CSV header matching [`csv_row`](Self::csv_row).
     ///
     /// New columns are append-only: downstream consumers (and the CI
     /// trace-smoke grep) key on the `cycle_start,cycle_end,ipc,` prefix.
-    pub fn csv_header() -> &'static str {
-        "cycle_start,cycle_end,ipc,instructions,issued_slots,stalled_slots,idle_slots,\
-         resident_ctas,resident_warps,core_ctas,core_warps,\
-         l1_accesses,l1_hits,l1_hit_rate,l1_reservation_fails,l1_mshrs_in_use,\
-         l2_accesses,l2_hits,l2_hit_rate,\
-         dram_row_hits,dram_row_misses,dram_row_hit_rate,dram_rejected,gmem_pages,\
-         stall_no_resident,stall_scoreboard,stall_mem_pending,stall_exec_busy,\
-         stall_barrier,stall_ff_idle,avg_resident_ctas,avg_resident_warps"
+    pub fn csv_header() -> String {
+        csv_columns().map(Column::name).collect::<Vec<_>>().join(",")
     }
 
     /// Renders the sample as one CSV row (per-core vectors join with
     /// `|`, so the row stays flat).
     pub fn csv_row(&self) -> String {
-        let join = |v: &[u32]| {
-            v.iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join("|")
-        };
-        format!(
-            "{},{},{:.6},{},{},{},{},{},{},{},{},{},{},{:.6},{},{},{},{},{:.6},{},{},{:.6},{},{},\
-             {},{},{},{},{},{},{:.6},{:.6}",
-            self.cycle_start,
-            self.cycle_end,
-            self.ipc(),
-            self.instructions,
-            self.issued_slots,
-            self.stalled_slots,
-            self.idle_slots,
-            self.resident_ctas(),
-            self.resident_warps(),
-            join(&self.core_ctas),
-            join(&self.core_warps),
-            self.l1_accesses,
-            self.l1_hits,
-            self.l1_hit_rate(),
-            self.l1_reservation_fails,
-            self.l1_mshrs_in_use,
-            self.l2_accesses,
-            self.l2_hits,
-            self.l2_hit_rate(),
-            self.dram_row_hits,
-            self.dram_row_misses,
-            self.dram_row_hit_rate(),
-            self.dram_rejected,
-            self.gmem_pages,
-            self.stall_no_resident,
-            self.stall_scoreboard,
-            self.stall_mem_pending,
-            self.stall_exec_busy,
-            self.stall_barrier,
-            self.stall_ff_idle,
-            self.avg_resident_ctas(),
-            self.avg_resident_warps(),
-        )
+        let mut out = String::with_capacity(256);
+        for (i, col) in csv_columns().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            col.write(self, &mut out);
+        }
+        out
+    }
+
+    /// Renders the sample as one flat JSON object (one JSONL line,
+    /// without the trailing newline).
+    pub fn to_json(&self) -> String {
+        let mut out = String::from("{\"type\":\"sample\"");
+        for col in JSONL_LEAD.into_iter().chain(sampled_counters()) {
+            let _ = write!(out, ",\"{}\":", col.name());
+            col.write(self, &mut out);
+        }
+        out.push('}');
+        out
     }
 }
 
-fn rate(hits: u64, total: u64) -> f64 {
-    if total == 0 {
-        0.0
-    } else {
-        hits as f64 / total as f64
+/// One value of an interval output.
+enum Cell<'a> {
+    Int(u64),
+    Real(f64),
+    PerCore(&'a [u32]),
+}
+
+/// One column of `intervals.csv` or of the JSONL sample: the header name
+/// and the value come from the same entry, so they cannot disagree.
+#[derive(Clone, Copy)]
+enum Column {
+    /// A value of the sample itself.
+    Field(&'static str, for<'a> fn(&'a IntervalSample) -> Cell<'a>),
+    /// A sampled registry counter.
+    Counter(&'static Counter),
+}
+
+impl Column {
+    fn name(self) -> &'static str {
+        match self {
+            Column::Field(name, _) => name,
+            Column::Counter(c) => match c.sample {
+                Sample::PerCoreMean(name) => name,
+                Sample::Delta | Sample::No => c.name,
+            },
+        }
     }
+
+    fn write(self, s: &IntervalSample, out: &mut String) {
+        let cell = match self {
+            Column::Field(_, get) => get(s),
+            Column::Counter(c) => match c.sample {
+                Sample::PerCoreMean(_) => Cell::Real(s.per_core_mean((c.get)(&s.core))),
+                Sample::Delta | Sample::No => Cell::Int((c.get)(&s.core)),
+            },
+        };
+        let _ = match cell {
+            Cell::Int(n) => write!(out, "{n}"),
+            Cell::Real(x) => write!(out, "{x:.6}"),
+            Cell::PerCore(v) => v.iter().enumerate().try_for_each(|(i, n)| {
+                write!(out, "{}{n}", if i > 0 { "|" } else { "" })
+            }),
+        };
+    }
+}
+
+/// The `intervals.csv` columns before the sampled registry rows.
+const CSV_LEAD: [Column; 24] = [
+    Column::Field("cycle_start", |s| Cell::Int(s.cycle_start)),
+    Column::Field("cycle_end", |s| Cell::Int(s.cycle_end)),
+    Column::Field("ipc", |s| Cell::Real(s.ipc())),
+    Column::Field("instructions", |s| Cell::Int(s.core.issued)),
+    Column::Field("issued_slots", |s| Cell::Int(s.core.issued_slots)),
+    Column::Field("stalled_slots", |s| Cell::Int(s.core.stalled_slots)),
+    Column::Field("idle_slots", |s| Cell::Int(s.core.idle_slots)),
+    Column::Field("resident_ctas", |s| Cell::Int(s.core_ctas.iter().sum::<u32>().into())),
+    Column::Field("resident_warps", |s| Cell::Int(s.core_warps.iter().sum::<u32>().into())),
+    Column::Field("core_ctas", |s| Cell::PerCore(&s.core_ctas)),
+    Column::Field("core_warps", |s| Cell::PerCore(&s.core_warps)),
+    Column::Field("l1_accesses", |s| Cell::Int(s.l1_accesses)),
+    Column::Field("l1_hits", |s| Cell::Int(s.l1_hits)),
+    Column::Field("l1_hit_rate", |s| Cell::Real(ratio(s.l1_hits, s.l1_accesses))),
+    Column::Field("l1_reservation_fails", |s| Cell::Int(s.l1_reservation_fails)),
+    Column::Field("l1_mshrs_in_use", |s| Cell::Int(s.l1_mshrs_in_use)),
+    Column::Field("l2_accesses", |s| Cell::Int(s.l2_accesses)),
+    Column::Field("l2_hits", |s| Cell::Int(s.l2_hits)),
+    Column::Field("l2_hit_rate", |s| Cell::Real(ratio(s.l2_hits, s.l2_accesses))),
+    Column::Field("dram_row_hits", |s| Cell::Int(s.dram_row_hits)),
+    Column::Field("dram_row_misses", |s| Cell::Int(s.dram_row_misses)),
+    Column::Field("dram_row_hit_rate", |s| {
+        Cell::Real(ratio(s.dram_row_hits, s.dram_row_hits + s.dram_row_misses))
+    }),
+    Column::Field("dram_rejected", |s| Cell::Int(s.dram_rejected)),
+    Column::Field("gmem_pages", |s| Cell::Int(s.gmem_pages)),
+];
+
+/// The JSONL sample's fields before the sampled registry rows:
+/// `cycle_start`, `cycle_end`, `instructions`, `ipc`.
+const JSONL_LEAD: [Column; 4] = [CSV_LEAD[0], CSV_LEAD[1], CSV_LEAD[3], CSV_LEAD[2]];
+
+fn sampled_counters() -> impl Iterator<Item = Column> {
+    COUNTERS
+        .iter()
+        .filter(|c| c.sample != Sample::No)
+        .map(Column::Counter)
+}
+
+fn csv_columns() -> impl Iterator<Item = Column> {
+    CSV_LEAD.into_iter().chain(sampled_counters())
 }
 
 /// Where telemetry goes. Implementations must tolerate being handed
@@ -621,25 +609,7 @@ impl<W: Write + Send> TraceSink for JsonlSink<W> {
     }
 
     fn sample(&mut self, s: &IntervalSample) {
-        let _ = writeln!(
-            self.w,
-            "{{\"type\":\"sample\",\"cycle_start\":{},\"cycle_end\":{},\"instructions\":{},\"ipc\":{:.6},\
-             \"stall_no_resident\":{},\"stall_scoreboard\":{},\"stall_mem_pending\":{},\
-             \"stall_exec_busy\":{},\"stall_barrier\":{},\"stall_ff_idle\":{},\
-             \"avg_resident_ctas\":{:.6},\"avg_resident_warps\":{:.6}}}",
-            s.cycle_start,
-            s.cycle_end,
-            s.instructions,
-            s.ipc(),
-            s.stall_no_resident,
-            s.stall_scoreboard,
-            s.stall_mem_pending,
-            s.stall_exec_busy,
-            s.stall_barrier,
-            s.stall_ff_idle,
-            s.avg_resident_ctas(),
-            s.avg_resident_warps(),
-        );
+        let _ = writeln!(self.w, "{}", s.to_json());
     }
 
     fn flush(&mut self) {
@@ -695,32 +665,6 @@ impl TraceSink for NullSink {
     fn sample(&mut self, _s: &IntervalSample) {}
 }
 
-/// Cumulative counters at the last sample boundary, so samples report
-/// per-interval deltas.
-#[derive(Debug, Clone, Copy, Default)]
-struct Baseline {
-    instructions: u64,
-    issued_slots: u64,
-    stalled_slots: u64,
-    idle_slots: u64,
-    l1_accesses: u64,
-    l1_hits: u64,
-    l1_reservation_fails: u64,
-    l2_accesses: u64,
-    l2_hits: u64,
-    dram_row_hits: u64,
-    dram_row_misses: u64,
-    dram_rejected: u64,
-    stall_no_resident: u64,
-    stall_scoreboard: u64,
-    stall_mem_pending: u64,
-    stall_exec_busy: u64,
-    stall_barrier: u64,
-    stall_ff_idle: u64,
-    cta_resident_cycles: u64,
-    warp_resident_cycles: u64,
-}
-
 /// The device-attached telemetry state: a config, a sink, and the
 /// sampler's delta baseline. Constructed via
 /// [`GpuDevice::enable_telemetry`](crate::device::GpuDevice::enable_telemetry).
@@ -728,7 +672,9 @@ pub struct Telemetry {
     cfg: TelemetryConfig,
     sink: Box<dyn TraceSink>,
     next_sample_at: Cycle,
-    base: Baseline,
+    /// Cumulative counters at the last sample boundary, so samples report
+    /// per-interval deltas.
+    base: IntervalSample,
 }
 
 impl std::fmt::Debug for Telemetry {
@@ -751,7 +697,7 @@ impl Telemetry {
             } else {
                 cfg.sample_every
             },
-            base: Baseline::default(),
+            base: IntervalSample::default(),
         }
     }
 
@@ -829,57 +775,35 @@ impl Telemetry {
             gmem_pages: gmem_pages as u64,
             ..IntervalSample::default()
         };
-        let mut now = Baseline::default();
         for core in cores {
-            let cs = core.stats();
-            now.instructions += cs.issued;
-            now.issued_slots += cs.issued_slots;
-            now.stalled_slots += cs.stalled_slots;
-            now.idle_slots += cs.idle_slots;
-            now.stall_no_resident += cs.stall_no_resident;
-            now.stall_scoreboard += cs.stall_scoreboard;
-            now.stall_mem_pending += cs.stall_mem_pending;
-            now.stall_exec_busy += cs.stall_exec_busy;
-            now.stall_barrier += cs.stall_barrier;
-            now.stall_ff_idle += cs.stall_ff_idle;
-            now.cta_resident_cycles += cs.cta_resident_cycles;
-            now.warp_resident_cycles += cs.warp_resident_cycles;
+            s.core.add(core.stats());
             let l1 = core.l1_stats();
-            now.l1_accesses += l1.accesses();
-            now.l1_hits += l1.hits();
-            now.l1_reservation_fails += l1.reservation_fails;
+            s.l1_accesses += l1.accesses();
+            s.l1_hits += l1.hits();
+            s.l1_reservation_fails += l1.reservation_fails;
             s.core_ctas.push(core.active_cta_count());
             s.core_warps.push(core.resident_warps());
             s.l1_mshrs_in_use += core.l1_mshrs_in_use() as u64;
         }
         let f = fabric.stats();
-        now.l2_accesses = f.l2.accesses();
-        now.l2_hits = f.l2.hits();
-        now.dram_row_hits = f.dram.row_hits;
-        now.dram_row_misses = f.dram.row_conflicts + f.dram.row_empty;
-        now.dram_rejected = f.dram.rejected;
+        s.l2_accesses = f.l2.accesses();
+        s.l2_hits = f.l2.hits();
+        s.dram_row_hits = f.dram.row_hits;
+        s.dram_row_misses = f.dram.row_conflicts + f.dram.row_empty;
+        s.dram_rejected = f.dram.rejected;
 
-        s.instructions = now.instructions - self.base.instructions;
-        s.issued_slots = now.issued_slots - self.base.issued_slots;
-        s.stalled_slots = now.stalled_slots - self.base.stalled_slots;
-        s.idle_slots = now.idle_slots - self.base.idle_slots;
-        s.l1_accesses = now.l1_accesses - self.base.l1_accesses;
-        s.l1_hits = now.l1_hits - self.base.l1_hits;
-        s.l1_reservation_fails = now.l1_reservation_fails - self.base.l1_reservation_fails;
-        s.l2_accesses = now.l2_accesses - self.base.l2_accesses;
-        s.l2_hits = now.l2_hits - self.base.l2_hits;
-        s.dram_row_hits = now.dram_row_hits - self.base.dram_row_hits;
-        s.dram_row_misses = now.dram_row_misses - self.base.dram_row_misses;
-        s.dram_rejected = now.dram_rejected - self.base.dram_rejected;
-        s.stall_no_resident = now.stall_no_resident - self.base.stall_no_resident;
-        s.stall_scoreboard = now.stall_scoreboard - self.base.stall_scoreboard;
-        s.stall_mem_pending = now.stall_mem_pending - self.base.stall_mem_pending;
-        s.stall_exec_busy = now.stall_exec_busy - self.base.stall_exec_busy;
-        s.stall_barrier = now.stall_barrier - self.base.stall_barrier;
-        s.stall_ff_idle = now.stall_ff_idle - self.base.stall_ff_idle;
-        s.cta_resident_cycles = now.cta_resident_cycles - self.base.cta_resident_cycles;
-        s.warp_resident_cycles = now.warp_resident_cycles - self.base.warp_resident_cycles;
-        self.base = now;
+        // `s` holds cumulative totals: keep them as the next baseline and
+        // turn `s` into this interval's deltas.
+        let base = std::mem::replace(&mut self.base, s.clone());
+        s.core = s.core.delta(&base.core);
+        s.l1_accesses -= base.l1_accesses;
+        s.l1_hits -= base.l1_hits;
+        s.l1_reservation_fails -= base.l1_reservation_fails;
+        s.l2_accesses -= base.l2_accesses;
+        s.l2_hits -= base.l2_hits;
+        s.dram_row_hits -= base.dram_row_hits;
+        s.dram_row_misses -= base.dram_row_misses;
+        s.dram_rejected -= base.dram_rejected;
         self.sink.sample(&s);
     }
 
@@ -977,10 +901,21 @@ mod tests {
         let s = IntervalSample {
             cycle_start: 1000,
             cycle_end: 2000,
-            instructions: 1500,
-            issued_slots: 1500,
-            stalled_slots: 400,
-            idle_slots: 100,
+            core: CoreStats {
+                issued: 1500,
+                issued_slots: 1500,
+                stalled_slots: 400,
+                idle_slots: 100,
+                stall_no_resident: 40,
+                stall_scoreboard: 200,
+                stall_mem_pending: 150,
+                stall_exec_busy: 30,
+                stall_barrier: 20,
+                stall_ff_idle: 60,
+                cta_resident_cycles: 5000,
+                warp_resident_cycles: 20_000,
+                ..CoreStats::default()
+            },
             core_ctas: vec![3, 2],
             core_warps: vec![12, 8],
             l1_accesses: 100,
@@ -993,39 +928,27 @@ mod tests {
             dram_row_misses: 2,
             dram_rejected: 1,
             gmem_pages: 33,
-            stall_no_resident: 40,
-            stall_scoreboard: 200,
-            stall_mem_pending: 150,
-            stall_exec_busy: 30,
-            stall_barrier: 20,
-            stall_ff_idle: 60,
-            cta_resident_cycles: 5000,
-            warp_resident_cycles: 20_000,
         };
         assert!((s.ipc() - 1.5).abs() < 1e-12);
-        assert_eq!(s.resident_ctas(), 5);
-        assert_eq!(s.resident_warps(), 20);
-        // 5000 CTA-cycles over 1000 cycles × 2 cores → 2.5 CTAs/core.
-        assert!((s.avg_resident_ctas() - 2.5).abs() < 1e-12);
-        assert!((s.avg_resident_warps() - 10.0).abs() < 1e-12);
-        assert!((s.l1_hit_rate() - 0.8).abs() < 1e-12);
-        assert!((s.l2_hit_rate() - 0.5).abs() < 1e-12);
-        assert!((s.dram_row_hit_rate() - 0.75).abs() < 1e-12);
+        // 5000 CTA-cycles over 1000 cycles × 2 cores → 2.5 CTAs/core; the
+        // hit rates are 80/100, 10/20 and 6/(6+2).
+        assert_eq!(
+            s.csv_row(),
+            "1000,2000,1.500000,1500,1500,400,100,5,20,3|2,12|8,100,80,0.800000,5,7,\
+             20,10,0.500000,6,2,0.750000,1,33,40,200,150,30,20,60,2.500000,10.000000"
+        );
         let header_cols = IntervalSample::csv_header().split(',').count();
-        let row = s.csv_row();
-        assert_eq!(row.split(',').count(), header_cols, "row: {row}");
-        assert!(row.contains("3|2"), "per-core vector join: {row}");
+        assert_eq!(s.csv_row().split(',').count(), header_cols);
     }
 
     #[test]
     fn empty_sample_is_safe() {
         let s = IntervalSample::default();
         assert_eq!(s.ipc(), 0.0);
-        assert_eq!(s.l1_hit_rate(), 0.0);
-        assert_eq!(s.dram_row_hit_rate(), 0.0);
         assert_eq!(
-            s.csv_row().split(',').count(),
-            IntervalSample::csv_header().split(',').count()
+            s.csv_row(),
+            "0,0,0.000000,0,0,0,0,0,0,,,0,0,0.000000,0,0,0,0,0.000000,0,0,0.000000,0,0,\
+             0,0,0,0,0,0,0.000000,0.000000"
         );
     }
 
@@ -1064,7 +987,7 @@ mod tests {
         }
         let csv_out = String::from_utf8(csv.into_inner()).unwrap();
         let mut lines = csv_out.lines();
-        assert_eq!(lines.next(), Some(IntervalSample::csv_header()));
+        assert_eq!(lines.next(), Some(IntervalSample::csv_header().as_str()));
         assert_eq!(lines.count(), 1, "events are not CSV rows");
     }
 

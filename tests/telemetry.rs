@@ -3,7 +3,7 @@
 //! through its JSONL encoding, and (3) produce interval samples whose
 //! deltas sum back to the run's cumulative totals.
 
-use gpgpu_repro::sim::{GpuConfig, KernelId, KernelStats, TelemetryConfig, TelemetryData, TraceEvent};
+use gpgpu_repro::sim::{CoreStats, GpuConfig, KernelId, KernelStats, TelemetryConfig, TelemetryData, TraceEvent};
 use gpgpu_repro::tbs::{CtaPolicy, WarpPolicy};
 use gpgpu_repro::workloads::{by_name, run_workload, run_workload_mode, RunMode, RunOutcome, Scale};
 
@@ -94,13 +94,19 @@ fn interval_deltas_sum_to_run_totals() {
     let sum = |f: fn(&gpgpu_repro::sim::IntervalSample) -> u64| -> u64 {
         data.samples.iter().map(f).sum()
     };
-    assert_eq!(sum(|s| s.instructions), outcome.stats.instructions);
+    assert_eq!(sum(|s| s.core.issued), outcome.stats.instructions);
     assert_eq!(sum(|s| s.l1_accesses), outcome.stats.l1.accesses());
     assert_eq!(sum(|s| s.l1_hits), outcome.stats.l1.hits());
     assert_eq!(sum(|s| s.l2_accesses), outcome.stats.fabric.l2.accesses());
     assert_eq!(sum(|s| s.l2_hits), outcome.stats.fabric.l2.hits());
     assert_eq!(sum(|s| s.dram_row_hits), outcome.stats.fabric.dram.row_hits);
     assert_eq!(sum(|s| s.dram_rejected), outcome.stats.fabric.dram.rejected);
+    // Every registry counter's deltas sum to the per-core totals.
+    let mut deltas = CoreStats::default();
+    let mut totals = CoreStats::default();
+    data.samples.iter().for_each(|s| deltas.add(&s.core));
+    outcome.stats.cores.iter().for_each(|c| totals.add(c));
+    assert_eq!(deltas, totals);
     // Intervals tile the run: contiguous, non-overlapping, ending at the
     // final cycle.
     let mut expect_start = 0;
@@ -126,7 +132,7 @@ fn sampling_period_longer_than_run_yields_one_partial_interval() {
     let s = &data.samples[0];
     assert_eq!(s.cycle_start, 0);
     assert_eq!(s.cycle_end, outcome.stats.cycles);
-    assert_eq!(s.instructions, outcome.stats.instructions);
+    assert_eq!(s.core.issued, outcome.stats.instructions);
 }
 
 #[test]
@@ -140,7 +146,7 @@ fn per_cycle_sampling_tiles_the_run_exactly() {
         assert_eq!(s.cycle_start, i as u64);
         assert_eq!(s.cycle_end, i as u64 + 1);
     }
-    let issued: u64 = data.samples.iter().map(|s| s.instructions).sum();
+    let issued: u64 = data.samples.iter().map(|s| s.core.issued).sum();
     assert_eq!(issued, outcome.stats.instructions);
 }
 

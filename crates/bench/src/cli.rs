@@ -304,20 +304,21 @@ Common options (exp --help) apply.";
 const FUZZ_HELP: &str = "\
 usage: exp fuzz [options]
 
-deterministic simulation fuzzer: seeded random kernels run against
-differential (fast-forward vs reference), functional (CPU-mirrored
-memory, invariant across CTA policies), and conservation oracles;
-failures shrink to a reproducer file under --out-dir.
+deterministic simulation fuzzer: seeded random DSL kernels in random
+CTA shapes run against differential (fast-forward vs reference),
+functional (CPU-mirrored memory, invariant across CTA policies), and
+conservation oracles; failures shrink to a reproducer file under
+--out-dir.
 
   --seeds A..B      seed window to fuzz (default 0..50)
   --budget-cycles N per-run cycle budget (default 1000000)
   --repro FILE      replay one reproducer file instead of fuzzing
 
-reproducer files are plain key=value lines (# comments allowed): seed,
-warp, grid=WxH, block=WxH, trips, ops=op:imm[,...], smem, divergent,
-optional grid2/block2/ops2 (concurrent kernel), optional dsl (nonzero
-seeds a DSL-generated kernel 1), max_ctas, budget. EXPERIMENTS.md
-documents the full format with an example.
+reproducer files start with `# simcheck reproducer v2`, then plain
+key=value lines (# comments allowed): seed, warp, grid=WxH, block=WxH,
+kernel (generator seed), segs, smem, divergent, optional
+grid2/block2/kernel2 (concurrent in-place kernel), max_ctas, budget.
+EXPERIMENTS.md documents the full format with examples.
 
 Common options (exp --help) apply.";
 

@@ -8,21 +8,18 @@ use gpgpu_bench::simcheck::{
 };
 use tbs_core::CtaPolicy;
 
-/// A hand-rolled tiny case so debug-profile runs stay fast: three CTAs of
-/// one warp each, one ALU op, no shared memory or divergence, and a small
-/// budget so a wedged device deadlocks quickly.
+/// A hand-rolled tiny case so debug-profile runs stay fast: three
+/// two-thread CTAs of a one-segment generated kernel, no shared memory or
+/// divergence, and a small budget so a wedged device deadlocks quickly.
 fn tiny_case() -> FuzzCase {
     let mut c = FuzzCase::generate(0, 4_000);
     c.warp = "lrr".to_string();
-    c.grid = (3, 1);
-    c.block = (2, 1);
-    c.trips = 1;
-    c.ops.truncate(1);
+    c.k1.grid = (3, 1);
+    c.k1.block = (2, 1);
+    c.k2 = None;
+    c.segs = 1;
     c.smem = false;
     c.divergent = false;
-    c.ops2 = Vec::new();
-    c.grid2 = (1, 1);
-    c.block2 = (2, 1);
     c.max_ctas = 4;
     c.validate().expect("tiny case is well-formed");
     c
@@ -39,8 +36,10 @@ fn clean_seeds_pass_every_oracle() {
 fn fuzz_results_do_not_depend_on_job_count() {
     let serial = fuzz_seeds(1, 3, 1_000_000, 1);
     let parallel = fuzz_seeds(1, 3, 1_000_000, 4);
-    assert_eq!(serial.len(), parallel.len());
-    for (a, b) in serial.iter().zip(&parallel) {
+    assert!(serial.oracle_runs > 0);
+    assert_eq!(serial.oracle_runs, parallel.oracle_runs);
+    assert_eq!(serial.failures.len(), parallel.failures.len());
+    for (a, b) in serial.failures.iter().zip(&parallel.failures) {
         assert_eq!(a.seed, b.seed);
         assert_eq!(a.shrunk, b.shrunk);
     }
@@ -80,7 +79,7 @@ fn injected_scheduler_bug_is_caught_and_shrinks_to_a_short_reproducer() {
     assert!(still_fails(&case), "predicate holds before shrinking");
     let shrunk = shrink(&case, &mut still_fails);
     assert!(still_fails(&shrunk), "shrinking preserves the failure");
-    assert!(shrunk.grid.0 * shrunk.grid.1 <= case.grid.0 * case.grid.1);
+    assert!(shrunk.k1.threads() <= case.k1.threads());
 
     let repro = shrunk.to_repro();
     assert!(
@@ -93,7 +92,7 @@ fn injected_scheduler_bug_is_caught_and_shrinks_to_a_short_reproducer() {
 
 /// The reproducer format documented in EXPERIMENTS.md must be the format
 /// `from_repro` actually parses: every fenced example beginning with the
-/// `# simcheck reproducer v1` header is extracted from the doc, parsed,
+/// `# simcheck reproducer v2` header is extracted from the doc, parsed,
 /// and round-tripped through `to_repro` byte-for-byte. If `to_repro`
 /// gains, loses, or reorders a key, this fails until the doc is updated
 /// (and vice versa) — the help/docs drift this repo shipped once cannot
@@ -109,7 +108,7 @@ fn documented_reproducer_examples_parse() {
     for line in doc.lines() {
         match (&mut block, line.trim().starts_with("```")) {
             (Some(b), true) => {
-                if b.starts_with("# simcheck reproducer v1") {
+                if b.starts_with("# simcheck reproducer v2") {
                     examples.push(std::mem::take(b));
                 }
                 block = None;
@@ -124,11 +123,11 @@ fn documented_reproducer_examples_parse() {
     }
     assert!(
         examples.len() >= 2,
-        "EXPERIMENTS.md must keep a classic and a DSL reproducer example"
+        "EXPERIMENTS.md must keep a two-kernel and a shrunk reproducer example"
     );
     assert!(
-        examples.iter().any(|e| e.contains("dsl=")),
-        "one documented example must cover the dsl key"
+        examples.iter().any(|e| e.contains("kernel2=")),
+        "one documented example must cover the second-kernel keys"
     );
     for text in &examples {
         let case = FuzzCase::from_repro(text)

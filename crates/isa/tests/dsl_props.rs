@@ -11,10 +11,17 @@ use gpgpu_isa::{Dim2, Instr, Program};
 use gpgpu_testkit::Gen;
 
 /// Draws a generator configuration from the seed stream, covering the
-/// knob space (block sizes, segment counts, features on/off).
+/// knob space (block shapes, segment counts, features on/off). Blocks are
+/// whole warps, 2-D, sub-warp, or 1-D with a partial last warp.
 fn draw_cfg(g: &mut Gen) -> GenCfg {
+    let block = match g.range(0, 4) {
+        0 => Dim2::x(32 * g.range(1, 9) as u32),
+        1 => Dim2::new(g.range(1, 65) as u32, g.range(2, 5) as u32),
+        2 => Dim2::x(g.range(1, 32) as u32),
+        _ => Dim2::x(32 * g.range(1, 8) as u32 + g.range(1, 32) as u32),
+    };
     GenCfg {
-        block: Dim2::x(32 * g.range(1, 9) as u32),
+        block,
         segments: g.range(0, 13) as usize,
         smem: g.chance(3, 4),
         divergence: g.chance(3, 4),
@@ -148,9 +155,14 @@ fn shrink(seed: u64, cfg: &GenCfg, err: &str) -> String {
                 candidates.push(c);
             }
         }
-        if best.block.x > 32 {
+        if best.block.y > 1 {
             let mut c = best.clone();
-            c.block = Dim2::x(32);
+            c.block = Dim2::x(best.block.x);
+            candidates.push(c);
+        }
+        if best.block.x > 1 {
+            let mut c = best.clone();
+            c.block = Dim2::new(best.block.x / 2, best.block.y);
             candidates.push(c);
         }
         let Some(next) = candidates.into_iter().find(|c| check_seed(seed, c).is_err()) else {
@@ -160,9 +172,9 @@ fn shrink(seed: u64, cfg: &GenCfg, err: &str) -> String {
     }
     let final_err = check_seed(seed, &best).err().unwrap_or_else(|| err.to_string());
     format!(
-        "dsl property failure: {final_err}\n  reproduce: seed={seed} block={} segments={} \
+        "dsl property failure: {final_err}\n  reproduce: seed={seed} block={}x{} segments={} \
          smem={} divergence={} loops={}",
-        best.block.x, best.segments, best.smem, best.divergence, best.loops
+        best.block.x, best.block.y, best.segments, best.smem, best.divergence, best.loops
     )
 }
 
@@ -185,6 +197,9 @@ fn knob_extremes_uphold_invariants() {
         GenCfg { block: Dim2::x(256), segments: 12, smem: false, divergence: true, loops: false },
         GenCfg { block: Dim2::x(128), segments: 12, smem: false, divergence: false, loops: true },
         GenCfg { block: Dim2::x(1024), segments: 12, smem: true, divergence: true, loops: true },
+        GenCfg { block: Dim2::new(16, 64), segments: 12, smem: true, divergence: true, loops: true },
+        GenCfg { block: Dim2::new(10, 3), segments: 12, smem: true, divergence: true, loops: true },
+        GenCfg { block: Dim2::x(1), segments: 12, smem: true, divergence: true, loops: true },
     ];
     for (i, cfg) in corners.iter().enumerate() {
         for seed in 0..40u64 {

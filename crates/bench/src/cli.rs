@@ -38,7 +38,8 @@ pub struct CommonArgs {
     pub out_dir: Option<PathBuf>,
     /// Also print machine-readable JSON summaries (`--json`).
     pub json: bool,
-    /// Idle fast-forward enabled (disabled by `--no-fast-forward`).
+    /// Fast path (core sleep, idle fast-forward) enabled (disabled by
+    /// `--no-fast-forward`).
     pub fast_forward: bool,
     /// Persistent result store to consult/populate (`--store`).
     pub store_dir: Option<PathBuf>,

@@ -10,7 +10,7 @@
 //! kernel — on tiny device configurations, and the simulator is held to
 //! three families of oracles:
 //!
-//! * **Differential** — the idle fast-forward optimization
+//! * **Differential** — the fast path (core sleep, idle fast-forward)
 //!   ([`GpuDevice::set_fast_forward`](gpgpu_sim::GpuDevice::set_fast_forward))
 //!   must be bit-identical to the reference cycle-by-cycle loop in
 //!   statistics, telemetry, and final memory, and a repeated run must be

@@ -425,6 +425,16 @@ impl Cache {
         }
     }
 
+    /// Books `n` more rejections of an access just rejected for
+    /// [`MshrFull`](ReservationFailure::MshrFull) or
+    /// [`MergeLimit`](ReservationFailure::MergeLimit): exactly what `n`
+    /// identical retries would change before the next fill, since such a
+    /// rejection only bumps the LRU use stamp and `reservation_fails`.
+    pub fn book_rejected(&mut self, n: u64) {
+        self.use_stamp += n;
+        self.stats.reservation_fails += n;
+    }
+
     /// Pops the next message destined for the lower level (writebacks drain
     /// first so fills are never blocked).
     pub fn pop_downstream(&mut self) -> Option<Downstream> {

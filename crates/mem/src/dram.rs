@@ -337,12 +337,20 @@ impl DramChannel {
     /// free), or `None` when it is quiesced. Conservative but never later
     /// than the true next event.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        // Nothing is earlier than `now`, so the walks stop at the first
+        // entry due by then.
         let mut next = Cycle::MAX;
-        for f in &self.in_flight {
-            next = next.min(f.completion.max(now));
-        }
         for q in &self.queue {
             next = next.min(self.banks[q.bank as usize].busy_until.max(now));
+            if next == now {
+                return Some(now);
+            }
+        }
+        for f in &self.in_flight {
+            next = next.min(f.completion.max(now));
+            if next == now {
+                return Some(now);
+            }
         }
         (next != Cycle::MAX).then_some(next)
     }

@@ -85,7 +85,8 @@ struct Partition {
     stalled: Option<MemRequest>,
     /// Downstream message staged while DRAM is full.
     to_dram: Option<crate::cache::Downstream>,
-    /// Load responses ready at a given cycle, FIFO in ready order.
+    /// Load responses ready at a given cycle, FIFO in ready order, with
+    /// the core each one returns to.
     responses: VecDeque<(Cycle, MemResponse, usize)>,
 }
 
@@ -181,6 +182,15 @@ impl MemFabric {
     pub fn tick(&mut self, now: Cycle) {
         let line_bytes = self.cfg.line_bytes;
         let partitions = self.cfg.partitions as u64;
+        let ctx = &mut self.ctx;
+        // Queues a load response, resolving its core once here rather
+        // than on every send attempt. An unknown id (a client bug) is
+        // dropped rather than wedging the queue.
+        let mut respond = |p: &mut Partition, ready: Cycle, resp: MemResponse| {
+            if let Some(c) = ctx.remove(&resp.id) {
+                p.responses.push_back((ready, resp, c.core));
+            }
+        };
         for (pid, p) in self.partitions.iter_mut().enumerate() {
             // 1. DRAM completions: reads fill the L2 slice and wake waiters.
             for c in p.dram.tick(now) {
@@ -188,14 +198,7 @@ impl MemFabric {
                     // token carries the global line address.
                     let out = p.l2.fill(c.token, now);
                     for id in out.ready {
-                        p.responses.push_back((
-                            now,
-                            MemResponse {
-                                id,
-                                addr: c.token,
-                            },
-                            pid,
-                        ));
+                        respond(p, now, MemResponse { id, addr: c.token });
                     }
                 }
             }
@@ -234,14 +237,11 @@ impl MemFabric {
                 match p.l2.access(req.addr, req.kind, id, now) {
                     Access::Hit => {
                         if req.kind.is_load() {
-                            p.responses.push_back((
-                                now + u64::from(self.cfg.l2_latency),
-                                MemResponse {
-                                    id: req.id,
-                                    addr: req.addr & !u64::from(line_bytes - 1),
-                                },
-                                pid,
-                            ));
+                            let resp = MemResponse {
+                                id: req.id,
+                                addr: req.addr & !u64::from(line_bytes - 1),
+                            };
+                            respond(p, now + u64::from(self.cfg.l2_latency), resp);
                         }
                     }
                     Access::Miss | Access::MissMerged | Access::MissNoAlloc => {}
@@ -251,25 +251,16 @@ impl MemFabric {
         }
 
         // 4. Send ready responses through the response crossbar.
-        for p in &mut self.partitions {
-            while let Some(&(ready, resp, pid)) = p.responses.front() {
+        for (pid, p) in self.partitions.iter_mut().enumerate() {
+            while let Some(&(ready, resp, core)) = p.responses.front() {
                 if ready > now {
                     break;
                 }
-                let core = match self.ctx.get(&resp.id) {
-                    Some(c) => c.core,
-                    None => {
-                        // Unknown id (client bug); drop rather than wedge.
-                        p.responses.pop_front();
-                        continue;
-                    }
-                };
                 if self
                     .resp_xbar
                     .try_send(now, pid, core, self.cfg.line_bytes, resp)
                 {
                     p.responses.pop_front();
-                    self.ctx.remove(&resp.id);
                     self.stats_extra.1 += 1;
                 } else {
                     break;
@@ -286,6 +277,11 @@ impl MemFabric {
         self.resp_xbar.pop_delivered(core)
     }
 
+    /// Whether a response awaits `core` (O(1)).
+    pub fn has_response(&self, core: usize) -> bool {
+        self.resp_xbar.has_delivered(core)
+    }
+
     /// The earliest cycle `>= now` at which ticking the fabric can change
     /// state (or deliver a response), or `None` when everything is
     /// quiesced. Conservative — it may name a cycle where nothing visible
@@ -295,6 +291,12 @@ impl MemFabric {
     /// skipped.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let mut next = Cycle::MAX;
+        // Nothing is earlier than `now`, so the search stops as soon as
+        // something is due by then; the cheap checks come first.
+        let mut due_now = |t: Option<Cycle>| {
+            next = next.min(t.unwrap_or(Cycle::MAX));
+            next == now
+        };
         for p in &self.partitions {
             // These retry every tick and bump failure counters as they do,
             // so skipping any cycle while they are pending would change
@@ -302,18 +304,17 @@ impl MemFabric {
             if p.stalled.is_some() || p.to_dram.is_some() || p.l2.has_downstream() {
                 return Some(now);
             }
-            if let Some(&(ready, _, _)) = p.responses.front() {
-                next = next.min(ready.max(now));
-            }
-            if let Some(t) = p.dram.next_event(now) {
-                next = next.min(t);
+            if due_now(p.responses.front().map(|r| r.0.max(now))) {
+                return Some(now);
             }
         }
-        if let Some(t) = self.req_xbar.next_event(now) {
-            next = next.min(t);
+        if due_now(self.req_xbar.next_event(now)) || due_now(self.resp_xbar.next_event(now)) {
+            return Some(now);
         }
-        if let Some(t) = self.resp_xbar.next_event(now) {
-            next = next.min(t);
+        for p in &self.partitions {
+            if due_now(p.dram.next_event(now)) {
+                return Some(now);
+            }
         }
         (next != Cycle::MAX).then_some(next)
     }

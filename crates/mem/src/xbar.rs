@@ -195,6 +195,11 @@ impl<T> Crossbar<T> {
         self.delivered[dst].pop_front()
     }
 
+    /// Whether a packet awaits pickup at output `dst`.
+    pub fn has_delivered(&self, dst: usize) -> bool {
+        !self.delivered[dst].is_empty()
+    }
+
     /// Whether no packets are queued, traversing, or awaiting pickup.
     pub fn quiesced(&self) -> bool {
         self.traversing.is_empty()
@@ -212,13 +217,20 @@ impl<T> Crossbar<T> {
         if self.delivered.iter().any(|q| !q.is_empty()) {
             return Some(now);
         }
-        for p in &self.traversing {
-            next = next.min(p.arrival.max(now));
-        }
+        // Nothing is earlier than `now`, so the walks stop at the first
+        // packet due by then.
         for (src, q) in self.queues.iter().enumerate() {
             if let Some(head) = q.front() {
-                let start = self.in_free[src].max(self.out_free[head.dst]).max(now);
-                next = next.min(start);
+                next = next.min(self.in_free[src].max(self.out_free[head.dst]).max(now));
+                if next == now {
+                    return Some(now);
+                }
+            }
+        }
+        for p in &self.traversing {
+            next = next.min(p.arrival.max(now));
+            if next == now {
+                return Some(now);
             }
         }
         (next != Cycle::MAX).then_some(next)

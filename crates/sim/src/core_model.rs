@@ -30,8 +30,8 @@ use gpgpu_isa::{
     WARP_SIZE,
 };
 use gpgpu_mem::{
-    cache::DownstreamKind, Access, AccessKind, Cache, Cycle, MemFabric, MemRequest, MemResponse,
-    ReqId,
+    cache::{DownstreamKind, ReservationFailure},
+    Access, AccessKind, Cache, Cycle, MemFabric, MemRequest, MemResponse, ReqId,
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -272,7 +272,7 @@ impl ReadyTable {
 /// Why one scheduler partition failed to issue this cycle. Recorded per
 /// partition during the issue stage and folded into [`CoreStats`] once the
 /// cycle's quiet verdict is known (quiet cycles collapse into
-/// `stall_ff_idle` so live and fast-forwarded accounting agree).
+/// `stall_ff_idle` so live and slept accounting agree).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SlotStall {
     /// The partition issued — no stall to attribute.
@@ -335,11 +335,19 @@ pub struct Core {
     /// Persistent scratch for the issue stage (candidate list handed to
     /// the warp scheduler), reused so steady-state cycles do not allocate.
     scratch_candidates: Vec<usize>,
-    /// Whether the most recent issue stage found any ready warp. Lets
-    /// [`quiet_wake`](Self::quiet_wake) reuse the issue stage's readiness
-    /// verdict instead of repeating it; only meaningful immediately after
-    /// [`cycle`](Self::cycle) for the same cycle.
+    /// Whether the most recent issue stage found any ready warp; the
+    /// sleep check at the end of [`cycle`](Self::cycle) reuses it.
     had_ready_warp: bool,
+    /// Whether the LSQ head's L1 access this cycle was rejected for a
+    /// full MSHR file or a full merge entry, which only a fill clears.
+    l1_blocked: bool,
+    /// First cycle this core must run live again; while `now < wake_at`
+    /// every cycle would only repeat the last live one (see
+    /// [`cycle`](Self::cycle)). 0 when awake.
+    wake_at: Cycle,
+    /// First cycle not yet booked in the statistics; the cycles from here
+    /// to `now` were slept and [`settle`](Self::settle) books them.
+    booked_to: Cycle,
     /// Occupancy and memoized readiness of every warp slot (see
     /// [`ReadyTable`]).
     ready: ReadyTable,
@@ -348,7 +356,8 @@ pub struct Core {
     resident_ctas: u32,
     /// Persistent scratch recording each scheduler partition's outcome
     /// for the current cycle; folded into the stall taxonomy at the end
-    /// of the issue stage once the quiet verdict is known.
+    /// of the issue stage once the quiet verdict is known, and again by
+    /// [`settle`](Self::settle) for each cycle slept after it.
     scratch_outcomes: Vec<SlotStall>,
     /// Capture-mode trace buffers (`None` in direct/replay execution).
     capture: Option<CaptureState>,
@@ -414,6 +423,9 @@ impl Core {
             completed_per_kernel: Vec::new(),
             scratch_candidates: Vec::new(),
             had_ready_warp: false,
+            l1_blocked: false,
+            wake_at: 0,
+            booked_to: 0,
             ready: ReadyTable::new(
                 cfg.max_warps_per_core as usize,
                 cfg.num_sched_per_core as usize,
@@ -716,61 +728,80 @@ impl Core {
         }
     }
 
-    /// Whether this core can do nothing at cycle `now` without external
-    /// input, and if so, the earliest future cycle its own state changes
-    /// (`Cycle::MAX` when it has no pending events at all). `None` means
-    /// the core is *not* quiet — it has memory work in flight or a warp
-    /// that could issue — so cycles must not be skipped.
-    ///
-    /// Valid only immediately after [`cycle`](Self::cycle) for that same
-    /// `now`: it reuses the issue stage's readiness verdict
-    /// (`had_ready_warp`) rather than repeating it. Readiness cannot
-    /// appear out of thin air afterwards — it only changes through
-    /// writebacks (capped by `wb_next`), the shared pipe draining (capped
-    /// by `shared_pipe_free`), or memory responses (capped by the
-    /// fabric's next event, checked by the caller).
-    pub(crate) fn quiet_wake(&mut self, now: Cycle) -> Option<Cycle> {
-        if self.had_ready_warp
-            || !self.lsq.is_empty()
-            || self.staged_downstream.is_some()
-            || self.l1.has_downstream()
-        {
-            return None;
-        }
-        let mut wake = self.wb_next;
-        // `>=`: at `shared_pipe_free == now` the pipe frees exactly on the
-        // next cycle to run, which may make a shared-memory warp issuable
-        // — that cycle must execute live, not be skipped.
-        if self.shared_pipe_free >= now {
-            wake = wake.min(self.shared_pipe_free);
-        }
-        Some(wake)
+    /// Whether the core sleeps through cycle `now`: its last live cycle
+    /// issued nothing and sent nothing, so every cycle until
+    /// [`wake_at`](Self::wake_at) would repeat it exactly unless a
+    /// fabric response, a CTA dispatch or an L1 flush reaches the core
+    /// first. The device skips a sleeping core; [`settle`](Self::settle)
+    /// books the skipped cycles.
+    pub(crate) fn asleep(&self, now: Cycle) -> bool {
+        now < self.wake_at
     }
 
-    /// Books the scheduler-slot statistics for `cycles` skipped quiet
-    /// cycles, exactly as the cycle-by-cycle loop would have: a scheduler
-    /// partition with resident warps (none ready, by the quiet check)
-    /// stalls, an empty one idles. Warp residency cannot change during
-    /// quiet cycles, so one occupancy check covers the whole span.
-    ///
-    /// Cycle accounting follows the same closed form: every skipped cycle
-    /// is quiet by construction, so each would have booked its scheduler
-    /// slots as `stall_ff_idle` had it run live (the issue stage applies
-    /// the identical quiet predicate per cycle), and the occupancy
-    /// integrals advance by the frozen residency times the span length.
-    pub(crate) fn account_skipped(&mut self, cycles: u64) {
-        let nsched = self.schedulers.len();
-        for s in 0..nsched {
-            if self.ready.partition_occupied(s) {
-                self.stats.stalled_slots += cycles;
-            } else {
-                self.stats.idle_slots += cycles;
+    /// The cycle a sleeping core wakes by itself: its next writeback or
+    /// shared-pipe release (`Cycle::MAX` when neither is pending).
+    pub(crate) fn wake_at(&self) -> Cycle {
+        self.wake_at
+    }
+
+    /// Books the cycles slept before `now` and wakes the core, for an
+    /// outside event that changes its state (a CTA dispatch, an L1
+    /// flush). Call before the event lands.
+    pub(crate) fn wake(&mut self, now: Cycle) {
+        self.settle(now);
+        self.wake_at = 0;
+    }
+
+    /// Books every slept cycle before `upto` in closed form, exactly as
+    /// the cycle-by-cycle loop would have: each slept cycle repeats the
+    /// last live one, so its scheduler partitions end as that cycle's
+    /// recorded outcomes did (all `stall_ff_idle` when the LSQ is empty,
+    /// which makes the cycle quiet), residency is frozen, and a blocked
+    /// LSQ head retries its rejected L1 access once per cycle. Sleeping
+    /// cores stay asleep; settling only brings their counters up to date.
+    pub(crate) fn settle(&mut self, upto: Cycle) {
+        if upto <= self.booked_to {
+            return;
+        }
+        debug_assert!(upto <= self.wake_at, "settled past the core's wake-up");
+        let n = upto - self.booked_to;
+        self.booked_to = upto;
+        self.book_cycles(n, self.lsq.is_empty());
+        if !self.lsq.is_empty() {
+            self.l1.book_rejected(n);
+        }
+    }
+
+    /// Books `n` cycles whose scheduler partitions ended as
+    /// `scratch_outcomes` records: idle and stalled slots, the stall
+    /// taxonomy (every slot as `stall_ff_idle` when `quiet`), and the
+    /// occupancy integrals.
+    fn book_cycles(&mut self, n: u64, quiet: bool) {
+        let stats = &mut self.stats;
+        for o in &self.scratch_outcomes {
+            match o {
+                SlotStall::Issued => {}
+                SlotStall::NoResident => stats.idle_slots += n,
+                _ => stats.stalled_slots += n,
+            }
+            if quiet {
+                continue;
+            }
+            match o {
+                SlotStall::Issued => {}
+                SlotStall::NoResident => stats.stall_no_resident += n,
+                SlotStall::Scoreboard => stats.stall_scoreboard += n,
+                SlotStall::MemPending => stats.stall_mem_pending += n,
+                SlotStall::ExecBusy => stats.stall_exec_busy += n,
+                SlotStall::Barrier => stats.stall_barrier += n,
             }
         }
-        self.stats.stall_ff_idle += nsched as u64 * cycles;
-        self.stats.core_cycles += cycles;
-        self.stats.cta_resident_cycles += u64::from(self.active_cta_count()) * cycles;
-        self.stats.warp_resident_cycles += u64::from(self.used_warps) * cycles;
+        if quiet {
+            stats.stall_ff_idle += self.scratch_outcomes.len() as u64 * n;
+        }
+        stats.core_cycles += n;
+        stats.cta_resident_cycles += u64::from(self.resident_ctas) * n;
+        stats.warp_resident_cycles += u64::from(self.used_warps) * n;
     }
 
     /// Advances the core one cycle, in one pass: this core's fabric
@@ -778,6 +809,13 @@ impl Core {
     /// issue stage (global loads and stores access `gmem` at issue, in
     /// issue order), and downstream traffic into the fabric. CTAs that
     /// retire are appended to `completions` in retirement order.
+    ///
+    /// A cycle that issued nothing, left no downstream message staged or
+    /// queued in the L1, and left the LSQ empty or its head rejected for
+    /// a full MSHR file or merge entry (only a fill clears those) puts the
+    /// core to sleep: until its next writeback, or until the shared pipe
+    /// frees if that is sooner and still ahead, each cycle would repeat
+    /// this one, and the device skips the core.
     pub fn cycle(
         &mut self,
         now: Cycle,
@@ -785,6 +823,7 @@ impl Core {
         gmem: &mut GlobalMem,
         completions: &mut Vec<CoreCtaCompletion>,
     ) {
+        self.settle(now);
         while let Some(resp) = fabric.pop_response(self.id) {
             self.handle_response(now, resp);
         }
@@ -792,6 +831,18 @@ impl Core {
         self.pump_l1(now);
         self.issue(now, gmem, completions);
         self.forward_downstream(now, fabric);
+        self.booked_to = now + 1;
+        self.wake_at = 0;
+        if !self.had_ready_warp
+            && self.staged_downstream.is_none()
+            && !self.l1.has_downstream()
+            && (self.lsq.is_empty() || self.l1_blocked)
+        {
+            self.wake_at = self.wb_next;
+            if self.shared_pipe_free > now {
+                self.wake_at = self.wake_at.min(self.shared_pipe_free);
+            }
+        }
     }
 
     fn process_writebacks(&mut self, now: Cycle) {
@@ -799,8 +850,8 @@ impl Core {
             return;
         }
         // Drain every due bucket in cycle order. The wheel outspans the
-        // longest writeback delay and the drain is never more than one
-        // fast-forward jump behind `wb_next`, so buckets cannot alias.
+        // longest writeback delay and a sleeping core wakes by `wb_next`,
+        // so buckets cannot alias.
         let mut t = self.wb_next;
         while t <= now {
             let idx = (t as usize) & self.wb_mask;
@@ -863,6 +914,7 @@ impl Core {
     /// end of the same cycle.
     fn pump_l1(&mut self, now: Cycle) {
         // One L1 port: service the head transaction.
+        self.l1_blocked = false;
         if let Some(&txn) = self.lsq.front() {
             let kind = if txn.is_store {
                 AccessKind::Store
@@ -887,7 +939,13 @@ impl Core {
                 Access::MissNoAlloc => {
                     self.lsq.pop_front();
                 }
-                Access::Fail(_) => {} // structural: retry next cycle
+                // Structural: retry next cycle.
+                Access::Fail(why) => {
+                    self.l1_blocked = matches!(
+                        why,
+                        ReservationFailure::MshrFull | ReservationFailure::MergeLimit
+                    );
+                }
             }
         }
     }
@@ -1023,7 +1081,6 @@ impl Core {
         gmem: &mut GlobalMem,
         completions: &mut Vec<CoreCtaCompletion>,
     ) {
-        let nsched = self.schedulers.len();
         let words = self.ready.occupied.len();
         let mut schedulers = std::mem::take(&mut self.schedulers);
         let mut candidates = std::mem::take(&mut self.scratch_candidates);
@@ -1032,7 +1089,6 @@ impl Core {
         self.had_ready_warp = false;
         for (s, sched) in schedulers.iter_mut().enumerate() {
             if !self.ready.partition_occupied(s) {
-                self.stats.idle_slots += 1;
                 outcomes.push(SlotStall::NoResident);
                 continue;
             }
@@ -1057,7 +1113,6 @@ impl Core {
                 }
             }
             if candidates.is_empty() {
-                self.stats.stalled_slots += 1;
                 outcomes.push(self.ready.classify_stall(s, lsq_has_space, shared_free));
                 continue;
             }
@@ -1074,7 +1129,6 @@ impl Core {
             }) else {
                 // Defensive path: ready work existed but the policy
                 // declined it — the issue unit sat on its hands.
-                self.stats.stalled_slots += 1;
                 outcomes.push(SlotStall::ExecBusy);
                 continue;
             };
@@ -1086,36 +1140,19 @@ impl Core {
             self.ready.invalidate(slot);
             completions.extend(self.execute_one(slot, now, gmem));
         }
+        self.scratch_candidates = candidates;
+        self.scratch_outcomes = outcomes;
+        self.schedulers = schedulers;
         // Cycle accounting. A quiet cycle — no ready warp and no memory
-        // work in flight on this core — is exactly one the idle
-        // fast-forward may skip (`quiet_wake`); booking it as
-        // `stall_ff_idle` here, from core-local state only, keeps every
-        // counter byte-identical across fast-forward modes. Non-quiet
-        // cycles book the per-partition attributions recorded above.
+        // work in flight on this core — books its slots as
+        // `stall_ff_idle`, from core-local state only, so a quiet cycle
+        // counts the same whether it runs live or is slept through.
+        // Other cycles book the per-partition outcomes recorded above.
         let quiet = !self.had_ready_warp
             && self.lsq.is_empty()
             && self.staged_downstream.is_none()
             && !self.l1.has_downstream();
-        if quiet {
-            self.stats.stall_ff_idle += nsched as u64;
-        } else {
-            for o in &outcomes {
-                match o {
-                    SlotStall::Issued => {}
-                    SlotStall::NoResident => self.stats.stall_no_resident += 1,
-                    SlotStall::Scoreboard => self.stats.stall_scoreboard += 1,
-                    SlotStall::MemPending => self.stats.stall_mem_pending += 1,
-                    SlotStall::ExecBusy => self.stats.stall_exec_busy += 1,
-                    SlotStall::Barrier => self.stats.stall_barrier += 1,
-                }
-            }
-        }
-        self.stats.core_cycles += 1;
-        self.stats.cta_resident_cycles += u64::from(self.active_cta_count());
-        self.stats.warp_resident_cycles += u64::from(self.used_warps);
-        self.scratch_candidates = candidates;
-        self.scratch_outcomes = outcomes;
-        self.schedulers = schedulers;
+        self.book_cycles(1, quiet);
         for slot in std::mem::take(&mut self.finished_warps) {
             for s in &mut self.schedulers {
                 s.on_warp_finish(slot);

@@ -115,7 +115,7 @@ macro_rules! counters {
         /// (checked by
         /// [`conservation_violations`](crate::invariants::conservation_violations)).
         /// All counters are observational and byte-identical with the
-        /// idle fast-forward on or off.
+        /// fast path (core sleep, idle fast-forward) on or off.
         #[derive(Debug, Clone, Default, PartialEq, Eq)]
         pub struct CoreStats {
             $($(#[$m])* pub $f: u64,)*
@@ -201,11 +201,11 @@ counters! {
     shared_replays: "1.0";
     /// CTAs completed.
     ctas_completed: "1.0";
-    /// Core cycles observed (live plus fast-forwarded); equals the device
-    /// clock, since every core is stepped (or accounted) every cycle.
+    /// Core cycles observed (live plus slept); equals the device clock,
+    /// since every core is stepped (or settled) every cycle.
     core_cycles: "1.1";
     /// Non-issuing slots of a scheduler partition with no resident warps
-    /// (undersubscribed core), outside fast-forwardable quiet cycles.
+    /// (undersubscribed core), outside quiet cycles.
     stall_no_resident: "1.1", stall(no_resident, "NoResidentWarp");
     /// Non-issuing slots where every resident warp waits on a scoreboard
     /// dependency (an in-flight ALU/SFU/shared writeback).
@@ -219,10 +219,10 @@ counters! {
     stall_exec_busy: "1.1", stall(exec_busy, "ExecUnitBusy");
     /// Non-issuing slots where every resident warp waits at a CTA barrier.
     stall_barrier: "1.1", stall(barrier, "BarrierWait");
-    /// Slots of provably-quiet cycles: nothing on this core could issue or
-    /// make progress without an external event. These are exactly the
-    /// cycles the idle fast-forward may skip, booked identically whether
-    /// it does or not.
+    /// Slots of provably-quiet cycles: no ready warp, an empty LSQ and no
+    /// downstream traffic, so nothing on this core could issue or make
+    /// progress without an external event. Booked identically whether the
+    /// core runs the cycle live or sleeps through it.
     stall_ff_idle: "1.1", stall(ff_idle, "FastForwardedIdle");
     /// Cycle-weighted resident-CTA integral: Σ over cycles of the CTA
     /// count. Divide by `core_cycles` for average CTA occupancy.

@@ -165,7 +165,8 @@ pub struct GpuDevice {
     /// Malformed scheduler decisions discarded (see
     /// [`SimStats::malformed_dispatches`]).
     malformed_dispatches: u64,
-    /// Idle fast-forward enabled (see [`set_fast_forward`](Self::set_fast_forward)).
+    /// Core sleep and idle fast-forward enabled (see
+    /// [`set_fast_forward`](Self::set_fast_forward)).
     fast_forward: bool,
     /// Attached telemetry; `None` (the default) keeps every hook a single
     /// branch on the fast path.
@@ -240,9 +241,10 @@ impl GpuDevice {
         set_sim_threads_default(n);
     }
 
-    /// Enables or disables the idle fast-forward for this device. When
-    /// enabled (the default), [`run`](Self::run) jumps over provably-idle
-    /// cycle spans in one step; statistics, per-kernel results, and
+    /// Enables or disables the fast path for this device. When enabled
+    /// (the default), [`run`](Self::run) skips the cycles of cores that
+    /// can only repeat their last cycle (they sleep) and jumps over spans
+    /// where every core sleeps; statistics, per-kernel results, and
     /// telemetry are bit-identical either way. Disabling forces the
     /// reference cycle-by-cycle loop (validation and debugging).
     pub fn set_fast_forward(&mut self, enabled: bool) {
@@ -469,6 +471,7 @@ impl GpuDevice {
                 .any(|(j, k)| j != i && k.phase == KernelPhase::Running);
             if self.cfg.flush_l1_on_kernel_launch && !any_other_running {
                 for core in &mut self.cores {
+                    core.wake(self.now);
                     core.flush_l1();
                 }
                 self.fabric.flush_l2();
@@ -599,6 +602,7 @@ impl GpuDevice {
                     self.telemetry.as_mut().expect("checked above").record(ev);
                 }
             }
+            self.cores[d.core].wake(self.now);
             for _ in 0..count {
                 let cta = self.kernels[d.kernel.0].next_cta;
                 self.kernels[d.kernel.0].next_cta += 1;
@@ -627,13 +631,22 @@ impl GpuDevice {
     /// fabric in that same core order. Then the fabric ticks. Responses
     /// reach a core's output queue only in `tick`, so no core sees a
     /// response earlier or later because of where it sits in the order.
-    pub fn step(&mut self) {
+    ///
+    /// On the fast path a sleeping core ([`Core::asleep`]) is skipped
+    /// unless a response waits for it; dispatch and L1 flushes wake their
+    /// cores before they land. The skipped cycles are settled before
+    /// anything reads the core's counters: on wake, before a telemetry
+    /// sample, and when [`run`](Self::run) returns.
+    fn step(&mut self) {
         self.activate_pending();
         self.dispatch_ctas();
 
         let now = self.now;
         let mut completions = Vec::new();
         for core in &mut self.cores {
+            if self.fast_forward && core.asleep(now) && !self.fabric.has_response(core.id()) {
+                continue;
+            }
             core.cycle(now, &mut self.fabric, &mut self.gmem, &mut completions);
         }
         self.fabric.tick(now);
@@ -704,6 +717,13 @@ impl GpuDevice {
         }
         self.cta_sched = Some(cta_sched);
         self.now += 1;
+        if self
+            .telemetry
+            .as_ref()
+            .is_some_and(|t| self.now >= t.next_sample_at())
+        {
+            self.settle_cores();
+        }
         if let Some(t) = self.telemetry.as_mut() {
             t.maybe_sample(
                 self.now,
@@ -722,6 +742,20 @@ impl GpuDevice {
     /// [`SimError::Deadlock`] if nothing makes progress for the configured
     /// deadlock window.
     pub fn run(&mut self, max_cycles: u64) -> Result<(), SimError> {
+        let result = self.run_loop(max_cycles);
+        self.settle_cores();
+        result
+    }
+
+    /// Books every core's slept cycles up to `now`, so its counters read
+    /// as the cycle-by-cycle loop's would.
+    fn settle_cores(&mut self) {
+        for core in &mut self.cores {
+            core.settle(self.now);
+        }
+    }
+
+    fn run_loop(&mut self, max_cycles: u64) -> Result<(), SimError> {
         let limit = self.now + max_cycles;
         while !self.all_done() {
             if self.now >= limit {
@@ -750,18 +784,16 @@ impl GpuDevice {
         Ok(())
     }
 
-    /// Idle fast-forward: when no core can act at `now` without an
-    /// external event, jump straight to the earliest cycle at which
-    /// anything in the device can change, booking the skipped scheduler
-    /// slots exactly as the cycle-by-cycle loop would have.
+    /// Idle fast-forward: when every core sleeps, jump straight to the
+    /// earliest cycle at which anything in the device can change. Nothing
+    /// is booked here; each core settles its slept cycles later.
     ///
-    /// Bit-identity argument: a skipped cycle is one where every stage of
-    /// [`step`](Self::step) is a provable no-op apart from idle/stall slot
-    /// accounting ([`Core::account_skipped`] books those in closed form),
-    /// and every boundary with its own semantics caps the jump — the
-    /// writeback wheel's next drain and the shared-pipe release (via
-    /// [`Core::quiet_wake`]), the fabric's next event, the telemetry
-    /// sample edge, the cycle budget, and the deadlock window.
+    /// Bit-identity argument: a skipped cycle is one where every core
+    /// would sleep through it anyway, and every boundary with its own
+    /// semantics caps the jump — each core's wake-up (its next writeback
+    /// or shared-pipe release), the fabric's next event (which is `now`
+    /// while a response waits for a core), the telemetry sample edge,
+    /// the cycle budget, and the deadlock window.
     fn fast_forward_idle(&mut self, limit: Cycle) {
         if self.dispatch_dirty {
             return; // CTA dispatch may act next cycle
@@ -770,11 +802,11 @@ impl GpuDevice {
         // Deadlock detection must trip on the same cycle it would have:
         // step through the last cycle of the quiet window ourselves.
         let mut target = limit.min(self.last_progress + self.cfg.deadlock_cycles);
-        for core in &mut self.cores {
-            match core.quiet_wake(now) {
-                None => return,
-                Some(w) => target = target.min(w),
+        for core in &self.cores {
+            if !core.asleep(now) {
+                return;
             }
+            target = target.min(core.wake_at());
         }
         if let Some(t) = self.fabric.next_event(now) {
             target = target.min(t);
@@ -784,14 +816,7 @@ impl GpuDevice {
             // so run that step; the sample then lands on its usual cycle.
             target = target.min(tel.next_sample_at().saturating_sub(1));
         }
-        if target <= now {
-            return;
-        }
-        let skipped = target - now;
-        for core in &mut self.cores {
-            core.account_skipped(skipped);
-        }
-        self.now = target;
+        self.now = self.now.max(target);
     }
 
     /// Snapshot of run statistics.

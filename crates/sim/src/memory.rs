@@ -166,8 +166,29 @@ impl GlobalMem {
 
     /// Writes a slice of `u32`s starting at `addr`.
     pub fn write_u32_slice(&mut self, addr: u64, values: &[u32]) {
-        for (i, v) in values.iter().enumerate() {
-            self.write_u32(addr + 4 * i as u64, *v);
+        self.write_words(addr, values, |v| v.to_le_bytes());
+    }
+
+    /// Writes `values` as consecutive little-endian 4-byte words from
+    /// `addr`, looking each page up once for its whole run of words. An
+    /// unaligned start, whose words may straddle pages, goes word by word.
+    fn write_words<T: Copy>(&mut self, addr: u64, values: &[T], bytes: impl Fn(T) -> [u8; 4]) {
+        if !addr.is_multiple_of(4) {
+            for (i, &v) in values.iter().enumerate() {
+                self.write_u32(addr + 4 * i as u64, u32::from_le_bytes(bytes(v)));
+            }
+            return;
+        }
+        let (mut addr, mut rest) = (addr, values);
+        while !rest.is_empty() {
+            let off = (addr as usize) & (PAGE_BYTES - 1);
+            let n = ((PAGE_BYTES - off) / 4).min(rest.len());
+            let page = self.page_mut(addr);
+            for (dst, &v) in page[off..off + 4 * n].chunks_exact_mut(4).zip(&rest[..n]) {
+                dst.copy_from_slice(&bytes(v));
+            }
+            addr += 4 * n as u64;
+            rest = &rest[n..];
         }
     }
 
@@ -178,9 +199,7 @@ impl GlobalMem {
 
     /// Writes a slice of `f32`s starting at `addr`.
     pub fn write_f32_slice(&mut self, addr: u64, values: &[f32]) {
-        for (i, v) in values.iter().enumerate() {
-            self.write_f32(addr + 4 * i as u64, *v);
-        }
+        self.write_words(addr, values, |v| v.to_bits().to_le_bytes());
     }
 
     /// Reads `n` `f32`s starting at `addr`.
@@ -364,6 +383,38 @@ mod tests {
         m.write_u32(addr, 0x11223344);
         assert_eq!(m.read_u32(addr), 0x11223344);
         assert_eq!(m.resident_pages(), 2);
+    }
+
+    #[test]
+    fn chunked_slice_writes_match_per_word_writes() {
+        let words: Vec<u32> = (0..2500u32).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
+        let floats: Vec<f32> = words.iter().map(|&w| w as f32 * 0.25).collect();
+        // Unaligned and straddling a page, aligned across several pages
+        // (dense table and sparse overflow), and empty.
+        let starts = [
+            4096 - 6,
+            3 * 4096 - 8,
+            ((DENSE_PAGES as u64) << PAGE_SHIFT) - 12,
+        ];
+        for (i, &addr) in starts.iter().enumerate() {
+            for len in [0, 1, 3, words.len()] {
+                let (mut chunked, mut per_word) = (GlobalMem::new(), GlobalMem::new());
+                chunked.write_u32_slice(addr, &words[..len]);
+                chunked.write_f32_slice(addr + 0x10_0000, &floats[..len]);
+                for (j, (&w, &f)) in words[..len].iter().zip(&floats[..len]).enumerate() {
+                    per_word.write_u32(addr + 4 * j as u64, w);
+                    per_word.write_f32(addr + 0x10_0000 + 4 * j as u64, f);
+                }
+                let case = format!("start #{i}, {len} words");
+                assert_eq!(chunked.content_hash(), per_word.content_hash(), "{case}");
+                assert_eq!(
+                    chunked.resident_pages(),
+                    per_word.resident_pages(),
+                    "{case}"
+                );
+                assert_eq!(chunked.read_u32_vec(addr, len), &words[..len], "{case}");
+            }
+        }
     }
 
     #[test]

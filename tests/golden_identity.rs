@@ -1,28 +1,47 @@
 //! Golden bit-identity suite for the simulator fast path.
 //!
-//! The event-gated dispatch and idle fast-forward in `gpgpu-sim` are pure
-//! wall-clock optimizations: every statistic, per-kernel result, memory
-//! byte, and telemetry byte must match the reference cycle-by-cycle loop
-//! (`GpuDevice::set_fast_forward(false)`). These tests run a matrix of
-//! workloads against every named warp and CTA policy — fast path vs
-//! reference — and compare `SimStats`, the memory content hash, the
-//! serialized event trace, and the serialized interval series for exact
-//! equality.
+//! The event-gated dispatch, core sleep and idle fast-forward in
+//! `gpgpu-sim` are pure wall-clock optimizations: every statistic,
+//! per-kernel result, memory byte, and telemetry byte must match the
+//! reference cycle-by-cycle loop (`GpuDevice::set_fast_forward(false)`).
+//! These tests run a matrix of workloads against every named warp and CTA
+//! policy — fast path vs reference — and compare `SimStats`, the memory
+//! content hash, the serialized event trace, and the serialized interval
+//! series for exact equality. A few device setups aim at one way a
+//! sleeping core is woken or settled each.
 
-use gpgpu_repro::sim::{GpuConfig, GpuDevice, MemorySink, SimStats, TelemetryConfig};
+use gpgpu_repro::isa::dsl::DslKernel;
+use gpgpu_repro::isa::{AluOp, Dim2, KernelDescriptor, SpecialReg};
+use gpgpu_repro::sim::{GlobalMem, GpuConfig, GpuDevice, MemorySink, SimStats, TelemetryConfig};
 use gpgpu_repro::tbs::{CtaPolicy, WarpPolicy};
 use gpgpu_repro::workloads::compute::FmaHeavy;
 use gpgpu_repro::workloads::irregular::RandomGather;
-use gpgpu_repro::workloads::streaming::VecAdd;
-use gpgpu_repro::workloads::Workload;
+use gpgpu_repro::workloads::streaming::{Saxpy, VecAdd};
+use gpgpu_repro::workloads::{VerifyError, Workload, WorkloadClass};
+use std::sync::Arc;
 
 const MAX_CYCLES: u64 = 50_000_000;
-const SAMPLE_EVERY: u64 = 500;
+
+/// The device configuration and telemetry sampling period of a run.
+struct Setup {
+    cfg: GpuConfig,
+    sample_every: u64,
+}
+
+impl Default for Setup {
+    fn default() -> Self {
+        Setup {
+            cfg: GpuConfig::fermi(),
+            sample_every: 500,
+        }
+    }
+}
 
 /// One complete traced run; `fast` selects the optimized or the reference
 /// loop. Returns the stats, the byte-serialized telemetry streams, and the
 /// memory content hash.
 fn run_once(
+    setup: &Setup,
     workloads: &[&dyn Fn() -> Box<dyn Workload>],
     serial: bool,
     warp: WarpPolicy,
@@ -30,9 +49,12 @@ fn run_once(
     fast: bool,
 ) -> (SimStats, String, String, u64) {
     let factory = warp.factory();
-    let mut gpu = GpuDevice::new(GpuConfig::fermi(), factory.as_ref(), cta.scheduler());
+    let mut gpu = GpuDevice::new(setup.cfg.clone(), factory.as_ref(), cta.scheduler());
     gpu.set_fast_forward(fast);
-    gpu.enable_telemetry(TelemetryConfig::new(SAMPLE_EVERY), Box::new(MemorySink::new()));
+    gpu.enable_telemetry(
+        TelemetryConfig::new(setup.sample_every),
+        Box::new(MemorySink::new()),
+    );
     let mut instances: Vec<Box<dyn Workload>> = workloads.iter().map(|make| make()).collect();
     let mut prev = None;
     for w in &mut instances {
@@ -61,21 +83,26 @@ fn run_once(
     )
 }
 
+/// Runs the fast path and the reference loop and demands identical
+/// outputs; returns the stats for checks that the case did what it aims
+/// at.
 fn assert_identical(
     label: &str,
+    setup: &Setup,
     workloads: &[&dyn Fn() -> Box<dyn Workload>],
     serial: bool,
     warp: WarpPolicy,
     cta: CtaPolicy,
-) {
-    let fast = run_once(workloads, serial, warp, cta, true);
-    let reference = run_once(workloads, serial, warp, cta, false);
+) -> SimStats {
+    let fast = run_once(setup, workloads, serial, warp, cta, true);
+    let reference = run_once(setup, workloads, serial, warp, cta, false);
     assert_eq!(fast.0, reference.0, "{label}: SimStats diverge");
     assert_eq!(fast.1, reference.1, "{label}: event traces diverge");
     assert_eq!(fast.2, reference.2, "{label}: interval series diverge");
     assert_eq!(fast.3, reference.3, "{label}: memory contents diverge");
     assert!(fast.0.instructions > 0, "{label}: trivial run proves nothing");
     assert_eq!(fast.0.malformed_dispatches, 0, "{label}: policy misbehaved");
+    fast.0
 }
 
 fn vecadd() -> Box<dyn Workload> {
@@ -98,6 +125,7 @@ fn cta_policy_matrix_is_bit_identical() {
         for (cname, cta) in CtaPolicy::all_named() {
             assert_identical(
                 &format!("{wname} x gto x {cname}"),
+                &Setup::default(),
                 &[make],
                 false,
                 WarpPolicy::Gto,
@@ -112,6 +140,7 @@ fn warp_policy_matrix_is_bit_identical() {
     for (wname, warp) in WarpPolicy::all_named() {
         assert_identical(
             &format!("vecadd x {wname} x baseline"),
+            &Setup::default(),
             &[&vecadd],
             false,
             warp,
@@ -131,6 +160,7 @@ fn concurrent_pair_is_bit_identical() {
     ] {
         assert_identical(
             &format!("vecadd+fmaheavy x gto x {cname}"),
+            &Setup::default(),
             &[&vecadd, &fmaheavy],
             false,
             WarpPolicy::Gto,
@@ -149,6 +179,7 @@ fn stall_accounting_is_live_and_bit_identical() {
     // gather workload keeps loads in flight (MemPending) while the
     // fmaheavy pairing exercises scoreboard pressure.
     let reference = run_once(
+        &Setup::default(),
         &[&vecadd, &gather],
         false,
         WarpPolicy::Gto,
@@ -175,6 +206,7 @@ fn stall_accounting_is_live_and_bit_identical() {
     }
     gpgpu_repro::sim::assert_conservation(&reference.0);
     let fast = run_once(
+        &Setup::default(),
         &[&vecadd, &gather],
         false,
         WarpPolicy::Gto,
@@ -193,9 +225,152 @@ fn serial_pair_is_bit_identical() {
     // completion cycle, which the fast-forward gating must not disturb.
     assert_identical(
         "vecadd->gather serial x gto x baseline",
+        &Setup::default(),
         &[&vecadd, &gather],
         true,
         WarpPolicy::Gto,
         CtaPolicy::Baseline(None),
     );
+}
+
+fn saxpy() -> Box<dyn Workload> {
+    Box::new(Saxpy::new(8 * 1024))
+}
+
+/// Two CTAs: a kernel that reaches only a few of the cores.
+fn vecadd_two_ctas() -> Box<dyn Workload> {
+    Box::new(VecAdd::new(512))
+}
+
+fn bank_conflicts() -> Box<dyn Workload> {
+    Box::new(BankConflicts::default())
+}
+
+const BANK_CTAS: u32 = 30;
+const BANK_ROUNDS: u32 = 8;
+
+/// Each thread keeps a counter in shared memory at a 32-word stride, so
+/// every warp access replays 32 bank-conflict passes and holds the shared
+/// pipe far longer than `int_latency`.
+#[derive(Debug, Default)]
+struct BankConflicts {
+    out: u64,
+}
+
+impl Workload for BankConflicts {
+    fn name(&self) -> &str {
+        "bank-conflicts"
+    }
+
+    fn class(&self) -> WorkloadClass {
+        WorkloadClass::Compute
+    }
+
+    fn prepare(&mut self, gmem: &mut GlobalMem) -> KernelDescriptor {
+        self.out = gmem.alloc(u64::from(BANK_CTAS * 256) * 4);
+        let mut k = DslKernel::new("bank-conflicts", Dim2::x(256));
+        let pout = k.param(0);
+        let tid = k.special(SpecialReg::TidX);
+        let slot = k.imul(tid, 128u64);
+        let gid = k.global_tid_x();
+        k.st_shared_u32(gid, slot, 0);
+        let v = k.declare();
+        k.for_range(0u64, u64::from(BANK_ROUNDS), 1u64, |k, _| {
+            k.ld_shared_u32_to(v, slot, 0);
+            k.alu_to(AluOp::IAdd, v, v, 1u64);
+            k.st_shared_u32(v, slot, 0);
+        });
+        let off = k.shl(gid, 2u64);
+        let addr = k.iadd(pout, off);
+        k.st_global_u32(v, addr, 0);
+        let prog = Arc::new(k.compile().expect("well-formed"));
+        KernelDescriptor::builder(prog, Dim2::x(BANK_CTAS), Dim2::x(256))
+            .smem_per_cta(256 * 128)
+            .params([self.out])
+            .build()
+            .expect("valid")
+    }
+
+    fn verify(&self, gmem: &GlobalMem) -> Result<(), VerifyError> {
+        let got = gmem.read_u32_vec(self.out, (BANK_CTAS * 256) as usize);
+        match (0u32..).zip(got).find(|&(i, g)| g != i + BANK_ROUNDS) {
+            None => Ok(()),
+            Some((i, g)) => Err(VerifyError {
+                workload: self.name().to_string(),
+                detail: format!("thread {i}: got {g}, want {}", i + BANK_ROUNDS),
+            }),
+        }
+    }
+}
+
+#[test]
+fn full_l1_mshr_file_is_bit_identical() {
+    // Two L1 MSHRs keep LSQ heads rejected for long runs of cycles: cores
+    // sleep blocked, book the rejected retries in closed form, and wake
+    // on fills; the odd sampling period settles them mid-sleep.
+    let mut setup = Setup {
+        sample_every: 97,
+        ..Setup::default()
+    };
+    setup.cfg.l1.mshr_entries = 2;
+    let stats = assert_identical(
+        "gather x gto x baseline, 2 L1 MSHRs",
+        &setup,
+        &[&gather],
+        false,
+        WarpPolicy::Gto,
+        CtaPolicy::Baseline(None),
+    );
+    assert!(stats.l1.reservation_fails > 0, "no L1 access was rejected");
+}
+
+#[test]
+fn shared_pipe_release_is_bit_identical() {
+    // Warps wait on a shared pipe that 32-way bank conflicts keep busy
+    // for 32 cycles a pass: cores sleep until it frees.
+    let stats = assert_identical(
+        "bank-conflicts x gto x baseline",
+        &Setup::default(),
+        &[&bank_conflicts],
+        false,
+        WarpPolicy::Gto,
+        CtaPolicy::Baseline(None),
+    );
+    let replays: u64 = stats.cores.iter().map(|c| c.shared_replays).sum();
+    assert!(replays > 0, "no bank conflicts");
+}
+
+#[test]
+fn dispatch_into_sleeping_core_is_bit_identical() {
+    // Without the launch-time L1 flush (which wakes every core), the
+    // second kernel of a serial pair is dispatched straight into cores
+    // that have slept since the first kernel's tail.
+    let mut setup = Setup::default();
+    setup.cfg.flush_l1_on_kernel_launch = false;
+    assert_identical(
+        "vecadd->gather serial x gto x baseline, no launch flush",
+        &setup,
+        &[&vecadd, &gather],
+        true,
+        WarpPolicy::Gto,
+        CtaPolicy::Baseline(None),
+    );
+}
+
+#[test]
+fn launch_flush_wakes_sleeping_cores() {
+    // A write-back L1 holds the first kernel's dirty lines; the flush at
+    // the second launch queues them for writeback, and the cores the
+    // two-CTA second kernel never reaches must wake to send them.
+    let mut setup = Setup::default();
+    setup.cfg.l1.write_back = true;
+    let stats = assert_identical(
+        "saxpy->vecadd(2 CTAs) serial x gto x baseline, write-back L1",
+        &setup,
+        &[&saxpy, &vecadd_two_ctas],
+        true,
+        WarpPolicy::Gto,
+        CtaPolicy::Baseline(None),
+    );
+    assert!(stats.l1.writebacks > 0, "the flush wrote nothing back");
 }

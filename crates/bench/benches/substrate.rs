@@ -67,6 +67,35 @@ fn bench_dram() {
     });
 }
 
+/// A saturated channel: a full queue and every bank busy, so a tick can
+/// neither complete nor issue anything.
+fn bench_dram_saturated() {
+    let cfg = DramConfig::gddr5_default();
+    let mut chan = DramChannel::new(cfg.clone());
+    let req = |local_addr: u64| DramRequest {
+        local_addr,
+        is_read: true,
+        token: local_addr,
+    };
+    // One request per bank (consecutive rows map to consecutive banks),
+    // issued one per cycle, then a full queue behind them.
+    let row = u64::from(cfg.row_bytes);
+    for b in 0..u64::from(cfg.banks) {
+        assert!(chan.submit(req(b * row), 0));
+    }
+    let now = u64::from(cfg.banks);
+    for t in 0..now {
+        assert!(chan.tick(t).is_empty());
+    }
+    for i in 0..u64::from(cfg.queue_len) {
+        assert!(chan.submit(req(i * row + 128), now));
+    }
+    bench("dram/saturated-tick", ITERS, || {
+        black_box(chan.tick(black_box(now)));
+    });
+    assert!(!chan.can_accept(), "the queue stayed full");
+}
+
 fn bench_xbar() {
     let mut x: Crossbar<u64> = Crossbar::new(XbarConfig::default_with_ports(15, 6));
     let mut now = 0u64;
@@ -111,6 +140,7 @@ fn bench_simt() {
 fn main() {
     bench_cache();
     bench_dram();
+    bench_dram_saturated();
     bench_xbar();
     bench_coalesce();
     bench_simt();

@@ -12,7 +12,7 @@
 //! live in the simulator's functional memory).
 
 use crate::req::{AccessKind, Cycle, ReqId};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Cache geometry and policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -233,7 +233,13 @@ struct MshrEntry {
 pub struct Cache {
     cfg: CacheConfig,
     sets: Vec<Vec<Line>>,
-    mshrs: BTreeMap<u64, MshrEntry>,
+    /// Line address of each MSHR entry; `mshrs[i]` is its entry. At most
+    /// `mshr_entries` lines are outstanding (32 per L1, 64 per L2 slice by
+    /// default) and nothing depends on the entries' order, so a linear
+    /// scan beats a tree lookup, and `fill` frees an entry with
+    /// `swap_remove`.
+    mshr_lines: Vec<u64>,
+    mshrs: Vec<MshrEntry>,
     miss_queue: VecDeque<Downstream>,
     /// Writebacks generated by fills; unbounded so fills never fail.
     wb_queue: VecDeque<Downstream>,
@@ -265,7 +271,8 @@ impl Cache {
         Cache {
             cfg,
             sets,
-            mshrs: BTreeMap::new(),
+            mshr_lines: Vec::new(),
+            mshrs: Vec::new(),
             miss_queue: VecDeque::new(),
             wb_queue: VecDeque::new(),
             use_stamp: 0,
@@ -281,6 +288,15 @@ impl Cache {
     /// Aligns an address down to its line.
     pub fn line_addr(&self, addr: u64) -> u64 {
         addr & !u64::from(self.cfg.line_bytes - 1)
+    }
+
+    fn mshr_of(&self, line: u64) -> Option<usize> {
+        self.mshr_lines.iter().position(|&l| l == line)
+    }
+
+    fn alloc_mshr(&mut self, line: u64, entry: MshrEntry) {
+        self.mshr_lines.push(line);
+        self.mshrs.push(entry);
     }
 
     fn set_index(&self, line: u64) -> usize {
@@ -319,7 +335,8 @@ impl Cache {
                     return Access::Hit;
                 }
                 // MSHR hit?
-                if let Some(entry) = self.mshrs.get_mut(&line) {
+                if let Some(m) = self.mshr_of(line) {
+                    let entry = &mut self.mshrs[m];
                     if entry.waiters.len() as u32 >= self.cfg.mshr_max_merge {
                         self.stats.reservation_fails += 1;
                         return Access::Fail(ReservationFailure::MergeLimit);
@@ -338,7 +355,7 @@ impl Cache {
                     self.stats.reservation_fails += 1;
                     return Access::Fail(ReservationFailure::MissQueueFull);
                 }
-                self.mshrs.insert(
+                self.alloc_mshr(
                     line,
                     MshrEntry {
                         waiters: vec![id],
@@ -380,8 +397,8 @@ impl Cache {
                 }
                 // Store miss.
                 if self.cfg.write_allocate {
-                    if let Some(entry) = self.mshrs.get_mut(&line) {
-                        entry.dirty_on_fill = true;
+                    if let Some(m) = self.mshr_of(line) {
+                        self.mshrs[m].dirty_on_fill = true;
                         self.stats.store_accesses += 1;
                         self.stats.mshr_merges += 1;
                         return Access::MissMerged;
@@ -394,7 +411,7 @@ impl Cache {
                         self.stats.reservation_fails += 1;
                         return Access::Fail(ReservationFailure::MissQueueFull);
                     }
-                    self.mshrs.insert(
+                    self.alloc_mshr(
                         line,
                         MshrEntry {
                             waiters: Vec::new(),
@@ -463,9 +480,12 @@ impl Cache {
         let set_idx = self.set_index(line);
         self.stats.fills += 1;
 
-        let entry = self.mshrs.remove(&line);
-        let (ready, dirty_on_fill) = match entry {
-            Some(e) => (e.waiters, e.dirty_on_fill),
+        let (ready, dirty_on_fill) = match self.mshr_of(line) {
+            Some(m) => {
+                self.mshr_lines.swap_remove(m);
+                let e = self.mshrs.swap_remove(m);
+                (e.waiters, e.dirty_on_fill)
+            }
             None => (Vec::new(), false),
         };
 
@@ -742,6 +762,65 @@ mod tests {
         assert!(out.ready.is_empty());
         assert!(out.writeback.is_none());
         assert!(c.probe(0));
+    }
+
+    /// Filling lines in the reverse of their MSHR allocation order moves
+    /// entries around (`swap_remove`); each fill must still return exactly
+    /// its own line's waiters, in arrival order, and free one entry.
+    #[test]
+    fn fills_in_any_order_return_their_own_waiters() {
+        let mut c = Cache::new(CacheConfig {
+            mshr_max_merge: 3,
+            ..small(false, false).config().clone()
+        });
+        let lines = [0u64, 128, 256, 384];
+        // Arrivals interleave across lines: ids 0..12, line = id % 4.
+        for n in 0..12u64 {
+            let want = if n < 4 {
+                Access::Miss
+            } else {
+                Access::MissMerged
+            };
+            assert_eq!(
+                c.access(lines[(n % 4) as usize] + n, AccessKind::Load, id(n), n),
+                want
+            );
+        }
+        assert_eq!(c.mshrs_in_use(), 4);
+        for (k, &line) in lines.iter().enumerate().rev() {
+            let k = k as u64;
+            let out = c.fill(line, 20);
+            assert_eq!(out.ready, vec![ReqId(k), ReqId(k + 4), ReqId(k + 8)]);
+            assert_eq!(c.mshrs_in_use(), k as usize);
+        }
+    }
+
+    /// An entry that `swap_remove` moved keeps its merge count: a full
+    /// entry still rejects with `MergeLimit` and a fresh line still finds
+    /// no entry.
+    #[test]
+    fn merge_limit_survives_entry_move() {
+        let mut c = small(false, false);
+        assert_eq!(c.access(0, AccessKind::Load, id(1), 0), Access::Miss);
+        assert_eq!(c.access(128, AccessKind::Load, id(2), 0), Access::Miss);
+        assert_eq!(c.access(256, AccessKind::Load, id(3), 0), Access::Miss);
+        assert_eq!(
+            c.access(256, AccessKind::Load, id(4), 0),
+            Access::MissMerged
+        );
+        // Line 0 leaves; line 256's entry moves into its slot.
+        assert_eq!(c.fill(0, 1).ready, vec![ReqId(1)]);
+        assert_eq!(
+            c.access(260, AccessKind::Load, id(5), 2),
+            Access::Fail(ReservationFailure::MergeLimit)
+        );
+        assert_eq!(
+            c.access(132, AccessKind::Load, id(6), 2),
+            Access::MissMerged
+        );
+        assert_eq!(c.fill(256, 3).ready, vec![ReqId(3), ReqId(4)]);
+        assert_eq!(c.fill(128, 4).ready, vec![ReqId(2), ReqId(6)]);
+        assert_eq!(c.mshrs_in_use(), 0);
     }
 
     #[test]

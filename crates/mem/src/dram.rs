@@ -170,6 +170,13 @@ pub struct DramChannel {
     banks: Vec<Bank>,
     bus_free: Cycle,
     in_flight: Vec<InFlight>,
+    /// The earliest in-flight completion or queued request's bank
+    /// release (`Cycle::MAX` when idle). Before it a tick would complete
+    /// nothing and find every queued request's bank busy, so it would
+    /// pick nothing and bump no bypass counter: [`tick`](Self::tick)
+    /// returns at once. Only `submit` (which lowers it) and a tick that
+    /// runs (which recomputes it) change what it depends on.
+    wake: Cycle,
     stats: DramStats,
 }
 
@@ -194,6 +201,7 @@ impl DramChannel {
             banks,
             bus_free: 0,
             in_flight: Vec::new(),
+            wake: Cycle::MAX,
             stats: DramStats::default(),
         }
     }
@@ -224,6 +232,7 @@ impl DramChannel {
             return false;
         }
         let (bank, row) = self.bank_and_row(req.local_addr);
+        self.wake = self.wake.min(self.banks[bank as usize].busy_until);
         self.queue.push_back(Queued {
             req,
             enqueued: now,
@@ -237,6 +246,9 @@ impl DramChannel {
     /// Advances the channel one cycle: possibly starts one queued request
     /// and returns any requests completing at `now`.
     pub fn tick(&mut self, now: Cycle) -> Vec<DramCompletion> {
+        if now < self.wake {
+            return Vec::new();
+        }
         // Collect completions first.
         let mut done = Vec::new();
         let mut i = 0;
@@ -324,6 +336,14 @@ impl DramChannel {
                 enqueued: q.enqueued,
             });
         }
+        let banks = &self.banks;
+        self.wake = self
+            .in_flight
+            .iter()
+            .map(|f| f.completion)
+            .chain(self.queue.iter().map(|q| banks[q.bank as usize].busy_until))
+            .min()
+            .unwrap_or(Cycle::MAX);
         done
     }
 
@@ -334,25 +354,10 @@ impl DramChannel {
 
     /// The earliest cycle `>= now` at which ticking this channel does
     /// something (a completion fires, or a queued request finds its bank
-    /// free), or `None` when it is quiesced. Conservative but never later
-    /// than the true next event.
+    /// free), or `None` when it is quiesced. O(1): it is the channel's
+    /// wake time.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        // Nothing is earlier than `now`, so the walks stop at the first
-        // entry due by then.
-        let mut next = Cycle::MAX;
-        for q in &self.queue {
-            next = next.min(self.banks[q.bank as usize].busy_until.max(now));
-            if next == now {
-                return Some(now);
-            }
-        }
-        for f in &self.in_flight {
-            next = next.min(f.completion.max(now));
-            if next == now {
-                return Some(now);
-            }
-        }
-        (next != Cycle::MAX).then_some(next)
+        (self.wake != Cycle::MAX).then(|| self.wake.max(now))
     }
 
     /// Current queue occupancy.

@@ -10,7 +10,7 @@ use crate::cache::{Access, Cache, CacheConfig, CacheStats, DownstreamKind};
 use crate::dram::{DramChannel, DramConfig, DramRequest, DramStats};
 use crate::req::{AccessKind, Cycle, MemRequest, MemResponse, ReqId};
 use crate::xbar::{Crossbar, XbarConfig, XbarStats};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Configuration of the whole off-core memory system.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,8 +72,11 @@ pub struct FabricStats {
     pub stores_in: u64,
 }
 
+/// A load in flight inside the fabric: the caller's id and core, restored
+/// when its response is queued.
 #[derive(Debug, Clone, Copy)]
 struct ReqCtx {
+    id: ReqId,
     core: usize,
 }
 
@@ -100,7 +103,12 @@ pub struct MemFabric {
     req_xbar: Crossbar<MemRequest>,
     resp_xbar: Crossbar<MemResponse>,
     partitions: Vec<Partition>,
-    ctx: BTreeMap<ReqId, ReqCtx>,
+    /// Slab of in-flight loads. A load carries its slot index as its id
+    /// from the request crossbar on (the L2 only echoes ids), so a
+    /// response finds its caller in O(1) and caller ids need not be
+    /// unique across cores. Freed slots are reused LIFO.
+    ctx: Vec<ReqCtx>,
+    free: Vec<usize>,
     stats_extra: (u64, u64, u64), // loads_in, loads_out, stores_in
 }
 
@@ -134,7 +142,8 @@ impl MemFabric {
             req_xbar: Crossbar::new(xc(cfg.cores, cfg.partitions)),
             resp_xbar: Crossbar::new(xc(cfg.partitions, cfg.cores)),
             partitions,
-            ctx: BTreeMap::new(),
+            ctx: Vec::new(),
+            free: Vec::new(),
             stats_extra: (0, 0, 0),
             cfg,
         }
@@ -161,17 +170,33 @@ impl MemFabric {
     pub fn try_submit(&mut self, now: Cycle, req: MemRequest) -> bool {
         let dst = self.partition_of(req.addr);
         // Request packets: stores carry data (a line), loads are header-only.
-        let size = match req.kind {
-            AccessKind::Load => 0,
-            AccessKind::Store => req.size.max(1),
+        // A load travels under the slot it takes if accepted.
+        let slot = self.free.last().copied().unwrap_or(self.ctx.len());
+        let (size, packet) = match req.kind {
+            AccessKind::Load => (
+                0,
+                MemRequest {
+                    id: ReqId(slot as u64),
+                    ..req
+                },
+            ),
+            AccessKind::Store => (req.size.max(1), req),
         };
-        if !self.req_xbar.try_send(now, req.core, dst, size, req) {
+        if !self.req_xbar.try_send(now, req.core, dst, size, packet) {
             return false;
         }
         match req.kind {
             AccessKind::Load => {
                 self.stats_extra.0 += 1;
-                self.ctx.insert(req.id, ReqCtx { core: req.core });
+                let c = ReqCtx {
+                    id: req.id,
+                    core: req.core,
+                };
+                if self.free.pop().is_some() {
+                    self.ctx[slot] = c;
+                } else {
+                    self.ctx.push(c);
+                }
             }
             AccessKind::Store => self.stats_extra.2 += 1,
         }
@@ -182,14 +207,14 @@ impl MemFabric {
     pub fn tick(&mut self, now: Cycle) {
         let line_bytes = self.cfg.line_bytes;
         let partitions = self.cfg.partitions as u64;
-        let ctx = &mut self.ctx;
-        // Queues a load response, resolving its core once here rather
-        // than on every send attempt. An unknown id (a client bug) is
-        // dropped rather than wedging the queue.
-        let mut respond = |p: &mut Partition, ready: Cycle, resp: MemResponse| {
-            if let Some(c) = ctx.remove(&resp.id) {
-                p.responses.push_back((ready, resp, c.core));
-            }
+        let (ctx, free) = (&self.ctx, &mut self.free);
+        // Queues a load response under its caller's id and core, freeing
+        // the load's slot.
+        let mut respond = |p: &mut Partition, ready: Cycle, slot: ReqId, addr: u64| {
+            let c = ctx[slot.0 as usize];
+            free.push(slot.0 as usize);
+            p.responses
+                .push_back((ready, MemResponse { id: c.id, addr }, c.core));
         };
         for (pid, p) in self.partitions.iter_mut().enumerate() {
             // 1. DRAM completions: reads fill the L2 slice and wake waiters.
@@ -197,8 +222,8 @@ impl MemFabric {
                 if c.is_read {
                     // token carries the global line address.
                     let out = p.l2.fill(c.token, now);
-                    for id in out.ready {
-                        respond(p, now, MemResponse { id, addr: c.token });
+                    for slot in out.ready {
+                        respond(p, now, slot, c.token);
                     }
                 }
             }
@@ -237,11 +262,8 @@ impl MemFabric {
                 match p.l2.access(req.addr, req.kind, id, now) {
                     Access::Hit => {
                         if req.kind.is_load() {
-                            let resp = MemResponse {
-                                id: req.id,
-                                addr: req.addr & !u64::from(line_bytes - 1),
-                            };
-                            respond(p, now + u64::from(self.cfg.l2_latency), resp);
+                            let addr = req.addr & !u64::from(line_bytes - 1);
+                            respond(p, now + u64::from(self.cfg.l2_latency), req.id, addr);
                         }
                     }
                     Access::Miss | Access::MissMerged | Access::MissNoAlloc => {}
@@ -321,7 +343,7 @@ impl MemFabric {
 
     /// Whether nothing is in flight anywhere in the fabric.
     pub fn quiesced(&self) -> bool {
-        self.ctx.is_empty()
+        self.free.len() == self.ctx.len()
             && self.req_xbar.quiesced()
             && self.resp_xbar.quiesced()
             && self.partitions.iter().all(|p| {
@@ -487,6 +509,81 @@ mod tests {
         assert_eq!(s.loads_out, 1);
         assert!(s.req_xbar.packets >= 1);
         assert!(s.resp_xbar.packets >= 1);
+    }
+
+    /// Runs until both cores' responses are in, returning `(core, id)` in
+    /// delivery order.
+    fn collect(f: &mut MemFabric, start: Cycle, want: usize) -> Vec<(usize, ReqId)> {
+        let mut got = Vec::new();
+        for now in start..start + 2_000 {
+            f.tick(now);
+            for core in 0..2 {
+                while let Some(r) = f.pop_response(core) {
+                    got.push((core, r.id));
+                }
+            }
+            if got.len() == want {
+                break;
+            }
+        }
+        got
+    }
+
+    /// Caller ids are opaque: they need not encode the core or be unique
+    /// across cores, and any value, `u64::MAX` included, comes back
+    /// unchanged to the core that sent it.
+    #[test]
+    fn caller_ids_come_back_unchanged_to_their_core() {
+        let mut f = fabric();
+        let reqs = [(0, 0), (0, 1), (1, 0), (1, u64::MAX), (0, u64::MAX)];
+        for (i, &(core, id)) in reqs.iter().enumerate() {
+            assert!(f.try_submit(0, load(id, i as u64 * 128, core)));
+        }
+        let mut got = collect(&mut f, 0, reqs.len());
+        got.sort();
+        let mut want: Vec<_> = reqs.iter().map(|&(c, id)| (c, ReqId(id))).collect();
+        want.sort();
+        assert_eq!(got, want);
+        assert!(f.quiesced());
+    }
+
+    /// Two cores' loads to one line merge in one L2 MSHR (one DRAM read),
+    /// yet each core gets its own id back.
+    #[test]
+    fn merged_loads_from_two_cores_keep_their_ids() {
+        let mut f = fabric();
+        assert!(f.try_submit(0, load(7, 0x1000, 0)));
+        assert!(f.try_submit(0, load(7, 0x1004, 1)));
+        assert!(f.try_submit(1, load(9, 0x1008, 1)));
+        let mut got = collect(&mut f, 0, 3);
+        got.sort();
+        assert_eq!(got, vec![(0, ReqId(7)), (1, ReqId(7)), (1, ReqId(9))]);
+        let s = f.stats();
+        assert_eq!((s.dram.reads, s.l2.mshr_merges), (1, 2));
+    }
+
+    /// A load's slot is freed when its response is queued and reused by
+    /// the next load, so the slab grows only to the peak number in flight.
+    /// The fabric is not quiesced while a load is anywhere in it.
+    #[test]
+    fn slots_are_reused_and_in_flight_loads_block_quiesce() {
+        let mut f = fabric();
+        for round in 0..3u64 {
+            let t0 = round * 1_000;
+            assert!(f.try_submit(t0, load(100 + round, 0x4000 + round * 256, 1)));
+            let mut got = None;
+            for now in t0..t0 + 1_000 {
+                assert!(!f.quiesced(), "load in flight at cycle {now}");
+                f.tick(now);
+                if let Some(r) = f.pop_response(1) {
+                    got = Some(r.id);
+                    break;
+                }
+            }
+            assert_eq!(got, Some(ReqId(100 + round)));
+            assert!(f.quiesced());
+            assert_eq!(f.ctx.len(), 1, "round {round} reuses the freed slot");
+        }
     }
 
     #[test]

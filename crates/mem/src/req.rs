@@ -5,8 +5,9 @@ use std::fmt;
 /// A point in simulated time, in core clock cycles.
 pub type Cycle = u64;
 
-/// A unique identifier for an in-flight memory request, assigned by the
-/// requesting core. Responses carry the same id back.
+/// An identifier for an in-flight memory request, chosen by the
+/// requesting core. Responses carry the same id back. The fabric treats
+/// it as opaque: it need not encode the core or be unique across cores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ReqId(pub u64);
 

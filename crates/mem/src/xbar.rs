@@ -7,7 +7,8 @@
 //! is rotating-priority and deterministic.
 
 use crate::req::Cycle;
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Crossbar geometry and timing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,6 +69,32 @@ struct TraversingPacket<T> {
     payload: T,
 }
 
+// Ordered by `(arrival, seq)`, reversed so the max-heap `traversing`
+// pops the earliest arrival first. The `seq` tie-break cannot be
+// observed: a packet holds its output until `arrival - latency`, so
+// `out_free` serializes each output and its arrivals strictly increase;
+// equal arrivals go to different outputs, whose delivery queues are
+// independent.
+impl<T> Ord for TraversingPacket<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.arrival, other.seq).cmp(&(self.arrival, self.seq))
+    }
+}
+
+impl<T> PartialOrd for TraversingPacket<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> PartialEq for TraversingPacket<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<T> Eq for TraversingPacket<T> {}
+
 /// A crossbar carrying opaque payloads of type `T`. See the
 /// [module docs](self) for the timing model.
 #[derive(Debug)]
@@ -76,7 +103,7 @@ pub struct Crossbar<T> {
     queues: Vec<VecDeque<QueuedPacket<T>>>,
     in_free: Vec<Cycle>,
     out_free: Vec<Cycle>,
-    traversing: Vec<TraversingPacket<T>>,
+    traversing: BinaryHeap<TraversingPacket<T>>,
     delivered: Vec<VecDeque<T>>,
     seq: u64,
     stats: XbarStats,
@@ -95,7 +122,7 @@ impl<T> Crossbar<T> {
             queues: (0..cfg.in_ports).map(|_| VecDeque::new()).collect(),
             in_free: vec![0; cfg.in_ports],
             out_free: vec![0; cfg.out_ports],
-            traversing: Vec::new(),
+            traversing: BinaryHeap::new(),
             delivered: (0..cfg.out_ports).map(|_| VecDeque::new()).collect(),
             seq: 0,
             stats: XbarStats::default(),
@@ -143,18 +170,9 @@ impl<T> Crossbar<T> {
     /// Advances one cycle: arbitrates input queues onto output ports and
     /// moves arrivals into their delivery queues.
     pub fn tick(&mut self, now: Cycle) {
-        // Deliver arrivals (sorted for determinism). Remove from highest
-        // index down so swap_remove indices stay valid, then order the
-        // removed packets by (arrival, seq).
-        let arrived: Vec<usize> = (0..self.traversing.len())
-            .filter(|&i| self.traversing[i].arrival <= now)
-            .collect();
-        let mut items: Vec<TraversingPacket<T>> = Vec::with_capacity(arrived.len());
-        for &i in arrived.iter().rev() {
-            items.push(self.traversing.swap_remove(i));
-        }
-        items.sort_by_key(|p| (p.arrival, p.seq));
-        for p in items {
+        // Deliver arrivals in (arrival, seq) order.
+        while self.traversing.peek().is_some_and(|p| p.arrival <= now) {
+            let p = self.traversing.pop().expect("peeked");
             self.delivered[p.dst].push_back(p.payload);
             self.stats.packets += 1;
         }
@@ -213,24 +231,21 @@ impl<T> Crossbar<T> {
     /// nothing happens (rotating arbitration makes the exact start cycle
     /// of a queued packet priority-dependent), but never skips past one.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let mut next = Cycle::MAX;
         if self.delivered.iter().any(|q| !q.is_empty()) {
             return Some(now);
         }
-        // Nothing is earlier than `now`, so the walks stop at the first
-        // packet due by then.
+        // The earliest arrival is the heap's top. Nothing is earlier than
+        // `now`, so the queue walk stops at the first head due by then.
+        let mut next = self
+            .traversing
+            .peek()
+            .map_or(Cycle::MAX, |p| p.arrival.max(now));
         for (src, q) in self.queues.iter().enumerate() {
             if let Some(head) = q.front() {
                 next = next.min(self.in_free[src].max(self.out_free[head.dst]).max(now));
                 if next == now {
                     return Some(now);
                 }
-            }
-        }
-        for p in &self.traversing {
-            next = next.min(p.arrival.max(now));
-            if next == now {
-                return Some(now);
             }
         }
         (next != Cycle::MAX).then_some(next)
@@ -332,6 +347,73 @@ mod tests {
         x.try_send(0, 0, 1, 32, 20);
         let got = drain(&mut x, 1, 30);
         assert_eq!(got.iter().map(|g| g.1).collect::<Vec<_>>(), vec![10, 20]);
+    }
+
+    /// Mixed 1- and 4-flit packets from three inputs to two shared
+    /// outputs: each output delivers at most one packet per cycle (its
+    /// arrivals strictly increase, which is why the heap's `seq` tie-break
+    /// is unobservable), each input's packets to an output arrive in
+    /// injection order, and once every packet has left its input queue
+    /// `next_event` names the next delivery exactly.
+    #[test]
+    fn shared_outputs_deliver_in_order_and_next_event_is_exact() {
+        let mut x: Crossbar<(usize, u64)> = Crossbar::new(XbarConfig {
+            in_ports: 3,
+            out_ports: 2,
+            latency: 3,
+            flit_bytes: 32,
+            queue_len: 4,
+        });
+        // (src, dst, size) in injection order per source.
+        let mut stream: VecDeque<(usize, usize, u32)> = (0..60u64)
+            .map(|i| {
+                (
+                    (i % 3) as usize,
+                    (i * 7 % 5 % 2) as usize,
+                    [0, 128][(i * 11 % 3 % 2) as usize],
+                )
+            })
+            .collect();
+        let mut sent = vec![[0u64; 2]; 3];
+        let mut got = vec![[0u64; 2]; 3];
+        let mut predicted: Option<Cycle> = None;
+        let mut checked = 0;
+        for now in 0..2_000 {
+            while let Some(&(src, dst, size)) = stream.front() {
+                if !x.try_send(now, src, dst, size, (src, sent[src][dst])) {
+                    break;
+                }
+                sent[src][dst] += 1;
+                stream.pop_front();
+            }
+            x.tick(now);
+            let mut delivered = false;
+            for dst in 0..2 {
+                let mut n = 0;
+                while let Some((src, k)) = x.pop_delivered(dst) {
+                    assert_eq!(k, got[src][dst], "input {src} to output {dst} out of order");
+                    got[src][dst] += 1;
+                    n += 1;
+                }
+                assert!(n <= 1, "output {dst} got {n} packets at cycle {now}");
+                delivered |= n > 0;
+            }
+            if delivered {
+                if let Some(p) = predicted.take() {
+                    assert_eq!(p, now, "next_event missed the delivery");
+                    checked += 1;
+                }
+            }
+            if x.quiesced() {
+                break;
+            }
+            if stream.is_empty() && x.queues.iter().all(VecDeque::is_empty) {
+                predicted = x.next_event(now + 1);
+            }
+        }
+        assert!(x.quiesced());
+        assert_eq!(got, sent);
+        assert!(checked >= 2, "only {checked} predictions checked");
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! with no third-party dependencies and every run checks the same cases.
 
 use gpgpu_mem::cache::DownstreamKind;
-use gpgpu_mem::dram::DramRequest;
+use gpgpu_mem::dram::{DramCompletion, DramRequest};
 use gpgpu_mem::{
-    Access, AccessKind, Cache, CacheConfig, Crossbar, DramChannel, DramConfig, ReqId, XbarConfig,
+    Access, AccessKind, Cache, CacheConfig, Crossbar, DramChannel, DramConfig, DramStats, ReqId,
+    XbarConfig,
 };
 use gpgpu_testkit::Gen;
 use std::collections::VecDeque;
@@ -405,5 +406,206 @@ fn zero_cap_is_pure_fcfs() {
         }
         let done: Vec<u64> = drive(&mut c, 0, 50_000).iter().map(|&(_, t)| t).collect();
         assert_eq!(done, submitted, "FCFS must preserve submission order");
+    }
+}
+
+/// Reference FR-FCFS channel with no wake time: every tick walks the
+/// in-flight list and the whole queue.
+struct RefDram {
+    cfg: DramConfig,
+    /// `(request, enqueued, bank, row, bypass)`, oldest first.
+    queue: VecDeque<(DramRequest, u64, usize, u64, u32)>,
+    /// `(open row, busy until)` per bank.
+    banks: Vec<(Option<u64>, u64)>,
+    bus_free: u64,
+    /// `(completion, enqueued, request)`.
+    in_flight: Vec<(u64, u64, DramRequest)>,
+    stats: DramStats,
+}
+
+impl RefDram {
+    fn new(cfg: DramConfig) -> Self {
+        RefDram {
+            banks: vec![(None, 0); cfg.banks as usize],
+            cfg,
+            queue: VecDeque::new(),
+            bus_free: 0,
+            in_flight: Vec::new(),
+            stats: DramStats::default(),
+        }
+    }
+
+    fn submit(&mut self, req: DramRequest, now: u64) -> bool {
+        if self.queue.len() as u32 >= self.cfg.queue_len {
+            self.stats.rejected += 1;
+            return false;
+        }
+        let line = req.local_addr / u64::from(self.cfg.line_bytes);
+        let per_row = u64::from(self.cfg.row_bytes / self.cfg.line_bytes);
+        let bank = (line / per_row) % u64::from(self.cfg.banks);
+        let row = line / (per_row * u64::from(self.cfg.banks));
+        self.queue.push_back((req, now, bank as usize, row, 0));
+        true
+    }
+
+    fn tick(&mut self, now: u64) -> Vec<DramCompletion> {
+        let (due, rest): (Vec<_>, Vec<_>) = self.in_flight.iter().partition(|f| f.0 <= now);
+        self.in_flight = rest;
+        let mut done = Vec::new();
+        for (completion, enqueued, r) in due {
+            self.stats.total_latency += completion - enqueued;
+            if r.is_read {
+                self.stats.reads += 1;
+            } else {
+                self.stats.writes += 1;
+            }
+            done.push(DramCompletion {
+                token: r.token,
+                is_read: r.is_read,
+                local_addr: r.local_addr,
+            });
+        }
+        done.sort_by_key(|c| (c.local_addr, c.token));
+        let free = |q: &(DramRequest, u64, usize, u64, u32)| self.banks[q.2].1 <= now;
+        let serviceable: Vec<usize> = (0..self.queue.len())
+            .filter(|&i| free(&self.queue[i]))
+            .collect();
+        let capped = serviceable
+            .iter()
+            .any(|&i| self.queue[i].4 >= self.cfg.max_bypass);
+        let hit = serviceable
+            .iter()
+            .copied()
+            .find(|&i| self.banks[self.queue[i].2].0 == Some(self.queue[i].3));
+        let pick = if capped {
+            serviceable.first().copied()
+        } else {
+            hit.or(serviceable.first().copied())
+        };
+        if let Some(idx) = pick {
+            for &i in serviceable.iter().take_while(|&&i| i < idx) {
+                self.queue[i].4 += 1;
+            }
+            let (req, enqueued, bank, row, _) = self.queue.remove(idx).unwrap();
+            let c = &self.cfg;
+            let lat = match self.banks[bank].0 {
+                Some(r) if r == row => (&mut self.stats.row_hits, c.t_cas),
+                Some(_) => (&mut self.stats.row_conflicts, c.t_rp + c.t_rcd + c.t_cas),
+                None => (&mut self.stats.row_empty, c.t_rcd + c.t_cas),
+            };
+            *lat.0 += 1;
+            let completion = (now + u64::from(lat.1)).max(self.bus_free) + u64::from(c.t_burst);
+            self.banks[bank] = (Some(row), completion);
+            self.bus_free = completion;
+            self.in_flight.push((completion, enqueued, req));
+        }
+        done
+    }
+}
+
+/// A seeded channel configuration and submit stream: `(earliest cycle,
+/// request)` in submission order, over a few banks and rows so row hits,
+/// conflicts and bank-busy stalls all occur.
+fn dram_case(g: &mut Gen) -> (DramConfig, Vec<(u64, DramRequest)>) {
+    let cfg = DramConfig {
+        banks: *g.choose(&[1, 2, 4, 16]),
+        row_bytes: *g.choose(&[256, 1024, 2048]),
+        line_bytes: 128,
+        t_rcd: g.range(1, 41) as u32,
+        t_rp: g.range(1, 41) as u32,
+        t_cas: g.range(1, 41) as u32,
+        t_burst: g.range(1, 9) as u32,
+        queue_len: g.range(4, 33) as u32,
+        max_bypass: *g.choose(&[0, 2, 16]),
+    };
+    let lines = u64::from(cfg.row_bytes / cfg.line_bytes) * u64::from(cfg.banks) * 4;
+    let mut t = 0;
+    let stream = (0..g.range(1, 300))
+        .map(|token| {
+            // Zero gaps keep a request waiting every cycle and fill the
+            // queue; long gaps let it drain and the banks go idle.
+            t += *g.choose(&[0, 0, 1, 1, 2, 5, 30, 150]);
+            let req = DramRequest {
+                local_addr: g.range(0, lines) * 128,
+                is_read: g.chance(3, 4),
+                token,
+            };
+            (t, req)
+        })
+        .collect();
+    (cfg, stream)
+}
+
+/// Per-cycle completions, stats, and the cycles each submit was accepted.
+type DramTrace = (Vec<(u64, DramCompletion)>, DramStats, Vec<u64>);
+
+/// Drives a channel with `stream`, one submit attempt per cycle (a
+/// rejected request is retried on the next), ticking before submitting as
+/// the fabric does. `tick_now(chan, now, submitting)` says whether to
+/// tick this cycle.
+fn drive_stream<C>(
+    chan: &mut C,
+    stream: &[(u64, DramRequest)],
+    tick: impl Fn(&mut C, u64) -> Vec<DramCompletion>,
+    submit: impl Fn(&mut C, DramRequest, u64) -> bool,
+    stats: impl Fn(&C) -> DramStats,
+    tick_now: impl Fn(&C, u64, bool) -> bool,
+) -> DramTrace {
+    let (mut done, mut accepted) = (Vec::new(), Vec::new());
+    let mut next = 0;
+    for now in 0..1_000_000u64 {
+        let submitting = stream.get(next).is_some_and(|s| s.0 <= now);
+        if tick_now(chan, now, submitting) {
+            done.extend(tick(chan, now).into_iter().map(|c| (now, c)));
+        }
+        if submitting && submit(chan, stream[next].1, now) {
+            accepted.push(now);
+            next += 1;
+        }
+        if next == stream.len() && done.len() == stream.len() {
+            break;
+        }
+    }
+    assert_eq!(done.len(), stream.len(), "every request completes");
+    (done, stats(chan), accepted)
+}
+
+/// The wake-timed channel is cycle-exact against the walk-every-tick
+/// reference: same per-cycle completions, same acceptances, same
+/// `DramStats`. Ticking only on submission cycles and cycles where
+/// `next_event(now) == Some(now)` gives the same again, which is the
+/// contract the device's idle fast-forward relies on.
+#[test]
+fn dram_matches_walking_reference() {
+    let mut g = Gen::new(0xD3A4);
+    for case in 0..200 {
+        let (cfg, stream) = dram_case(&mut g);
+        let want = drive_stream(
+            &mut RefDram::new(cfg.clone()),
+            &stream,
+            RefDram::tick,
+            RefDram::submit,
+            |c| c.stats,
+            |_, _, _| true,
+        );
+        let stats = |c: &DramChannel| *c.stats();
+        let every = drive_stream(
+            &mut DramChannel::new(cfg.clone()),
+            &stream,
+            DramChannel::tick,
+            DramChannel::submit,
+            stats,
+            |_, _, _| true,
+        );
+        assert_eq!(every, want, "case {case}: every-cycle drive, {cfg:?}");
+        let skipping = drive_stream(
+            &mut DramChannel::new(cfg.clone()),
+            &stream,
+            DramChannel::tick,
+            DramChannel::submit,
+            stats,
+            |c, now, submitting| submitting || c.next_event(now) == Some(now),
+        );
+        assert_eq!(skipping, want, "case {case}: event-driven drive, {cfg:?}");
     }
 }

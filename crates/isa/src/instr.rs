@@ -220,9 +220,9 @@ impl Instruction {
     }
 
     /// All source registers read by this instruction (excluding the guard
-    /// predicate), deduplicated, in operand order. Stored inline — this is
-    /// queried per resident warp per cycle by the issue-stage scoreboard,
-    /// so it must not heap-allocate.
+    /// predicate), deduplicated, in operand order. Stored inline, so
+    /// decoding a program for the issue-stage scoreboard does not
+    /// heap-allocate per instruction.
     pub fn src_regs(&self) -> SrcRegs {
         let mut out = SrcRegs::new();
         let mut push = |o: &Operand| {

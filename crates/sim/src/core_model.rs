@@ -19,6 +19,7 @@
 use crate::coalesce::{coalesce, shared_conflict_passes};
 use crate::config::GpuConfig;
 use crate::counters::CoreStats;
+use crate::decode::{DecodedKernel, ReadyState};
 use crate::memory::{GlobalMem, SharedMem};
 use crate::record::{ExecRecord, WarpTrace};
 use crate::sched_api::{
@@ -26,8 +27,7 @@ use crate::sched_api::{
 };
 use crate::simt::{LaneMask, SimtStack};
 use gpgpu_isa::{
-    sem, ExecClass, Instr, Instruction, KernelDescriptor, MemSpace, Operand, Pc, SpecialReg,
-    WARP_SIZE,
+    sem, Instr, Instruction, KernelDescriptor, MemSpace, Pc, SpecialReg, WARP_SIZE,
 };
 use gpgpu_mem::{
     cache::{DownstreamKind, ReservationFailure},
@@ -72,7 +72,8 @@ struct Warp {
     cta_slot: usize,
     cta_id: u64,
     warp_in_cta: u32,
-    desc: Arc<KernelDescriptor>,
+    /// The kernel's decoded program, shared by all its warps.
+    code: Arc<DecodedKernel>,
     stack: SimtStack,
     exited: LaneMask,
     regs: Vec<[u64; WARP_SIZE]>,
@@ -134,26 +135,8 @@ struct LoadTrack {
     remaining: u32,
 }
 
-/// Warp-local readiness verdict for one warp slot. Structural resources
-/// (LSQ space, shared pipe) are shared state and are not part of it: the
-/// issue stage checks them fresh against the `ReadyMem*` classes. The
-/// discriminant indexes [`ReadyTable::class`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReadyState {
-    /// Ready, with no structural dependence.
-    Ready,
-    /// Scoreboard passed; issues iff the LSQ has space.
-    ReadyMemGlobal,
-    /// Scoreboard passed; issues iff the shared-memory pipe is free.
-    ReadyMemShared,
-    /// Scoreboard dependency with global-memory loads outstanding.
-    BlockedMem,
-    /// Scoreboard dependency on an in-flight ALU/SFU/shared writeback.
-    BlockedScoreboard,
-    /// Waiting at a CTA barrier.
-    BlockedBarrier,
-}
-
+/// [`ReadyState`] variants; a verdict's discriminant indexes
+/// [`ReadyTable::class`].
 const READY_CLASSES: usize = 6;
 
 /// The issue stage's view of every warp slot, as bitmasks (one `u64` word
@@ -556,8 +539,8 @@ impl Core {
             .min(by_smem)
     }
 
-    /// Installs one CTA. The caller must have verified capacity with
-    /// [`capacity_for`](Self::capacity_for).
+    /// Installs one CTA of the launched kernel `code`. The caller must have
+    /// verified capacity with [`capacity_for`](Self::capacity_for).
     ///
     /// `age` supplies monotonically increasing dispatch stamps for the
     /// CTA's warps (GTO's notion of age).
@@ -569,9 +552,10 @@ impl Core {
         &mut self,
         kernel: KernelId,
         cta_id: u64,
-        desc: &Arc<KernelDescriptor>,
+        code: &Arc<DecodedKernel>,
         age: &mut u64,
     ) {
+        let desc = code.desc();
         assert!(self.capacity_for(desc) >= 1, "CTA does not fit on core");
         // Grow the dense per-kernel counters once here so the per-issue
         // and per-retire hot paths are plain indexed accesses.
@@ -622,7 +606,7 @@ impl Core {
                 cta_slot: slot,
                 cta_id,
                 warp_in_cta,
-                desc: Arc::clone(desc),
+                code: Arc::clone(code),
                 stack: SimtStack::new(mask),
                 exited: 0,
                 regs: vec![[0; WARP_SIZE]; reg_count],
@@ -992,6 +976,11 @@ impl Core {
     /// them fresh against the returned `ReadyMem*` class each cycle. The
     /// verdict is cacheable until the warp issues or an unblocking event
     /// hits the slot.
+    ///
+    /// Past the barrier and the next pc, the check is the pc's decoded
+    /// [`IssueRow`](crate::decode::IssueRow): its register and predicate
+    /// hazard masks against the warp's pending bits, plus the drain test
+    /// of an `Exit`.
     fn readiness(&mut self, slot: usize) -> ReadyState {
         let Some(w) = self.warps[slot].as_mut() else {
             return ReadyState::BlockedScoreboard;
@@ -1011,63 +1000,21 @@ impl Core {
                 None => return ReadyState::BlockedScoreboard,
             }
         };
-        // Any scoreboard wait while the warp has global loads in flight is
-        // attributed to memory — the load's latency is what the warp is
-        // really paying for — otherwise to the in-core writeback pipe.
-        let dep = if w.outstanding_loads > 0 {
+        let row = w.code.row(pc);
+        let hazard = w.pending_regs & row.regs != 0
+            || w.pending_preds & row.preds != 0
+            || (row.drain
+                && (w.pending_regs != 0 || w.pending_preds != 0 || w.outstanding_loads != 0));
+        if !hazard {
+            row.ready
+        } else if w.outstanding_loads > 0 {
+            // Any scoreboard wait while the warp has global loads in
+            // flight is attributed to memory — the load's latency is what
+            // the warp is really paying for — otherwise to the in-core
+            // writeback pipe.
             ReadyState::BlockedMem
         } else {
             ReadyState::BlockedScoreboard
-        };
-        let ins = *w.desc.program().fetch(pc);
-        // Scoreboard: sources, destination, and involved predicates.
-        let reg_pending = |r: gpgpu_isa::Reg| w.pending_regs & (1u64 << r.0) != 0;
-        let pred_pending = |p: gpgpu_isa::Pred| w.pending_preds & (1u8 << p.0) != 0;
-        if let Some(g) = ins.guard {
-            if pred_pending(g.pred) {
-                return dep;
-            }
-        }
-        if ins.src_regs().iter().any(|r| reg_pending(*r)) {
-            return dep;
-        }
-        if let Some(d) = ins.dst_reg() {
-            if reg_pending(d) {
-                return dep;
-            }
-        }
-        match &ins.op {
-            Instr::SetP { dst, .. } => {
-                if pred_pending(*dst) {
-                    return dep;
-                }
-            }
-            Instr::PBool { dst, a, b, .. } => {
-                if pred_pending(*dst) || pred_pending(*a) || pred_pending(*b) {
-                    return dep;
-                }
-            }
-            Instr::Sel { pred, .. } => {
-                if pred_pending(*pred) {
-                    return dep;
-                }
-            }
-            Instr::BraCond { pred, .. } => {
-                if pred_pending(*pred) {
-                    return dep;
-                }
-            }
-            Instr::Exit => {
-                if w.pending_regs != 0 || w.pending_preds != 0 || w.outstanding_loads != 0 {
-                    return dep;
-                }
-            }
-            _ => {}
-        }
-        match ins.exec_class() {
-            ExecClass::MemGlobal => ReadyState::ReadyMemGlobal,
-            ExecClass::MemShared => ReadyState::ReadyMemShared,
-            _ => ReadyState::Ready,
         }
     }
 
@@ -1173,14 +1120,21 @@ impl Core {
     /// statistics, latencies and scoreboard bits, coalescing and LSQ
     /// traffic, shared-pipe passes, barriers, and retirement. Global
     /// loads read and stores write `gmem` here, at issue.
+    ///
+    /// The instruction and its writeback latency come from the pc's
+    /// decoded [`IssueRow`](crate::decode::IssueRow). Register and
+    /// predicate instructions evaluate warp-wide (the `sem::*_warp`
+    /// forms): operands resolved once, the op matched once, a dense
+    /// 32-lane loop, then a blend under the execution mask. Loads and
+    /// stores match their kind once and then visit only the active lanes.
     fn execute_one(
         &mut self,
         slot: usize,
         now: Cycle,
         gmem: &mut GlobalMem,
     ) -> Option<CoreCtaCompletion> {
-        let cfg = Arc::clone(&self.cfg);
         let Core {
+            cfg,
             warps,
             cta_slots,
             warp_meta,
@@ -1213,7 +1167,8 @@ impl Core {
             Some((_, step)) => (step.pc, step.exec_mask),
             None => w.stack.sync(w.exited).expect("ready warp has a pc"),
         };
-        let ins = *w.desc.program().fetch(pc);
+        let row = *w.code.row(pc);
+        let ins = row.ins;
         // Effective lane set: the active mask restricted by the guard (a
         // recorded mask is already guard-resolved).
         let exec_mask = match ins.guard {
@@ -1223,13 +1178,6 @@ impl Core {
             }
             _ => active,
         };
-        let lanes = |m: LaneMask| (0..WARP_SIZE).filter(move |l| m & (1 << l) != 0);
-        let read = |w: &Warp, op: Operand, lane: usize| -> u64 {
-            match op {
-                Operand::Reg(r) => w.regs[r.0 as usize][lane],
-                Operand::Imm(v) => v,
-            }
-        };
         // Per-lane addresses of a memory instruction (zero elsewhere and
         // in inactive lanes).
         let mut addrs = [0u64; WARP_SIZE];
@@ -1237,9 +1185,11 @@ impl Core {
             match recorded {
                 Some((trace, step)) => addrs = trace.addrs_of(&step).copied().unwrap_or_default(),
                 None => {
-                    for lane in lanes(exec_mask) {
-                        addrs[lane] =
-                            w.regs[addr.base.0 as usize][lane].wrapping_add(addr.offset as u64);
+                    let base = &w.regs[addr.base.0 as usize];
+                    for (l, a) in addrs.iter_mut().enumerate() {
+                        if exec_mask >> l & 1 != 0 {
+                            *a = base[l].wrapping_add(addr.offset as u64);
+                        }
                     }
                 }
             }
@@ -1274,97 +1224,62 @@ impl Core {
             }};
         }
         macro_rules! pend_pred {
-            ($pred:expr) => {{
+            ($pred:expr, $t:expr) => {{
                 let pred: u8 = $pred;
                 w.pending_preds |= 1u8 << pred;
-                schedule_wb!(
-                    now + u64::from(cfg.int_latency),
-                    WbEvent::Pred { warp: slot, pred }
-                );
+                schedule_wb!($t, WbEvent::Pred { warp: slot, pred });
             }};
         }
-        let int_done = now + u64::from(cfg.int_latency);
+        let done = now + u64::from(row.latency);
 
         match ins.op {
             Instr::Alu { op, dst, a, b, c } => {
                 if direct {
-                    for lane in lanes(exec_mask) {
-                        let (av, bv, cv) = (read(w, a, lane), read(w, b, lane), read(w, c, lane));
-                        w.regs[dst.0 as usize][lane] = sem::eval_alu(op, av, bv, cv);
-                    }
+                    sem::alu_warp(op, &mut w.regs, dst, [a, b, c], exec_mask);
                 }
-                let lat = match ins.exec_class() {
-                    ExecClass::Sfu => cfg.sfu_latency,
-                    ExecClass::FpAlu => cfg.fp_latency,
-                    _ => cfg.int_latency,
-                };
-                pend_reg!(dst.0, now + u64::from(lat));
+                pend_reg!(dst.0, done);
             }
             Instr::Mov { dst, src } => {
                 if direct {
-                    for lane in lanes(exec_mask) {
-                        w.regs[dst.0 as usize][lane] = read(w, src, lane);
-                    }
+                    sem::mov_warp(&mut w.regs, dst, src, exec_mask);
                 }
-                pend_reg!(dst.0, int_done);
+                pend_reg!(dst.0, done);
             }
             Instr::Special { dst, sreg } => {
                 if direct {
-                    for lane in lanes(exec_mask) {
-                        w.regs[dst.0 as usize][lane] =
-                            special_value(sreg, &w.desc, w.cta_id, w.warp_in_cta, lane);
-                    }
+                    let vals = special_lanes(sreg, w.code.desc(), w.cta_id, w.warp_in_cta);
+                    sem::blend_lanes(&mut w.regs[dst.0 as usize], &vals, exec_mask);
                 }
-                pend_reg!(dst.0, int_done);
+                pend_reg!(dst.0, done);
             }
             Instr::Param { dst, index } => {
                 if direct {
-                    let v = w.desc.params()[index as usize];
-                    for lane in lanes(exec_mask) {
-                        w.regs[dst.0 as usize][lane] = v;
-                    }
+                    let v = w.code.desc().params()[index as usize];
+                    sem::blend_lanes(&mut w.regs[dst.0 as usize], &[v; WARP_SIZE], exec_mask);
                 }
-                pend_reg!(dst.0, int_done);
+                pend_reg!(dst.0, done);
             }
             Instr::Sel { dst, pred, a, b } => {
                 if direct {
                     let pv = w.preds[pred.0 as usize];
-                    for lane in lanes(exec_mask) {
-                        let pick = if pv & (1 << lane) != 0 { a } else { b };
-                        w.regs[dst.0 as usize][lane] = read(w, pick, lane);
-                    }
+                    sem::sel_warp(&mut w.regs, dst, pv, [a, b], exec_mask);
                 }
-                pend_reg!(dst.0, int_done);
+                pend_reg!(dst.0, done);
             }
             Instr::SetP { dst, cmp, ty, a, b } => {
                 if direct {
-                    let mut pv = w.preds[dst.0 as usize];
-                    for lane in lanes(exec_mask) {
-                        if sem::eval_cmp(cmp, ty, read(w, a, lane), read(w, b, lane)) {
-                            pv |= 1 << lane;
-                        } else {
-                            pv &= !(1 << lane);
-                        }
-                    }
-                    w.preds[dst.0 as usize] = pv;
+                    let pv = &mut w.preds[dst.0 as usize];
+                    *pv = sem::setp_warp(cmp, ty, &w.regs, [a, b], *pv, exec_mask);
                 }
-                pend_pred!(dst.0);
+                pend_pred!(dst.0, done);
             }
             Instr::PBool { dst, op, a, b } => {
                 if direct {
                     let (av, bv) = (w.preds[a.0 as usize], w.preds[b.0 as usize]);
-                    let mut pv = w.preds[dst.0 as usize];
-                    for lane in lanes(exec_mask) {
-                        let bit = 1u32 << lane;
-                        if sem::eval_pbool(op, av & bit != 0, bv & bit != 0) {
-                            pv |= bit;
-                        } else {
-                            pv &= !bit;
-                        }
-                    }
-                    w.preds[dst.0 as usize] = pv;
+                    let pv = &mut w.preds[dst.0 as usize];
+                    *pv = sem::pbool_warp(op, av, bv, *pv, exec_mask);
                 }
-                pend_pred!(dst.0);
+                pend_pred!(dst.0, done);
             }
             // Control flow moves the SIMT stack; in replay it is the trace
             // itself, and there is nothing to time.
@@ -1403,26 +1318,33 @@ impl Core {
                     Instr::Ld { dst, .. } => Some(dst.0),
                     _ => None,
                 };
-                for lane in lanes(exec_mask) {
-                    let a = addrs[lane];
-                    match (ins.op, space, direct) {
-                        (Instr::Ld { dst, .. }, MemSpace::Global, true) => {
-                            w.regs[dst.0 as usize][lane] = gmem.read_width(a, width);
-                        }
-                        (Instr::Ld { dst, .. }, MemSpace::Shared, true) => {
-                            w.regs[dst.0 as usize][lane] = cta.shared.read_width(a, width);
-                        }
-                        (Instr::St { src, .. }, MemSpace::Global, true) => {
-                            gmem.write_width(a, read(w, src, lane), width);
-                        }
-                        (Instr::St { src, .. }, MemSpace::Shared, true) => {
-                            cta.shared.write_width(a, read(w, src, lane), width);
-                        }
-                        // Replay writes no data, but page materialization
-                        // is a telemetry observable (`gmem_pages`).
-                        (Instr::St { .. }, MemSpace::Global, false) => gmem.touch_store(a, width),
-                        _ => {}
+                // Lanes in ascending order, so one warp's global effects
+                // land in lane order.
+                let lanes = (0..WARP_SIZE).filter(|l| exec_mask >> l & 1 != 0);
+                let mut buf = None;
+                match (ins.op, space, direct) {
+                    (Instr::Ld { dst, .. }, MemSpace::Global, true) => {
+                        let d = &mut w.regs[dst.0 as usize];
+                        lanes.for_each(|l| d[l] = gmem.read_width(addrs[l], width));
                     }
+                    (Instr::Ld { dst, .. }, MemSpace::Shared, true) => {
+                        let d = &mut w.regs[dst.0 as usize];
+                        lanes.for_each(|l| d[l] = cta.shared.read_width(addrs[l], width));
+                    }
+                    (Instr::St { src, .. }, MemSpace::Global, true) => {
+                        let v = sem::operand_lanes(&w.regs, src, &mut buf);
+                        lanes.for_each(|l| gmem.write_width(addrs[l], v[l], width));
+                    }
+                    (Instr::St { src, .. }, MemSpace::Shared, true) => {
+                        let v = sem::operand_lanes(&w.regs, src, &mut buf);
+                        lanes.for_each(|l| cta.shared.write_width(addrs[l], v[l], width));
+                    }
+                    // Replay writes no data, but page materialization is a
+                    // telemetry observable (`gmem_pages`).
+                    (Instr::St { .. }, MemSpace::Global, false) => {
+                        lanes.for_each(|l| gmem.touch_store(addrs[l], width));
+                    }
+                    _ => {}
                 }
                 match space {
                     MemSpace::Global => {
@@ -1438,7 +1360,7 @@ impl Core {
                         let token = match load_dst {
                             // Fully guarded off: behaves like a short ALU op.
                             Some(reg) if lines.is_empty() => {
-                                pend_reg!(reg, int_done);
+                                pend_reg!(reg, done);
                                 None
                             }
                             Some(reg) => {
@@ -1479,8 +1401,7 @@ impl Core {
                         stats.shared_replays += u64::from(passes - 1);
                         *shared_pipe_free = now + u64::from(passes);
                         if let Some(reg) = load_dst {
-                            let done = now + u64::from(cfg.shared_latency) + u64::from(passes - 1);
-                            pend_reg!(reg, done);
+                            pend_reg!(reg, done + u64::from(passes - 1));
                         }
                     }
                 }
@@ -1587,29 +1508,30 @@ fn release_barrier(cta: &mut CtaState, warps: &mut [Option<Warp>], ready: &mut R
     }
 }
 
-/// Evaluates a special register for one lane.
-fn special_value(
+/// Evaluates a special register in every lane of warp `warp_in_cta` of
+/// CTA `cta_id`.
+fn special_lanes(
     sreg: SpecialReg,
     desc: &KernelDescriptor,
     cta_id: u64,
     warp_in_cta: u32,
-    lane: usize,
-) -> u64 {
-    let lin = u64::from(warp_in_cta) * WARP_SIZE as u64 + lane as u64;
+) -> sem::Lanes {
     let ntid_x = u64::from(desc.block().x);
+    let tid = |lane: usize| u64::from(warp_in_cta) * WARP_SIZE as u64 + lane as u64;
     let (cx, cy) = desc.cta_coords(cta_id);
-    match sreg {
-        SpecialReg::TidX => lin % ntid_x,
-        SpecialReg::TidY => lin / ntid_x,
+    let uniform = match sreg {
+        SpecialReg::TidX => return std::array::from_fn(|l| tid(l) % ntid_x),
+        SpecialReg::TidY => return std::array::from_fn(|l| tid(l) / ntid_x),
+        SpecialReg::LaneId => return std::array::from_fn(|l| l as u64),
         SpecialReg::NTidX => ntid_x,
         SpecialReg::NTidY => u64::from(desc.block().y),
         SpecialReg::CtaIdX => u64::from(cx),
         SpecialReg::CtaIdY => u64::from(cy),
         SpecialReg::NCtaIdX => u64::from(desc.grid().x),
         SpecialReg::NCtaIdY => u64::from(desc.grid().y),
-        SpecialReg::LaneId => lane as u64,
         SpecialReg::CtaLinear => cta_id,
-    }
+    };
+    [uniform; WARP_SIZE]
 }
 
 /// Instruction-pointer-free helper used by tests and by readiness
@@ -1624,7 +1546,7 @@ mod tests {
     use super::*;
     use crate::sched_api::WarpSchedulerFactory;
     use gpgpu_isa::dsl::DslKernel;
-    use gpgpu_isa::{AccessWidth, CmpOp, CmpTy, Dim2};
+    use gpgpu_isa::{AccessWidth, CmpOp, CmpTy, Dim2, Operand};
     use gpgpu_mem::FabricConfig;
 
     /// Trivial loose-round-robin scheduler for core unit tests (the real
@@ -1670,6 +1592,11 @@ mod tests {
         c.fabric.partitions = 2;
         c.validate();
         Arc::new(c)
+    }
+
+    /// `desc` launched on `cfg`, as the device decodes it.
+    fn decoded(desc: &Arc<KernelDescriptor>, cfg: &GpuConfig) -> Arc<DecodedKernel> {
+        Arc::new(DecodedKernel::new(Arc::clone(desc), cfg))
     }
 
     fn run_core_to_completion(
@@ -1745,7 +1672,7 @@ mod tests {
         let desc = vecadd_desc(64, a, b, c);
         let mut core = Core::new(0, Arc::clone(&cfg), &TestFactory);
         let mut age = 0;
-        core.dispatch_cta(KernelId(0), 0, &desc, &mut age);
+        core.dispatch_cta(KernelId(0), 0, &decoded(&desc, &cfg), &mut age);
         assert_eq!(core.active_cta_count(), 1);
 
         let (cycles, completions) =
@@ -1837,7 +1764,7 @@ mod tests {
 
         let mut core = Core::new(0, Arc::clone(&cfg), &TestFactory);
         let mut age = 0;
-        core.dispatch_cta(KernelId(0), 0, &desc, &mut age);
+        core.dispatch_cta(KernelId(0), 0, &decoded(&desc, &cfg), &mut age);
         run_core_to_completion(&mut core, &mut fabric, &mut gmem, 100_000);
         let got = gmem.read_u32_vec(out, 128);
         let expect: Vec<u32> = (0..128).map(|t| (t + 32) % 128).collect();
@@ -1871,7 +1798,7 @@ mod tests {
         );
         let mut core = Core::new(0, Arc::clone(&cfg), &TestFactory);
         let mut age = 0;
-        core.dispatch_cta(KernelId(0), 0, &desc, &mut age);
+        core.dispatch_cta(KernelId(0), 0, &decoded(&desc, &cfg), &mut age);
         run_core_to_completion(&mut core, &mut fabric, &mut gmem, 100_000);
         let got = gmem.read_u32_vec(out, 32);
         for (i, v) in got.iter().enumerate() {
@@ -1906,7 +1833,7 @@ mod tests {
         );
         let mut core = Core::new(0, Arc::clone(&cfg), &TestFactory);
         let mut age = 0;
-        core.dispatch_cta(KernelId(0), 0, &desc, &mut age);
+        core.dispatch_cta(KernelId(0), 0, &decoded(&desc, &cfg), &mut age);
         run_core_to_completion(&mut core, &mut fabric, &mut gmem, 200_000);
         let got = gmem.read_u32_vec(out, 32);
         for (t, v) in got.iter().enumerate() {
@@ -1925,11 +1852,11 @@ mod tests {
         let c = gmem.alloc(256 * 4);
         gmem.write_u32_slice(a, &vec![1; 256]);
         gmem.write_u32_slice(b, &vec![2; 256]);
-        let desc = vecadd_desc(256, a, b, c);
+        let code = decoded(&vecadd_desc(256, a, b, c), &cfg);
         let mut core = Core::new(0, Arc::clone(&cfg), &TestFactory);
         let mut age = 0;
         for cta in 0..4 {
-            core.dispatch_cta(KernelId(0), cta, &desc, &mut age);
+            core.dispatch_cta(KernelId(0), cta, &code, &mut age);
         }
         assert_eq!(core.active_cta_count(), 4);
         let snap = core.cta_slot_snapshot();
@@ -1971,11 +1898,57 @@ mod tests {
         );
         let mut core = Core::new(0, Arc::clone(&cfg), &TestFactory);
         let mut age = 0;
-        core.dispatch_cta(KernelId(0), 0, &desc, &mut age);
+        core.dispatch_cta(KernelId(0), 0, &decoded(&desc, &cfg), &mut age);
         run_core_to_completion(&mut core, &mut fabric, &mut gmem, 100_000);
         let got = gmem.read_u32_vec(out, 32);
         for (i, v) in got.iter().enumerate() {
             assert_eq!(*v, if i < 16 { 99 } else { 7 }, "lane {i}");
+        }
+    }
+
+    #[test]
+    fn guarded_register_ops_keep_inactive_lanes() {
+        // Under a guard true in lanes 0..16 only, an ALU op, a SetP and a
+        // PBool must leave lanes 16..32 of their destinations as they were.
+        let cfg = small_cfg();
+        let mut fabric = MemFabric::new(cfg.fabric.clone());
+        let mut gmem = GlobalMem::new();
+        let out = gmem.alloc(32 * 4);
+
+        let mut k = DslKernel::new("guarded-regs", Dim2::x(32));
+        let pout = k.param(0);
+        let tid = k.special(SpecialReg::TidX);
+        let low = k.setp(CmpOp::Lt, CmpTy::U64, tid, 16u64);
+        let p = k.setp(CmpOp::Gt, CmpTy::U64, tid, 1000u64);
+        let q = k.setp(CmpOp::Gt, CmpTy::U64, tid, 1000u64);
+        let all = k.setp(CmpOp::Lt, CmpTy::U64, tid, 1000u64);
+        let acc = k.movi(5u64);
+        k.with_guard(low, true, |k| {
+            k.alu_to(gpgpu_isa::AluOp::IAdd, acc, acc, 10u64);
+            k.setp_to(p, CmpOp::Lt, CmpTy::U64, tid, 100u64);
+            k.pbool_to(q, gpgpu_isa::PBoolOp::Or, all, low);
+        });
+        let fp = k.sel(p, 100u64, 0u64);
+        let fq = k.sel(q, 1000u64, 0u64);
+        let sum = k.iadd(acc, fp);
+        let sum = k.iadd(sum, fq);
+        let off = k.shl(tid, 2u64);
+        let gaddr = k.iadd(pout, off);
+        k.st_global_u32(sum, gaddr, 0);
+        let prog = Arc::new(k.compile().unwrap());
+        let desc = Arc::new(
+            KernelDescriptor::builder(prog, Dim2::x(1), Dim2::x(32))
+                .params([out])
+                .build()
+                .unwrap(),
+        );
+        let mut core = Core::new(0, Arc::clone(&cfg), &TestFactory);
+        let mut age = 0;
+        core.dispatch_cta(KernelId(0), 0, &decoded(&desc, &cfg), &mut age);
+        run_core_to_completion(&mut core, &mut fabric, &mut gmem, 100_000);
+        let got = gmem.read_u32_vec(out, 32);
+        for (i, v) in got.iter().enumerate() {
+            assert_eq!(*v, if i < 16 { 1115 } else { 5 }, "lane {i}");
         }
     }
 
@@ -2004,7 +1977,7 @@ mod tests {
             let mut gmem = GlobalMem::new();
             let mut core = Core::new(0, Arc::clone(&cfg), &TestFactory);
             let mut age = 0;
-            core.dispatch_cta(KernelId(0), 0, &desc, &mut age);
+            core.dispatch_cta(KernelId(0), 0, &decoded(&desc, &cfg), &mut age);
             run_core_to_completion(&mut core, &mut fabric, &mut gmem, 100_000);
             core.stats().gmem_transactions
         };
@@ -2053,6 +2026,7 @@ mod tests {
         gmem: impl Fn() -> GlobalMem,
     ) -> usize {
         let cfg = small_cfg();
+        let code = decoded(desc, &cfg);
         let ctas = u64::from(desc.grid().x);
         let mut checked = 0;
         let mut run = |replay: Option<Arc<ExecRecord>>| {
@@ -2063,7 +2037,7 @@ mod tests {
             core.set_replay(replay);
             let mut age = 0;
             for cta in 0..ctas {
-                core.dispatch_cta(KernelId(0), cta, desc, &mut age);
+                core.dispatch_cta(KernelId(0), cta, &code, &mut age);
             }
             run_core_inspecting(&mut core, &mut fabric, &mut gmem, 100_000, |core, now| {
                 checked += assert_memo_sound(core, now);
@@ -2231,14 +2205,20 @@ mod tests {
         let d = KernelDescriptor::builder(prog, Dim2::new(3, 2), Dim2::new(16, 2))
             .build()
             .unwrap();
+        let lane = |sreg, cta, warp, lane: usize| special_lanes(sreg, &d, cta, warp)[lane];
         // CTA 4 => coords (1, 1) in a 3x2 grid.
-        assert_eq!(special_value(SpecialReg::CtaIdX, &d, 4, 0, 0), 1);
-        assert_eq!(special_value(SpecialReg::CtaIdY, &d, 4, 0, 0), 1);
+        assert_eq!(lane(SpecialReg::CtaIdX, 4, 0, 0), 1);
+        assert_eq!(lane(SpecialReg::CtaIdY, 4, 0, 0), 1);
         // Lane 17 of warp 0: linear tid 17 => (1, 1) in a 16x2 block.
-        assert_eq!(special_value(SpecialReg::TidX, &d, 0, 0, 17), 1);
-        assert_eq!(special_value(SpecialReg::TidY, &d, 0, 0, 17), 1);
-        assert_eq!(special_value(SpecialReg::NTidX, &d, 0, 0, 0), 16);
-        assert_eq!(special_value(SpecialReg::LaneId, &d, 0, 0, 9), 9);
-        assert_eq!(special_value(SpecialReg::CtaLinear, &d, 4, 0, 0), 4);
+        assert_eq!(lane(SpecialReg::TidX, 0, 0, 17), 1);
+        assert_eq!(lane(SpecialReg::TidY, 0, 0, 17), 1);
+        assert_eq!(lane(SpecialReg::NTidX, 0, 0, 0), 16);
+        assert_eq!(lane(SpecialReg::LaneId, 0, 0, 9), 9);
+        assert_eq!(lane(SpecialReg::CtaLinear, 4, 0, 0), 4);
+        // Warp 0 of a 16x2 block: lane l is thread (l % 16, l / 16).
+        assert_eq!(
+            special_lanes(SpecialReg::TidY, &d, 0, 0),
+            std::array::from_fn(|l| (l / 16) as u64)
+        );
     }
 }

@@ -3,6 +3,7 @@
 
 use crate::config::GpuConfig;
 use crate::core_model::Core;
+use crate::decode::DecodedKernel;
 use crate::memory::GlobalMem;
 use crate::record::{CtaRecord, ExecRecord, KernelRecord, WarpTrace};
 use crate::sched_api::{
@@ -119,7 +120,9 @@ enum KernelPhase {
 
 #[derive(Debug)]
 struct KernelState {
-    desc: Arc<KernelDescriptor>,
+    /// The descriptor with its program decoded for the issue stage, once
+    /// per launch.
+    code: Arc<DecodedKernel>,
     after: Option<KernelId>,
     phase: KernelPhase,
     next_cta: u64,
@@ -289,9 +292,9 @@ impl GpuDevice {
             .kernels
             .iter()
             .map(|k| {
-                let grid = k.desc.grid();
+                let grid = k.code.desc().grid();
                 let ctas = u64::from(grid.x) * u64::from(grid.y);
-                let warps = k.desc.warps_per_cta() as usize;
+                let warps = k.code.desc().warps_per_cta() as usize;
                 KernelRecord {
                     ctas: (0..ctas)
                         .map(|_| CtaRecord {
@@ -426,10 +429,10 @@ impl GpuDevice {
 
     fn launch_inner(&mut self, desc: KernelDescriptor, after: Option<KernelId>) -> KernelId {
         let id = KernelId(self.kernels.len());
-        let desc = Arc::new(desc);
+        let code = Arc::new(DecodedKernel::new(Arc::new(desc), &self.cfg));
         self.pending_kernels += 1;
         self.kernels.push(KernelState {
-            desc,
+            code,
             after,
             phase: KernelPhase::Pending,
             next_cta: 0,
@@ -476,7 +479,7 @@ impl GpuDevice {
                 }
                 self.fabric.flush_l2();
             }
-            let desc = Arc::clone(&self.kernels[i].desc);
+            let desc = Arc::clone(self.kernels[i].code.desc());
             if let Some(cs) = self.cta_sched.as_mut() {
                 cs.on_kernel_launch(KernelId(i), &desc, &self.cfg);
             }
@@ -497,13 +500,15 @@ impl GpuDevice {
         self.kernels
             .iter()
             .enumerate()
-            .filter(|(_, k)| k.phase == KernelPhase::Running && k.next_cta < k.desc.cta_count())
+            .filter(|(_, k)| {
+                k.phase == KernelPhase::Running && k.next_cta < k.code.desc().cta_count()
+            })
             .map(|(i, k)| KernelSummary {
                 id: KernelId(i),
                 next_cta: k.next_cta,
-                remaining: k.desc.cta_count() - k.next_cta,
-                total_ctas: k.desc.cta_count(),
-                warps_per_cta: k.desc.warps_per_cta(),
+                remaining: k.code.desc().cta_count() - k.next_cta,
+                total_ctas: k.code.desc().cta_count(),
+                warps_per_cta: k.code.desc().warps_per_cta(),
             })
             .collect()
     }
@@ -519,7 +524,7 @@ impl GpuDevice {
                     .collect(),
                 capacity: kernels
                     .iter()
-                    .map(|k| (k.id, core.capacity_for(&self.kernels[k.id.0].desc)))
+                    .map(|k| (k.id, core.capacity_for(self.kernels[k.id.0].code.desc())))
                     .collect(),
                 completed: kernels
                     .iter()
@@ -579,7 +584,7 @@ impl GpuDevice {
                 break;
             };
             let state = &self.kernels[d.kernel.0];
-            let capacity = self.cores[d.core].capacity_for(&state.desc);
+            let capacity = self.cores[d.core].capacity_for(state.code.desc());
             let count = d.count.min(capacity).min(ks.remaining as u32);
             if count == 0 {
                 // Does not fit right now; core occupancy may change, so
@@ -587,7 +592,7 @@ impl GpuDevice {
                 self.dispatch_dirty = true;
                 break;
             }
-            let desc = Arc::clone(&state.desc);
+            let code = Arc::clone(&state.code);
             if self.telemetry.as_ref().is_some_and(Telemetry::events_enabled) {
                 // Co-schedule admission: this dispatch brings `d.kernel`
                 // onto a core already hosting a different kernel's CTAs.
@@ -606,7 +611,7 @@ impl GpuDevice {
             for _ in 0..count {
                 let cta = self.kernels[d.kernel.0].next_cta;
                 self.kernels[d.kernel.0].next_cta += 1;
-                self.cores[d.core].dispatch_cta(d.kernel, cta, &desc, &mut self.age_counter);
+                self.cores[d.core].dispatch_cta(d.kernel, cta, &code, &mut self.age_counter);
                 if let Some(t) = self.telemetry.as_mut() {
                     t.record(TraceEvent::CtaDispatch {
                         cycle: self.now,
@@ -677,7 +682,7 @@ impl GpuDevice {
             }
             let k = &mut self.kernels[c.kernel.0];
             k.completed_ctas += 1;
-            if k.completed_ctas == k.desc.cta_count() {
+            if k.completed_ctas == k.code.desc().cta_count() {
                 k.phase = KernelPhase::Done;
                 k.end_cycle = now;
                 cta_sched.on_kernel_finish(c.kernel);
@@ -831,7 +836,7 @@ impl GpuDevice {
             .enumerate()
             .map(|(i, k)| KernelStats {
                 id: KernelId(i),
-                name: k.desc.name_shared(),
+                name: k.code.desc().name_shared(),
                 start_cycle: k.start_cycle,
                 end_cycle: k.end_cycle,
                 instructions: self
@@ -839,7 +844,7 @@ impl GpuDevice {
                     .iter()
                     .map(|c| c.issued_of(KernelId(i)))
                     .sum(),
-                ctas: k.desc.cta_count(),
+                ctas: k.code.desc().cta_count(),
                 started: k.phase != KernelPhase::Pending,
                 done: k.phase == KernelPhase::Done,
             })

@@ -33,6 +33,7 @@ pub mod coalesce;
 mod config;
 pub mod core_model;
 pub mod counters;
+pub mod decode;
 mod device;
 pub mod invariants;
 pub mod json;

@@ -12,15 +12,18 @@
 //! named by hand. That makes adding a simulation-affecting field a
 //! *visible* decision here (and in [`content_key`], which would otherwise
 //! silently change meaning), instead of an accident of a `Debug` derive.
-//! The one exception is the per-core counters, which are observations,
-//! not identity: they walk the counter registry ([`gpgpu_sim::COUNTERS`]).
+//! The one exception is the counters, which are observations, not
+//! identity: the per-core and memory-side counter structs are encoded by
+//! walking their registry tables ([`gpgpu_sim::COUNTERS`],
+//! [`CACHE_COUNTERS`], [`DRAM_COUNTERS`], [`XBAR_COUNTERS`]).
 
 use crate::engine::{RunKind, RunResult, RunSpec};
 use crate::json::Json;
 use gpgpu_mem::{
-    CacheConfig, CacheStats, DramConfig, DramStats, FabricConfig, FabricStats, XbarStats,
+    CacheConfig, Counter, DramConfig, FabricConfig, FabricStats, CACHE_COUNTERS, DRAM_COUNTERS,
+    XBAR_COUNTERS,
 };
-use gpgpu_sim::{CoreStats, GpuConfig, KernelStats, SimStats, COUNTERS};
+use gpgpu_sim::{GpuConfig, KernelStats, SimStats, COUNTERS};
 use gpgpu_workloads::Scale;
 use std::fmt;
 use tbs_core::{CtaPolicy, WarpPolicy};
@@ -422,77 +425,39 @@ pub fn spec_from_json(v: &Json) -> Result<RunSpec, CodecError> {
 // ---------------------------------------------------------------------------
 // SimStats (and its nested stats)
 
-fn cache_stats_to_json(c: &CacheStats) -> Json {
-    Json::obj()
-        .with("load_accesses", Json::UInt(c.load_accesses))
-        .with("load_hits", Json::UInt(c.load_hits))
-        .with("store_accesses", Json::UInt(c.store_accesses))
-        .with("store_hits", Json::UInt(c.store_hits))
-        .with("mshr_merges", Json::UInt(c.mshr_merges))
-        .with("reservation_fails", Json::UInt(c.reservation_fails))
-        .with("fills", Json::UInt(c.fills))
-        .with("writebacks", Json::UInt(c.writebacks))
+/// Encodes a counter struct as one object, a key per table row in table
+/// order.
+fn table_to_json<S>(table: &[Counter<S>], s: &S) -> Json {
+    table
+        .iter()
+        .fold(Json::obj(), |o, k| o.with(k.name, Json::UInt((k.get)(s))))
 }
 
-fn cache_stats_from_json(v: &Json) -> Result<CacheStats, CodecError> {
-    Ok(CacheStats {
-        load_accesses: get_u64(v, "load_accesses")?,
-        load_hits: get_u64(v, "load_hits")?,
-        store_accesses: get_u64(v, "store_accesses")?,
-        store_hits: get_u64(v, "store_hits")?,
-        mshr_merges: get_u64(v, "mshr_merges")?,
-        reservation_fails: get_u64(v, "reservation_fails")?,
-        fills: get_u64(v, "fills")?,
-        writebacks: get_u64(v, "writebacks")?,
-    })
+/// Decodes [`table_to_json`]'s encoding. Rows added after schema 1.0
+/// decode as 0 when absent, so older same-major entries stay readable; a
+/// missing 1.0 row or a mistyped row is an error naming the field.
+fn table_from_json<S: Default>(table: &[Counter<S>], v: &Json) -> Result<S, CodecError> {
+    let mut s = S::default();
+    for k in table {
+        *(k.get_mut)(&mut s) = match v.get(k.name) {
+            None if k.since != "1.0" => 0,
+            _ => get_u64(v, k.name)?,
+        };
+    }
+    Ok(s)
 }
 
-fn dram_stats_to_json(d: &DramStats) -> Json {
-    Json::obj()
-        .with("reads", Json::UInt(d.reads))
-        .with("writes", Json::UInt(d.writes))
-        .with("row_hits", Json::UInt(d.row_hits))
-        .with("row_conflicts", Json::UInt(d.row_conflicts))
-        .with("row_empty", Json::UInt(d.row_empty))
-        .with("total_latency", Json::UInt(d.total_latency))
-        .with("rejected", Json::UInt(d.rejected))
-}
-
-fn dram_stats_from_json(v: &Json) -> Result<DramStats, CodecError> {
-    Ok(DramStats {
-        reads: get_u64(v, "reads")?,
-        writes: get_u64(v, "writes")?,
-        row_hits: get_u64(v, "row_hits")?,
-        row_conflicts: get_u64(v, "row_conflicts")?,
-        row_empty: get_u64(v, "row_empty")?,
-        total_latency: get_u64(v, "total_latency")?,
-        rejected: get_u64(v, "rejected")?,
-    })
-}
-
-fn xbar_stats_to_json(x: &XbarStats) -> Json {
-    Json::obj()
-        .with("packets", Json::UInt(x.packets))
-        .with("flits", Json::UInt(x.flits))
-        .with("rejected", Json::UInt(x.rejected))
-        .with("queue_wait", Json::UInt(x.queue_wait))
-}
-
-fn xbar_stats_from_json(v: &Json) -> Result<XbarStats, CodecError> {
-    Ok(XbarStats {
-        packets: get_u64(v, "packets")?,
-        flits: get_u64(v, "flits")?,
-        rejected: get_u64(v, "rejected")?,
-        queue_wait: get_u64(v, "queue_wait")?,
-    })
+/// Decodes the counter object under `key`.
+fn get_table<S: Default>(v: &Json, key: &str, table: &[Counter<S>]) -> Result<S, CodecError> {
+    table_from_json(table, get_obj(v, key)?).map_err(|e| err(format!("{key}: {}", e.0)))
 }
 
 fn fabric_stats_to_json(f: &FabricStats) -> Json {
     Json::obj()
-        .with("l2", cache_stats_to_json(&f.l2))
-        .with("dram", dram_stats_to_json(&f.dram))
-        .with("req_xbar", xbar_stats_to_json(&f.req_xbar))
-        .with("resp_xbar", xbar_stats_to_json(&f.resp_xbar))
+        .with("l2", table_to_json(CACHE_COUNTERS, &f.l2))
+        .with("dram", table_to_json(DRAM_COUNTERS, &f.dram))
+        .with("req_xbar", table_to_json(XBAR_COUNTERS, &f.req_xbar))
+        .with("resp_xbar", table_to_json(XBAR_COUNTERS, &f.resp_xbar))
         .with("loads_in", Json::UInt(f.loads_in))
         .with("loads_out", Json::UInt(f.loads_out))
         .with("stores_in", Json::UInt(f.stores_in))
@@ -500,10 +465,10 @@ fn fabric_stats_to_json(f: &FabricStats) -> Json {
 
 fn fabric_stats_from_json(v: &Json) -> Result<FabricStats, CodecError> {
     Ok(FabricStats {
-        l2: cache_stats_from_json(get_obj(v, "l2")?)?,
-        dram: dram_stats_from_json(get_obj(v, "dram")?)?,
-        req_xbar: xbar_stats_from_json(get_obj(v, "req_xbar")?)?,
-        resp_xbar: xbar_stats_from_json(get_obj(v, "resp_xbar")?)?,
+        l2: get_table(v, "l2", CACHE_COUNTERS)?,
+        dram: get_table(v, "dram", DRAM_COUNTERS)?,
+        req_xbar: get_table(v, "req_xbar", XBAR_COUNTERS)?,
+        resp_xbar: get_table(v, "resp_xbar", XBAR_COUNTERS)?,
         loads_in: get_u64(v, "loads_in")?,
         loads_out: get_u64(v, "loads_out")?,
         stores_in: get_u64(v, "stores_in")?,
@@ -535,25 +500,6 @@ fn kernel_stats_from_json(v: &Json) -> Result<KernelStats, CodecError> {
     })
 }
 
-fn core_stats_to_json(c: &CoreStats) -> Json {
-    COUNTERS
-        .iter()
-        .fold(Json::obj(), |o, k| o.with(k.name, Json::UInt((k.get)(c))))
-}
-
-fn core_stats_from_json(v: &Json) -> Result<CoreStats, CodecError> {
-    let mut c = CoreStats::default();
-    for k in COUNTERS {
-        // Counters added after schema 1.0 decode as 0 when absent, so
-        // older same-major entries stay readable; a mistyped one is an error.
-        *(k.get_mut)(&mut c) = match v.get(k.name) {
-            None if k.since != "1.0" => 0,
-            _ => get_u64(v, k.name)?,
-        };
-    }
-    Ok(c)
-}
-
 /// Encodes full [`SimStats`] (every counter, so a decoded result is
 /// `==` to the simulated one).
 pub fn stats_to_json(s: &SimStats) -> Json {
@@ -564,11 +510,11 @@ pub fn stats_to_json(s: &SimStats) -> Json {
             "kernels",
             Json::Arr(s.kernels.iter().map(kernel_stats_to_json).collect()),
         )
-        .with("l1", cache_stats_to_json(&s.l1))
+        .with("l1", table_to_json(CACHE_COUNTERS, &s.l1))
         .with("fabric", fabric_stats_to_json(&s.fabric))
         .with(
             "cores",
-            Json::Arr(s.cores.iter().map(core_stats_to_json).collect()),
+            Json::Arr(s.cores.iter().map(|c| table_to_json(COUNTERS, c)).collect()),
         )
         .with("malformed_dispatches", Json::UInt(s.malformed_dispatches))
 }
@@ -586,11 +532,11 @@ pub fn stats_from_json(v: &Json) -> Result<SimStats, CodecError> {
             .iter()
             .map(kernel_stats_from_json)
             .collect::<Result<_, _>>()?,
-        l1: cache_stats_from_json(get_obj(v, "l1")?)?,
+        l1: get_table(v, "l1", CACHE_COUNTERS)?,
         fabric: fabric_stats_from_json(get_obj(v, "fabric")?)?,
         cores: get_arr(v, "cores")?
             .iter()
-            .map(core_stats_from_json)
+            .map(|c| table_from_json(COUNTERS, c))
             .collect::<Result<_, _>>()?,
         malformed_dispatches: get_u64(v, "malformed_dispatches")?,
     })
@@ -708,7 +654,7 @@ mod tests {
                 "gmem_transactions":5,"shared_replays":1,"ctas_completed":2}"#,
         )
         .unwrap();
-        let c = core_stats_from_json(&old).expect("1.0 document stays readable");
+        let c = table_from_json(COUNTERS, &old).expect("1.0 document stays readable");
         assert_eq!(c.issued, 42);
         assert_eq!(c.core_cycles, 0);
         assert_eq!(c.stall_scoreboard, 0);
@@ -720,7 +666,7 @@ mod tests {
                 "core_cycles":"ten"}"#,
         )
         .unwrap();
-        assert!(core_stats_from_json(&bad).is_err());
+        assert!(table_from_json(COUNTERS, &bad).is_err());
         // And the full set round-trips exactly.
         let mut full = gpgpu_sim::CoreStats::default();
         full.issued = 9;
@@ -730,10 +676,8 @@ mod tests {
         full.stall_ff_idle = 591;
         full.cta_resident_cycles = 3000;
         full.warp_resident_cycles = 12_000;
-        let back = core_stats_from_json(
-            &Json::parse(&core_stats_to_json(&full).render()).unwrap(),
-        )
-        .unwrap();
+        let text = table_to_json(COUNTERS, &full).render();
+        let back = table_from_json(COUNTERS, &Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, full);
     }
 

@@ -304,7 +304,7 @@ pub fn bench_stall_breakdown<'a>(
 ) -> String {
     let mut total = CoreStats::default();
     for c in runs.into_iter().flat_map(|s| &s.cores) {
-        total.add(c);
+        total.merge(c);
     }
     let bd = total.breakdown();
     let mut out = format!(

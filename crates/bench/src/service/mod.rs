@@ -145,12 +145,7 @@ impl ServerStats {
     /// just skips the functional half.
     pub fn hit_rate(&self) -> f64 {
         let hits = self.runs_deduped + self.store_hits;
-        let total = hits + self.runs_executed + self.runs_replayed;
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
+        gpgpu_sim::ratio(hits, hits + self.runs_executed + self.runs_replayed)
     }
 
     /// The periodic log-line rendering (also what `exp serve` prints).

@@ -31,7 +31,7 @@ pub struct ServeConfig {
     pub stats_log_every: u64,
     /// Record/replay mode for the shared engine (see
     /// [`RunEngine::set_replay_mode`]). Replayed runs report
-    /// [`Source::Replayed`](super::Source::Replayed) to clients.
+    /// [`Source::Replayed`] to clients.
     pub replay: ReplayMode,
 }
 

@@ -8,11 +8,16 @@
 //! built from the store and from the trace directory, and the
 //! `stall_breakdown` fragment of `BENCH_sim.json`.
 //!
+//! The committed store encodings also pin the decoder against outside
+//! input: they decode and re-encode to the same bytes, and an entry whose
+//! counter object lacks a field or mistypes one is refused by name.
+//!
 //! On a mismatch the test writes what it produced under the test
 //! binary's scratch directory and names the files in the failure
 //! message; after an intended change, copy them over
 //! `ci/golden/counters/`.
 
+use gpgpu_bench::json::Json;
 use gpgpu_bench::report::{self, Report};
 use gpgpu_bench::{codec, Harness, ResultStore, RunEngine, RunSpec};
 use gpgpu_sim::{JsonlSink, TelemetryConfig, TraceSink};
@@ -125,4 +130,54 @@ fn counter_consumers_match_golden() {
         "outputs differ from ci/golden/counters/: {differing:?}; actual written to {}",
         actual_dir.display()
     );
+}
+
+#[test]
+fn committed_store_encodings_decode_and_re_encode_byte_identically() {
+    for (name, golden) in [GOLDEN[2], GOLDEN[5]] {
+        let stats = codec::stats_from_json(&Json::parse(golden).expect("golden is JSON"))
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(codec::stats_to_json(&stats).render() + "\n", golden, "{name}");
+    }
+}
+
+/// `doc` with `field` of the object at `path` removed (`None`) or replaced.
+fn with_field(doc: &Json, path: &[&str], field: &str, value: Option<Json>) -> Json {
+    let mut doc = doc.clone();
+    let mut obj = &mut doc;
+    for key in path {
+        let Json::Obj(pairs) = obj else { panic!("{key}: not an object") };
+        obj = &mut pairs.iter_mut().find(|(k, _)| k == key).expect("key present").1;
+    }
+    let Json::Obj(pairs) = obj else { panic!("{path:?}: not an object") };
+    let i = pairs.iter().position(|(k, _)| k == field).expect("field present");
+    match value {
+        Some(v) => pairs[i].1 = v,
+        None => drop(pairs.remove(i)),
+    }
+    doc
+}
+
+#[test]
+fn memory_counter_objects_missing_or_mistyping_a_field_are_refused() {
+    let doc = Json::parse(GOLDEN[2].1).expect("golden is JSON");
+    let tables: [&[&str]; 5] = [
+        &["l1"],
+        &["fabric", "l2"],
+        &["fabric", "dram"],
+        &["fabric", "req_xbar"],
+        &["fabric", "resp_xbar"],
+    ];
+    for path in tables {
+        let Some(Json::Obj(fields)) = path.iter().try_fold(&doc, |j, k| j.get(k)) else {
+            panic!("{path:?}: no counter object");
+        };
+        for (field, _) in fields {
+            for (how, value) in [("missing", None), ("mistyped", Some(Json::Str("7".into())))] {
+                let bad = with_field(&doc, path, field, value);
+                let e = codec::stats_from_json(&bad).expect_err(&format!("{path:?}.{field} {how}"));
+                assert!(e.0.contains(&format!("{field:?}")), "{path:?}.{field} {how}: {e}");
+            }
+        }
+    }
 }

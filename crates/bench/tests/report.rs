@@ -1,10 +1,12 @@
 //! `exp report` against the counter registry: both report sources agree
-//! on the same run, every registry row reaches every consumer, and
-//! hostile counters are refused instead of overflowing.
+//! on the same run, every registry row (per-core and memory-side) reaches
+//! every consumer, and hostile counters are refused instead of
+//! overflowing.
 
 use gpgpu_bench::json::Json;
 use gpgpu_bench::report::{self, Report, ReportRow};
 use gpgpu_bench::{codec, Harness, ResultStore, RunEngine, RunResult, RunSpec};
+use gpgpu_mem::{Counter, FabricStats, CACHE_COUNTERS, DRAM_COUNTERS, XBAR_COUNTERS};
 use gpgpu_sim::{
     CoreStats, GpuConfig, IntervalSample, KernelId, Sample, SimStats, TelemetryConfig, COUNTERS,
 };
@@ -101,12 +103,21 @@ fn every_registry_row_reaches_every_consumer() {
     let row = sample.csv_row();
     let csv: Vec<(&str, &str)> = header.split(',').zip(row.split(',')).collect();
     let jsonl = Json::parse(&sample.to_json()).expect("sample line is JSON");
+    // The memory tables too, numbered on from the per-core rows.
+    let mut next = 5_000;
+    let mut l1 = Default::default();
+    number(CACHE_COUNTERS, &mut l1, &mut next);
+    let mut fabric = FabricStats::default();
+    number(CACHE_COUNTERS, &mut fabric.l2, &mut next);
+    number(DRAM_COUNTERS, &mut fabric.dram, &mut next);
+    number(XBAR_COUNTERS, &mut fabric.req_xbar, &mut next);
+    number(XBAR_COUNTERS, &mut fabric.resp_xbar, &mut next);
     let stats = SimStats {
         cycles: 1,
         instructions: core.issued,
         kernels: Vec::new(),
-        l1: Default::default(),
-        fabric: Default::default(),
+        l1,
+        fabric,
         cores: vec![core.clone()],
         malformed_dispatches: 0,
     };
@@ -117,6 +128,12 @@ fn every_registry_row_reaches_every_consumer() {
         .expect("stall_breakdown is JSON");
     let report = report_json_of(&stats);
 
+    let at = |path: &[&str]| path.iter().try_fold(&store, |j, k| j.get(k)).expect("object");
+    assert_rows(CACHE_COUNTERS, &stats.l1, at(&["l1"]));
+    assert_rows(CACHE_COUNTERS, &stats.fabric.l2, at(&["fabric", "l2"]));
+    assert_rows(DRAM_COUNTERS, &stats.fabric.dram, at(&["fabric", "dram"]));
+    assert_rows(XBAR_COUNTERS, &stats.fabric.req_xbar, at(&["fabric", "req_xbar"]));
+    assert_rows(XBAR_COUNTERS, &stats.fabric.resp_xbar, at(&["fabric", "resp_xbar"]));
     for c in COUNTERS {
         let v = (c.get)(&core);
         let stored = store.get("cores").and_then(Json::as_arr).and_then(|a| a[0].get(c.name));
@@ -140,6 +157,23 @@ fn every_registry_row_reaches_every_consumer() {
             let in_report = stalls.and_then(|s| s.get(label)).and_then(Json::as_u64);
             assert_eq!(in_report, Some(v), "{label}: report JSON");
         }
+    }
+}
+
+/// Sets every row of `table` in `s` to a distinct value, counting on
+/// from `next`.
+fn number<S>(table: &[Counter<S>], s: &mut S, next: &mut u64) {
+    for c in table {
+        *(c.get_mut)(s) = *next;
+        *next += 17;
+    }
+}
+
+/// Asserts that `obj` holds every row of `table` under its name, with the
+/// value `s` has.
+fn assert_rows<S>(table: &[Counter<S>], s: &S, obj: &Json) {
+    for c in table {
+        assert_eq!(obj.get(c.name).and_then(Json::as_u64), Some((c.get)(s)), "{}", c.name);
     }
 }
 

@@ -14,7 +14,7 @@
 //!    to the same bytes.
 //! 2. **A CPU mirror** — [`DslKernel::mirror`] executes the tree directly,
 //!    statement-lockstep across a CTA with SIMT active masks, using the
-//!    same [`sem`](crate::sem) evaluation functions the simulator uses.
+//!    same [`sem`] evaluation functions the simulator uses.
 //!    Every generated workload therefore ships with its own functional
 //!    oracle: expected memory contents without running the simulator.
 //! 3. **Static validation** — [`DslKernel::validate`] checks use-before-def
@@ -647,7 +647,7 @@ impl DslKernel {
 
     /// Executes the kernel on the CPU over a whole grid, statement-lockstep
     /// within each CTA with SIMT active masks, writing global effects into
-    /// `gmem`. Arithmetic goes through [`sem`](crate::sem), addresses use
+    /// `gmem`. Arithmetic goes through [`sem`], addresses use
     /// the same wrapping arithmetic as the simulator, and 4-byte accesses
     /// zero-extend on load / truncate on store — so for race-free kernels
     /// the resulting memory image equals the device's bit-for-bit.

@@ -158,25 +158,27 @@ pub struct FillOutcome {
     pub writeback: Option<u64>,
 }
 
-/// Counters accumulated over the cache's lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Load accesses accepted.
-    pub load_accesses: u64,
-    /// Load hits.
-    pub load_hits: u64,
-    /// Store accesses accepted.
-    pub store_accesses: u64,
-    /// Store hits.
-    pub store_hits: u64,
-    /// Misses merged into existing MSHRs.
-    pub mshr_merges: u64,
-    /// Accesses rejected for structural reasons.
-    pub reservation_fails: u64,
-    /// Lines filled.
-    pub fills: u64,
-    /// Dirty evictions.
-    pub writebacks: u64,
+crate::counters! {
+    /// Counters accumulated over the cache's lifetime.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CacheStats in CACHE_COUNTERS {
+        /// Load accesses accepted.
+        load_accesses: "1.0";
+        /// Load hits.
+        load_hits: "1.0";
+        /// Store accesses accepted.
+        store_accesses: "1.0";
+        /// Store hits.
+        store_hits: "1.0";
+        /// Misses merged into existing MSHRs.
+        mshr_merges: "1.0";
+        /// Accesses rejected for structural reasons.
+        reservation_fails: "1.0";
+        /// Lines filled.
+        fills: "1.0";
+        /// Dirty evictions.
+        writebacks: "1.0";
+    }
 }
 
 impl CacheStats {
@@ -198,18 +200,6 @@ impl CacheStats {
         } else {
             1.0 - (self.hits() as f64 / a as f64)
         }
-    }
-
-    /// Adds another stats block into this one.
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.load_accesses += other.load_accesses;
-        self.load_hits += other.load_hits;
-        self.store_accesses += other.store_accesses;
-        self.store_hits += other.store_hits;
-        self.mshr_merges += other.mshr_merges;
-        self.reservation_fails += other.reservation_fails;
-        self.fills += other.fills;
-        self.writebacks += other.writebacks;
     }
 }
 

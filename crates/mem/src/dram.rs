@@ -7,6 +7,7 @@
 //! Timing parameters are expressed in *core* cycles so the whole simulator
 //! runs off one clock.
 
+use crate::counters::ratio;
 use crate::req::Cycle;
 use std::collections::VecDeque;
 
@@ -84,55 +85,36 @@ pub struct DramCompletion {
     pub local_addr: u64,
 }
 
-/// Channel statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DramStats {
-    /// Reads serviced.
-    pub reads: u64,
-    /// Writes serviced.
-    pub writes: u64,
-    /// Accesses that hit an open row.
-    pub row_hits: u64,
-    /// Accesses to a bank with a different row open (precharge+activate).
-    pub row_conflicts: u64,
-    /// Accesses to a bank with no row open (activate only).
-    pub row_empty: u64,
-    /// Sum of (completion - enqueue) over serviced requests.
-    pub total_latency: u64,
-    /// Requests rejected because the queue was full.
-    pub rejected: u64,
+crate::counters! {
+    /// Channel statistics.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct DramStats in DRAM_COUNTERS {
+        /// Reads serviced.
+        reads: "1.0";
+        /// Writes serviced.
+        writes: "1.0";
+        /// Accesses that hit an open row.
+        row_hits: "1.0";
+        /// Accesses to a bank with a different row open (precharge+activate).
+        row_conflicts: "1.0";
+        /// Accesses to a bank with no row open (activate only).
+        row_empty: "1.0";
+        /// Sum of (completion - enqueue) over serviced requests.
+        total_latency: "1.0";
+        /// Requests rejected because the queue was full.
+        rejected: "1.0";
+    }
 }
 
 impl DramStats {
     /// Fraction of accesses hitting an open row; 0 when idle.
     pub fn row_hit_rate(&self) -> f64 {
-        let n = self.row_hits + self.row_conflicts + self.row_empty;
-        if n == 0 {
-            0.0
-        } else {
-            self.row_hits as f64 / n as f64
-        }
+        ratio(self.row_hits, self.row_hits + self.row_conflicts + self.row_empty)
     }
 
     /// Mean queued-to-complete latency; 0 when idle.
     pub fn avg_latency(&self) -> f64 {
-        let n = self.reads + self.writes;
-        if n == 0 {
-            0.0
-        } else {
-            self.total_latency as f64 / n as f64
-        }
-    }
-
-    /// Adds another stats block into this one.
-    pub fn merge(&mut self, other: &DramStats) {
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.row_hits += other.row_hits;
-        self.row_conflicts += other.row_conflicts;
-        self.row_empty += other.row_empty;
-        self.total_latency += other.total_latency;
-        self.rejected += other.rejected;
+        ratio(self.total_latency, self.reads + self.writes)
     }
 }
 

@@ -109,7 +109,12 @@ pub struct MemFabric {
     /// unique across cores. Freed slots are reused LIFO.
     ctx: Vec<ReqCtx>,
     free: Vec<usize>,
-    stats_extra: (u64, u64, u64), // loads_in, loads_out, stores_in
+    /// Load requests that entered the fabric.
+    loads_in: u64,
+    /// Load responses returned to cores.
+    loads_out: u64,
+    /// Stores that entered the fabric.
+    stores_in: u64,
 }
 
 impl MemFabric {
@@ -144,7 +149,9 @@ impl MemFabric {
             partitions,
             ctx: Vec::new(),
             free: Vec::new(),
-            stats_extra: (0, 0, 0),
+            loads_in: 0,
+            loads_out: 0,
+            stores_in: 0,
             cfg,
         }
     }
@@ -187,7 +194,7 @@ impl MemFabric {
         }
         match req.kind {
             AccessKind::Load => {
-                self.stats_extra.0 += 1;
+                self.loads_in += 1;
                 let c = ReqCtx {
                     id: req.id,
                     core: req.core,
@@ -198,7 +205,7 @@ impl MemFabric {
                     self.ctx.push(c);
                 }
             }
-            AccessKind::Store => self.stats_extra.2 += 1,
+            AccessKind::Store => self.stores_in += 1,
         }
         true
     }
@@ -283,7 +290,7 @@ impl MemFabric {
                     .try_send(now, pid, core, self.cfg.line_bytes, resp)
                 {
                     p.responses.pop_front();
-                    self.stats_extra.1 += 1;
+                    self.loads_out += 1;
                 } else {
                     break;
                 }
@@ -360,9 +367,9 @@ impl MemFabric {
         let mut s = FabricStats {
             req_xbar: *self.req_xbar.stats(),
             resp_xbar: *self.resp_xbar.stats(),
-            loads_in: self.stats_extra.0,
-            loads_out: self.stats_extra.1,
-            stores_in: self.stats_extra.2,
+            loads_in: self.loads_in,
+            loads_out: self.loads_out,
+            stores_in: self.stores_in,
             ..FabricStats::default()
         };
         for p in &self.partitions {

@@ -16,6 +16,11 @@
 //! * [`MemFabric`] — the composition: per-partition L2 slice + DRAM channel
 //!   behind a crossbar, with line-interleaved address slicing. This is what
 //!   the simulator's cores talk to.
+//! * [`counters`](mod@counters) — the counter registry: [`CacheStats`],
+//!   [`DramStats`] and [`XbarStats`] are each declared once as a table of
+//!   rows, which the store codec and the interval sampler walk instead of
+//!   naming fields (the simulator's per-core counters use the same
+//!   machinery).
 //!
 //! Everything is cycle-driven and deterministic: the caller advances time by
 //! calling `tick(now)` once per core cycle.
@@ -24,13 +29,17 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod counters;
 pub mod dram;
 pub mod fabric;
 pub mod req;
 pub mod xbar;
 
-pub use cache::{Access, Cache, CacheConfig, CacheStats, FillOutcome, ReservationFailure};
-pub use dram::{DramChannel, DramConfig, DramStats};
+pub use cache::{
+    Access, Cache, CacheConfig, CacheStats, FillOutcome, ReservationFailure, CACHE_COUNTERS,
+};
+pub use counters::{ratio, Counter, Sample};
+pub use dram::{DramChannel, DramConfig, DramStats, DRAM_COUNTERS};
 pub use fabric::{FabricConfig, FabricStats, MemFabric};
 pub use req::{AccessKind, Cycle, MemRequest, MemResponse, ReqId};
-pub use xbar::{Crossbar, XbarConfig, XbarStats};
+pub use xbar::{Crossbar, XbarConfig, XbarStats, XBAR_COUNTERS};

@@ -40,17 +40,19 @@ impl XbarConfig {
     }
 }
 
-/// Crossbar statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct XbarStats {
-    /// Packets delivered.
-    pub packets: u64,
-    /// Flits transferred.
-    pub flits: u64,
-    /// Packets rejected at injection (input queue full).
-    pub rejected: u64,
-    /// Sum over packets of cycles spent waiting in an input queue.
-    pub queue_wait: u64,
+crate::counters! {
+    /// Crossbar statistics.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct XbarStats in XBAR_COUNTERS {
+        /// Packets delivered.
+        packets: "1.0";
+        /// Flits transferred.
+        flits: "1.0";
+        /// Packets rejected at injection (input queue full).
+        rejected: "1.0";
+        /// Sum over packets of cycles spent waiting in an input queue.
+        queue_wait: "1.0";
+    }
 }
 
 #[derive(Debug)]

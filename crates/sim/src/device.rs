@@ -325,13 +325,15 @@ impl GpuDevice {
     /// events flow into `sink` from now on. Also enables policy-decision
     /// tracing on the CTA scheduler.
     ///
-    /// Attach before [`run`](Self::run) — the sampler's delta baseline
-    /// starts at the current counter values.
+    /// Attaching at any cycle is allowed: the first interval starts at the
+    /// current cycle and the sampler's delta baseline is the current
+    /// counter values, so the samples cover exactly what runs afterwards.
     pub fn enable_telemetry(&mut self, cfg: TelemetryConfig, sink: Box<dyn TraceSink>) {
         if let Some(cs) = self.cta_sched.as_mut() {
             cs.set_trace_enabled(cfg.trace_events);
         }
-        self.telemetry = Some(Telemetry::new(cfg, sink));
+        self.settle_cores();
+        self.telemetry = Some(Telemetry::new(cfg, sink, self.now, &self.cores, &self.fabric));
     }
 
     /// Detaches telemetry, emitting the final (possibly partial) interval

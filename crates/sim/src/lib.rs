@@ -47,7 +47,7 @@ pub mod telemetry;
 pub use config::GpuConfig;
 pub use core_model::{Core, CoreCtaCompletion};
 pub use counters::{
-    CoreStats, Counter, Sample, StallBreakdown, COUNTERS, STALL_CATEGORIES, STALL_LABELS,
+    ratio, CoreStats, Counter, Sample, StallBreakdown, COUNTERS, STALL_CATEGORIES, STALL_LABELS,
 };
 pub use device::{
     clear_thread_progress, set_fast_forward_default, set_sim_threads_default, set_thread_progress,

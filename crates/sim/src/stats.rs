@@ -103,7 +103,7 @@ impl SimStats {
     pub fn stall_breakdown(&self) -> StallBreakdown {
         let mut total = CoreStats::default();
         for c in &self.cores {
-            total.add(c);
+            total.merge(c);
         }
         total.breakdown()
     }

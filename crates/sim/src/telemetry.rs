@@ -7,11 +7,10 @@
 //! faces, both off by default and zero-cost when disabled:
 //!
 //! * **Interval sampler** — every `sample_every` cycles the device emits an
-//!   [`IntervalSample`]: deltas of issue/stall/idle slots, instructions,
-//!   L1/L2 accesses and hits, L1 reservation fails, DRAM row hits/misses
-//!   and queue rejections, plus instantaneous occupancy (resident
-//!   CTAs/warps per core, L1 MSHR entries in use, functional-memory
-//!   footprint).
+//!   [`IntervalSample`]: the deltas of every per-core, L1, L2 and DRAM
+//!   counter table, plus instantaneous occupancy (resident CTAs/warps per
+//!   core, L1 MSHR entries in use, functional-memory footprint). The first
+//!   interval starts at the cycle telemetry is attached.
 //! * **Event trace** — a [`TraceEvent`] per kernel launch/completion, CTA
 //!   dispatch/retirement (with core id), concurrent-kernel co-schedule
 //!   admission, and policy decision (LCS limits, BCS block placements),
@@ -33,7 +32,7 @@ use crate::core_model::Core;
 use crate::counters::{ratio, CoreStats, Counter, Sample, COUNTERS};
 use crate::json::{quoted, Json};
 use crate::sched_api::KernelId;
-use gpgpu_mem::{Cycle, MemFabric};
+use gpgpu_mem::{CacheStats, Cycle, DramStats, MemFabric};
 use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::sync::Arc;
@@ -326,24 +325,14 @@ pub struct IntervalSample {
     pub core_ctas: Vec<u32>,
     /// Resident warps per core at the sampling instant.
     pub core_warps: Vec<u32>,
-    /// L1 accesses (loads + stores) in the interval, summed over cores.
-    pub l1_accesses: u64,
-    /// L1 hits in the interval.
-    pub l1_hits: u64,
-    /// L1 reservation failures (MSHR/miss-queue structural stalls).
-    pub l1_reservation_fails: u64,
+    /// Every L1 counter's delta over the interval, summed over cores.
+    pub l1: CacheStats,
     /// L1 MSHR entries in use at the sampling instant, summed over cores.
     pub l1_mshrs_in_use: u64,
-    /// L2 accesses in the interval, summed over partitions.
-    pub l2_accesses: u64,
-    /// L2 hits in the interval.
-    pub l2_hits: u64,
-    /// DRAM accesses hitting an open row in the interval.
-    pub dram_row_hits: u64,
-    /// DRAM accesses missing the open row (conflict + empty).
-    pub dram_row_misses: u64,
-    /// DRAM requests rejected on a full queue in the interval.
-    pub dram_rejected: u64,
+    /// Every L2 counter's delta over the interval, summed over slices.
+    pub l2: CacheStats,
+    /// Every DRAM counter's delta over the interval, summed over channels.
+    pub dram: DramStats,
     /// 4 KiB functional-memory pages materialized by the end of the
     /// interval (the workload's touched footprint).
     pub gmem_pages: u64,
@@ -414,7 +403,7 @@ enum Column {
     /// A value of the sample itself.
     Field(&'static str, for<'a> fn(&'a IntervalSample) -> Cell<'a>),
     /// A sampled registry counter.
-    Counter(&'static Counter),
+    Counter(&'static Counter<CoreStats>),
 }
 
 impl Column {
@@ -459,20 +448,18 @@ const CSV_LEAD: [Column; 24] = [
     Column::Field("resident_warps", |s| Cell::Int(s.core_warps.iter().sum::<u32>().into())),
     Column::Field("core_ctas", |s| Cell::PerCore(&s.core_ctas)),
     Column::Field("core_warps", |s| Cell::PerCore(&s.core_warps)),
-    Column::Field("l1_accesses", |s| Cell::Int(s.l1_accesses)),
-    Column::Field("l1_hits", |s| Cell::Int(s.l1_hits)),
-    Column::Field("l1_hit_rate", |s| Cell::Real(ratio(s.l1_hits, s.l1_accesses))),
-    Column::Field("l1_reservation_fails", |s| Cell::Int(s.l1_reservation_fails)),
+    Column::Field("l1_accesses", |s| Cell::Int(s.l1.accesses())),
+    Column::Field("l1_hits", |s| Cell::Int(s.l1.hits())),
+    Column::Field("l1_hit_rate", |s| Cell::Real(ratio(s.l1.hits(), s.l1.accesses()))),
+    Column::Field("l1_reservation_fails", |s| Cell::Int(s.l1.reservation_fails)),
     Column::Field("l1_mshrs_in_use", |s| Cell::Int(s.l1_mshrs_in_use)),
-    Column::Field("l2_accesses", |s| Cell::Int(s.l2_accesses)),
-    Column::Field("l2_hits", |s| Cell::Int(s.l2_hits)),
-    Column::Field("l2_hit_rate", |s| Cell::Real(ratio(s.l2_hits, s.l2_accesses))),
-    Column::Field("dram_row_hits", |s| Cell::Int(s.dram_row_hits)),
-    Column::Field("dram_row_misses", |s| Cell::Int(s.dram_row_misses)),
-    Column::Field("dram_row_hit_rate", |s| {
-        Cell::Real(ratio(s.dram_row_hits, s.dram_row_hits + s.dram_row_misses))
-    }),
-    Column::Field("dram_rejected", |s| Cell::Int(s.dram_rejected)),
+    Column::Field("l2_accesses", |s| Cell::Int(s.l2.accesses())),
+    Column::Field("l2_hits", |s| Cell::Int(s.l2.hits())),
+    Column::Field("l2_hit_rate", |s| Cell::Real(ratio(s.l2.hits(), s.l2.accesses()))),
+    Column::Field("dram_row_hits", |s| Cell::Int(s.dram.row_hits)),
+    Column::Field("dram_row_misses", |s| Cell::Int(s.dram.row_conflicts + s.dram.row_empty)),
+    Column::Field("dram_row_hit_rate", |s| Cell::Real(s.dram.row_hit_rate())),
+    Column::Field("dram_rejected", |s| Cell::Int(s.dram.rejected)),
     Column::Field("gmem_pages", |s| Cell::Int(s.gmem_pages)),
 ];
 
@@ -667,13 +654,14 @@ impl TraceSink for NullSink {
 
 /// The device-attached telemetry state: a config, a sink, and the
 /// sampler's delta baseline. Constructed via
-/// [`GpuDevice::enable_telemetry`](crate::device::GpuDevice::enable_telemetry).
+/// [`GpuDevice::enable_telemetry`](crate::device::GpuDevice::enable_telemetry),
+/// which may attach it at any cycle: the first interval starts there.
 pub struct Telemetry {
     cfg: TelemetryConfig,
     sink: Box<dyn TraceSink>,
     next_sample_at: Cycle,
-    /// Cumulative counters at the last sample boundary, so samples report
-    /// per-interval deltas.
+    /// Cumulative counters at the last sample boundary (or at attach), so
+    /// samples report per-interval deltas.
     base: IntervalSample,
 }
 
@@ -687,17 +675,26 @@ impl std::fmt::Debug for Telemetry {
 }
 
 impl Telemetry {
-    /// Telemetry with `cfg` delivering to `sink`.
-    pub fn new(cfg: TelemetryConfig, sink: Box<dyn TraceSink>) -> Self {
+    /// Telemetry with `cfg` delivering to `sink`, attached at cycle `now`
+    /// to a device whose counters read as `cores` and `fabric` do: the
+    /// first interval is `[now, now + sample_every)` and its deltas start
+    /// from those counters.
+    pub(crate) fn new(
+        cfg: TelemetryConfig,
+        sink: Box<dyn TraceSink>,
+        now: Cycle,
+        cores: &[Core],
+        fabric: &MemFabric,
+    ) -> Self {
         Telemetry {
             cfg,
             sink,
             next_sample_at: if cfg.sample_every == 0 {
                 Cycle::MAX
             } else {
-                cfg.sample_every
+                now.saturating_add(cfg.sample_every)
             },
-            base: IntervalSample::default(),
+            base: totals(cores, fabric),
         }
     }
 
@@ -769,41 +766,18 @@ impl Telemetry {
         fabric: &MemFabric,
         gmem_pages: usize,
     ) {
-        let mut s = IntervalSample {
+        let total = totals(cores, fabric);
+        let base = std::mem::replace(&mut self.base, total.clone());
+        let s = IntervalSample {
             cycle_start: start,
             cycle_end: end,
+            core: total.core.delta(&base.core),
+            l1: total.l1.delta(&base.l1),
+            l2: total.l2.delta(&base.l2),
+            dram: total.dram.delta(&base.dram),
             gmem_pages: gmem_pages as u64,
-            ..IntervalSample::default()
+            ..total
         };
-        for core in cores {
-            s.core.add(core.stats());
-            let l1 = core.l1_stats();
-            s.l1_accesses += l1.accesses();
-            s.l1_hits += l1.hits();
-            s.l1_reservation_fails += l1.reservation_fails;
-            s.core_ctas.push(core.active_cta_count());
-            s.core_warps.push(core.resident_warps());
-            s.l1_mshrs_in_use += core.l1_mshrs_in_use() as u64;
-        }
-        let f = fabric.stats();
-        s.l2_accesses = f.l2.accesses();
-        s.l2_hits = f.l2.hits();
-        s.dram_row_hits = f.dram.row_hits;
-        s.dram_row_misses = f.dram.row_conflicts + f.dram.row_empty;
-        s.dram_rejected = f.dram.rejected;
-
-        // `s` holds cumulative totals: keep them as the next baseline and
-        // turn `s` into this interval's deltas.
-        let base = std::mem::replace(&mut self.base, s.clone());
-        s.core = s.core.delta(&base.core);
-        s.l1_accesses -= base.l1_accesses;
-        s.l1_hits -= base.l1_hits;
-        s.l1_reservation_fails -= base.l1_reservation_fails;
-        s.l2_accesses -= base.l2_accesses;
-        s.l2_hits -= base.l2_hits;
-        s.dram_row_hits -= base.dram_row_hits;
-        s.dram_row_misses -= base.dram_row_misses;
-        s.dram_rejected -= base.dram_rejected;
         self.sink.sample(&s);
     }
 
@@ -812,6 +786,25 @@ impl Telemetry {
         self.sink.flush();
         self.sink
     }
+}
+
+/// The device's cumulative counter tables, summed over cores and memory
+/// partitions, with the instantaneous occupancy at this cycle.
+fn totals(cores: &[Core], fabric: &MemFabric) -> IntervalSample {
+    let f = fabric.stats();
+    let mut s = IntervalSample {
+        l2: f.l2,
+        dram: f.dram,
+        ..IntervalSample::default()
+    };
+    for core in cores {
+        s.core.merge(core.stats());
+        s.l1.merge(core.l1_stats());
+        s.core_ctas.push(core.active_cta_count());
+        s.core_warps.push(core.resident_warps());
+        s.l1_mshrs_in_use += core.l1_mshrs_in_use() as u64;
+    }
+    s
 }
 
 #[cfg(test)]
@@ -918,15 +911,27 @@ mod tests {
             },
             core_ctas: vec![3, 2],
             core_warps: vec![12, 8],
-            l1_accesses: 100,
-            l1_hits: 80,
-            l1_reservation_fails: 5,
+            l1: CacheStats {
+                load_accesses: 60,
+                load_hits: 50,
+                store_accesses: 40,
+                store_hits: 30,
+                reservation_fails: 5,
+                ..CacheStats::default()
+            },
             l1_mshrs_in_use: 7,
-            l2_accesses: 20,
-            l2_hits: 10,
-            dram_row_hits: 6,
-            dram_row_misses: 2,
-            dram_rejected: 1,
+            l2: CacheStats {
+                load_accesses: 20,
+                load_hits: 10,
+                ..CacheStats::default()
+            },
+            dram: DramStats {
+                row_hits: 6,
+                row_conflicts: 1,
+                row_empty: 1,
+                rejected: 1,
+                ..DramStats::default()
+            },
             gmem_pages: 33,
         };
         assert!((s.ipc() - 1.5).abs() < 1e-12);

@@ -1,9 +1,14 @@
 //! End-to-end telemetry tests: a traced run must (1) leave the simulation
 //! results untouched, (2) emit a cycle-ordered event trace that round-trips
 //! through its JSONL encoding, and (3) produce interval samples whose
-//! deltas sum back to the run's cumulative totals.
+//! deltas sum back to the run's cumulative totals, also when telemetry is
+//! attached after an earlier run.
 
-use gpgpu_repro::sim::{CoreStats, GpuConfig, KernelId, KernelStats, TelemetryConfig, TelemetryData, TraceEvent};
+use gpgpu_repro::mem::{CacheStats, DramStats};
+use gpgpu_repro::sim::{
+    CoreStats, GpuConfig, IntervalSample, KernelId, KernelStats, MemorySink, SimStats,
+    TelemetryConfig, TelemetryData, TraceEvent,
+};
 use gpgpu_repro::tbs::{CtaPolicy, WarpPolicy};
 use gpgpu_repro::workloads::{by_name, run_workload, run_workload_mode, RunMode, RunOutcome, Scale};
 
@@ -87,39 +92,78 @@ fn events_are_cycle_ordered_and_complete() {
     assert_eq!(count("cta-retire"), ctas, "every CTA retirement is traced");
 }
 
-#[test]
-fn interval_deltas_sum_to_run_totals() {
-    let (outcome, data) = traced_run("vecadd", CtaPolicy::Baseline(None), 300);
-    assert!(data.samples.len() >= 2, "run spans several intervals");
-    let sum = |f: fn(&gpgpu_repro::sim::IntervalSample) -> u64| -> u64 {
-        data.samples.iter().map(f).sum()
-    };
-    assert_eq!(sum(|s| s.core.issued), outcome.stats.instructions);
-    assert_eq!(sum(|s| s.l1_accesses), outcome.stats.l1.accesses());
-    assert_eq!(sum(|s| s.l1_hits), outcome.stats.l1.hits());
-    assert_eq!(sum(|s| s.l2_accesses), outcome.stats.fabric.l2.accesses());
-    assert_eq!(sum(|s| s.l2_hits), outcome.stats.fabric.l2.hits());
-    assert_eq!(sum(|s| s.dram_row_hits), outcome.stats.fabric.dram.row_hits);
-    assert_eq!(sum(|s| s.dram_rejected), outcome.stats.fabric.dram.rejected);
-    // Every registry counter's deltas sum to the per-core totals.
-    let mut deltas = CoreStats::default();
-    let mut totals = CoreStats::default();
-    data.samples.iter().for_each(|s| deltas.add(&s.core));
-    outcome.stats.cores.iter().for_each(|c| totals.add(c));
-    assert_eq!(deltas, totals);
-    // Intervals tile the run: contiguous, non-overlapping, ending at the
-    // final cycle.
-    let mut expect_start = 0;
-    for s in &data.samples {
+/// Every counter table of `samples`, merged: (cores, L1, L2, DRAM).
+fn merged(samples: &[IntervalSample]) -> (CoreStats, CacheStats, CacheStats, DramStats) {
+    let mut m = <(CoreStats, CacheStats, CacheStats, DramStats)>::default();
+    for s in samples {
+        m.0.merge(&s.core);
+        m.1.merge(&s.l1);
+        m.2.merge(&s.l2);
+        m.3.merge(&s.dram);
+    }
+    m
+}
+
+/// The same tables of a run's cumulative statistics.
+fn tables(stats: &SimStats) -> (CoreStats, CacheStats, CacheStats, DramStats) {
+    let mut core = CoreStats::default();
+    stats.cores.iter().for_each(|c| core.merge(c));
+    (core, stats.l1, stats.fabric.l2, stats.fabric.dram)
+}
+
+/// Asserts that `samples` tile `[start, end)`: contiguous, non-empty and
+/// non-overlapping.
+fn assert_tiles(samples: &[IntervalSample], start: u64, end: u64) {
+    let mut expect_start = start;
+    for s in samples {
         assert_eq!(s.cycle_start, expect_start, "intervals must be contiguous");
         assert!(s.cycle_end > s.cycle_start);
         expect_start = s.cycle_end;
     }
-    assert_eq!(
-        data.samples.last().unwrap().cycle_end,
-        outcome.stats.cycles,
-        "final (partial) interval reaches the end of the run"
-    );
+    assert_eq!(expect_start, end, "final (partial) interval reaches the end of the run");
+}
+
+#[test]
+fn interval_deltas_sum_to_run_totals() {
+    let (outcome, data) = traced_run("vecadd", CtaPolicy::Baseline(None), 300);
+    assert!(data.samples.len() >= 2, "run spans several intervals");
+    // Every counter of every table: per-core, L1, L2 and DRAM.
+    assert_eq!(merged(&data.samples), tables(&outcome.stats));
+    let issued: u64 = data.samples.iter().map(|s| s.core.issued).sum();
+    assert_eq!(issued, outcome.stats.instructions);
+    assert_tiles(&data.samples, 0, outcome.stats.cycles);
+}
+
+#[test]
+fn telemetry_attached_after_a_run_covers_only_what_follows() {
+    // Run vecadd untraced, then attach telemetry and run saxpy on the same
+    // device: the intervals must start at the attach cycle and their
+    // deltas must sum to what the second run added.
+    let (first, mut gpu, _, _) = run_workload_mode(
+        by_name("vecadd", Scale::Tiny).expect("suite member").as_mut(),
+        GpuConfig::test_small(),
+        WarpPolicy::Gto.factory().as_ref(),
+        CtaPolicy::Baseline(None).scheduler(),
+        MAX_CYCLES,
+        None,
+        RunMode::Direct,
+    )
+    .expect("first run completes");
+    let attach = first.stats.cycles;
+    gpu.enable_telemetry(TelemetryConfig::new(500), Box::new(MemorySink::new()));
+    let mut saxpy = by_name("saxpy", Scale::Tiny).expect("suite member");
+    let desc = saxpy.prepare(gpu.mem());
+    gpu.launch(desc);
+    gpu.run(MAX_CYCLES).expect("second run completes");
+    let after = gpu.stats();
+    let data = gpu.take_telemetry_data().expect("telemetry was enabled");
+    assert!(data.samples.len() >= 2, "second run spans several intervals");
+    assert_tiles(&data.samples, attach, after.cycles);
+    let (core, l1, l2, dram) = tables(&after);
+    let (core0, l1_0, l2_0, dram0) = tables(&first.stats);
+    let second = (core.delta(&core0), l1.delta(&l1_0), l2.delta(&l2_0), dram.delta(&dram0));
+    assert!(second.1.accesses() > 0, "the second run touches memory");
+    assert_eq!(merged(&data.samples), second);
 }
 
 #[test]

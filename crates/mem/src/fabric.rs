@@ -6,7 +6,7 @@
 //! local lines share DRAM rows, so dense access patterns retain row-buffer
 //! locality.
 
-use crate::cache::{Access, Cache, CacheConfig, CacheStats, DownstreamKind};
+use crate::cache::{Access, Cache, CacheConfig, CacheStats, DownstreamKind, ReservationFailure};
 use crate::dram::{DramChannel, DramConfig, DramRequest, DramStats};
 use crate::req::{AccessKind, Cycle, MemRequest, MemResponse, ReqId};
 use crate::xbar::{Crossbar, XbarConfig, XbarStats};
@@ -86,6 +86,11 @@ struct Partition {
     dram: DramChannel,
     /// Request being retried against a structurally-full L2.
     stalled: Option<MemRequest>,
+    /// Why `stalled` was refused, while the refusal must stand: until the
+    /// slice's next fill, or its next downstream pop for a full miss
+    /// queue. Each retry meanwhile is booked with
+    /// [`Cache::book_rejected`] instead of re-run (fast path only).
+    refused: Option<ReservationFailure>,
     /// Downstream message staged while DRAM is full.
     to_dram: Option<crate::cache::Downstream>,
     /// Load responses ready at a given cycle, FIFO in ready order, with
@@ -103,6 +108,9 @@ pub struct MemFabric {
     req_xbar: Crossbar<MemRequest>,
     resp_xbar: Crossbar<MemResponse>,
     partitions: Vec<Partition>,
+    /// Whether stalled L2 requests book their retries (see
+    /// [`set_fast_path`](Self::set_fast_path)).
+    fast: bool,
     /// Slab of in-flight loads. A load carries its slot index as its id
     /// from the request crossbar on (the L2 only echoes ids), so a
     /// response finds its caller in O(1) and caller ids need not be
@@ -139,6 +147,7 @@ impl MemFabric {
                 l2: Cache::new(cfg.l2.clone()),
                 dram: DramChannel::new(cfg.dram.clone()),
                 stalled: None,
+                refused: None,
                 to_dram: None,
                 responses: VecDeque::new(),
             })
@@ -147,6 +156,7 @@ impl MemFabric {
             req_xbar: Crossbar::new(xc(cfg.cores, cfg.partitions)),
             resp_xbar: Crossbar::new(xc(cfg.partitions, cfg.cores)),
             partitions,
+            fast: true,
             ctx: Vec::new(),
             free: Vec::new(),
             loads_in: 0,
@@ -159,6 +169,20 @@ impl MemFabric {
     /// The configuration this fabric was built with.
     pub fn config(&self) -> &FabricConfig {
         &self.cfg
+    }
+
+    /// Turns retry booking on (the default) or off. On, a stalled L2
+    /// request books each later retry with [`Cache::book_rejected`] while
+    /// its refusal must stand; off, every retry re-runs the access, as the
+    /// device's reference loop wants. Either way the statistics are
+    /// identical.
+    pub fn set_fast_path(&mut self, on: bool) {
+        self.fast = on;
+        if !on {
+            for p in &mut self.partitions {
+                p.refused = None;
+            }
+        }
     }
 
     /// The memory partition servicing `addr`.
@@ -210,7 +234,15 @@ impl MemFabric {
         true
     }
 
-    /// Advances the entire fabric one cycle.
+    /// Advances the entire fabric one cycle: per partition, DRAM
+    /// completions fill the L2 slice, one L2 downstream message goes to
+    /// DRAM, and one request (a stalled one first) accesses the slice;
+    /// then due responses enter the response crossbar and both crossbars
+    /// tick. A stalled request is the only access its slice sees, so it
+    /// is refused alike until a fill (or, for a full miss queue, a
+    /// downstream pop) and on the fast path its retries are booked, not
+    /// re-run (see [`set_fast_path`](Self::set_fast_path) and
+    /// [`Cache::book_rejected`]).
     pub fn tick(&mut self, now: Cycle) {
         let line_bytes = self.cfg.line_bytes;
         let partitions = self.cfg.partitions as u64;
@@ -227,6 +259,7 @@ impl MemFabric {
             // 1. DRAM completions: reads fill the L2 slice and wake waiters.
             for c in p.dram.tick(now) {
                 if c.is_read {
+                    p.refused = None;
                     // token carries the global line address.
                     let out = p.l2.fill(c.token, now);
                     for slot in out.ready {
@@ -239,6 +272,9 @@ impl MemFabric {
             //    full DRAM queue exerts backpressure).
             if p.to_dram.is_none() {
                 p.to_dram = p.l2.pop_downstream();
+                if p.to_dram.is_some() && p.refused == Some(ReservationFailure::MissQueueFull) {
+                    p.refused = None;
+                }
             }
             if let Some(d) = p.to_dram {
                 let local = {
@@ -257,6 +293,10 @@ impl MemFabric {
 
             // 3. One L2 access per cycle, retrying structurally-stalled
             //    requests first.
+            if p.refused.is_some() {
+                p.l2.book_rejected(1);
+                continue;
+            }
             let next = p
                 .stalled
                 .take()
@@ -274,7 +314,10 @@ impl MemFabric {
                         }
                     }
                     Access::Miss | Access::MissMerged | Access::MissNoAlloc => {}
-                    Access::Fail(_) => p.stalled = Some(req),
+                    Access::Fail(why) => {
+                        p.refused = self.fast.then_some(why);
+                        p.stalled = Some(req);
+                    }
                 }
             }
         }

@@ -4,7 +4,8 @@
 //! accepts one packet at a time (a packet occupies its input and output
 //! ports for `ceil(size / flit_bytes)` cycles, modeling per-port
 //! bandwidth), then traverses the switch in `latency` cycles. Arbitration
-//! is rotating-priority and deterministic.
+//! is rotating-priority and deterministic; it visits only the inputs that
+//! hold a packet, read off an occupancy mask.
 
 use crate::req::Cycle;
 use std::cmp::Ordering;
@@ -103,6 +104,9 @@ impl<T> Eq for TraversingPacket<T> {}
 pub struct Crossbar<T> {
     cfg: XbarConfig,
     queues: Vec<VecDeque<QueuedPacket<T>>>,
+    /// Inputs with a queued packet, one bit per input (one `u64` word per
+    /// 64 inputs).
+    pending: Vec<u64>,
     in_free: Vec<Cycle>,
     out_free: Vec<Cycle>,
     traversing: BinaryHeap<TraversingPacket<T>>,
@@ -122,6 +126,7 @@ impl<T> Crossbar<T> {
         assert!(cfg.flit_bytes >= 1 && cfg.queue_len >= 1);
         Crossbar {
             queues: (0..cfg.in_ports).map(|_| VecDeque::new()).collect(),
+            pending: vec![0; cfg.in_ports.div_ceil(64)],
             in_free: vec![0; cfg.in_ports],
             out_free: vec![0; cfg.out_ports],
             traversing: BinaryHeap::new(),
@@ -166,11 +171,21 @@ impl<T> Crossbar<T> {
             payload,
             enqueued: now,
         });
+        self.pending[src >> 6] |= 1 << (src & 63);
         true
     }
 
     /// Advances one cycle: arbitrates input queues onto output ports and
     /// moves arrivals into their delivery queues.
+    ///
+    /// Arbitration is rotating-priority: inputs are offered their head
+    /// packet in ascending order starting at `now % in_ports` and
+    /// wrapping, and a head goes when its input and its output are both
+    /// free. Only inputs with a queued packet are visited, as set bits of
+    /// the occupancy mask: the start word's bits from the start up, the
+    /// following words, and last the start word's bits below the start.
+    /// An input's bit clears when its queue empties, so the cost is one
+    /// mask word per 64 inputs plus one step per waiting input.
     pub fn tick(&mut self, now: Cycle) {
         // Deliver arrivals in (arrival, seq) order.
         while self.traversing.peek().is_some_and(|p| p.arrival <= now) {
@@ -179,35 +194,56 @@ impl<T> Crossbar<T> {
             self.stats.packets += 1;
         }
 
-        // Rotating-priority arbitration across input ports.
-        let n = self.cfg.in_ports;
-        let start = (now % n as u64) as usize;
-        for k in 0..n {
-            let src = (start + k) % n;
-            if self.in_free[src] > now {
-                continue;
-            }
-            let Some(head) = self.queues[src].front() else {
-                continue;
+        let start = (now % self.cfg.in_ports as u64) as usize;
+        let (first, bit) = (start >> 6, start & 63);
+        let words = self.pending.len();
+        for k in 0..=words {
+            let w = if first + k < words {
+                first + k
+            } else {
+                first + k - words
             };
-            let dst = head.dst;
-            if self.out_free[dst] > now {
-                continue;
+            let mut waiting = self.pending[w];
+            if k == 0 {
+                waiting &= !0 << bit;
+            } else if k == words {
+                waiting &= (1 << bit) - 1;
             }
-            let pkt = self.queues[src].pop_front().expect("head exists");
-            let busy = pkt.flits;
-            self.in_free[src] = now + busy;
-            self.out_free[dst] = now + busy;
-            self.stats.flits += busy;
-            self.stats.queue_wait += now - pkt.enqueued;
-            self.seq += 1;
-            self.traversing.push(TraversingPacket {
-                arrival: now + busy + u64::from(self.cfg.latency),
-                dst,
-                seq: self.seq,
-                payload: pkt.payload,
-            });
+            while waiting != 0 {
+                let src = (w << 6) | waiting.trailing_zeros() as usize;
+                waiting &= waiting - 1;
+                self.arbitrate(now, src);
+            }
         }
+    }
+
+    /// Offers input `src`'s head packet (its queue is non-empty) the
+    /// switch at cycle `now`.
+    fn arbitrate(&mut self, now: Cycle, src: usize) {
+        if self.in_free[src] > now {
+            return;
+        }
+        let queue = &mut self.queues[src];
+        let dst = queue.front().expect("pending input holds a packet").dst;
+        if self.out_free[dst] > now {
+            return;
+        }
+        let pkt = queue.pop_front().expect("head exists");
+        if queue.is_empty() {
+            self.pending[src >> 6] &= !(1 << (src & 63));
+        }
+        let busy = pkt.flits;
+        self.in_free[src] = now + busy;
+        self.out_free[dst] = now + busy;
+        self.stats.flits += busy;
+        self.stats.queue_wait += now - pkt.enqueued;
+        self.seq += 1;
+        self.traversing.push(TraversingPacket {
+            arrival: now + busy + u64::from(self.cfg.latency),
+            dst,
+            seq: self.seq,
+            payload: pkt.payload,
+        });
     }
 
     /// Pops the next packet delivered at output `dst`.
@@ -223,7 +259,7 @@ impl<T> Crossbar<T> {
     /// Whether no packets are queued, traversing, or awaiting pickup.
     pub fn quiesced(&self) -> bool {
         self.traversing.is_empty()
-            && self.queues.iter().all(VecDeque::is_empty)
+            && self.pending.iter().all(|&w| w == 0)
             && self.delivered.iter().all(VecDeque::is_empty)
     }
 
@@ -242,9 +278,16 @@ impl<T> Crossbar<T> {
             .traversing
             .peek()
             .map_or(Cycle::MAX, |p| p.arrival.max(now));
-        for (src, q) in self.queues.iter().enumerate() {
-            if let Some(head) = q.front() {
-                next = next.min(self.in_free[src].max(self.out_free[head.dst]).max(now));
+        for (w, &word) in self.pending.iter().enumerate() {
+            let mut waiting = word;
+            while waiting != 0 {
+                let src = (w << 6) | waiting.trailing_zeros() as usize;
+                waiting &= waiting - 1;
+                let dst = self.queues[src]
+                    .front()
+                    .expect("pending input holds a packet")
+                    .dst;
+                next = next.min(self.in_free[src].max(self.out_free[dst]).max(now));
                 if next == now {
                     return Some(now);
                 }

@@ -1,5 +1,6 @@
 //! Property-style tests for the memory substrate: the cache against a
-//! reference LRU model, DRAM conservation laws, and crossbar delivery.
+//! reference LRU model, DRAM conservation laws, crossbar delivery, and
+//! the DRAM scheduler and crossbar arbiter against spelled-out walks.
 //!
 //! Cases are drawn from the seeded SplitMix64 generator in
 //! `gpgpu-testkit` (shared across the workspace), so the crate builds
@@ -9,7 +10,7 @@ use gpgpu_mem::cache::DownstreamKind;
 use gpgpu_mem::dram::{DramCompletion, DramRequest};
 use gpgpu_mem::{
     Access, AccessKind, Cache, CacheConfig, Crossbar, DramChannel, DramConfig, DramStats, ReqId,
-    XbarConfig,
+    XbarConfig, XbarStats,
 };
 use gpgpu_testkit::Gen;
 use std::collections::VecDeque;
@@ -233,6 +234,173 @@ fn crossbar_delivers_everything() {
         }
         assert_eq!(sent, pkts.len());
         assert_eq!(got.iter().sum::<usize>(), sent);
+    }
+}
+
+/// A spelled-out crossbar: arbitration walks every input port in
+/// rotating order from `now % in_ports`, and arrivals are a list
+/// searched every tick. It records each grant as `(cycle, src, dst)`.
+struct RefXbar {
+    cfg: XbarConfig,
+    /// `(dst, flits, payload, enqueued)`, oldest first.
+    queues: Vec<VecDeque<(usize, u64, u64, u64)>>,
+    in_free: Vec<u64>,
+    out_free: Vec<u64>,
+    /// `(arrival, dst, payload)` in grant order.
+    traversing: Vec<(u64, usize, u64)>,
+    delivered: Vec<VecDeque<u64>>,
+    grants: Vec<(u64, usize, usize)>,
+    stats: XbarStats,
+}
+
+impl RefXbar {
+    fn new(cfg: XbarConfig) -> Self {
+        RefXbar {
+            queues: vec![VecDeque::new(); cfg.in_ports],
+            in_free: vec![0; cfg.in_ports],
+            out_free: vec![0; cfg.out_ports],
+            traversing: Vec::new(),
+            delivered: vec![VecDeque::new(); cfg.out_ports],
+            grants: Vec::new(),
+            stats: XbarStats::default(),
+            cfg,
+        }
+    }
+
+    fn try_send(&mut self, now: u64, src: usize, dst: usize, size: u32, payload: u64) -> bool {
+        if self.queues[src].len() >= self.cfg.queue_len {
+            self.stats.rejected += 1;
+            return false;
+        }
+        let flits = u64::from(size.div_ceil(self.cfg.flit_bytes).max(1));
+        self.queues[src].push_back((dst, flits, payload, now));
+        true
+    }
+
+    fn tick(&mut self, now: u64) {
+        // Arrivals in (arrival, grant) order.
+        let mut due: Vec<(u64, usize, (u64, usize, u64))> = Vec::new();
+        let mut i = 0;
+        while i < self.traversing.len() {
+            if self.traversing[i].0 <= now {
+                due.push((self.traversing[i].0, i, self.traversing.remove(i)));
+            } else {
+                i += 1;
+            }
+        }
+        due.sort_by_key(|d| (d.0, d.1));
+        for (_, _, (_, dst, payload)) in due {
+            self.delivered[dst].push_back(payload);
+            self.stats.packets += 1;
+        }
+        let n = self.cfg.in_ports;
+        for k in 0..n {
+            let src = (now as usize % n + k) % n;
+            let Some(&(dst, flits, payload, enqueued)) = self.queues[src].front() else {
+                continue;
+            };
+            if self.in_free[src] > now || self.out_free[dst] > now {
+                continue;
+            }
+            self.queues[src].pop_front();
+            self.in_free[src] = now + flits;
+            self.out_free[dst] = now + flits;
+            self.stats.flits += flits;
+            self.stats.queue_wait += now - enqueued;
+            self.grants.push((now, src, dst));
+            self.traversing
+                .push((now + flits + u64::from(self.cfg.latency), dst, payload));
+        }
+    }
+
+    fn quiesced(&self) -> bool {
+        self.traversing.is_empty()
+            && self.queues.iter().all(VecDeque::is_empty)
+            && self.delivered.iter().all(VecDeque::is_empty)
+    }
+}
+
+/// The mask arbiter grants what the all-ports walk grants: on random
+/// traffic over 1 to 130 inputs (one to three mask words, so the rotation
+/// crosses word boundaries), the same `(cycle, src, dst)` grants, the
+/// same per-cycle deliveries, acceptances and `XbarStats`. The crossbar's
+/// grants are read back from its deliveries: a packet of `f` flits
+/// granted at `t` arrives at `t + f + latency`. `next_event` never names
+/// a cycle later than the next grant or delivery.
+#[test]
+fn crossbar_arbitration_matches_walking_reference() {
+    let mut g = Gen::new(0xA4B1);
+    for case in 0..150 {
+        let cfg = XbarConfig {
+            in_ports: *g.choose(&[1, 3, 15, 63, 64, 65, 130]),
+            out_ports: g.range(1, 9) as usize,
+            latency: g.range(0, 10) as u32,
+            flit_bytes: 32,
+            queue_len: g.range(1, 9) as usize,
+        };
+        let mut x: Crossbar<u64> = Crossbar::new(cfg.clone());
+        let mut r = RefXbar::new(cfg.clone());
+        // `(src, dst, flits)` of each payload, indexed by payload.
+        let mut sent: Vec<(usize, usize, u64)> = Vec::new();
+        let mut grants = Vec::new();
+        let busy = g.range(1, 100);
+        let mut predicted = None;
+        const INJECT: u64 = 300;
+        for now in 0..20_000u64 {
+            let injecting = now < INJECT;
+            if injecting {
+                for _ in 0..g.range(0, 1 + cfg.in_ports as u64 * busy / 50) {
+                    let (src, dst) = (g.index(cfg.in_ports), g.index(cfg.out_ports));
+                    let size = *g.choose(&[0u32, 32, 128]);
+                    let p = sent.len() as u64;
+                    let accepted = x.try_send(now, src, dst, size, p);
+                    assert_eq!(accepted, r.try_send(now, src, dst, size, p), "case {case}");
+                    if accepted {
+                        sent.push((src, dst, x.packet_flits(size)));
+                    }
+                }
+            }
+            let before = r.grants.len();
+            x.tick(now);
+            r.tick(now);
+            let mut changed = r.grants.len() > before;
+            for dst in 0..cfg.out_ports {
+                while let Some(p) = x.pop_delivered(dst) {
+                    assert_eq!(
+                        r.delivered[dst].pop_front(),
+                        Some(p),
+                        "case {case} at {now}"
+                    );
+                    let (src, d, flits) = sent[p as usize];
+                    grants.push((now - flits - u64::from(cfg.latency), src, d));
+                    changed = true;
+                }
+                assert!(
+                    r.delivered[dst].is_empty(),
+                    "case {case}: reference delivered more"
+                );
+            }
+            if changed && now > INJECT {
+                assert!(
+                    predicted.is_some_and(|t| t <= now),
+                    "case {case}: next_event named {predicted:?}, but the switch moved at {now}"
+                );
+            }
+            predicted = x.next_event(now + 1);
+            if !injecting && x.quiesced() {
+                break;
+            }
+        }
+        assert!(
+            x.quiesced() && r.quiesced(),
+            "case {case}: packets left over"
+        );
+        grants.sort_unstable();
+        let mut want = r.grants.clone();
+        want.sort_unstable();
+        assert_eq!(grants, want, "case {case}: grants differ, {cfg:?}");
+        assert_eq!(grants.len(), sent.len());
+        assert_eq!(*x.stats(), r.stats, "case {case}: stats differ");
     }
 }
 

@@ -206,7 +206,7 @@ impl GpuDevice {
             .map(|i| Core::new(i, Arc::clone(&cfg), warp_sched))
             .collect();
         let fabric = MemFabric::new(cfg.fabric.clone());
-        GpuDevice {
+        let mut dev = GpuDevice {
             cores,
             fabric,
             gmem: GlobalMem::new(),
@@ -230,7 +230,9 @@ impl GpuDevice {
                 })
             }),
             cfg,
-        }
+        };
+        dev.set_fast_forward(dev.fast_forward);
+        dev
     }
 
     /// Source-compatibility stub: [`run`](Self::run) always steps the
@@ -247,11 +249,18 @@ impl GpuDevice {
     /// Enables or disables the fast path for this device. When enabled
     /// (the default), [`run`](Self::run) skips the cycles of cores that
     /// can only repeat their last cycle (they sleep) and jumps over spans
-    /// where every core sleeps; statistics, per-kernel results, and
-    /// telemetry are bit-identical either way. Disabling forces the
-    /// reference cycle-by-cycle loop (validation and debugging).
+    /// where every core sleeps, and memory retries that must fail again
+    /// are booked rather than re-run: a blocked LSQ head's L1 access, a
+    /// stalled L2 request, an issue stage with nothing new to see.
+    /// Statistics, per-kernel results, and telemetry are bit-identical
+    /// either way. Disabling forces the reference cycle-by-cycle loop,
+    /// which re-runs every retry (validation and debugging).
     pub fn set_fast_forward(&mut self, enabled: bool) {
         self.fast_forward = enabled;
+        for core in &mut self.cores {
+            core.set_fast_path(enabled);
+        }
+        self.fabric.set_fast_path(enabled);
     }
 
     /// Turns execution-record capture on or off (see [`crate::record`]).

@@ -659,6 +659,11 @@ impl TraceSink for NullSink {
 pub struct Telemetry {
     cfg: TelemetryConfig,
     sink: Box<dyn TraceSink>,
+    /// First cycle of the open interval.
+    interval_start: Cycle,
+    /// The cycle the open interval's sample fires at: `interval_start +
+    /// sample_every`, saturated, so `Cycle::MAX` when sampling is off or
+    /// the period outlasts any run (then only the final sample fires).
     next_sample_at: Cycle,
     /// Cumulative counters at the last sample boundary (or at attach), so
     /// samples report per-interval deltas.
@@ -689,6 +694,7 @@ impl Telemetry {
         Telemetry {
             cfg,
             sink,
+            interval_start: now,
             next_sample_at: if cfg.sample_every == 0 {
                 Cycle::MAX
             } else {
@@ -734,9 +740,9 @@ impl Telemetry {
         if now < self.next_sample_at {
             return;
         }
-        let start = self.next_sample_at - self.cfg.sample_every;
-        self.emit_sample(start, now, cores, fabric, gmem_pages);
-        self.next_sample_at += self.cfg.sample_every;
+        self.emit_sample(self.interval_start, now, cores, fabric, gmem_pages);
+        self.interval_start = self.next_sample_at;
+        self.next_sample_at = self.next_sample_at.saturating_add(self.cfg.sample_every);
     }
 
     /// Emits the final, possibly partial interval when the run detaches
@@ -748,14 +754,12 @@ impl Telemetry {
         fabric: &MemFabric,
         gmem_pages: usize,
     ) {
-        if self.cfg.sample_every == 0 || self.next_sample_at == Cycle::MAX {
+        if self.cfg.sample_every == 0 || now <= self.interval_start {
             return;
         }
-        let start = self.next_sample_at - self.cfg.sample_every;
-        if now > start {
-            self.emit_sample(start, now, cores, fabric, gmem_pages);
-            self.next_sample_at = now + self.cfg.sample_every;
-        }
+        self.emit_sample(self.interval_start, now, cores, fabric, gmem_pages);
+        self.interval_start = now;
+        self.next_sample_at = now.saturating_add(self.cfg.sample_every);
     }
 
     fn emit_sample(

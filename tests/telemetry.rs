@@ -180,6 +180,42 @@ fn sampling_period_longer_than_run_yields_one_partial_interval() {
 }
 
 #[test]
+fn u64_max_period_yields_one_partial_interval() {
+    // A period of u64::MAX puts the first boundary at Cycle::MAX, which
+    // must still read as "not yet", not as "sampling off": the final
+    // sample covers the whole run, also when telemetry attaches after an
+    // earlier run on the same device.
+    let (outcome, data) = traced_run("vecadd", CtaPolicy::Baseline(None), u64::MAX);
+    assert_eq!(data.samples.len(), 1, "one interval covers the whole run");
+    assert_tiles(&data.samples, 0, outcome.stats.cycles);
+    assert_eq!(data.samples[0].core.issued, outcome.stats.instructions);
+
+    let (first, mut gpu, _, _) = run_workload_mode(
+        by_name("vecadd", Scale::Tiny).expect("suite member").as_mut(),
+        GpuConfig::test_small(),
+        WarpPolicy::Gto.factory().as_ref(),
+        CtaPolicy::Baseline(None).scheduler(),
+        MAX_CYCLES,
+        None,
+        RunMode::Direct,
+    )
+    .expect("first run completes");
+    gpu.enable_telemetry(TelemetryConfig::new(u64::MAX), Box::new(MemorySink::new()));
+    let mut saxpy = by_name("saxpy", Scale::Tiny).expect("suite member");
+    let desc = saxpy.prepare(gpu.mem());
+    gpu.launch(desc);
+    gpu.run(MAX_CYCLES).expect("second run completes");
+    let after = gpu.stats();
+    let data = gpu.take_telemetry_data().expect("telemetry was enabled");
+    assert_eq!(data.samples.len(), 1, "one interval covers the second run");
+    assert_tiles(&data.samples, first.stats.cycles, after.cycles);
+    assert_eq!(
+        data.samples[0].core.issued,
+        after.instructions - first.stats.instructions
+    );
+}
+
+#[test]
 fn per_cycle_sampling_tiles_the_run_exactly() {
     // sample_every = 1 is the densest legal period: every interval must be
     // exactly one cycle wide and the tiling must still be exact with no

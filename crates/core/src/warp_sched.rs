@@ -1,9 +1,18 @@
 //! Warp schedulers: the baselines the paper compares against (LRR, GTO,
 //! two-level) and the paper's block-aware warp scheduler (BAWS) used with
 //! BCS.
+//!
+//! Each picks from the ready mask (`pick_ready`); its `pick` is the
+//! list-to-mask adapter.
 
-use gpgpu_sim::{IssueView, KernelId, WarpMeta, WarpScheduler, WarpSchedulerFactory};
+use gpgpu_sim::{
+    ready_mask, ready_slots, IssueView, KernelId, WarpMeta, WarpScheduler, WarpSchedulerFactory,
+    MAX_WARP_SLOTS,
+};
 use std::collections::VecDeque;
+
+/// Per-slot policy state covers every possible warp slot.
+const SLOTS: usize = MAX_WARP_SLOTS as usize;
 
 // ---------------------------------------------------------------------
 // LRR — loose round robin.
@@ -36,19 +45,16 @@ impl WarpScheduler for Lrr {
         "lrr"
     }
 
-    fn pick(&mut self, _view: &IssueView<'_>, candidates: &[usize]) -> Option<usize> {
-        let pick = match self.last {
-            Some(last) => candidates
-                .iter()
-                .copied()
-                .find(|&c| c > last)
-                .or_else(|| candidates.first().copied()),
-            None => candidates.first().copied(),
-        };
-        if let Some(p) = pick {
-            self.last = Some(p);
-        }
-        pick
+    fn pick(&mut self, view: &IssueView<'_>, candidates: &[usize]) -> Option<usize> {
+        self.pick_ready(view, ready_mask(candidates))
+    }
+
+    fn pick_ready(&mut self, _view: &IssueView<'_>, ready: u64) -> Option<usize> {
+        let above = |l: usize| ready & (!0u64).checked_shl(l as u32 + 1).unwrap_or(0);
+        let after = self.last.map_or(ready, above);
+        let pick = ready_slots(if after != 0 { after } else { ready }).next()?;
+        self.last = Some(pick);
+        Some(pick)
     }
 }
 
@@ -79,12 +85,14 @@ impl WarpSchedulerFactory for LrrFactory {
 #[derive(Debug)]
 pub struct Gto {
     current: Option<usize>,
+    /// Dispatch stamp of each slot's warp, from `on_warp_start`.
+    age: [u64; SLOTS],
 }
 
 impl Gto {
     /// A fresh GTO scheduler.
     pub fn new() -> Self {
-        Gto { current: None }
+        Gto { current: None, age: [u64::MAX; SLOTS] }
     }
 }
 
@@ -100,17 +108,22 @@ impl WarpScheduler for Gto {
     }
 
     fn pick(&mut self, view: &IssueView<'_>, candidates: &[usize]) -> Option<usize> {
+        self.pick_ready(view, ready_mask(candidates))
+    }
+
+    fn pick_ready(&mut self, _view: &IssueView<'_>, ready: u64) -> Option<usize> {
         if let Some(cur) = self.current {
-            if candidates.contains(&cur) {
+            if ready >> cur & 1 != 0 {
                 return Some(cur);
             }
         }
-        let oldest = candidates
-            .iter()
-            .copied()
-            .min_by_key(|&c| view.warp(c).map(|w| w.age).unwrap_or(u64::MAX));
-        self.current = oldest;
-        oldest
+        // The oldest ready warp; ties go to the lowest slot.
+        self.current = ready_slots(ready).min_by_key(|&s| self.age[s]);
+        self.current
+    }
+
+    fn on_warp_start(&mut self, slot: usize, meta: &WarpMeta) {
+        self.age[slot] = meta.age;
     }
 
     fn on_warp_finish(&mut self, slot: usize) {
@@ -164,12 +177,17 @@ impl WarpScheduler for TwoLevel {
         "two-level"
     }
 
-    fn pick(&mut self, _view: &IssueView<'_>, candidates: &[usize]) -> Option<usize> {
+    fn pick(&mut self, view: &IssueView<'_>, candidates: &[usize]) -> Option<usize> {
+        self.pick_ready(view, ready_mask(candidates))
+    }
+
+    fn pick_ready(&mut self, _view: &IssueView<'_>, ready: u64) -> Option<usize> {
+        let is_ready = |w: usize| ready >> w & 1 != 0;
         // Round-robin within the active set.
         for _ in 0..self.active.len() {
             let w = self.active.pop_front().expect("nonempty");
             self.active.push_back(w);
-            if candidates.contains(&w) {
+            if is_ready(w) {
                 return Some(w);
             }
         }
@@ -177,7 +195,7 @@ impl WarpScheduler for TwoLevel {
         // pending warp.
         for _ in 0..self.pending.len() {
             let w = self.pending.pop_front().expect("nonempty");
-            if candidates.contains(&w) {
+            if is_ready(w) {
                 if self.active.len() >= self.active_size {
                     if let Some(demoted) = self.active.pop_front() {
                         self.pending.push_back(demoted);
@@ -252,8 +270,12 @@ impl WarpSchedulerFactory for TwoLevelFactory {
 #[derive(Debug)]
 pub struct Baws {
     block_size: u64,
+    /// Dispatch stamp and `(kernel, CTA block)` of each slot's warp, from
+    /// `on_warp_start`.
+    age: [u64; SLOTS],
+    block: [(KernelId, u64); SLOTS],
     /// Last-issue stamps for intra-block fairness.
-    last_issue: Vec<u64>,
+    last_issue: [u64; SLOTS],
     stamp: u64,
 }
 
@@ -262,13 +284,11 @@ impl Baws {
     pub fn new(block_size: u32) -> Self {
         Baws {
             block_size: u64::from(block_size.max(1)),
-            last_issue: Vec::new(),
+            age: [u64::MAX; SLOTS],
+            block: [(KernelId(0), 0); SLOTS],
+            last_issue: [0; SLOTS],
             stamp: 0,
         }
-    }
-
-    fn block_of(&self, meta: &WarpMeta) -> (KernelId, u64) {
-        (meta.kernel, meta.cta_id / self.block_size)
     }
 }
 
@@ -278,30 +298,25 @@ impl WarpScheduler for Baws {
     }
 
     fn pick(&mut self, view: &IssueView<'_>, candidates: &[usize]) -> Option<usize> {
-        // Oldest block among the candidates (by the youngest age inside
-        // the block, i.e. block dispatch time).
-        let mut best_block: Option<((KernelId, u64), u64)> = None;
-        for &c in candidates {
-            let Some(meta) = view.warp(c) else { continue };
-            let block = self.block_of(meta);
-            let entry = best_block.get_or_insert((block, meta.age));
-            if meta.age < entry.1 {
-                *entry = (block, meta.age);
-            }
-        }
-        let (block, _) = best_block?;
+        self.pick_ready(view, ready_mask(candidates))
+    }
+
+    fn pick_ready(&mut self, _view: &IssueView<'_>, ready: u64) -> Option<usize> {
+        // Oldest block: the block of the oldest ready warp (ties to the
+        // lowest slot).
+        let block = self.block[ready_slots(ready).min_by_key(|&s| self.age[s])?];
         // Round-robin within the block: least-recently issued warp.
-        let pick = candidates
-            .iter()
-            .copied()
-            .filter(|&c| view.warp(c).map(|m| self.block_of(m) == block).unwrap_or(false))
-            .min_by_key(|&c| self.last_issue.get(c).copied().unwrap_or(0))?;
+        let pick = ready_slots(ready)
+            .filter(|&s| self.block[s] == block)
+            .min_by_key(|&s| self.last_issue[s])?;
         self.stamp += 1;
-        if self.last_issue.len() <= pick {
-            self.last_issue.resize(pick + 1, 0);
-        }
         self.last_issue[pick] = self.stamp;
         Some(pick)
+    }
+
+    fn on_warp_start(&mut self, slot: usize, meta: &WarpMeta) {
+        self.age[slot] = meta.age;
+        self.block[slot] = (meta.kernel, meta.cta_id / self.block_size);
     }
 }
 
@@ -346,6 +361,17 @@ mod tests {
         IssueView::new(0, 0, warps)
     }
 
+    /// `s` told that each warp of `warps` started in its slot, as the core
+    /// does at dispatch.
+    fn started<S: WarpScheduler>(mut s: S, warps: &[Option<WarpMeta>]) -> S {
+        for (slot, meta) in warps.iter().enumerate() {
+            if let Some(meta) = meta {
+                s.on_warp_start(slot, meta);
+            }
+        }
+        s
+    }
+
     #[test]
     fn lrr_rotates() {
         let warps = vec![Some(meta(0, 0, 1)), Some(meta(0, 0, 2)), Some(meta(0, 1, 3))];
@@ -368,7 +394,7 @@ mod tests {
             Some(meta(0, 1, 20)),
         ];
         let v = view_of(&warps);
-        let mut s = Gto::new();
+        let mut s = started(Gto::new(), &warps);
         // First pick: the oldest (slot 1).
         assert_eq!(s.pick(&v, &[0, 1, 2]), Some(1));
         // Greedy: stays on 1 while it remains ready.
@@ -412,7 +438,7 @@ mod tests {
             Some(meta(0, 3, 4)), // block 1
         ];
         let v = view_of(&warps);
-        let mut s = Baws::new(2);
+        let mut s = started(Baws::new(2), &warps);
         // All ready: block 0 wins; round-robin alternates its two warps.
         let a = s.pick(&v, &[0, 1, 2, 3]).unwrap();
         let b = s.pick(&v, &[0, 1, 2, 3]).unwrap();
@@ -438,7 +464,7 @@ mod tests {
             Some(meta(1, 0, 1)), // older, different kernel
         ];
         let v = view_of(&warps);
-        let mut s = Baws::new(2);
+        let mut s = started(Baws::new(2), &warps);
         // Oldest block is kernel 1's.
         assert_eq!(s.pick(&v, &[0, 1]), Some(1));
     }

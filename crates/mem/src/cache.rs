@@ -230,6 +230,9 @@ pub struct Cache {
     /// `swap_remove`.
     mshr_lines: Vec<u64>,
     mshrs: Vec<MshrEntry>,
+    /// Emptied waiter lists handed back by [`recycle`](Self::recycle);
+    /// a fresh MSHR entry takes one instead of allocating.
+    spare_waiters: Vec<Vec<ReqId>>,
     miss_queue: VecDeque<Downstream>,
     /// Writebacks generated by fills; unbounded so fills never fail.
     wb_queue: VecDeque<Downstream>,
@@ -271,6 +274,7 @@ impl Cache {
             sets,
             mshr_lines: Vec::new(),
             mshrs: Vec::new(),
+            spare_waiters: Vec::new(),
             miss_queue: VecDeque::new(),
             wb_queue: VecDeque::new(),
             use_stamp: 0,
@@ -292,9 +296,14 @@ impl Cache {
         self.mshr_lines.iter().position(|&l| l == line)
     }
 
-    fn alloc_mshr(&mut self, line: u64, entry: MshrEntry) {
+    fn alloc_mshr(&mut self, line: u64, first: Option<ReqId>, dirty_on_fill: bool) {
+        let mut waiters = self.spare_waiters.pop().unwrap_or_default();
+        waiters.extend(first);
         self.mshr_lines.push(line);
-        self.mshrs.push(entry);
+        self.mshrs.push(MshrEntry {
+            waiters,
+            dirty_on_fill,
+        });
     }
 
     /// The set of `line`: `(line / line_bytes) % num_sets`, from the
@@ -355,13 +364,7 @@ impl Cache {
                     self.stats.reservation_fails += 1;
                     return Access::Fail(ReservationFailure::MissQueueFull);
                 }
-                self.alloc_mshr(
-                    line,
-                    MshrEntry {
-                        waiters: vec![id],
-                        dirty_on_fill: false,
-                    },
-                );
+                self.alloc_mshr(line, Some(id), false);
                 self.miss_queue.push_back(Downstream {
                     addr: line,
                     kind: DownstreamKind::Fetch,
@@ -411,13 +414,7 @@ impl Cache {
                         self.stats.reservation_fails += 1;
                         return Access::Fail(ReservationFailure::MissQueueFull);
                     }
-                    self.alloc_mshr(
-                        line,
-                        MshrEntry {
-                            waiters: Vec::new(),
-                            dirty_on_fill: true,
-                        },
-                    );
+                    self.alloc_mshr(line, None, true);
                     self.miss_queue.push_back(Downstream {
                         addr: line,
                         kind: DownstreamKind::Fetch,
@@ -485,6 +482,8 @@ impl Cache {
     }
 
     /// Installs the line containing `addr`, waking its MSHR waiters.
+    /// Hand the outcome's `ready` list back with [`recycle`](Self::recycle)
+    /// once it is served, so the next fresh miss reuses it.
     ///
     /// Chooses an invalid way if available, else the LRU way; a dirty
     /// victim is queued for writeback (internally, never failing) and its
@@ -546,6 +545,15 @@ impl Cache {
             last_use: stamp,
         };
         FillOutcome { ready, writeback }
+    }
+
+    /// Takes back a [`fill`](Self::fill)'s `ready` list for reuse by a
+    /// later MSHR entry (at most one spare per entry is kept).
+    pub fn recycle(&mut self, mut ready: Vec<ReqId>) {
+        if self.spare_waiters.len() < self.cfg.mshr_entries as usize {
+            ready.clear();
+            self.spare_waiters.push(ready);
+        }
     }
 
     /// Invalidates every line. Dirty lines are queued for writeback and

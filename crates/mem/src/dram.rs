@@ -159,6 +159,8 @@ pub struct DramChannel {
     /// returns at once. Only `submit` (which lowers it) and a tick that
     /// runs (which recomputes it) change what it depends on.
     wake: Cycle,
+    /// The last tick's completions, kept so a tick does not allocate.
+    done: Vec<DramCompletion>,
     stats: DramStats,
 }
 
@@ -184,6 +186,7 @@ impl DramChannel {
             bus_free: 0,
             in_flight: Vec::new(),
             wake: Cycle::MAX,
+            done: Vec::new(),
             stats: DramStats::default(),
         }
     }
@@ -226,13 +229,15 @@ impl DramChannel {
     }
 
     /// Advances the channel one cycle: possibly starts one queued request
-    /// and returns any requests completing at `now`.
-    pub fn tick(&mut self, now: Cycle) -> Vec<DramCompletion> {
+    /// and returns any requests completing at `now`, ordered by
+    /// `(local_addr, token)`.
+    pub fn tick(&mut self, now: Cycle) -> &[DramCompletion] {
+        self.done.clear();
         if now < self.wake {
-            return Vec::new();
+            return &self.done;
         }
         // Collect completions first.
-        let mut done = Vec::new();
+        let done = &mut self.done;
         let mut i = 0;
         while i < self.in_flight.len() {
             if self.in_flight[i].completion <= now {
@@ -326,7 +331,7 @@ impl DramChannel {
             .chain(self.queue.iter().map(|q| banks[q.bank as usize].busy_until))
             .min()
             .unwrap_or(Cycle::MAX);
-        done
+        &self.done
     }
 
     /// Whether no requests are queued or in flight.
@@ -382,7 +387,7 @@ mod tests {
     fn run_until_done(c: &mut DramChannel, start: Cycle, max: u64) -> Vec<(Cycle, DramCompletion)> {
         let mut out = Vec::new();
         for now in start..start + max {
-            for d in c.tick(now) {
+            for &d in c.tick(now) {
                 out.push((now, d));
             }
             if c.quiesced() {

@@ -249,23 +249,21 @@ impl MemFabric {
         let (ctx, free) = (&self.ctx, &mut self.free);
         // Queues a load response under its caller's id and core, freeing
         // the load's slot.
-        let mut respond = |p: &mut Partition, ready: Cycle, slot: ReqId, addr: u64| {
+        let mut respond = |out: &mut VecDeque<_>, ready: Cycle, slot: ReqId, addr: u64| {
             let c = ctx[slot.0 as usize];
             free.push(slot.0 as usize);
-            p.responses
-                .push_back((ready, MemResponse { id: c.id, addr }, c.core));
+            out.push_back((ready, MemResponse { id: c.id, addr }, c.core));
         };
         for (pid, p) in self.partitions.iter_mut().enumerate() {
             // 1. DRAM completions: reads fill the L2 slice and wake waiters.
-            for c in p.dram.tick(now) {
-                if c.is_read {
-                    p.refused = None;
-                    // token carries the global line address.
-                    let out = p.l2.fill(c.token, now);
-                    for slot in out.ready {
-                        respond(p, now, slot, c.token);
-                    }
+            for c in p.dram.tick(now).iter().filter(|c| c.is_read) {
+                p.refused = None;
+                // token carries the global line address.
+                let ready = p.l2.fill(c.token, now).ready;
+                for &slot in &ready {
+                    respond(&mut p.responses, now, slot, c.token);
                 }
+                p.l2.recycle(ready);
             }
 
             // 2. Drain L2 downstream traffic into DRAM (with staging so a
@@ -310,7 +308,8 @@ impl MemFabric {
                     Access::Hit => {
                         if req.kind.is_load() {
                             let addr = req.addr & !u64::from(line_bytes - 1);
-                            respond(p, now + u64::from(self.cfg.l2_latency), req.id, addr);
+                            let ready = now + u64::from(self.cfg.l2_latency);
+                            respond(&mut p.responses, ready, req.id, addr);
                         }
                     }
                     Access::Miss | Access::MissMerged | Access::MissNoAlloc => {}

@@ -760,7 +760,7 @@ fn dram_matches_walking_reference() {
         let every = drive_stream(
             &mut DramChannel::new(cfg.clone()),
             &stream,
-            DramChannel::tick,
+            |c, now| c.tick(now).to_vec(),
             DramChannel::submit,
             stats,
             |_, _, _| true,
@@ -769,7 +769,7 @@ fn dram_matches_walking_reference() {
         let skipping = drive_stream(
             &mut DramChannel::new(cfg.clone()),
             &stream,
-            DramChannel::tick,
+            |c, now| c.tick(now).to_vec(),
             DramChannel::submit,
             stats,
             |c, now, submitting| submitting || c.next_event(now) == Some(now),

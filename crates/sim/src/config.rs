@@ -2,6 +2,11 @@
 
 use gpgpu_mem::{CacheConfig, FabricConfig};
 
+/// Most warp slots a core may have: one bit each in a `u64`, so the issue
+/// stage keeps every per-slot mask in one machine word. A Fermi core has
+/// 48 and no NVIDIA part has more than 64.
+pub const MAX_WARP_SLOTS: u32 = 64;
+
 /// Configuration of the simulated GPU (a Fermi GTX480-class part by
 /// default, matching the paper's GPGPU-Sim setup).
 ///
@@ -90,7 +95,8 @@ impl GpuConfig {
     /// # Panics
     ///
     /// Panics if the configuration is inconsistent (zero cores/limits, L1
-    /// line size differing from the fabric's, scheduler count of zero).
+    /// line size differing from the fabric's, scheduler count of zero,
+    /// more than [`MAX_WARP_SLOTS`] warp slots).
     pub fn validate(&self) {
         assert!(self.num_cores >= 1, "need at least one core");
         assert_eq!(
@@ -102,7 +108,10 @@ impl GpuConfig {
             "L1 and fabric line sizes must match"
         );
         assert!(self.max_ctas_per_core >= 1);
-        assert!(self.max_warps_per_core >= 1);
+        assert!(
+            (1..=MAX_WARP_SLOTS).contains(&self.max_warps_per_core),
+            "max_warps_per_core must be 1..={MAX_WARP_SLOTS}"
+        );
         assert!(self.num_sched_per_core >= 1);
         assert!(self.ldst_queue_len >= 1);
         assert!(self.max_threads_per_core >= 32);
@@ -131,6 +140,21 @@ mod tests {
     fn mismatched_fabric_ports_rejected() {
         let mut c = GpuConfig::fermi();
         c.num_cores = 4; // fabric still has 15 ports
+        c.validate();
+    }
+
+    #[test]
+    fn sixty_four_warp_slots_are_accepted() {
+        let mut c = GpuConfig::fermi();
+        c.max_warps_per_core = MAX_WARP_SLOTS;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "max_warps_per_core must be 1..=64")]
+    fn sixty_five_warp_slots_are_rejected() {
+        let mut c = GpuConfig::fermi();
+        c.max_warps_per_core = MAX_WARP_SLOTS + 1;
         c.validate();
     }
 

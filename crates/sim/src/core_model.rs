@@ -23,12 +23,10 @@ use crate::decode::{DecodedKernel, ReadyState};
 use crate::memory::{GlobalMem, SharedMem};
 use crate::record::{ExecRecord, WarpTrace};
 use crate::sched_api::{
-    CtaIssueSample, IssueView, KernelId, WarpMeta, WarpScheduler, WarpSchedulerFactory,
+    ready_slots, CtaIssueSample, IssueView, KernelId, WarpMeta, WarpScheduler, WarpSchedulerFactory,
 };
 use crate::simt::{LaneMask, SimtStack};
-use gpgpu_isa::{
-    sem, Instr, Instruction, KernelDescriptor, MemSpace, Pc, SpecialReg, WARP_SIZE,
-};
+use gpgpu_isa::{sem, Instr, KernelDescriptor, MemSpace, SpecialReg, WARP_SIZE};
 use gpgpu_mem::{
     cache::{DownstreamKind, ReservationFailure},
     Access, AccessKind, Cache, Cycle, MemFabric, MemRequest, MemResponse, ReqId,
@@ -140,101 +138,80 @@ struct LoadTrack {
 /// [`ReadyTable::class`].
 const READY_CLASSES: usize = 6;
 
-/// The issue stage's view of every warp slot, as bitmasks (one `u64` word
-/// per 64 slots): occupancy, the class of each slot's memoized
-/// [`ReadyState`], and which verdicts are stale. A verdict only changes
-/// through the warp's own issue or an unblocking event (writeback, load
-/// completion, barrier release, dispatch into the slot); each of those
-/// calls [`invalidate`](Self::invalidate), and the issue stage
-/// re-evaluates just a partition's dirty slots, so a blocked warp costs
-/// nothing per cycle.
+/// The issue stage's view of every warp slot, one bit per slot in a
+/// `u64` ([`MAX_WARP_SLOTS`](crate::MAX_WARP_SLOTS)): occupancy, the class
+/// of each slot's memoized [`ReadyState`], and which verdicts are stale.
+/// A verdict only changes through the warp's own issue or an unblocking
+/// event (writeback, load completion, barrier release, dispatch into the
+/// slot); each of those calls [`invalidate`](Self::invalidate), and the
+/// issue stage re-evaluates just a partition's dirty slots, so a blocked
+/// warp costs nothing per cycle.
 #[derive(Debug)]
 struct ReadyTable {
     /// `class[c]`: slots whose verdict is the [`ReadyState`] with
-    /// discriminant `c`. An occupied, clean slot is in exactly one class;
-    /// bits of dirty or empty slots are meaningless.
-    class: [Vec<u64>; READY_CLASSES],
+    /// discriminant `c`. A slot's bit is set in `class[kind[slot]]` at
+    /// most; it is meaningful only for occupied, clean slots.
+    class: [u64; READY_CLASSES],
+    /// The class each slot was last [`set`](Self::set) to.
+    kind: Vec<u8>,
     /// Slots whose verdict must be re-evaluated before it is read.
-    dirty: Vec<u64>,
+    dirty: u64,
     /// Slots holding a resident warp.
-    occupied: Vec<u64>,
+    occupied: u64,
     /// `part[s]`: the slots scheduler partition `s` owns (`s`,
     /// `s + nsched`, …).
-    part: Vec<Vec<u64>>,
+    part: Vec<u64>,
 }
 
 impl ReadyTable {
     fn new(slots: usize, nsched: usize) -> Self {
-        let words = slots.div_ceil(64);
         let part = (0..nsched)
-            .map(|s| {
-                let mut m = vec![0; words];
-                for slot in (s..slots).step_by(nsched) {
-                    m[slot >> 6] |= 1u64 << (slot & 63);
-                }
-                m
-            })
+            .map(|s| (s..slots).step_by(nsched).fold(0, |m, slot| m | 1 << slot))
             .collect();
         ReadyTable {
-            class: std::array::from_fn(|_| vec![0; words]),
-            dirty: vec![0; words],
-            occupied: vec![0; words],
+            class: [0; READY_CLASSES],
+            kind: vec![0; slots],
+            dirty: 0,
+            occupied: 0,
             part,
         }
     }
 
     /// Marks `slot`'s verdict stale.
     fn invalidate(&mut self, slot: usize) {
-        self.dirty[slot >> 6] |= 1u64 << (slot & 63);
+        self.dirty |= 1 << slot;
     }
 
     /// Records `slot` as occupied (with a stale verdict) or empty.
     fn set_occupied(&mut self, slot: usize, on: bool) {
-        let bit = 1u64 << (slot & 63);
         if on {
-            self.occupied[slot >> 6] |= bit;
-            self.dirty[slot >> 6] |= bit;
+            self.occupied |= 1 << slot;
+            self.dirty |= 1 << slot;
         } else {
-            self.occupied[slot >> 6] &= !bit;
+            self.occupied &= !(1 << slot);
         }
     }
 
     /// Stores a fresh verdict for `slot`, clearing its dirty bit.
     fn set(&mut self, slot: usize, state: ReadyState) {
-        let (w, bit) = (slot >> 6, 1u64 << (slot & 63));
-        for c in &mut self.class {
-            c[w] &= !bit;
-        }
-        self.class[state as usize][w] |= bit;
-        self.dirty[w] &= !bit;
+        let bit = 1 << slot;
+        self.class[usize::from(self.kind[slot])] &= !bit;
+        self.class[state as usize] |= bit;
+        self.kind[slot] = state as u8;
+        self.dirty &= !bit;
     }
 
-    /// Whether any occupied slot's verdict is stale.
-    fn any_dirty(&self) -> bool {
-        self.dirty.iter().zip(&self.occupied).any(|(d, o)| d & o != 0)
-    }
-
-    /// Occupied slots of partition `s` in word `w`.
-    fn occupied_in(&self, s: usize, w: usize) -> u64 {
-        self.occupied[w] & self.part[s][w]
-    }
-
-    /// Whether partition `s` holds any resident warp.
-    fn partition_occupied(&self, s: usize) -> bool {
-        (0..self.occupied.len()).any(|w| self.occupied_in(s, w) != 0)
-    }
-
-    /// Issuable slots of partition `s` in word `w`, given the structural
-    /// resources. Valid once the partition's dirty slots are re-evaluated.
-    fn candidates(&self, s: usize, w: usize, lsq_has_space: bool, shared_free: bool) -> u64 {
-        let mut ready = self.class[ReadyState::Ready as usize][w];
+    /// Issuable slots of partition `s`, given the structural resources.
+    /// Valid once the partition's dirty slots are re-evaluated.
+    fn candidates(&self, s: usize, lsq_has_space: bool, shared_free: bool) -> u64 {
+        let mut ready = self.class[ReadyState::Ready as usize];
         if lsq_has_space {
-            ready |= self.class[ReadyState::ReadyMemGlobal as usize][w];
+            ready |= self.class[ReadyState::ReadyMemGlobal as usize];
         }
         if shared_free {
-            ready |= self.class[ReadyState::ReadyMemShared as usize][w];
+            ready |= self.class[ReadyState::ReadyMemShared as usize];
         }
-        ready & self.occupied_in(s, w)
+        ready & self.occupied & self.part[s]
     }
 
     /// Attributes a stalled partition (occupied, no candidates) to one
@@ -242,10 +219,7 @@ impl ReadyTable {
     /// memory > execution unit > scoreboard > barrier (barrier only when
     /// no warp waits on the scoreboard).
     fn classify_stall(&self, s: usize, lsq_has_space: bool, shared_free: bool) -> SlotStall {
-        let any = |state: ReadyState| {
-            (0..self.occupied.len())
-                .any(|w| self.class[state as usize][w] & self.occupied_in(s, w) != 0)
-        };
+        let any = |c: ReadyState| self.class[c as usize] & self.occupied & self.part[s] != 0;
         if any(ReadyState::BlockedMem) || (!lsq_has_space && any(ReadyState::ReadyMemGlobal)) {
             SlotStall::MemPending
         } else if !shared_free && any(ReadyState::ReadyMemShared) {
@@ -320,9 +294,6 @@ pub struct Core {
     stats: CoreStats,
     issued_per_kernel: Vec<u64>,
     completed_per_kernel: Vec<u64>,
-    /// Persistent scratch for the issue stage (candidate list handed to
-    /// the warp scheduler), reused so steady-state cycles do not allocate.
-    scratch_candidates: Vec<usize>,
     /// Whether the most recent issue stage found any ready warp; the
     /// sleep check at the end of [`cycle`](Self::cycle) reuses it.
     had_ready_warp: bool,
@@ -417,7 +388,6 @@ impl Core {
             stats: CoreStats::default(),
             issued_per_kernel: Vec::new(),
             completed_per_kernel: Vec::new(),
-            scratch_candidates: Vec::new(),
             had_ready_warp: false,
             l1_refused: None,
             issue_memo: None,
@@ -585,15 +555,7 @@ impl Core {
             .expect("free CTA slot");
         let warps_needed = desc.warps_per_cta() as usize;
         let threads = desc.threads_per_cta();
-        let mut warp_slots = Vec::with_capacity(warps_needed);
-        for (w, entry) in self.warps.iter().enumerate() {
-            if entry.is_none() {
-                warp_slots.push(w);
-                if warp_slots.len() == warps_needed {
-                    break;
-                }
-            }
-        }
+        let warp_slots: Vec<usize> = ready_slots(!self.ready.occupied).take(warps_needed).collect();
         assert_eq!(warp_slots.len(), warps_needed, "free warp slots");
 
         let reg_count = desc.program().reg_count().max(1) as usize;
@@ -692,9 +654,11 @@ impl Core {
     fn handle_response(&mut self, now: Cycle, resp: MemResponse) {
         self.fills_pending -= 1;
         self.l1_refused = None;
-        for ReqId(token) in self.l1.fill(resp.addr, now).ready {
+        let ready = self.l1.fill(resp.addr, now).ready;
+        for &ReqId(token) in &ready {
             self.schedule_wb(now, WbEvent::LoadPartDone { token });
         }
+        self.l1.recycle(ready);
     }
 
     /// Invalidates the L1 (kernel-boundary cold cache). A booked LSQ head
@@ -825,13 +789,15 @@ impl Core {
     /// repeat this one, and the device skips the core. With nothing queued
     /// downstream the refusal is a full MSHR file or merge entry, which
     /// only a fill (a fabric response) ends.
+    ///
+    /// Returns whether the core issued an instruction this cycle.
     pub fn cycle(
         &mut self,
         now: Cycle,
         fabric: &mut MemFabric,
         gmem: &mut GlobalMem,
         completions: &mut Vec<CoreCtaCompletion>,
-    ) {
+    ) -> bool {
         self.settle(now);
         while let Some(resp) = fabric.pop_response(self.id) {
             self.handle_response(now, resp);
@@ -852,6 +818,7 @@ impl Core {
                 self.wake_at = self.wake_at.min(self.shared_pipe_free);
             }
         }
+        self.scratch_outcomes.contains(&SlotStall::Issued)
     }
 
     fn process_writebacks(&mut self, now: Cycle) {
@@ -1068,18 +1035,18 @@ impl Core {
             self.lsq.len() < self.cfg.ldst_queue_len,
             self.shared_pipe_free <= now,
         );
-        if self.fast && self.issue_memo == Some(flags) && !self.ready.any_dirty() {
+        let stale = self.ready.dirty & self.ready.occupied;
+        if self.fast && self.issue_memo == Some(flags) && stale == 0 {
             self.book_issue_stage();
             return;
         }
-        let words = self.ready.occupied.len();
         let mut schedulers = std::mem::take(&mut self.schedulers);
-        let mut candidates = std::mem::take(&mut self.scratch_candidates);
         let mut outcomes = std::mem::take(&mut self.scratch_outcomes);
         outcomes.clear();
         self.had_ready_warp = false;
         for (s, sched) in schedulers.iter_mut().enumerate() {
-            if !self.ready.partition_occupied(s) {
+            let mine = self.ready.occupied & self.ready.part[s];
+            if mine == 0 {
                 outcomes.push(SlotStall::NoResident);
                 continue;
             }
@@ -1087,37 +1054,21 @@ impl Core {
             // previous scheduler's issue may have consumed them.
             let lsq_has_space = self.lsq.len() < self.cfg.ldst_queue_len;
             let shared_free = self.shared_pipe_free <= now;
-            candidates.clear();
-            for w in 0..words {
-                let mut stale = self.ready.dirty[w] & self.ready.occupied_in(s, w);
-                while stale != 0 {
-                    let slot = (w << 6) | stale.trailing_zeros() as usize;
-                    stale &= stale - 1;
-                    let state = self.readiness(slot);
-                    self.ready.set(slot, state);
-                }
-                // Ascending slot order: policies break ties by position.
-                let mut ready = self.ready.candidates(s, w, lsq_has_space, shared_free);
-                while ready != 0 {
-                    candidates.push((w << 6) | ready.trailing_zeros() as usize);
-                    ready &= ready - 1;
-                }
+            for slot in ready_slots(self.ready.dirty & mine) {
+                let state = self.readiness(slot);
+                self.ready.set(slot, state);
             }
-            if candidates.is_empty() {
+            let ready = self.ready.candidates(s, lsq_has_space, shared_free);
+            if ready == 0 {
                 outcomes.push(self.ready.classify_stall(s, lsq_has_space, shared_free));
                 continue;
             }
             self.had_ready_warp = true;
             let view = IssueView::new(now, self.id, &self.warp_meta);
-            let picked = sched.pick(&view, &candidates);
-            // Validate the pick against the candidate mask (O(1), vs. a
-            // linear scan of the candidate list).
-            let Some(slot) = picked.filter(|&p| {
-                p >> 6 < words
-                    && self.ready.candidates(s, p >> 6, lsq_has_space, shared_free)
-                        & (1u64 << (p & 63))
-                        != 0
-            }) else {
+            let Some(slot) = sched
+                .pick_ready(&view, ready)
+                .filter(|&p| p < 64 && ready >> p & 1 != 0)
+            else {
                 // Defensive path: ready work existed but the policy
                 // declined it — the issue unit sat on its hands.
                 outcomes.push(SlotStall::ExecBusy);
@@ -1131,7 +1082,6 @@ impl Core {
             self.ready.invalidate(slot);
             completions.extend(self.execute_one(slot, now, gmem));
         }
-        self.scratch_candidates = candidates;
         self.scratch_outcomes = outcomes;
         self.schedulers = schedulers;
         self.issue_memo = (!self.had_ready_warp).then_some(flags);
@@ -1593,19 +1543,12 @@ fn special_lanes(
     [uniform; WARP_SIZE]
 }
 
-/// Instruction-pointer-free helper used by tests and by readiness
-/// diagnostics: the name of a [`Pc`]'s instruction in `desc`.
-pub fn instr_name(desc: &KernelDescriptor, pc: Pc) -> String {
-    let ins: &Instruction = desc.program().fetch(pc);
-    format!("{ins}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sched_api::WarpSchedulerFactory;
     use gpgpu_isa::dsl::DslKernel;
-    use gpgpu_isa::{AccessWidth, CmpOp, CmpTy, Dim2, Operand};
+    use gpgpu_isa::{AccessWidth, CmpOp, CmpTy, Dim2, Instruction, Operand};
     use gpgpu_mem::FabricConfig;
 
     /// Trivial loose-round-robin scheduler for core unit tests (the real
@@ -2053,18 +1996,18 @@ mod tests {
     fn assert_memo_sound(core: &mut Core, now: Cycle) -> usize {
         let mut checked = 0;
         for slot in 0..core.warps.len() {
-            let (w, bit) = (slot >> 6, 1u64 << (slot & 63));
-            let occupied = core.ready.occupied[w] & bit != 0;
+            let bit = 1u64 << slot;
+            let occupied = core.ready.occupied & bit != 0;
             assert_eq!(
                 occupied,
                 core.warps[slot].is_some(),
                 "slot {slot} occupancy at cycle {now}"
             );
-            if !occupied || core.ready.dirty[w] & bit != 0 {
+            if !occupied || core.ready.dirty & bit != 0 {
                 continue;
             }
             let memo: Vec<usize> = (0..READY_CLASSES)
-                .filter(|&c| core.ready.class[c][w] & bit != 0)
+                .filter(|&c| core.ready.class[c] & bit != 0)
                 .collect();
             let fresh = core.readiness(slot);
             assert_eq!(
@@ -2242,18 +2185,18 @@ mod tests {
         put(&mut t, 2, BlockedScoreboard);
         assert_eq!(t.classify_stall(0, false, false), SlotStall::Scoreboard);
         put(&mut t, 4, ReadyMemShared);
-        assert_eq!(t.candidates(0, 0, false, true), 1 << 4);
-        assert_eq!(t.candidates(0, 0, false, false), 0);
+        assert_eq!(t.candidates(0, false, true), 1 << 4);
+        assert_eq!(t.candidates(0, false, false), 0);
         assert_eq!(t.classify_stall(0, false, false), SlotStall::ExecBusy);
         put(&mut t, 2, ReadyMemGlobal);
-        assert_eq!(t.candidates(0, 0, true, false), 1 << 2);
+        assert_eq!(t.candidates(0, true, false), 1 << 2);
         assert_eq!(t.classify_stall(0, false, false), SlotStall::MemPending);
         put(&mut t, 2, BlockedMem);
         assert_eq!(t.classify_stall(0, true, false), SlotStall::MemPending);
         // Re-setting a slot moves it between classes rather than adding one.
         put(&mut t, 2, BlockedScoreboard);
         assert_eq!(t.classify_stall(0, true, false), SlotStall::ExecBusy);
-        assert_eq!(t.occupied_in(1, 0), 1 << 1);
+        assert_eq!(t.occupied & t.part[1], 1 << 1);
     }
 
     /// The writeback wheel's bit scan finds what a bucket-by-bucket walk

@@ -153,7 +153,6 @@ pub struct GpuDevice {
     now: Cycle,
     age_counter: u64,
     last_progress: Cycle,
-    last_issued_total: u64,
     /// Kernels still in [`KernelPhase::Pending`]; lets the per-cycle
     /// activation scan short-circuit to a counter check.
     pending_kernels: usize,
@@ -216,7 +215,6 @@ impl GpuDevice {
             now: 0,
             age_counter: 0,
             last_progress: 0,
-            last_issued_total: 0,
             pending_kernels: 0,
             dispatch_dirty: false,
             malformed_dispatches: 0,
@@ -653,17 +651,21 @@ impl GpuDevice {
     /// cores before they land. The skipped cycles are settled before
     /// anything reads the core's counters: on wake, before a telemetry
     /// sample, and when [`run`](Self::run) returns.
-    fn step(&mut self) {
+    ///
+    /// Returns whether any core issued an instruction (a sleeping core
+    /// issues none).
+    fn step(&mut self) -> bool {
         self.activate_pending();
         self.dispatch_ctas();
 
         let now = self.now;
         let mut completions = Vec::new();
+        let mut issued = false;
         for core in &mut self.cores {
             if self.fast_forward && core.asleep(now) && !self.fabric.has_response(core.id()) {
                 continue;
             }
-            core.cycle(now, &mut self.fabric, &mut self.gmem, &mut completions);
+            issued |= core.cycle(now, &mut self.fabric, &mut self.gmem, &mut completions);
         }
         self.fabric.tick(now);
 
@@ -748,6 +750,7 @@ impl GpuDevice {
                 self.gmem.resident_pages(),
             );
         }
+        issued
     }
 
     /// Runs until every launched kernel completes.
@@ -777,11 +780,8 @@ impl GpuDevice {
             if self.now >= limit {
                 return Err(SimError::MaxCyclesExceeded { limit: max_cycles });
             }
-            self.step();
             // Progress detection: any issued instruction counts.
-            let issued: u64 = self.cores.iter().map(|c| c.stats().issued).sum();
-            if issued != self.last_issued_total {
-                self.last_issued_total = issued;
+            if self.step() {
                 self.last_progress = self.now;
             } else if self.now - self.last_progress > self.cfg.deadlock_cycles {
                 return Err(SimError::Deadlock { at: self.now });
@@ -792,7 +792,7 @@ impl GpuDevice {
             // fires once here rather than once per period.
             if let Some(p) = self.progress.as_mut() {
                 if self.now >= p.next {
-                    (p.cb)(self.now, self.last_issued_total);
+                    (p.cb)(self.now, self.cores.iter().map(|c| c.stats().issued).sum());
                     p.next = self.now.saturating_add(p.every);
                 }
             }

@@ -44,7 +44,7 @@ pub mod simt;
 mod stats;
 pub mod telemetry;
 
-pub use config::GpuConfig;
+pub use config::{GpuConfig, MAX_WARP_SLOTS};
 pub use core_model::{Core, CoreCtaCompletion};
 pub use counters::{
     ratio, CoreStats, Counter, Sample, StallBreakdown, COUNTERS, STALL_CATEGORIES, STALL_LABELS,
@@ -57,8 +57,9 @@ pub use invariants::{assert_conservation, conservation_violations};
 pub use memory::{GlobalMem, SharedMem};
 pub use record::{CtaRecord, ExecRecord, KernelRecord, TraceStep, WarpTrace};
 pub use sched_api::{
-    CoreDispatchInfo, CtaCompleteEvent, CtaIssueSample, CtaScheduler, Dispatch, DispatchView,
-    IssueView, KernelId, KernelSummary, WarpMeta, WarpScheduler, WarpSchedulerFactory,
+    ready_mask, ready_slots, CoreDispatchInfo, CtaCompleteEvent, CtaIssueSample, CtaScheduler,
+    Dispatch, DispatchView, IssueView, KernelId, KernelSummary, WarpMeta, WarpScheduler,
+    WarpSchedulerFactory,
 };
 pub use simt::{LaneMask, SimtStack, FULL_MASK};
 pub use stats::{KernelStats, SimStats};

@@ -78,12 +78,15 @@ impl<'a> IssueView<'a> {
 
 /// Picks which ready warp each issue slot executes. One instance exists
 /// per (core, scheduler-slot) pair, created by a
-/// [`WarpSchedulerFactory`].
+/// [`WarpSchedulerFactory`]. Ready slots are active and not blocked on
+/// the scoreboard, a barrier, or a structural hazard.
 ///
-/// `candidates` lists the warp slots that are *ready* (active, not
-/// blocked on the scoreboard, a barrier, or a structural hazard), in
-/// ascending slot order. Returning `None` or a slot not in `candidates`
-/// issues nothing this cycle.
+/// Implement [`pick`](Self::pick); the core calls only
+/// [`pick_ready`](Self::pick_ready), which defaults to `pick`. A hot-path
+/// policy may pick from the mask in `pick_ready` instead and make `pick`
+/// the adapter `self.pick_ready(view, ready_mask(candidates))`, so
+/// wrappers forwarding only `pick` reach the same algorithm. Returning
+/// `None` or a slot that is not ready issues nothing.
 ///
 /// `Send` because a scheduler instance lives inside its core, and a
 /// device (cores included) may be built on one thread and run on another.
@@ -92,8 +95,18 @@ pub trait WarpScheduler: fmt::Debug + Send {
     /// Policy name for reports.
     fn name(&self) -> &str;
 
-    /// Chooses the warp slot to issue from, or `None` to idle.
+    /// Chooses the warp slot to issue from among `candidates` (the ready
+    /// slots, ascending), or `None` to idle.
     fn pick(&mut self, view: &IssueView<'_>, candidates: &[usize]) -> Option<usize>;
+
+    /// Chooses the warp slot to issue from among the set bits of `ready`
+    /// (bit `i` is slot `i`; see [`MAX_WARP_SLOTS`](crate::MAX_WARP_SLOTS)),
+    /// or `None` to idle. Defaults to [`pick`](Self::pick) over the bits.
+    fn pick_ready(&mut self, view: &IssueView<'_>, ready: u64) -> Option<usize> {
+        let mut list = [0; 64];
+        list.iter_mut().zip(ready_slots(ready)).for_each(|(l, s)| *l = s);
+        self.pick(view, &list[..ready.count_ones() as usize])
+    }
 
     /// Notification that `slot` issued an instruction this cycle.
     fn on_issue(&mut self, _slot: usize) {}
@@ -103,6 +116,20 @@ pub trait WarpScheduler: fmt::Debug + Send {
 
     /// Notification that the warp in `slot` finished.
     fn on_warp_finish(&mut self, _slot: usize) {}
+}
+
+/// The ready mask of a candidate list (slots past 63 are dropped).
+pub fn ready_mask(candidates: &[usize]) -> u64 {
+    candidates.iter().filter(|&&c| c < 64).fold(0, |m, &c| m | 1 << c)
+}
+
+/// The slots of a ready mask, ascending.
+pub fn ready_slots(mut ready: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let slot = (ready != 0).then(|| ready.trailing_zeros() as usize)?;
+        ready &= ready - 1;
+        Some(slot)
+    })
 }
 
 /// Creates one [`WarpScheduler`] per (core, scheduler-slot). Shared by the

@@ -27,9 +27,14 @@ const RPC_NONE: Pc = Pc::MAX;
 /// The SIMT stack of one warp. `exited` lanes (threads that executed
 /// `Exit`) are tracked by the caller and passed into queries, so the stack
 /// itself stays a pure control structure.
+///
+/// The top entry lives inline (`None` once the stack is empty), the rest
+/// in `below`, so `sync`, `advance`, `jump` and a uniform `branch` never
+/// touch the heap.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimtStack {
-    entries: Vec<Entry>,
+    top: Option<Entry>,
+    below: Vec<Entry>,
 }
 
 impl SimtStack {
@@ -37,24 +42,24 @@ impl SimtStack {
     /// (lanes beyond a partial CTA's thread count start inactive).
     pub fn new(initial_mask: LaneMask) -> Self {
         SimtStack {
-            entries: vec![Entry {
+            top: Some(Entry {
                 pc: 0,
                 rpc: RPC_NONE,
                 mask: initial_mask,
-            }],
+            }),
+            below: Vec::new(),
         }
     }
 
     /// Pops reconverged/empty entries and returns the current `(pc, mask)`
     /// to execute, or `None` when the warp has finished.
     pub fn sync(&mut self, exited: LaneMask) -> Option<(Pc, LaneMask)> {
-        while let Some(top) = self.entries.last() {
+        while let Some(top) = self.top {
             let eff = top.mask & !exited;
-            if eff == 0 || top.pc == top.rpc {
-                self.entries.pop();
-                continue;
+            if eff != 0 && top.pc != top.rpc {
+                return Some((top.pc, eff));
             }
-            return Some((top.pc, eff));
+            self.top = self.below.pop();
         }
         None
     }
@@ -70,7 +75,7 @@ impl SimtStack {
     ///
     /// Panics if called on an empty stack.
     pub fn advance(&mut self) {
-        self.entries.last_mut().expect("live stack").pc += 1;
+        self.top.as_mut().expect("live stack").pc += 1;
     }
 
     /// Unconditional jump of the current entry.
@@ -79,7 +84,7 @@ impl SimtStack {
     ///
     /// Panics if called on an empty stack.
     pub fn jump(&mut self, target: Pc) {
-        self.entries.last_mut().expect("live stack").pc = target;
+        self.top.as_mut().expect("live stack").pc = target;
     }
 
     /// Executes a (potentially divergent) conditional branch at the current
@@ -95,20 +100,21 @@ impl SimtStack {
     ///
     /// Panics if called on an empty stack.
     pub fn branch(&mut self, taken: LaneMask, fall: LaneMask, target: Pc, reconv: Pc) {
-        let top = *self.entries.last().expect("live stack");
         debug_assert_eq!(taken & fall, 0, "taken and fall-through must be disjoint");
+        let top = self.top.as_mut().expect("live stack");
         if fall == 0 {
             // Uniformly taken.
-            self.entries.last_mut().expect("live stack").pc = target;
+            top.pc = target;
             return;
         }
         if taken == 0 {
             // Uniformly not taken.
-            self.entries.last_mut().expect("live stack").pc += 1;
+            top.pc += 1;
             return;
         }
         // Divergent: pop the current entry, push continuation + both sides.
-        self.entries.pop();
+        let top = *top;
+        self.top = self.below.pop();
         self.push_if(Entry {
             pc: reconv,
             rpc: top.rpc,
@@ -131,13 +137,15 @@ impl SimtStack {
     /// continuation in that case).
     fn push_if(&mut self, e: Entry) {
         if e.mask != 0 && e.pc != e.rpc {
-            self.entries.push(e);
+            if let Some(t) = self.top.replace(e) {
+                self.below.push(t);
+            }
         }
     }
 
     /// Current stack depth (diagnostics).
     pub fn depth(&self) -> usize {
-        self.entries.len()
+        usize::from(self.top.is_some()) + self.below.len()
     }
 }
 

@@ -1,14 +1,99 @@
 //! Property-style tests for simulator data structures: the SIMT stack
-//! under random structured divergence and the coalescer's covering
-//! property.
+//! under random structured divergence and against a `Vec`-only
+//! reference, and the coalescer's covering property.
 //!
 //! Cases are drawn from the seeded SplitMix64 generator in
 //! `gpgpu-testkit` (shared across the workspace), so the crate builds
 //! with no third-party dependencies and every run checks the same cases.
 
 use gpgpu_sim::coalesce::{coalesce, shared_conflict_passes};
-use gpgpu_sim::{SimtStack, FULL_MASK};
+use gpgpu_sim::{LaneMask, SimtStack, FULL_MASK};
 use gpgpu_testkit::Gen;
+
+/// The SIMT stack as one `Vec` of `(pc, rpc, mask)` entries, top last:
+/// the representation `SimtStack` had before its top entry moved inline.
+struct VecStack(Vec<(u32, u32, LaneMask)>);
+
+impl VecStack {
+    fn sync(&mut self, exited: LaneMask) -> Option<(u32, LaneMask)> {
+        while let Some(&(pc, rpc, mask)) = self.0.last() {
+            if mask & !exited == 0 || pc == rpc {
+                self.0.pop();
+                continue;
+            }
+            return Some((pc, mask & !exited));
+        }
+        None
+    }
+
+    fn branch(&mut self, taken: LaneMask, fall: LaneMask, target: u32, reconv: u32) {
+        let top = self.0.last_mut().expect("live stack");
+        if fall == 0 {
+            top.0 = target;
+        } else if taken == 0 {
+            top.0 += 1;
+        } else {
+            let (pc, rpc, mask) = self.0.pop().expect("live stack");
+            for e in [(reconv, rpc, mask), (pc + 1, reconv, fall), (target, reconv, taken)] {
+                if e.2 != 0 && e.0 != e.1 {
+                    self.0.push(e);
+                }
+            }
+        }
+    }
+}
+
+/// The inline-top stack matches the `Vec`-only reference, pc, mask and
+/// depth, under random branches (uniform and divergent), advances,
+/// jumps and lane exits. Pcs come from a small range, so entries often
+/// land on their reconvergence point.
+#[test]
+fn inline_top_stack_matches_vec_reference() {
+    let mut g = Gen::new(0x5717);
+    let mut ops = 0;
+    for _ in 0..2000 {
+        let init = if g.chance(1, 2) {
+            FULL_MASK
+        } else {
+            g.next_u32()
+        };
+        let mut s = SimtStack::new(init);
+        let mut r = VecStack(vec![(0, u32::MAX, init)]);
+        let mut exited: LaneMask = 0;
+        for _ in 0..g.range(1, 60) {
+            let got = s.sync(exited);
+            assert_eq!(got, r.sync(exited));
+            assert_eq!(s.depth(), r.0.len());
+            let Some((_, eff)) = got else { break };
+            match g.index(5) {
+                0 => {
+                    s.advance();
+                    r.0.last_mut().unwrap().0 += 1;
+                }
+                1 => {
+                    let t = g.range(0, 12) as u32;
+                    s.jump(t);
+                    r.0.last_mut().unwrap().0 = t;
+                }
+                2 => exited |= eff & g.next_u32() & g.next_u32(),
+                _ => {
+                    let taken = match g.index(4) {
+                        0 => 0,
+                        1 => eff,
+                        _ => eff & g.next_u32(),
+                    };
+                    let (target, reconv) = (g.range(0, 12) as u32, g.range(0, 12) as u32);
+                    s.branch(taken, eff & !taken, target, reconv);
+                    r.branch(taken, eff & !taken, target, reconv);
+                }
+            }
+            assert_eq!(s.depth(), r.0.len());
+            ops += 1;
+        }
+        assert_eq!(s.is_done(exited), r.sync(exited).is_none());
+    }
+    assert!(ops > 20_000, "only {ops} operations compared");
+}
 
 /// An if/else over a random lane partition always reconverges with the
 /// original mask, regardless of which side exits lanes.
@@ -30,7 +115,7 @@ fn if_else_reconverges() {
         let mut s = SimtStack::new(FULL_MASK);
         s.branch(taken, fall, 10, 20);
         let exited = exits & taken; // some taken lanes exit
-        // Run the taken side (if any non-exited lanes remain).
+                                    // Run the taken side (if any non-exited lanes remain).
         if let Some((pc, m)) = s.sync(exited) {
             if pc == 10 {
                 assert_eq!(m, taken & !exited);

@@ -22,7 +22,9 @@ use gpgpu_repro::sim::{
 use gpgpu_repro::tbs::{CtaPolicy, WarpPolicy};
 use gpgpu_repro::workloads::{by_name, run_workload, Scale};
 
-/// Always pick the youngest (most recently dispatched) ready warp.
+/// Always pick the youngest (most recently dispatched) ready warp. Only
+/// the list pick is implemented: the core calls `pick_ready`, whose
+/// default lists the ready mask and calls `pick`.
 #[derive(Debug)]
 struct YoungestFirst;
 

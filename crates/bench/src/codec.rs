@@ -8,20 +8,21 @@
 //! *rejected*, never misparsed (the compatibility contract: same major
 //! version ⇒ readable, new minor fields are ignorable additions).
 //!
-//! The codec is deliberately explicit — every field of every struct is
-//! named by hand. That makes adding a simulation-affecting field a
-//! *visible* decision here (and in [`content_key`], which would otherwise
-//! silently change meaning), instead of an accident of a `Debug` derive.
-//! The one exception is the counters, which are observations, not
-//! identity: the per-core and memory-side counter structs are encoded by
-//! walking their registry tables ([`gpgpu_sim::COUNTERS`],
-//! [`CACHE_COUNTERS`], [`DRAM_COUNTERS`], [`XBAR_COUNTERS`]).
+//! Run identity is named by hand, field by field, so changing it is a
+//! *visible* decision here (and in [`content_key`]), never an accident of
+//! a `Debug` derive. Two kinds of struct are encoded by walking their
+//! declared tables instead: the GPU configuration, whose knobs are each
+//! declared once with a doc and a valid range ([`gpgpu_sim::GPU_KNOBS`]
+//! and its nested tables; a config outside them does not decode), and the
+//! counters, which are observations, not identity
+//! ([`gpgpu_sim::COUNTERS`], [`CACHE_COUNTERS`], [`DRAM_COUNTERS`],
+//! [`XBAR_COUNTERS`]).
 
 use crate::engine::{RunKind, RunResult, RunSpec};
 use crate::json::Json;
+use gpgpu_mem::config::Field;
 use gpgpu_mem::{
-    CacheConfig, Counter, DramConfig, FabricConfig, FabricStats, CACHE_COUNTERS, DRAM_COUNTERS,
-    XBAR_COUNTERS,
+    Config, Counter, FabricStats, Value, CACHE_COUNTERS, DRAM_COUNTERS, XBAR_COUNTERS,
 };
 use gpgpu_sim::{GpuConfig, KernelStats, SimStats, COUNTERS};
 use gpgpu_workloads::Scale;
@@ -110,10 +111,10 @@ pub fn schema_major_of(doc: &Json) -> Option<u64> {
 /// protocol's coalescing all equate runs by it. Its format is
 /// `<kind>|scale=..|warp=..|cta=..|max_cycles=..|gpu=<canonical JSON>`,
 /// built from every *simulation-affecting* field through the same
-/// explicit per-field encoding as the wire format ([`gpu_to_json`]), so:
+/// encoding as the wire format ([`gpu_to_json`]), so:
 ///
-/// * adding a simulation-affecting field to [`GpuConfig`] forces a visible
-///   edit here (and rightly invalidates old keys);
+/// * a knob added to [`GpuConfig`]'s table enters the key under its name
+///   (and rightly invalidates old keys);
 /// * the `telemetry` request is excluded — it observes a run without
 ///   changing it;
 /// * accidental drift (reordering fields, renaming, a `Debug` format
@@ -195,10 +196,6 @@ fn get_u64(obj: &Json, key: &str) -> Result<u64, CodecError> {
         .ok_or_else(|| err(format!("missing or non-integer field {key:?}")))
 }
 
-fn get_u32(obj: &Json, key: &str) -> Result<u32, CodecError> {
-    u32::try_from(get_u64(obj, key)?).map_err(|_| err(format!("field {key:?} exceeds u32")))
-}
-
 fn get_usize(obj: &Json, key: &str) -> Result<usize, CodecError> {
     usize::try_from(get_u64(obj, key)?).map_err(|_| err(format!("field {key:?} exceeds usize")))
 }
@@ -231,133 +228,54 @@ fn get_arr<'a>(obj: &'a Json, key: &str) -> Result<&'a [Json], CodecError> {
 // ---------------------------------------------------------------------------
 // GpuConfig (and its nested configs)
 
-fn cache_cfg_to_json(c: &CacheConfig) -> Json {
-    Json::obj()
-        .with("size_bytes", Json::UInt(c.size_bytes.into()))
-        .with("line_bytes", Json::UInt(c.line_bytes.into()))
-        .with("assoc", Json::UInt(c.assoc.into()))
-        .with("mshr_entries", Json::UInt(c.mshr_entries.into()))
-        .with("mshr_max_merge", Json::UInt(c.mshr_max_merge.into()))
-        .with("miss_queue_len", Json::UInt(c.miss_queue_len.into()))
-        .with("write_back", Json::Bool(c.write_back))
-        .with("write_allocate", Json::Bool(c.write_allocate))
-}
-
-fn cache_cfg_from_json(v: &Json) -> Result<CacheConfig, CodecError> {
-    Ok(CacheConfig {
-        size_bytes: get_u32(v, "size_bytes")?,
-        line_bytes: get_u32(v, "line_bytes")?,
-        assoc: get_u32(v, "assoc")?,
-        mshr_entries: get_u32(v, "mshr_entries")?,
-        mshr_max_merge: get_u32(v, "mshr_max_merge")?,
-        miss_queue_len: get_u32(v, "miss_queue_len")?,
-        write_back: get_bool(v, "write_back")?,
-        write_allocate: get_bool(v, "write_allocate")?,
+/// Encodes a [`GpuConfig`] (or a config it nests) as one object, a key per
+/// table row in table order: the canonical form the content key embeds.
+pub fn gpu_to_json(c: &dyn Config) -> Json {
+    c.fields().into_iter().fold(Json::obj(), |o, (k, f)| {
+        o.with(
+            k.name,
+            match f {
+                Field::Leaf(l) => match l.value() {
+                    Value::Int(n) => Json::UInt(n),
+                    Value::Bool(b) => Json::Bool(b),
+                },
+                Field::Nested(n) => gpu_to_json(n),
+            },
+        )
     })
 }
 
-fn dram_cfg_to_json(d: &DramConfig) -> Json {
-    Json::obj()
-        .with("banks", Json::UInt(d.banks.into()))
-        .with("row_bytes", Json::UInt(d.row_bytes.into()))
-        .with("line_bytes", Json::UInt(d.line_bytes.into()))
-        .with("t_rcd", Json::UInt(d.t_rcd.into()))
-        .with("t_rp", Json::UInt(d.t_rp.into()))
-        .with("t_cas", Json::UInt(d.t_cas.into()))
-        .with("t_burst", Json::UInt(d.t_burst.into()))
-        .with("queue_len", Json::UInt(d.queue_len.into()))
-        .with("max_bypass", Json::UInt(d.max_bypass.into()))
-}
-
-fn dram_cfg_from_json(v: &Json) -> Result<DramConfig, CodecError> {
-    Ok(DramConfig {
-        banks: get_u32(v, "banks")?,
-        row_bytes: get_u32(v, "row_bytes")?,
-        line_bytes: get_u32(v, "line_bytes")?,
-        t_rcd: get_u32(v, "t_rcd")?,
-        t_rp: get_u32(v, "t_rp")?,
-        t_cas: get_u32(v, "t_cas")?,
-        t_burst: get_u32(v, "t_burst")?,
-        queue_len: get_u32(v, "queue_len")?,
-        max_bypass: get_u32(v, "max_bypass")?,
-    })
-}
-
-fn fabric_cfg_to_json(f: &FabricConfig) -> Json {
-    Json::obj()
-        .with("cores", Json::UInt(f.cores as u64))
-        .with("partitions", Json::UInt(f.partitions as u64))
-        .with("line_bytes", Json::UInt(f.line_bytes.into()))
-        .with("l2", cache_cfg_to_json(&f.l2))
-        .with("l2_latency", Json::UInt(f.l2_latency.into()))
-        .with("dram", dram_cfg_to_json(&f.dram))
-        .with("xbar_latency", Json::UInt(f.xbar_latency.into()))
-        .with("xbar_flit_bytes", Json::UInt(f.xbar_flit_bytes.into()))
-        .with("xbar_queue_len", Json::UInt(f.xbar_queue_len as u64))
-}
-
-fn fabric_cfg_from_json(v: &Json) -> Result<FabricConfig, CodecError> {
-    Ok(FabricConfig {
-        cores: get_usize(v, "cores")?,
-        partitions: get_usize(v, "partitions")?,
-        line_bytes: get_u32(v, "line_bytes")?,
-        l2: cache_cfg_from_json(get_obj(v, "l2")?)?,
-        l2_latency: get_u32(v, "l2_latency")?,
-        dram: dram_cfg_from_json(get_obj(v, "dram")?)?,
-        xbar_latency: get_u32(v, "xbar_latency")?,
-        xbar_flit_bytes: get_u32(v, "xbar_flit_bytes")?,
-        xbar_queue_len: get_usize(v, "xbar_queue_len")?,
-    })
-}
-
-/// Encodes a [`GpuConfig`] field by field (the canonical form the content
-/// key embeds).
-pub fn gpu_to_json(g: &GpuConfig) -> Json {
-    Json::obj()
-        .with("num_cores", Json::UInt(g.num_cores as u64))
-        .with("max_threads_per_core", Json::UInt(g.max_threads_per_core.into()))
-        .with("max_ctas_per_core", Json::UInt(g.max_ctas_per_core.into()))
-        .with("max_warps_per_core", Json::UInt(g.max_warps_per_core.into()))
-        .with("regfile_per_core", Json::UInt(g.regfile_per_core.into()))
-        .with("smem_per_core", Json::UInt(g.smem_per_core.into()))
-        .with("num_sched_per_core", Json::UInt(g.num_sched_per_core.into()))
-        .with("int_latency", Json::UInt(g.int_latency.into()))
-        .with("fp_latency", Json::UInt(g.fp_latency.into()))
-        .with("sfu_latency", Json::UInt(g.sfu_latency.into()))
-        .with("shared_latency", Json::UInt(g.shared_latency.into()))
-        .with("l1_latency", Json::UInt(g.l1_latency.into()))
-        .with("l1", cache_cfg_to_json(&g.l1))
-        .with("ldst_queue_len", Json::UInt(g.ldst_queue_len as u64))
-        .with("fabric", fabric_cfg_to_json(&g.fabric))
-        .with("flush_l1_on_kernel_launch", Json::Bool(g.flush_l1_on_kernel_launch))
-        .with("deadlock_cycles", Json::UInt(g.deadlock_cycles))
+/// Decodes [`gpu_to_json`]'s encoding over `c`: every row is required,
+/// and an error names the field.
+fn config_from_json(c: &mut dyn Config, v: &Json) -> Result<(), CodecError> {
+    for (k, f) in c.fields_mut() {
+        match f {
+            Field::Leaf(l) => {
+                let value = match l.value() {
+                    Value::Int(_) => Value::Int(get_u64(v, k.name)?),
+                    Value::Bool(_) => Value::Bool(get_bool(v, k.name)?),
+                };
+                if !l.set(value) {
+                    return Err(err(format!("field {:?} exceeds its type", k.name)));
+                }
+            }
+            Field::Nested(n) => config_from_json(n, get_obj(v, k.name)?)
+                .map_err(|e| err(format!("{}: {}", k.name, e.0)))?,
+        }
+    }
+    Ok(())
 }
 
 /// Decodes [`gpu_to_json`]'s encoding.
 ///
 /// # Errors
 ///
-/// Fails on missing/mistyped fields.
+/// Fails on missing/mistyped fields and on a config that fails
+/// [`GpuConfig::check`] (a knob outside its range or inconsistent knobs).
 pub fn gpu_from_json(v: &Json) -> Result<GpuConfig, CodecError> {
-    Ok(GpuConfig {
-        num_cores: get_usize(v, "num_cores")?,
-        max_threads_per_core: get_u32(v, "max_threads_per_core")?,
-        max_ctas_per_core: get_u32(v, "max_ctas_per_core")?,
-        max_warps_per_core: get_u32(v, "max_warps_per_core")?,
-        regfile_per_core: get_u32(v, "regfile_per_core")?,
-        smem_per_core: get_u32(v, "smem_per_core")?,
-        num_sched_per_core: get_u32(v, "num_sched_per_core")?,
-        int_latency: get_u32(v, "int_latency")?,
-        fp_latency: get_u32(v, "fp_latency")?,
-        sfu_latency: get_u32(v, "sfu_latency")?,
-        shared_latency: get_u32(v, "shared_latency")?,
-        l1_latency: get_u32(v, "l1_latency")?,
-        l1: cache_cfg_from_json(get_obj(v, "l1")?)?,
-        ldst_queue_len: get_usize(v, "ldst_queue_len")?,
-        fabric: fabric_cfg_from_json(get_obj(v, "fabric")?)?,
-        flush_l1_on_kernel_launch: get_bool(v, "flush_l1_on_kernel_launch")?,
-        deadlock_cycles: get_u64(v, "deadlock_cycles")?,
-    })
+    let mut g = GpuConfig::default();
+    config_from_json(&mut g, v)?;
+    g.check().map(|()| g).map_err(|e| err(format!("invalid gpu config: {e}")))
 }
 
 // ---------------------------------------------------------------------------

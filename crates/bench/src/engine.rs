@@ -28,7 +28,7 @@ use gpgpu_sim::{
     ExecRecord, GlobalMem, GpuConfig, KernelId, SimStats, TelemetryConfig, TelemetryData,
 };
 use gpgpu_workloads::{by_name, run_pair_mode, run_workload_mode, RunMode, RunOutcome, Scale};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -627,7 +627,9 @@ impl RunEngine {
         let mut modes: Vec<Option<RunMode>> = fresh.iter().map(|_| Some(RunMode::Direct)).collect();
         let mut awaiting: Vec<Option<String>> = vec![None; fresh.len()];
         if self.replay != ReplayMode::Off {
-            let mut groups: HashMap<String, Vec<usize>> = HashMap::new();
+            // Walked in key order, so records are looked up and loaded in
+            // the same order every run.
+            let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
             for (i, (_, spec)) in fresh.iter().enumerate() {
                 groups
                     .entry(crate::codec::content_key_prefix(spec))

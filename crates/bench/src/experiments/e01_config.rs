@@ -1,5 +1,6 @@
 //! E1 — the simulated-machine configuration table (the paper's
-//! "simulation configuration" table).
+//! "simulation configuration" table), one row per knob of
+//! [`gpgpu_sim::GPU_KNOBS`] and its nested tables.
 
 use crate::{Harness, RunEngine, RunSpec, Table};
 
@@ -15,74 +16,16 @@ pub fn run(h: &Harness) -> Vec<Table> {
 
 /// As [`run`]; the engine is unused (E1 has no simulations).
 pub(crate) fn collect(h: &Harness, _engine: &RunEngine) -> Vec<Table> {
-    let g = &h.gpu;
-    let mut t = Table::new("E1: simulated GPU configuration", &["parameter", "value"]);
-    let rows: Vec<(&str, String)> = vec![
-        ("SM cores", g.num_cores.to_string()),
-        ("warp size", "32".into()),
-        ("max threads / SM", g.max_threads_per_core.to_string()),
-        ("max warps / SM", g.max_warps_per_core.to_string()),
-        ("max CTAs / SM", g.max_ctas_per_core.to_string()),
-        ("registers / SM", g.regfile_per_core.to_string()),
-        (
-            "shared memory / SM",
-            format!("{} KiB", g.smem_per_core / 1024),
-        ),
-        ("warp schedulers / SM", g.num_sched_per_core.to_string()),
-        (
-            "L1 data cache",
-            format!(
-                "{} KiB, {}-way, {} B lines, {} MSHRs",
-                g.l1.size_bytes / 1024,
-                g.l1.assoc,
-                g.l1.line_bytes,
-                g.l1.mshr_entries
-            ),
-        ),
-        ("L1 hit latency", format!("{} cycles", g.l1_latency)),
-        ("memory partitions", g.fabric.partitions.to_string()),
-        (
-            "L2 slice",
-            format!(
-                "{} KiB, {}-way ({} KiB total)",
-                g.fabric.l2.size_bytes / 1024,
-                g.fabric.l2.assoc,
-                g.fabric.l2.size_bytes / 1024 * g.fabric.partitions as u32
-            ),
-        ),
-        ("L2 hit latency", format!("{} cycles", g.fabric.l2_latency)),
-        (
-            "DRAM channel",
-            format!(
-                "{} banks, {} B rows, FR-FCFS",
-                g.fabric.dram.banks, g.fabric.dram.row_bytes
-            ),
-        ),
-        (
-            "DRAM timing (tRCD/tRP/tCAS/tBURST)",
-            format!(
-                "{}/{}/{}/{} cycles",
-                g.fabric.dram.t_rcd, g.fabric.dram.t_rp, g.fabric.dram.t_cas, g.fabric.dram.t_burst
-            ),
-        ),
-        (
-            "interconnect",
-            format!(
-                "crossbar, {}-cycle, {} B flits",
-                g.fabric.xbar_latency, g.fabric.xbar_flit_bytes
-            ),
-        ),
-        ("ALU latency (int/fp/sfu)", format!(
-            "{}/{}/{} cycles",
-            g.int_latency, g.fp_latency, g.sfu_latency
-        )),
-        (
-            "shared-memory latency",
-            format!("{} cycles + conflicts", g.shared_latency),
-        ),
-    ];
-    for (k, v) in rows {
-        t.push_row(vec![k.to_string(), v]);
+    let mut t = Table::new(
+        "E1: simulated GPU configuration",
+        &["parameter", "value", "description"],
+    );
+    for (path, knob, value) in gpgpu_mem::config::leaves(&h.gpu) {
+        let value = match value {
+            gpgpu_mem::Value::Int(n) => n.to_string(),
+            gpgpu_mem::Value::Bool(b) => b.to_string(),
+        };
+        t.push_row(vec![path, value, knob.doc.trim().to_string()]);
     }
     vec![t]
 }
@@ -95,9 +38,14 @@ mod tests {
     fn config_table_renders() {
         let tables = run(&Harness::quick());
         assert_eq!(tables.len(), 1);
-        assert!(tables[0].len() > 10);
-        let s = tables[0].to_string();
-        assert!(s.contains("SM cores"));
-        assert!(s.contains("FR-FCFS"));
+        let t = &tables[0];
+        assert_eq!(t.len(), 47, "one row per leaf knob");
+        let row = |p: &str| (0..t.len()).find(|&r| t.cell(r, 0) == p).expect(p);
+        assert_eq!(t.cell(row("num_cores"), 1), "15");
+        assert_eq!(t.cell(row("num_cores"), 2), "Number of SM cores.");
+        assert_eq!(t.cell(row("fabric.dram.max_bypass"), 1), "16");
+        assert_eq!(t.cell(row("fabric.l2.mshr_entries"), 1), "64");
+        assert_eq!(t.cell(row("l1.write_back"), 1), "false");
+        assert!(t.to_string().contains("FR-FCFS starvation cap"));
     }
 }

@@ -11,28 +11,39 @@
 //! which requests are outstanding, but carries no data (functional values
 //! live in the simulator's functional memory).
 
+use crate::config::rule;
 use crate::req::{AccessKind, Cycle, ReqId};
 use std::collections::VecDeque;
 
-/// Cache geometry and policy.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CacheConfig {
-    /// Total capacity in bytes.
-    pub size_bytes: u32,
-    /// Line size in bytes (power of two).
-    pub line_bytes: u32,
-    /// Associativity (ways per set).
-    pub assoc: u32,
-    /// Number of MSHR entries (distinct outstanding miss lines).
-    pub mshr_entries: u32,
-    /// Maximum requests merged into one MSHR entry.
-    pub mshr_max_merge: u32,
-    /// Capacity of the queue of messages awaiting the lower level.
-    pub miss_queue_len: u32,
-    /// `true` for write-back, `false` for write-through.
-    pub write_back: bool,
-    /// `true` to allocate lines on store misses.
-    pub write_allocate: bool,
+crate::config! {
+    /// Cache geometry and policy.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct CacheConfig in CACHE_KNOBS, rules cache_rules {
+        /// Total capacity in bytes.
+        size_bytes: u32 in 32..=1 << 20; // the cache allocates an entry per line
+        /// Line size in bytes (power of two).
+        line_bytes: u32 in 32..=1024; // a 32 B sector up to eight 128 B lines
+        /// Associativity (ways per set).
+        assoc: u32 in 1..=64; // a lookup scans the set's ways
+        /// Number of MSHR entries (distinct outstanding miss lines).
+        mshr_entries: u32 in 1..=256; // a miss scans the entries
+        /// Maximum requests merged into one MSHR entry.
+        mshr_max_merge: u32 in 1..=256; // an entry lists its merged requests
+        /// Capacity of the queue of messages awaiting the lower level.
+        miss_queue_len: u32 in 1..=256; // the queue grows to its capacity
+        /// `true` for write-back, `false` for write-through.
+        write_back: bool in false..=true;
+        /// `true` to allocate lines on store misses.
+        write_allocate: bool in false..=true;
+    }
+}
+
+fn cache_rules(c: &CacheConfig) -> Result<(), String> {
+    rule(c.line_bytes.is_power_of_two(), "line_bytes: line size must be 2^k")?;
+    // Set indexing is modulo-based, so non-power-of-two set counts (e.g.
+    // a 48 KiB 4-way L1) are fine.
+    let whole_sets = c.size_bytes.is_multiple_of(c.line_bytes * c.assoc);
+    rule(whole_sets, "size_bytes: capacity must be a whole number of sets")
 }
 
 impl CacheConfig {
@@ -69,20 +80,6 @@ impl CacheConfig {
     /// Number of sets implied by the geometry.
     pub fn num_sets(&self) -> u32 {
         self.size_bytes / (self.line_bytes * self.assoc)
-    }
-
-    fn validate(&self) {
-        assert!(self.line_bytes.is_power_of_two(), "line size must be 2^k");
-        assert!(self.assoc >= 1, "associativity must be >= 1");
-        assert!(
-            self.size_bytes % (self.line_bytes * self.assoc) == 0,
-            "capacity must be a whole number of sets"
-        );
-        // Set indexing is modulo-based, so non-power-of-two set counts
-        // (e.g. a 48 KiB 4-way L1) are fine.
-        assert!(self.num_sets() >= 1, "need at least one set");
-        assert!(self.mshr_entries >= 1 && self.mshr_max_merge >= 1);
-        assert!(self.miss_queue_len >= 1);
     }
 }
 
@@ -250,8 +247,7 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is inconsistent (non-power-of-two line size or
-    /// set count, zero associativity).
+    /// Panics if `cfg` fails [`Config::check`](crate::Config::check).
     pub fn new(cfg: CacheConfig) -> Self {
         cfg.validate();
         let sets = (0..cfg.num_sets())

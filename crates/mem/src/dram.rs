@@ -7,34 +7,41 @@
 //! Timing parameters are expressed in *core* cycles so the whole simulator
 //! runs off one clock.
 
+use crate::config::rule;
 use crate::counters::ratio;
 use crate::req::Cycle;
 use std::collections::VecDeque;
 
-/// DRAM channel timing and geometry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DramConfig {
-    /// Number of banks.
-    pub banks: u32,
-    /// Row-buffer size in bytes.
-    pub row_bytes: u32,
-    /// Line (burst) size in bytes; must divide `row_bytes`.
-    pub line_bytes: u32,
-    /// Activate latency (row closed -> open), core cycles.
-    pub t_rcd: u32,
-    /// Precharge latency (close an open row), core cycles.
-    pub t_rp: u32,
-    /// Column-access latency (CAS), core cycles.
-    pub t_cas: u32,
-    /// Data-burst occupancy of the shared data bus, core cycles.
-    pub t_burst: u32,
-    /// Request-queue capacity.
-    pub queue_len: u32,
-    /// Starvation cap: how many times a serviceable request may be passed
-    /// over in favor of a *younger* one (a row hit jumping the queue)
-    /// before arbitration falls back to oldest-first until it drains. `0`
-    /// disables row-hit reordering entirely (pure FCFS).
-    pub max_bypass: u32,
+crate::config! {
+    /// DRAM channel timing and geometry.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct DramConfig in DRAM_KNOBS, rules dram_rules {
+        /// Number of banks.
+        banks: u32 in 1..=64; // the channel allocates a state entry per bank
+        /// Row-buffer size in bytes.
+        row_bytes: u32 in 32..=1 << 16; // not allocated; 32 times a GDDR5 row
+        /// Line (burst) size in bytes; must divide `row_bytes`.
+        line_bytes: u32 in 32..=1024; // as the caches' lines
+        /// Activate latency (row closed -> open), core cycles.
+        t_rcd: u32 in 1..=1024; // timings: not allocated; 25 times the defaults
+        /// Precharge latency (close an open row), core cycles.
+        t_rp: u32 in 1..=1024; // as t_rcd
+        /// Column-access latency (CAS), core cycles.
+        t_cas: u32 in 1..=1024; // as t_rcd
+        /// Data-burst occupancy of the shared data bus, core cycles.
+        t_burst: u32 in 1..=1024; // as t_rcd
+        /// Request-queue capacity.
+        queue_len: u32 in 1..=256; // FR-FCFS scans the queue every cycle
+        /// FR-FCFS starvation cap: passes of a serviceable request by *younger* row hits.
+        /// Past it, arbitration falls back to oldest-first until the request
+        /// drains. `0` disables row-hit reordering entirely (pure FCFS).
+        max_bypass: u32 in 0..=1024; // a per-request count; 64 times the default
+    }
+}
+
+fn dram_rules(d: &DramConfig) -> Result<(), String> {
+    let whole_lines = d.row_bytes.is_multiple_of(d.line_bytes);
+    rule(whole_lines, "row_bytes: must be a multiple of line_bytes")
 }
 
 impl DramConfig {
@@ -52,13 +59,6 @@ impl DramConfig {
             queue_len: 32,
             max_bypass: 16,
         }
-    }
-
-    fn validate(&self) {
-        assert!(self.banks >= 1);
-        assert!(self.line_bytes >= 1 && self.row_bytes % self.line_bytes == 0);
-        assert!(self.queue_len >= 1);
-        assert!(self.t_burst >= 1);
     }
 }
 
@@ -169,8 +169,7 @@ impl DramChannel {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is inconsistent (zero banks, line size
-    /// not dividing row size).
+    /// Panics if `cfg` fails [`Config::check`](crate::Config::check).
     pub fn new(cfg: DramConfig) -> Self {
         cfg.validate();
         let banks = (0..cfg.banks)

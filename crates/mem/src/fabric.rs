@@ -6,33 +6,40 @@
 //! local lines share DRAM rows, so dense access patterns retain row-buffer
 //! locality.
 
+use crate::config::rule;
 use crate::cache::{Access, Cache, CacheConfig, CacheStats, DownstreamKind, ReservationFailure};
 use crate::dram::{DramChannel, DramConfig, DramRequest, DramStats};
 use crate::req::{AccessKind, Cycle, MemRequest, MemResponse, ReqId};
 use crate::xbar::{Crossbar, XbarConfig, XbarStats};
 use std::collections::VecDeque;
 
-/// Configuration of the whole off-core memory system.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FabricConfig {
-    /// Number of SM cores (request-crossbar input ports).
-    pub cores: usize,
-    /// Number of memory partitions (L2 slice + DRAM channel each).
-    pub partitions: usize,
-    /// Cache-line size in bytes; must match the L2 configuration.
-    pub line_bytes: u32,
-    /// Per-slice L2 configuration.
-    pub l2: CacheConfig,
-    /// L2 hit latency in core cycles (lookup pipeline).
-    pub l2_latency: u32,
-    /// Per-partition DRAM channel configuration.
-    pub dram: DramConfig,
-    /// Crossbar traversal latency in cycles.
-    pub xbar_latency: u32,
-    /// Crossbar flit size in bytes.
-    pub xbar_flit_bytes: u32,
-    /// Crossbar per-input-port queue depth.
-    pub xbar_queue_len: usize,
+crate::config! {
+    /// Configuration of the whole off-core memory system.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct FabricConfig in FABRIC_KNOBS, rules fabric_rules {
+        /// Number of SM cores (request-crossbar input ports).
+        cores: usize in 1..=128; // as num_cores: each is a crossbar port with a queue
+        /// Number of memory partitions (L2 slice + DRAM channel each).
+        partitions: usize in 1..=64; // each allocates an L2 slice and a DRAM channel
+        /// Cache-line size in bytes; must match the L2 configuration.
+        line_bytes: u32 in 32..=1024; // as the caches' lines
+        /// Per-slice L2 configuration.
+        l2: CacheConfig;
+        /// L2 hit latency in core cycles (lookup pipeline).
+        l2_latency: u32 in 1..=1024; // not allocated; 25 times the default
+        /// Per-partition DRAM channel configuration.
+        dram: DramConfig;
+        /// Crossbar traversal latency in cycles.
+        xbar_latency: u32 in 1..=1024; // not allocated; 128 times the default
+        /// Crossbar flit size in bytes.
+        xbar_flit_bytes: u32 in 1..=1024; // divides packet sizes; at most the longest line
+        /// Crossbar per-input-port queue depth.
+        xbar_queue_len: usize in 1..=1024; // each port's queue grows to its depth
+    }
+}
+
+fn fabric_rules(f: &FabricConfig) -> Result<(), String> {
+    rule(f.l2.line_bytes == f.line_bytes, "l2.line_bytes: L2 line size mismatch")
 }
 
 impl FabricConfig {
@@ -130,11 +137,9 @@ impl MemFabric {
     ///
     /// # Panics
     ///
-    /// Panics if `cores`/`partitions` is zero or the L2 line size differs
-    /// from `line_bytes`.
+    /// Panics if `cfg` fails [`Config::check`](crate::Config::check).
     pub fn new(cfg: FabricConfig) -> Self {
-        assert!(cfg.cores >= 1 && cfg.partitions >= 1);
-        assert_eq!(cfg.l2.line_bytes, cfg.line_bytes, "L2 line size mismatch");
+        cfg.validate();
         let xc = |inp, outp| XbarConfig {
             in_ports: inp,
             out_ports: outp,

@@ -21,6 +21,10 @@
 //!   rows, which the store codec and the interval sampler walk instead of
 //!   naming fields (the simulator's per-core counters use the same
 //!   machinery).
+//! * [`config`](mod@config) — the config tables: [`CacheConfig`],
+//!   [`DramConfig`] and [`FabricConfig`] are each declared once as a table
+//!   of knobs with their docs and valid ranges, which `check`, the store
+//!   codec and the E1 table walk (the simulator's `GpuConfig` too).
 //!
 //! Everything is cycle-driven and deterministic: the caller advances time by
 //! calling `tick(now)` once per core cycle.
@@ -29,6 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod config;
 pub mod counters;
 pub mod dram;
 pub mod fabric;
@@ -37,9 +42,11 @@ pub mod xbar;
 
 pub use cache::{
     Access, Cache, CacheConfig, CacheStats, FillOutcome, ReservationFailure, CACHE_COUNTERS,
+    CACHE_KNOBS,
 };
+pub use config::{Config, Knob, Value};
 pub use counters::{ratio, Counter, Sample};
-pub use dram::{DramChannel, DramConfig, DramStats, DRAM_COUNTERS};
-pub use fabric::{FabricConfig, FabricStats, MemFabric};
+pub use dram::{DramChannel, DramConfig, DramStats, DRAM_COUNTERS, DRAM_KNOBS};
+pub use fabric::{FabricConfig, FabricStats, MemFabric, FABRIC_KNOBS};
 pub use req::{AccessKind, Cycle, MemRequest, MemResponse, ReqId};
 pub use xbar::{Crossbar, XbarConfig, XbarStats, XBAR_COUNTERS};

@@ -1,54 +1,63 @@
 //! Whole-GPU configuration.
 
-use gpgpu_mem::{CacheConfig, FabricConfig};
+use gpgpu_mem::{config::rule, CacheConfig, FabricConfig};
 
 /// Most warp slots a core may have: one bit each in a `u64`, so the issue
 /// stage keeps every per-slot mask in one machine word. A Fermi core has
 /// 48 and no NVIDIA part has more than 64.
 pub const MAX_WARP_SLOTS: u32 = 64;
 
-/// Configuration of the simulated GPU (a Fermi GTX480-class part by
-/// default, matching the paper's GPGPU-Sim setup).
-///
-/// Construct with [`GpuConfig::fermi`] and adjust fields as needed; the
-/// experiment harness sweeps several of them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GpuConfig {
-    /// Number of SM cores.
-    pub num_cores: usize,
-    /// Hardware maximum resident threads per core.
-    pub max_threads_per_core: u32,
-    /// Hardware maximum resident CTAs per core (the limit LCS lowers).
-    pub max_ctas_per_core: u32,
-    /// Hardware maximum resident warps per core.
-    pub max_warps_per_core: u32,
-    /// Register-file capacity per core, in 32-bit registers.
-    pub regfile_per_core: u32,
-    /// Shared-memory capacity per core, in bytes.
-    pub smem_per_core: u32,
-    /// Warp schedulers (issue slots) per core.
-    pub num_sched_per_core: u32,
-    /// Integer ALU latency, cycles.
-    pub int_latency: u32,
-    /// FP32 ALU latency, cycles.
-    pub fp_latency: u32,
-    /// SFU latency, cycles.
-    pub sfu_latency: u32,
-    /// Shared-memory access latency (conflict-free), cycles.
-    pub shared_latency: u32,
-    /// L1 hit latency, cycles.
-    pub l1_latency: u32,
-    /// Per-core L1 data-cache configuration.
-    pub l1: CacheConfig,
-    /// Per-core load/store-unit queue capacity, in line transactions.
-    pub ldst_queue_len: usize,
-    /// Off-core memory system configuration.
-    pub fabric: FabricConfig,
-    /// Invalidate L1s when a kernel launches with no other kernel running
-    /// (cold-cache kernel boundaries, as in GPGPU-Sim).
-    pub flush_l1_on_kernel_launch: bool,
-    /// Abort if no forward progress is made for this many cycles.
-    pub deadlock_cycles: u64,
+gpgpu_mem::config! {
+    /// Configuration of the simulated GPU (a Fermi GTX480-class part by
+    /// default, matching the paper's GPGPU-Sim setup).
+    ///
+    /// Construct with [`GpuConfig::fermi`] and adjust fields as needed; the
+    /// experiment harness sweeps several of them.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct GpuConfig in GPU_KNOBS, rules gpu_rules {
+        /// Number of SM cores.
+        num_cores: usize in 1..=128; // each allocates warp slots, an L1 and a crossbar port
+        /// Hardware maximum resident threads per core.
+        max_threads_per_core: u32 in 32..=MAX_WARP_SLOTS * 32; // one to 64 full warps
+        /// Hardware maximum resident CTAs per core (the limit LCS lowers).
+        max_ctas_per_core: u32 in 1..=MAX_WARP_SLOTS; // a slot each; a CTA holds a warp
+        /// Hardware maximum resident warps per core.
+        max_warps_per_core: u32 in 1..=MAX_WARP_SLOTS; // a bit each of the issue words
+        /// Register-file capacity per core, in 32-bit registers.
+        regfile_per_core: u32 in 0..=1 << 20; // counted, not allocated; 16 times Hopper's
+        /// Shared-memory capacity per core, in bytes.
+        smem_per_core: u32 in 0..=1 << 20; // counted, not allocated; 4 times Hopper's
+        /// Warp schedulers (issue slots) per core.
+        num_sched_per_core: u32 in 1..=16; // a scheduler instance each
+        /// Integer ALU latency, cycles.
+        int_latency: u32 in 1..=1024; // the writeback wheel spans the longest latency
+        /// FP32 ALU latency, cycles.
+        fp_latency: u32 in 1..=1024; // as int_latency
+        /// SFU latency, cycles.
+        sfu_latency: u32 in 1..=1024; // as int_latency
+        /// Shared-memory access latency (conflict-free), cycles.
+        shared_latency: u32 in 1..=1024; // as int_latency
+        /// L1 hit latency, cycles.
+        l1_latency: u32 in 1..=1024; // as int_latency
+        /// Per-core L1 data-cache configuration.
+        l1: CacheConfig;
+        /// Per-core load/store-unit queue capacity, in line transactions.
+        ldst_queue_len: usize in 1..=1024; // the queue grows to its capacity
+        /// Off-core memory system configuration.
+        fabric: FabricConfig;
+        /// Invalidate L1s at a kernel launch with no other kernel running.
+        /// Cold-cache kernel boundaries, as in GPGPU-Sim.
+        flush_l1_on_kernel_launch: bool in false..=true;
+        /// Abort if no forward progress is made for this many cycles.
+        deadlock_cycles: u64 in 1..=1 << 48; // so adding it to a cycle cannot overflow
+    }
+}
+
+fn gpu_rules(g: &GpuConfig) -> Result<(), String> {
+    let ports = g.fabric.cores == g.num_cores;
+    rule(ports, "fabric core-port count must match num_cores")?;
+    let lines = g.l1.line_bytes == g.fabric.line_bytes;
+    rule(lines, "L1 and fabric line sizes must match")
 }
 
 impl GpuConfig {
@@ -88,33 +97,6 @@ impl GpuConfig {
         c.fabric.partitions = 2;
         c.deadlock_cycles = 200_000;
         c
-    }
-
-    /// Validates internal consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is inconsistent (zero cores/limits, L1
-    /// line size differing from the fabric's, scheduler count of zero,
-    /// more than [`MAX_WARP_SLOTS`] warp slots).
-    pub fn validate(&self) {
-        assert!(self.num_cores >= 1, "need at least one core");
-        assert_eq!(
-            self.fabric.cores, self.num_cores,
-            "fabric core-port count must match num_cores"
-        );
-        assert_eq!(
-            self.l1.line_bytes, self.fabric.line_bytes,
-            "L1 and fabric line sizes must match"
-        );
-        assert!(self.max_ctas_per_core >= 1);
-        assert!(
-            (1..=MAX_WARP_SLOTS).contains(&self.max_warps_per_core),
-            "max_warps_per_core must be 1..={MAX_WARP_SLOTS}"
-        );
-        assert!(self.num_sched_per_core >= 1);
-        assert!(self.ldst_queue_len >= 1);
-        assert!(self.max_threads_per_core >= 32);
     }
 }
 

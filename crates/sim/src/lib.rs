@@ -44,7 +44,7 @@ pub mod simt;
 mod stats;
 pub mod telemetry;
 
-pub use config::{GpuConfig, MAX_WARP_SLOTS};
+pub use config::{GpuConfig, GPU_KNOBS, MAX_WARP_SLOTS};
 pub use core_model::{Core, CoreCtaCompletion};
 pub use counters::{
     ratio, CoreStats, Counter, Sample, StallBreakdown, COUNTERS, STALL_CATEGORIES, STALL_LABELS,

@@ -8,7 +8,6 @@
 //!                               # simulate nothing
 //! exp serve --store cache       # long-running job server
 //! exp submit --all              # run E1..E11 against that server
-//! exp trace                     # telemetry smoke run (no tables)
 //! exp --list                    # show experiment ids
 //! exp <command> --help          # per-command options
 //! ```
@@ -22,7 +21,7 @@
 
 use gpgpu_bench::cli::{
     Cli, Command, CommonArgs, FuzzArgs, Parsed, PerfArgs, ReportArgs, RunArgs, ServeArgs,
-    SubmitArgs, TraceArgs, EXIT_RUNTIME, EXIT_USAGE,
+    SubmitArgs, EXIT_RUNTIME, EXIT_USAGE,
 };
 use gpgpu_bench::experiments::{all_ids, collect_experiment, plan_experiment, trace_points};
 use gpgpu_bench::json::Json;
@@ -31,7 +30,7 @@ use gpgpu_bench::simcheck::{check_case, fuzz_seeds, FuzzCase};
 use gpgpu_bench::{Harness, ReplayMode, ResultStore, RunEngine, RunSpec};
 use gpgpu_sim::TelemetryConfig;
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -72,7 +71,6 @@ fn main() -> ExitCode {
 
     match cli.command {
         Command::Run(args) => run_experiments(&h, &cli.common, args, store),
-        Command::Trace(args) => run_trace_smoke(&h, &cli.common, args, store),
         Command::Perf(args) => run_perf(&h, &args, &cli.common, store),
         Command::Fuzz(args) => run_fuzz(&h, &args),
         Command::Serve(args) => run_serve(&h, &cli.common, args, store),
@@ -233,21 +231,6 @@ fn run_experiments(
     println!("{summary}");
     if common.json {
         println!("{}", summary.to_json());
-    }
-    // Diagnostics: per-run wall-clock ranking, for finding which
-    // simulations dominate a batch.
-    if std::env::var_os("EXP_PROFILE_RUNS").is_some() {
-        let mut profiles = engine.profiles();
-        profiles.sort_by_key(|p| std::cmp::Reverse(p.wall_nanos));
-        for p in profiles.iter().take(25) {
-            eprintln!(
-                "[run {:>8.2}s {:>6.2} Mcycles {:>6.3} Mcyc/s] {}",
-                p.wall_nanos as f64 / 1e9,
-                p.cycles as f64 / 1e6,
-                p.cycles_per_second() / 1e6,
-                p.key.as_str()
-            );
-        }
     }
     println!("[all experiments took {:.1?}]", total.elapsed());
     ExitCode::SUCCESS
@@ -641,44 +624,4 @@ fn run_fuzz(h: &Harness, args: &FuzzArgs) -> ExitCode {
         t0.elapsed()
     );
     ExitCode::from(EXIT_RUNTIME)
-}
-
-/// The `trace` smoke path: one traced kernel, trace files written, no
-/// tables. Exists so CI (and humans) can exercise the full telemetry
-/// pipeline in seconds.
-fn run_trace_smoke(
-    h: &Harness,
-    common: &CommonArgs,
-    args: TraceArgs,
-    store: Option<Arc<ResultStore>>,
-) -> ExitCode {
-    let dir: PathBuf = args
-        .trace_dir
-        .unwrap_or_else(|| h.out_dir.join("traces"));
-    if let Err(e) = ensure_writable_dir(&dir) {
-        eprintln!(
-            "error: cannot write to trace dir {}: {e}\n\n{}",
-            dir.display(),
-            gpgpu_bench::cli::usage()
-        );
-        return ExitCode::from(EXIT_USAGE);
-    }
-    let mut engine = h.engine();
-    if let Some(store) = store {
-        engine.attach_store(store);
-    }
-    engine.set_replay_mode(common.replay);
-    let traces = trace_points("e5", h, TelemetryConfig::new(args.sample_every));
-    let specs: Vec<RunSpec> = traces.iter().map(|(_, s)| s.clone()).collect();
-    engine.execute_batch(&specs);
-    if let Err(e) = write_traces(&dir, &traces, &engine) {
-        eprintln!("error writing traces: {e}");
-        return ExitCode::from(EXIT_RUNTIME);
-    }
-    let summary = engine.summary();
-    println!("{summary}");
-    if common.json {
-        println!("{}", summary.to_json());
-    }
-    ExitCode::SUCCESS
 }

@@ -77,15 +77,6 @@ pub struct RunArgs {
     pub sample_every: u64,
 }
 
-/// Arguments of the `trace` smoke subcommand.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct TraceArgs {
-    /// Where trace files go (`--trace-dir`; default `<out-dir>/traces`).
-    pub trace_dir: Option<PathBuf>,
-    /// Telemetry sampling interval in cycles (`--sample-every`).
-    pub sample_every: u64,
-}
-
 /// Arguments of the `perf` benchmark subcommand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfArgs {
@@ -189,8 +180,6 @@ impl Default for SubmitArgs {
 pub enum Command {
     /// Run experiments and write tables (the default subcommand).
     Run(RunArgs),
-    /// Telemetry smoke run (no tables).
-    Trace(TraceArgs),
     /// Simulator throughput benchmark.
     Perf(PerfArgs),
     /// Deterministic simulation fuzzer.
@@ -228,7 +217,6 @@ usage: exp [options] [command]
 commands (default: run)
   run               run experiments and write tables (also implied by
                     passing --all or experiment ids alone)
-  trace             telemetry smoke run (no tables)
   perf              simulator throughput benchmark
   fuzz              deterministic simulation fuzzer
   serve             long-running job server (NDJSON over TCP)
@@ -273,17 +261,6 @@ and write them as CSV under --out-dir.
 
 With --store, results already in the store are loaded instead of
 simulated, and fresh results are persisted for the next invocation.
-Common options (exp --help) apply.";
-
-const TRACE_HELP: &str = "\
-usage: exp trace [options]
-
-telemetry smoke run: trace one kernel, write the trace files (to
---trace-dir, default <out-dir>/traces), print no tables.
-
-  --trace-dir PATH  where trace files go
-  --sample-every N  telemetry sampling interval in cycles (default 1000)
-
 Common options (exp --help) apply.";
 
 const PERF_HELP: &str = "\
@@ -384,7 +361,6 @@ pub fn usage() -> &'static str {
 fn help_for(cmd: Option<&str>) -> &'static str {
     match cmd {
         Some("run") => RUN_HELP,
-        Some("trace") => TRACE_HELP,
         Some("perf") => PERF_HELP,
         Some("fuzz") => FUZZ_HELP,
         Some("serve") => SERVE_HELP,
@@ -394,7 +370,7 @@ fn help_for(cmd: Option<&str>) -> &'static str {
     }
 }
 
-const SUBCOMMANDS: [&str; 7] = ["run", "trace", "perf", "fuzz", "serve", "submit", "report"];
+const SUBCOMMANDS: [&str; 6] = ["run", "perf", "fuzz", "serve", "submit", "report"];
 
 /// Parses the `--seeds A..B` window syntax.
 fn parse_seed_range(s: &str) -> Option<(u64, u64)> {
@@ -531,16 +507,7 @@ impl Cli {
                             return Err(format!("two commands given: {prev} and {name}"));
                         }
                     }
-                    cmd = Some(match name {
-                        "run" => "run",
-                        "trace" => "trace",
-                        "perf" => "perf",
-                        "fuzz" => "fuzz",
-                        "serve" => "serve",
-                        "submit" => "submit",
-                        "report" => "report",
-                        _ => unreachable!(),
-                    });
+                    cmd = Some(name);
                 }
                 id if id.starts_with('e') && crate::experiments::all_ids().contains(&id) => {
                     ids.push(id.to_string());
@@ -550,10 +517,6 @@ impl Cli {
         }
 
         let command = match cmd.unwrap_or("run") {
-            "trace" => Command::Trace(TraceArgs {
-                trace_dir,
-                sample_every,
-            }),
             "perf" => {
                 if common.store_dir.is_some() && common.replay == ReplayMode::Off {
                     return Err(
@@ -692,10 +655,10 @@ mod tests {
     }
 
     #[test]
-    fn replay_flag_parses_on_run_trace_and_perf() {
+    fn replay_flag_parses_on_run_serve_and_perf() {
         assert_eq!(cli(&["--all"]).common.replay, ReplayMode::Off);
         assert_eq!(cli(&["--all", "--replay", "auto"]).common.replay, ReplayMode::Auto);
-        assert_eq!(cli(&["trace", "--replay", "force"]).common.replay, ReplayMode::Force);
+        assert_eq!(cli(&["serve", "--replay", "force"]).common.replay, ReplayMode::Force);
         assert_eq!(cli(&["perf", "--replay", "auto"]).common.replay, ReplayMode::Auto);
         assert!(parse(&["--all", "--replay"]).is_err());
         assert!(parse(&["--all", "--replay", "sometimes"]).is_err());

@@ -18,16 +18,16 @@
 //! The intended shape is two-phase: experiments *plan* (contribute specs),
 //! the engine *executes* the combined batch, then experiments *collect*
 //! (build their tables by looking results up by spec). [`RunEngine::get`]
-//! also executes on demand, so a collect phase can never observe a missing
-//! result and single-spec use (`run_one`-style compatibility wrappers)
-//! stays trivial.
+//! also executes on demand, through the same per-spec path as a batch, so
+//! a collect phase can never observe a missing result.
 
 use crate::{parallel_map, Harness};
 use gpgpu_isa::KernelDescriptor;
 use gpgpu_sim::{
-    ExecRecord, GlobalMem, GpuConfig, KernelId, SimStats, TelemetryConfig, TelemetryData,
+    ExecRecord, GlobalMem, GpuConfig, KernelId, ProgressCallback, SimStats, TelemetryConfig,
+    TelemetryData,
 };
-use gpgpu_workloads::{by_name, run_pair_mode, run_workload_mode, RunMode, RunOutcome, Scale};
+use gpgpu_workloads::{by_name, run_launches, RunMode, RunOptions, RunOutcome, Scale, Workload};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::str::FromStr;
@@ -208,7 +208,7 @@ impl FromStr for ReplayMode {
 }
 
 /// The memoized result of one executed spec.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// Full simulator statistics.
     pub stats: SimStats,
@@ -278,8 +278,8 @@ pub struct RunEngine {
     use_cached_results: bool,
 }
 
-/// An observer of in-flight simulations: called from the worker thread
-/// running a spec, every `every_cycles` device cycles, with the run's
+/// An observer of in-flight simulations: called from the thread running
+/// a spec, every `every_cycles` device cycles, with the run's
 /// key, current cycle, and instructions issued so far. Observation only —
 /// it cannot affect results (`exp serve` uses it to stream `run_progress`
 /// events to clients).
@@ -553,30 +553,6 @@ impl RunEngine {
         Arc::clone(cache.entry(prefix).or_insert(rec))
     }
 
-    /// Runs `spec` with this engine's progress hook (if any) installed on
-    /// the current thread for the duration.
-    fn execute_observed(
-        &self,
-        key: &RunKey,
-        spec: &RunSpec,
-        mode: RunMode,
-    ) -> (RunResult, Option<ExecRecord>) {
-        match &self.progress {
-            None => execute_spec_mode(spec, mode),
-            Some(hook) => {
-                let key = key.clone();
-                let cb = Arc::clone(&hook.callback);
-                gpgpu_sim::set_thread_progress(
-                    hook.every_cycles,
-                    Arc::new(move |cycle, instructions| cb(&key, cycle, instructions)),
-                );
-                let result = execute_spec_mode(spec, mode);
-                gpgpu_sim::clear_thread_progress();
-                result
-            }
-        }
-    }
-
     /// Executes every spec in `specs` that has not already been executed,
     /// in parallel. Duplicates — within the batch or against earlier
     /// batches — are counted as deduplicated and not re-simulated.
@@ -613,18 +589,23 @@ impl RunEngine {
         // Persistent-store pass: anything already on disk skips the
         // worker pool entirely. (Telemetry-requesting specs always
         // simulate — see `attach_store`; perf mode never serves results.)
-        if self.store.is_some() {
-            fresh.retain(|(key, spec)| self.load_from_store(key, spec).is_none());
-        }
+        fresh.retain(|(key, spec)| self.load_from_store(key, spec).is_none());
+        self.run_fresh(&fresh, true);
+    }
 
-        // Replay planning: specs sharing a CTA-policy-independent key
-        // prefix form a group, and one execution record re-times all of
-        // them. A group with a record on hand replays immediately; a
-        // group without one elects its first spec as the capture run and
-        // the rest replay from its record in a second wave. `Auto` skips
-        // capturing for a lone spec (nothing in-batch to amortize it);
-        // `Force` captures anyway so the record exists for later.
-        let mut modes: Vec<Option<RunMode>> = fresh.iter().map(|_| Some(RunMode::Direct)).collect();
+    /// Runs specs that neither the memo nor the store holds: on the
+    /// worker pool for [`execute_batch`](Self::execute_batch), in order on
+    /// the calling thread for [`get`](Self::get) (`pool` false).
+    ///
+    /// Replay planning: specs sharing a CTA-policy-independent key prefix
+    /// form a group, and one execution record re-times all of them. A
+    /// group with a record on hand replays at once; a group without one
+    /// elects its first spec as the capture run and the rest replay from
+    /// its record in a second wave. `Auto` skips capturing for a lone
+    /// spec (nothing in the batch amortizes it); `Force` captures anyway
+    /// so the record exists for later.
+    fn run_fresh(&self, fresh: &[(RunKey, RunSpec)], pool: bool) {
+        let mut modes: Vec<Option<RunMode>> = vec![Some(RunMode::Direct); fresh.len()];
         let mut awaiting: Vec<Option<String>> = vec![None; fresh.len()];
         if self.replay != ReplayMode::Off {
             // Walked in key order, so records are looked up and loaded in
@@ -650,92 +631,63 @@ impl RunEngine {
                 }
             }
         }
-
         // Wave 1: everything not waiting on a capture — direct runs,
         // captures, and replays whose record already exists.
-        let mut outcomes: Vec<Option<(RunResult, u64, bool)>> = (0..fresh.len()).map(|_| None).collect();
-        let wave1: Vec<(usize, RunMode)> = modes
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, m)| m.take().map(|mode| (i, mode)))
-            .collect();
-        let jobs: Vec<_> = wave1
-            .iter()
-            .map(|(i, mode)| {
-                let (key, spec) = &fresh[*i];
-                let mode = mode.clone();
-                move || {
-                    let via_replay = matches!(mode, RunMode::Replay(_));
-                    let t0 = Instant::now();
-                    let (result, record) = self.execute_observed(key, spec, mode);
-                    let wall_nanos = t0.elapsed().as_nanos() as u64;
-                    self.save_to_store(spec, &result, wall_nanos);
-                    (result, record, wall_nanos, via_replay)
-                }
-            })
-            .collect();
-        for ((i, _), (result, record, wall_nanos, via_replay)) in
-            wave1.into_iter().zip(parallel_map(jobs, self.jobs))
-        {
-            if let Some(rec) = record {
-                let prefix = crate::codec::content_key_prefix(&fresh[i].1);
-                self.adopt_record(prefix, &fresh[i].1, rec);
-            }
-            outcomes[i] = Some((result, wall_nanos, via_replay));
-        }
-
+        let wave1 = modes.into_iter().enumerate().filter_map(|(i, m)| Some((i, m?)));
+        self.run_wave(fresh, wave1.collect(), pool);
         // Wave 2: replays waiting on a wave-1 capture. A capture that
         // produced no record (a degenerate zero-CTA run) falls back to
         // direct execution.
-        let wave2: Vec<(usize, RunMode)> = awaiting
+        let wave2 = awaiting.into_iter().enumerate().filter_map(|(i, prefix)| {
+            let rec = self.lookup_record(&prefix?, &fresh[i].1);
+            Some((i, rec.map_or(RunMode::Direct, RunMode::Replay)))
+        });
+        self.run_wave(fresh, wave2.collect(), pool);
+    }
+
+    /// Runs one wave of `fresh` specs and persists each result; then
+    /// adopts each captured record, counts, profiles and memoizes each
+    /// result. The memo keeps the first result for a key, since the
+    /// server's workers call [`get`](Self::get) concurrently.
+    fn run_wave(&self, fresh: &[(RunKey, RunSpec)], wave: Vec<(usize, RunMode)>, pool: bool) {
+        let jobs: Vec<_> = wave
             .into_iter()
-            .enumerate()
-            .filter_map(|(i, prefix)| {
-                let prefix = prefix?;
-                let mode = match self.lookup_record(&prefix, &fresh[i].1) {
-                    Some(rec) => RunMode::Replay(rec),
-                    None => RunMode::Direct,
-                };
-                Some((i, mode))
-            })
-            .collect();
-        let jobs: Vec<_> = wave2
-            .iter()
             .map(|(i, mode)| {
-                let (key, spec) = &fresh[*i];
-                let mode = mode.clone();
+                let (key, spec) = &fresh[i];
+                let progress = self.progress.as_ref().map(|hook| {
+                    let (key, cb) = (key.clone(), Arc::clone(&hook.callback));
+                    let cb: ProgressCallback = Arc::new(move |cycle, instr| cb(&key, cycle, instr));
+                    (hook.every_cycles, cb)
+                });
                 move || {
-                    let via_replay = matches!(mode, RunMode::Replay(_));
                     let t0 = Instant::now();
-                    let (result, _) = self.execute_observed(key, spec, mode);
+                    let (result, record) = execute_spec(spec, mode, progress);
                     let wall_nanos = t0.elapsed().as_nanos() as u64;
                     self.save_to_store(spec, &result, wall_nanos);
-                    (result, wall_nanos, via_replay)
+                    (i, result, record, wall_nanos)
                 }
             })
             .collect();
-        for ((i, _), (result, wall_nanos, via_replay)) in
-            wave2.into_iter().zip(parallel_map(jobs, self.jobs))
-        {
-            outcomes[i] = Some((result, wall_nanos, via_replay));
-        }
-
-        let mut memo = self.memo.lock().expect("not poisoned");
-        let mut profiles = self.profiles.lock().expect("not poisoned");
-        for ((key, _), outcome) in fresh.into_iter().zip(outcomes) {
-            let (result, wall_nanos, via_replay) = outcome.expect("every fresh spec ran");
-            if via_replay {
-                self.replayed.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.executed.fetch_add(1, Ordering::Relaxed);
+        let ran = if pool {
+            parallel_map(jobs, self.jobs)
+        } else {
+            jobs.into_iter().map(|job| job()).collect()
+        };
+        for (i, result, record, wall_nanos) in ran {
+            let (key, spec) = &fresh[i];
+            if let Some(rec) = record {
+                self.adopt_record(crate::codec::content_key_prefix(spec), spec, rec);
             }
-            profiles.push(RunProfile {
+            let counter = if result.via_replay { &self.replayed } else { &self.executed };
+            counter.fetch_add(1, Ordering::Relaxed);
+            self.profiles.lock().expect("not poisoned").push(RunProfile {
                 key: key.clone(),
                 wall_nanos,
                 cycles: result.stats.cycles,
                 instructions: result.stats.instructions,
             });
-            memo.insert(key, Arc::new(result));
+            let mut memo = self.memo.lock().expect("not poisoned");
+            memo.entry(key.clone()).or_insert_with(|| Arc::new(result));
         }
     }
 
@@ -749,48 +701,12 @@ impl RunEngine {
     ///
     /// As [`RunEngine::execute_batch`].
     pub fn get(&self, spec: &RunSpec) -> Arc<RunResult> {
-        let key = spec.key();
-        if let Some(r) = self.memo.lock().expect("not poisoned").get(&key) {
-            return Arc::clone(r);
-        }
-        if let Some(r) = self.load_from_store(&key, spec) {
+        if let Some(r) = self.lookup(spec) {
             return r;
         }
-        // On-demand replay: use the group's record if one exists; under
-        // `Force`, capture one if it doesn't.
-        let mut mode = RunMode::Direct;
-        let mut prefix = None;
-        if self.replay != ReplayMode::Off {
-            let p = crate::codec::content_key_prefix(spec);
-            if let Some(rec) = self.lookup_record(&p, spec) {
-                mode = RunMode::Replay(rec);
-            } else if self.replay == ReplayMode::Force {
-                mode = RunMode::Capture;
-            }
-            prefix = Some(p);
-        }
-        let via_replay = matches!(mode, RunMode::Replay(_));
-        let t0 = Instant::now();
-        let (result, record) = self.execute_observed(&key, spec, mode);
-        let result = Arc::new(result);
-        let wall_nanos = t0.elapsed().as_nanos() as u64;
-        if let (Some(rec), Some(p)) = (record, prefix) {
-            self.adopt_record(p, spec, rec);
-        }
-        self.save_to_store(spec, &result, wall_nanos);
-        if via_replay {
-            self.replayed.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.executed.fetch_add(1, Ordering::Relaxed);
-        }
-        self.profiles.lock().expect("not poisoned").push(RunProfile {
-            key: key.clone(),
-            wall_nanos,
-            cycles: result.stats.cycles,
-            instructions: result.stats.instructions,
-        });
-        let mut memo = self.memo.lock().expect("not poisoned");
-        Arc::clone(memo.entry(key).or_insert(result))
+        let key = spec.key();
+        self.run_fresh(&[(key.clone(), spec.clone())], false);
+        Arc::clone(&self.memo.lock().expect("not poisoned")[&key])
     }
 
     /// The result for `spec` if it can be served without simulating —
@@ -852,6 +768,84 @@ impl RunEngine {
             sim_instructions: profiles.iter().map(|p| p.instructions).sum(),
         }
     }
+}
+
+/// The suite workloads `spec` launches, in launch order.
+fn spec_workloads(spec: &RunSpec) -> Vec<Box<dyn Workload>> {
+    let names = match &spec.kind {
+        RunKind::Single { workload } => vec![workload],
+        RunKind::Pair { a, b, .. } => vec![a, b],
+    };
+    names
+        .into_iter()
+        .map(|name| {
+            by_name(name, spec.scale).unwrap_or_else(|| panic!("unknown workload {name:?}"))
+        })
+        .collect()
+}
+
+/// The kernels `spec` launches, prepared as its run prepares them and in
+/// launch order: what a record replaying `spec` must cover.
+fn spec_kernels(spec: &RunSpec) -> Vec<KernelDescriptor> {
+    let mut mem = GlobalMem::new();
+    spec_workloads(spec).iter_mut().map(|w| w.prepare(&mut mem)).collect()
+}
+
+/// Runs one spec to completion under the given [`RunMode`] and (except
+/// for replay, which never evaluates semantics) verifies it. Direct
+/// execution is exactly an ad-hoc `run_launches` call on a fresh device,
+/// so results are bit-identical to it; capture and replay are
+/// bit-identical to direct execution (the golden replay suite's
+/// contract). Returns the captured record when `mode` was
+/// [`RunMode::Capture`].
+fn execute_spec(
+    spec: &RunSpec,
+    mode: RunMode,
+    progress: Option<(u64, ProgressCallback)>,
+) -> (RunResult, Option<ExecRecord>) {
+    let via_replay = matches!(mode, RunMode::Replay(_));
+    let opts = RunOptions {
+        serial: matches!(spec.kind, RunKind::Pair { serial: true, .. }),
+        telemetry: spec.telemetry,
+        mode,
+        progress,
+    };
+    let mut workloads = spec_workloads(spec);
+    let mut launches: Vec<_> =
+        workloads.iter_mut().map(|w| w.as_mut() as &mut dyn Workload).collect();
+    let factory = spec.warp.factory();
+    let (mut gpu, kernels) = run_launches(
+        &mut launches,
+        spec.gpu.clone(),
+        factory.as_ref(),
+        spec.cta.scheduler(),
+        spec.max_cycles,
+        opts,
+    )
+    .unwrap_or_else(|e| {
+        let what = match &spec.kind {
+            RunKind::Single { workload } => workload.clone(),
+            RunKind::Pair { a, b, .. } => format!("pair {a}+{b}"),
+        };
+        panic!("{what} under {}/{}: {e}", spec.warp, spec.cta)
+    });
+    // Capture LCS's decided limits so accuracy experiments can run
+    // through the memo table too (sorted: the scheduler's map iterates in
+    // arbitrary order). A pair records none.
+    let lcs = gpu.cta_scheduler().as_any().and_then(|a| a.downcast_ref::<Lcs>());
+    let lcs_limits = lcs.filter(|_| kernels.len() == 1).map(|lcs| {
+        let mut v: Vec<u32> = lcs.decisions().map(|(_, limit)| *limit).collect();
+        v.sort_unstable();
+        v
+    });
+    let result = RunResult {
+        stats: gpu.stats(),
+        kernels,
+        lcs_limits,
+        telemetry: gpu.take_telemetry_data(),
+        via_replay,
+    };
+    (result, gpu.take_record())
 }
 
 #[cfg(test)]
@@ -1048,6 +1042,54 @@ mod tests {
         assert_eq!(force.runs_replayed(), 1);
         let d = RunEngine::new(1);
         assert_eq!(d.get(&sibling).stats, r.stats);
+
+        // `get` runs a memo miss through the batch's own per-spec path: in
+        // every replay mode, with and without a store, the same specs
+        // reached only through `get` or only through `execute_batch` give
+        // equal results, counters and stored file names.
+        for mode in [ReplayMode::Off, ReplayMode::Auto, ReplayMode::Force] {
+            for with_store in [false, true] {
+                let run = |via_get: bool| {
+                    let dir = gpgpu_testkit::TempDir::new("get-vs-batch");
+                    let mut e = RunEngine::new(1);
+                    e.set_replay_mode(mode);
+                    if with_store {
+                        let store = crate::store::ResultStore::open(dir.path()).unwrap();
+                        e.attach_store(Arc::new(store));
+                    }
+                    let mut results = Vec::new();
+                    for s in [spec(&h), sibling.clone()] {
+                        if !via_get {
+                            e.execute_batch(std::slice::from_ref(&s));
+                        }
+                        results.push((*e.get(&s)).clone());
+                    }
+                    let t = e.summary();
+                    let counters = (t.executed, t.deduped, t.store_hits, t.replayed, t.sim_cycles);
+                    (results, counters, file_names(dir.path()))
+                };
+                let (via_get, via_batch) = (run(true), run(false));
+                assert_eq!(via_get, via_batch, "replay {mode}, store {with_store}");
+                assert_eq!(via_get.2.is_empty(), !with_store);
+            }
+        }
+    }
+
+    /// Every file under `dir`, as sorted paths relative to it.
+    fn file_names(dir: &std::path::Path) -> Vec<String> {
+        let (mut names, mut dirs) = (Vec::new(), vec![dir.to_path_buf()]);
+        while let Some(d) = dirs.pop() {
+            for entry in std::fs::read_dir(&d).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    dirs.push(path);
+                } else {
+                    names.push(path.strip_prefix(dir).unwrap().display().to_string());
+                }
+            }
+        }
+        names.sort();
+        names
     }
 
     #[test]
@@ -1163,99 +1205,5 @@ mod tests {
             base.key(),
             RunSpec::single(&h, "vecadd", WarpPolicy::Gto, CtaPolicy::Lcs(0.7)).key()
         );
-    }
-}
-
-/// The kernels `spec` launches, prepared as its run prepares them and in
-/// launch order: what a record replaying `spec` must cover.
-fn spec_kernels(spec: &RunSpec) -> Vec<KernelDescriptor> {
-    let names = match &spec.kind {
-        RunKind::Single { workload } => vec![workload],
-        RunKind::Pair { a, b, .. } => vec![a, b],
-    };
-    let mut mem = GlobalMem::new();
-    names
-        .into_iter()
-        .map(|name| {
-            by_name(name, spec.scale)
-                .unwrap_or_else(|| panic!("unknown workload {name:?}"))
-                .prepare(&mut mem)
-        })
-        .collect()
-}
-
-/// Runs one spec to completion under the given [`RunMode`] and (except
-/// for replay, which never evaluates semantics) verifies it. Direct
-/// execution is exactly the pre-engine serial path (`run_workload` on a
-/// fresh device), so results are bit-identical to ad-hoc call sites; capture and replay are bit-identical to direct execution
-/// (the golden replay suite's contract). Returns the captured record when
-/// `mode` was [`RunMode::Capture`].
-fn execute_spec_mode(spec: &RunSpec, mode: RunMode) -> (RunResult, Option<ExecRecord>) {
-    let via_replay = matches!(mode, RunMode::Replay(_));
-    match &spec.kind {
-        RunKind::Single { workload } => {
-            let mut w = by_name(workload, spec.scale)
-                .unwrap_or_else(|| panic!("unknown workload {workload:?}"));
-            let factory = spec.warp.factory();
-            let (outcome, gpu, telemetry, record) = run_workload_mode(
-                w.as_mut(),
-                spec.gpu.clone(),
-                factory.as_ref(),
-                spec.cta.scheduler(),
-                spec.max_cycles,
-                spec.telemetry,
-                mode,
-            )
-            .unwrap_or_else(|e| panic!("{workload} under {}/{}: {e}", spec.warp, spec.cta));
-            // Capture LCS's decided limits so accuracy experiments can run
-            // through the memo table too (sorted: the scheduler's map
-            // iterates in arbitrary order).
-            let lcs_limits = gpu
-                .cta_scheduler()
-                .as_any()
-                .and_then(|a| a.downcast_ref::<Lcs>())
-                .map(|lcs| {
-                    let mut v: Vec<u32> = lcs.decisions().map(|(_, limit)| *limit).collect();
-                    v.sort_unstable();
-                    v
-                });
-            (
-                RunResult {
-                    stats: outcome.stats,
-                    kernels: vec![outcome.kernel],
-                    lcs_limits,
-                    telemetry,
-                    via_replay,
-                },
-                record,
-            )
-        }
-        RunKind::Pair { a, b, serial } => {
-            let mut wa = by_name(a, spec.scale).unwrap_or_else(|| panic!("unknown workload {a:?}"));
-            let mut wb = by_name(b, spec.scale).unwrap_or_else(|| panic!("unknown workload {b:?}"));
-            let factory = spec.warp.factory();
-            let (stats, ka, kb, telemetry, record) = run_pair_mode(
-                wa.as_mut(),
-                wb.as_mut(),
-                spec.gpu.clone(),
-                factory.as_ref(),
-                spec.cta.scheduler(),
-                *serial,
-                spec.max_cycles,
-                spec.telemetry,
-                mode,
-            )
-            .unwrap_or_else(|e| panic!("pair {a}+{b} under {}/{}: {e}", spec.warp, spec.cta));
-            (
-                RunResult {
-                    stats,
-                    kernels: vec![ka, kb],
-                    lcs_limits: None,
-                    telemetry,
-                    via_replay,
-                },
-                record,
-            )
-        }
     }
 }

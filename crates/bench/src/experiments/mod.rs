@@ -9,8 +9,7 @@
 //! [`RunSpec`]s an experiment needs, a shared [`RunEngine`] executes the
 //! combined batch (deduplicating identical specs within and across
 //! experiments, in parallel), and [`collect_experiment`] builds the tables
-//! from the memoized results. [`run_experiment`] bundles all three for
-//! single-experiment use.
+//! from the memoized results.
 
 pub mod e01_config;
 pub mod e02_characterization;
@@ -25,7 +24,6 @@ pub mod e10_cache_size;
 pub mod e11_generated;
 
 use crate::{Harness, RunEngine, RunSpec, Table};
-use gpgpu_workloads::RunOutcome;
 use tbs_core::{CtaPolicy, WarpPolicy};
 
 /// All experiment ids, in order.
@@ -80,19 +78,6 @@ pub fn collect_experiment(id: &str, h: &Harness, engine: &RunEngine) -> Vec<Tabl
     }
 }
 
-/// Runs one experiment by id: plan, execute (on a fresh engine sized to
-/// `h.jobs`), collect.
-///
-/// # Panics
-///
-/// Panics on an unknown id or if a simulation fails (experiments are
-/// expected to complete).
-pub fn run_experiment(id: &str, h: &Harness) -> Vec<Table> {
-    let engine = h.engine();
-    engine.execute_batch(&plan_experiment(id, h));
-    collect_experiment(id, h, &engine)
-}
-
 /// Representative traced runs for experiment `id` — the runs `exp
 /// --trace-dir` records time-resolved telemetry for. Each entry's label
 /// becomes the trace file stem (`<label>.events.jsonl` /
@@ -145,37 +130,6 @@ pub fn trace_points(
         )],
         _ => Vec::new(),
     }
-}
-
-/// Runs `name` under the given policies with the harness GPU config.
-///
-/// Compatibility wrapper over a single-spec [`RunEngine`] — new code
-/// should plan [`RunSpec`]s against a shared engine instead, which
-/// deduplicates and parallelizes across call sites.
-///
-/// # Panics
-///
-/// Panics on simulation or verification failure — an experiment must not
-/// silently report a broken run.
-pub fn run_one(h: &Harness, name: &str, warp: WarpPolicy, cta: CtaPolicy) -> RunOutcome {
-    run_one_cfg(h, h.gpu.clone(), name, warp, cta)
-}
-
-/// As [`run_one`] with an explicit GPU config (for configuration sweeps).
-///
-/// # Panics
-///
-/// As [`run_one`].
-pub fn run_one_cfg(
-    h: &Harness,
-    gpu: gpgpu_sim::GpuConfig,
-    name: &str,
-    warp: WarpPolicy,
-    cta: CtaPolicy,
-) -> RunOutcome {
-    RunEngine::new(1)
-        .get(&RunSpec::single_cfg(h, gpu, name, warp, cta))
-        .outcome()
 }
 
 /// Formats a ratio like `1.234`.

@@ -59,11 +59,6 @@ impl LocalClient {
             engine: RunEngine::new(jobs),
         }
     }
-
-    /// A client over an existing engine (e.g. one with a store attached).
-    pub fn with_engine(engine: RunEngine) -> Self {
-        LocalClient { engine }
-    }
 }
 
 impl Client for LocalClient {

@@ -47,6 +47,7 @@ use gpgpu_sim::{
     GpuConfig, GpuDevice, KernelId, MemorySink, SimError, TelemetryConfig, TelemetryData,
 };
 use gpgpu_testkit::{Gen, SplitMix64};
+use gpgpu_workloads::RunMode;
 use std::cell::Cell;
 use std::fmt;
 use std::sync::Arc;
@@ -403,24 +404,14 @@ pub fn run_case(
     fast_forward: bool,
     telemetry: bool,
 ) -> Result<RunOutput, SimError> {
-    run_case_mode(case, cta, fast_forward, telemetry, CaseMode::Direct).map(|(out, _)| out)
-}
-
-/// How [`run_case_mode`] drives the device: plain execution, execution
-/// with record capture, or timing replay from a captured record.
-pub enum CaseMode {
-    /// Plain execution.
-    Direct,
-    /// Execute and capture an [`ExecRecord`].
-    Capture,
-    /// Replay timing from a record; global memory data is never touched,
-    /// so the returned [`RunOutput`] carries the record's `mem_hash` and
-    /// no result buffers (the functional oracle does not apply).
-    Replay(Arc<ExecRecord>),
+    run_case_mode(case, cta, fast_forward, telemetry, RunMode::Direct).map(|(out, _)| out)
 }
 
 /// The full-control variant behind [`run_case`]: also selects
 /// capture or replay, and returns the captured record when capturing.
+/// Replay never touches global memory data, so its [`RunOutput`] carries
+/// the record's `mem_hash` and no result buffers (the functional oracle
+/// does not apply).
 ///
 /// # Errors
 ///
@@ -430,7 +421,7 @@ pub fn run_case_mode(
     cta: Box<dyn CtaScheduler>,
     fast_forward: bool,
     telemetry: bool,
-    mode: CaseMode,
+    mode: RunMode,
 ) -> Result<(RunOutput, Option<ExecRecord>), SimError> {
     let mut cfg = GpuConfig::test_small();
     cfg.max_ctas_per_core = case.max_ctas;
@@ -440,17 +431,7 @@ pub fn run_case_mode(
     let factory = warp.factory();
     let mut dev = GpuDevice::new(cfg, factory.as_ref(), cta);
     dev.set_fast_forward(fast_forward);
-    let replay = match mode {
-        CaseMode::Direct => None,
-        CaseMode::Capture => {
-            dev.set_capture(true);
-            None
-        }
-        CaseMode::Replay(rec) => {
-            dev.set_replay(Arc::clone(&rec));
-            Some(rec)
-        }
-    };
+    mode.configure(&mut dev);
     if telemetry {
         dev.enable_telemetry(TelemetryConfig::new(500), Box::new(MemorySink::new()));
     }
@@ -473,11 +454,11 @@ pub fn run_case_mode(
     }
 
     dev.run(case.budget)?;
-    let (mem_hash, slots) = match replay {
+    let (mem_hash, slots) = match mode {
         // Replay never writes memory data: the final hash is the one the
         // record carries, and the buffers still hold their initial values.
-        Some(rec) => (rec.mem_hash, Vec::new()),
-        None => (
+        RunMode::Replay(rec) => (rec.mem_hash, Vec::new()),
+        _ => (
             dev.mem_ref().content_hash(),
             outputs
                 .iter()
@@ -635,7 +616,7 @@ pub fn check_case_with(
     // replay from the captured record must reproduce direct execution —
     // stats, telemetry, and (via the record's carried hash) memory —
     // under the baseline, and under every policy in the sweep below.
-    let record = match run_case_mode(case, make_sched(baseline), true, true, CaseMode::Capture) {
+    let record = match run_case_mode(case, make_sched(baseline), true, true, RunMode::Capture) {
         Err(e) => {
             fails.push(fail("run", format!("baseline (capture): {e}")));
             None
@@ -654,7 +635,7 @@ pub fn check_case_with(
         }
     };
     if let (Some(rec), Ok(a)) = (&record, &fast) {
-        let replay = CaseMode::Replay(Arc::clone(rec));
+        let replay = RunMode::Replay(Arc::clone(rec));
         match run_case_mode(case, make_sched(baseline), true, true, replay) {
             Err(e) => fails.push(fail("replay", format!("baseline replay: {e}"))),
             Ok((r, _)) => {
@@ -719,7 +700,7 @@ pub fn check_case_with(
                         make_sched(policy),
                         true,
                         false,
-                        CaseMode::Replay(Arc::clone(rec)),
+                        RunMode::Replay(Arc::clone(rec)),
                     ) {
                         Err(e) => fails.push(fail("replay", format!("{name} (replay): {e}"))),
                         Ok((r, _)) => {
@@ -1080,15 +1061,15 @@ mod tests {
         let case = FuzzCase::generate(5, 1_000_000);
         let sched = || CtaPolicy::Baseline(None).scheduler();
         let (direct, _) =
-            run_case_mode(&case, sched(), true, true, CaseMode::Direct).expect("direct runs");
+            run_case_mode(&case, sched(), true, true, RunMode::Direct).expect("direct runs");
         let (captured, rec) =
-            run_case_mode(&case, sched(), true, true, CaseMode::Capture).expect("capture runs");
+            run_case_mode(&case, sched(), true, true, RunMode::Capture).expect("capture runs");
         assert_eq!(direct, captured, "capture must not perturb outputs");
         let rec = Arc::new(rec.expect("capture yields a record"));
         // Stats, telemetry, and the record-carried hash must match direct
         // execution.
         let (replayed, _) =
-            run_case_mode(&case, sched(), true, true, CaseMode::Replay(rec)).expect("replay runs");
+            run_case_mode(&case, sched(), true, true, RunMode::Replay(rec)).expect("replay runs");
         assert_eq!(replayed.stats, direct.stats);
         assert_eq!(replayed.telemetry, direct.telemetry);
         assert_eq!(replayed.mem_hash, direct.mem_hash);

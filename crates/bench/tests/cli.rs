@@ -150,7 +150,8 @@ fn fuzz_replays_a_reproducer_file() {
 #[test]
 fn trace_smoke_writes_parseable_files() {
     let dir = Scratch::new("smoke");
-    let out = exp(&["--quick", "trace", "--trace-dir", dir.path(), "--json"]);
+    let csv = Scratch::new("smoke-csv");
+    let out = exp(&["--quick", "e5", "--trace-dir", dir.path(), "--out-dir", csv.path(), "--json"]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(
@@ -185,11 +186,14 @@ fn trace_smoke_writes_parseable_files() {
 
 #[test]
 fn traces_are_byte_identical_across_worker_counts() {
-    let dir1 = Scratch::new("jobs1");
-    let dir2 = Scratch::new("jobs2");
-    let out1 = exp(&["--quick", "--jobs", "1", "trace", "--trace-dir", dir1.path()]);
+    let (dir1, dir2) = (Scratch::new("jobs1"), Scratch::new("jobs2"));
+    let csv = Scratch::new("jobs-csv");
+    let e5 = |jobs, dir: &Scratch| {
+        exp(&["--quick", "--jobs", jobs, "e5", "--trace-dir", dir.path(), "--out-dir", csv.path()])
+    };
+    let out1 = e5("1", &dir1);
     assert!(out1.status.success(), "stderr: {}", stderr(&out1));
-    let out2 = exp(&["--quick", "--jobs", "4", "trace", "--trace-dir", dir2.path()]);
+    let out2 = e5("4", &dir2);
     assert!(out2.status.success(), "stderr: {}", stderr(&out2));
 
     let mut names: Vec<String> = std::fs::read_dir(&dir1.0)

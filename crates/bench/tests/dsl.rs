@@ -5,7 +5,7 @@
 
 use gpgpu_sim::GpuConfig;
 use gpgpu_workloads::streaming::VecAdd;
-use gpgpu_workloads::{by_name, run_workload_mode, RunMode, Scale, Workload};
+use gpgpu_workloads::{by_name, run_launches, RunMode, RunOptions, Scale, Workload};
 use std::sync::Arc;
 use tbs_core::{CtaPolicy, WarpPolicy};
 
@@ -18,47 +18,33 @@ fn assert_capture_replay_roundtrip(mut mk: impl FnMut() -> Box<dyn Workload>) {
     let factory = WarpPolicy::Gto.factory();
     let name = mk().name().to_string();
 
-    let mut w = mk();
-    let (direct, gpu, _, _) = run_workload_mode(
-        w.as_mut(),
-        GpuConfig::test_small(),
-        factory.as_ref(),
-        CtaPolicy::Baseline(None).scheduler(),
-        MAX_CYCLES,
-        None,
-        RunMode::Direct,
-    )
-    .unwrap_or_else(|e| panic!("{name} direct: {e}"));
-    let direct_hash = gpu.mem_ref().content_hash();
+    let mut run = |mode: RunMode, what: &str| {
+        run_launches(
+            &mut [mk().as_mut()],
+            GpuConfig::test_small(),
+            factory.as_ref(),
+            CtaPolicy::Baseline(None).scheduler(),
+            MAX_CYCLES,
+            RunOptions {
+                mode,
+                ..RunOptions::default()
+            },
+        )
+        .unwrap_or_else(|e| panic!("{name} {what}: {e}"))
+        .0
+    };
 
-    let mut w = mk();
-    let (captured, gpu, _, record) = run_workload_mode(
-        w.as_mut(),
-        GpuConfig::test_small(),
-        factory.as_ref(),
-        CtaPolicy::Baseline(None).scheduler(),
-        MAX_CYCLES,
-        None,
-        RunMode::Capture,
-    )
-    .unwrap_or_else(|e| panic!("{name} capture: {e}"));
-    assert_eq!(direct.stats, captured.stats, "{name}: capture perturbs timing");
-    assert_eq!(direct_hash, gpu.mem_ref().content_hash());
-    let record = Arc::new(record.expect("capture produced a record"));
+    let direct = run(RunMode::Direct, "direct");
+    let direct_hash = direct.mem_ref().content_hash();
+
+    let mut captured = run(RunMode::Capture, "capture");
+    assert_eq!(direct.stats(), captured.stats(), "{name}: capture perturbs timing");
+    assert_eq!(direct_hash, captured.mem_ref().content_hash());
+    let record = Arc::new(captured.take_record().expect("capture produced a record"));
     assert_eq!(record.mem_hash, direct_hash, "{name}: record hash drifts");
 
-    let mut w = mk();
-    let (replayed, _, _, _) = run_workload_mode(
-        w.as_mut(),
-        GpuConfig::test_small(),
-        factory.as_ref(),
-        CtaPolicy::Baseline(None).scheduler(),
-        MAX_CYCLES,
-        None,
-        RunMode::Replay(Arc::clone(&record)),
-    )
-    .unwrap_or_else(|e| panic!("{name} replay: {e}"));
-    assert_eq!(direct.stats, replayed.stats, "{name}: replay diverges");
+    let replayed = run(RunMode::Replay(Arc::clone(&record)), "replay");
+    assert_eq!(direct.stats(), replayed.stats(), "{name}: replay diverges");
 }
 
 #[test]

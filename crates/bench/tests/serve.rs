@@ -293,6 +293,43 @@ fn stats_request_reports_server_metrics() {
     handle.join().expect("server thread exits cleanly");
 }
 
+#[test]
+fn failed_run_names_its_cause_and_the_server_lives_on() {
+    let h = Harness::quick();
+    let mut starved = spec(&h, "vecadd", WarpPolicy::Gto);
+    starved.max_cycles = 1_000; // far too few for vecadd to finish
+
+    let (addr, handle) = start(ServeConfig {
+        jobs: 1,
+        ..ServeConfig::default()
+    });
+    let mut remote = RemoteClient::new(&addr);
+    let mut errors = Vec::new();
+    let err = remote
+        .run_batch_observed(&[starved], &mut |e| {
+            if let Event::Error { message } = e {
+                errors.push(message.clone());
+            }
+        })
+        .expect_err("a run that cannot finish fails the submission");
+    assert_eq!(errors.len(), 1, "one error event: {err}");
+    assert!(
+        errors[0].contains("exceeded the 1000-cycle budget"),
+        "the error names the simulator's cause: {}",
+        errors[0]
+    );
+
+    // The failure killed one job, not the server.
+    RemoteClient::new(&addr).ping().expect("server still answers ping");
+    let good = remote
+        .run_batch(&[spec(&h, "vecadd", WarpPolicy::Gto)])
+        .expect("a good submission after the failure");
+    assert_eq!(good[0].source, Source::Simulated);
+
+    client_shutdown(&addr);
+    handle.join().expect("server thread exits cleanly");
+}
+
 fn client_shutdown(addr: &str) {
     RemoteClient::new(addr).shutdown().expect("shutdown ack");
 }

@@ -49,29 +49,7 @@ pub fn set_sim_threads_default(n: usize) {
 /// simulation outputs are byte-identical with or without a hook attached.
 pub type ProgressCallback = Arc<dyn Fn(u64, u64) + Send + Sync>;
 
-thread_local! {
-    /// Per-thread progress hook read by [`GpuDevice::new`]. Thread-local
-    /// (rather than a constructor parameter) because devices are built
-    /// deep inside workload runners; a driver sets the hook on its worker
-    /// thread around the run and clears it afterwards.
-    static THREAD_PROGRESS: std::cell::RefCell<Option<(u64, ProgressCallback)>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Arms a progress hook for devices subsequently built on *this thread*:
-/// every `every` cycles (clamped to at least 1) the callback receives the
-/// current cycle and cumulative issued-instruction count. Cleared with
-/// [`clear_thread_progress`]; already-built devices are unaffected.
-pub fn set_thread_progress(every: u64, cb: ProgressCallback) {
-    THREAD_PROGRESS.with(|p| *p.borrow_mut() = Some((every.max(1), cb)));
-}
-
-/// Disarms the hook set by [`set_thread_progress`] on this thread.
-pub fn clear_thread_progress() {
-    THREAD_PROGRESS.with(|p| *p.borrow_mut() = None);
-}
-
-/// Periodic progress observer attached to a device at construction.
+/// Periodic progress observer (see [`GpuDevice::set_progress`]).
 struct ProgressMeter {
     every: u64,
     next: Cycle,
@@ -173,8 +151,8 @@ pub struct GpuDevice {
     /// Attached telemetry; `None` (the default) keeps every hook a single
     /// branch on the fast path.
     telemetry: Option<Telemetry>,
-    /// Periodic progress observer (see [`set_thread_progress`]); `None`
-    /// keeps the main loop's cost to one branch.
+    /// Periodic progress observer (see [`set_progress`](Self::set_progress));
+    /// `None` keeps the main loop's cost to one branch.
     progress: Option<ProgressMeter>,
 }
 
@@ -220,17 +198,23 @@ impl GpuDevice {
             malformed_dispatches: 0,
             fast_forward: FAST_FORWARD_DEFAULT.load(Ordering::Relaxed),
             telemetry: None,
-            progress: THREAD_PROGRESS.with(|p| {
-                p.borrow().as_ref().map(|(every, cb)| ProgressMeter {
-                    every: *every,
-                    next: *every,
-                    cb: Arc::clone(cb),
-                })
-            }),
+            progress: None,
             cfg,
         };
         dev.set_fast_forward(dev.fast_forward);
         dev
+    }
+
+    /// Attaches a progress observer: every `every` cycles (clamped to at
+    /// least 1) from now, [`run`](Self::run) passes `cb` the current cycle
+    /// and the instructions issued so far.
+    pub fn set_progress(&mut self, every: u64, cb: ProgressCallback) {
+        let every = every.max(1);
+        self.progress = Some(ProgressMeter {
+            every,
+            next: self.now.saturating_add(every),
+            cb,
+        });
     }
 
     /// Source-compatibility stub: [`run`](Self::run) always steps the

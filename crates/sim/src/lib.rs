@@ -50,8 +50,7 @@ pub use counters::{
     ratio, CoreStats, Counter, Sample, StallBreakdown, COUNTERS, STALL_CATEGORIES, STALL_LABELS,
 };
 pub use device::{
-    clear_thread_progress, set_fast_forward_default, set_sim_threads_default, set_thread_progress,
-    GpuDevice, ProgressCallback, SimError,
+    set_fast_forward_default, set_sim_threads_default, GpuDevice, ProgressCallback, SimError,
 };
 pub use invariants::{assert_conservation, conservation_violations};
 pub use memory::{GlobalMem, SharedMem};

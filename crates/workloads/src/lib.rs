@@ -29,8 +29,7 @@ pub use common::{
     WorkloadClass,
 };
 pub use runner::{
-    run_pair_mode, run_workload, run_workload_mode, RunError, RunMode, RunOutcome,
-    DEFAULT_MAX_CYCLES,
+    run_launches, run_workload, RunError, RunMode, RunOptions, RunOutcome, DEFAULT_MAX_CYCLES,
 };
 
 use compute::{FmaHeavy, KMeansDist};

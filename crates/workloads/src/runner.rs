@@ -1,9 +1,9 @@
-//! One-call helpers to run a workload on a device with given policies.
+//! Helpers to run workloads on a fresh device with given policies.
 
 use crate::common::{VerifyError, Workload};
 use gpgpu_sim::{
-    CtaScheduler, ExecRecord, GpuConfig, GpuDevice, KernelId, MemorySink, SimError, SimStats,
-    TelemetryConfig, TelemetryData, WarpSchedulerFactory,
+    CtaScheduler, ExecRecord, GpuConfig, GpuDevice, KernelId, MemorySink, ProgressCallback,
+    SimError, SimStats, TelemetryConfig, WarpSchedulerFactory,
 };
 use std::error::Error;
 use std::fmt;
@@ -23,6 +23,17 @@ pub enum RunMode {
     /// verification is skipped — the record's `mem_hash` stands in for
     /// the final memory contents.
     Replay(Arc<ExecRecord>),
+}
+
+impl RunMode {
+    /// Sets `gpu` up to run in this mode.
+    pub fn configure(&self, gpu: &mut GpuDevice) {
+        match self {
+            RunMode::Direct => {}
+            RunMode::Capture => gpu.set_capture(true),
+            RunMode::Replay(rec) => gpu.set_replay(Arc::clone(rec)),
+        }
+    }
 }
 
 /// Default cycle budget for harness runs.
@@ -108,100 +119,70 @@ pub fn run_workload(
     cta: Box<dyn CtaScheduler>,
     max_cycles: u64,
 ) -> Result<RunOutcome, RunError> {
-    run_workload_mode(workload, cfg, warp, cta, max_cycles, None, RunMode::Direct)
-        .map(|(outcome, ..)| outcome)
-}
-
-/// A fresh device set up for `mode`, with in-memory telemetry when
-/// `telemetry` is given.
-fn device(
-    cfg: GpuConfig,
-    warp: &dyn WarpSchedulerFactory,
-    cta: Box<dyn CtaScheduler>,
-    telemetry: Option<TelemetryConfig>,
-    mode: &RunMode,
-) -> GpuDevice {
-    let mut gpu = GpuDevice::new(cfg, warp, cta);
-    match mode {
-        RunMode::Direct => {}
-        RunMode::Capture => gpu.set_capture(true),
-        RunMode::Replay(rec) => gpu.set_replay(Arc::clone(rec)),
-    }
-    if let Some(t) = telemetry {
-        gpu.enable_telemetry(t, Box::new(MemorySink::new()));
-    }
-    gpu
-}
-
-/// As [`run_workload`], parameterized over [`RunMode`] and optional
-/// telemetry. Returns the outcome, the device (for post-run inspection of
-/// memory contents, or scheduler state via [`CtaScheduler::as_any`]), the
-/// telemetry data (when `telemetry` was given), and the captured record
-/// (when `mode` was [`RunMode::Capture`]).
-///
-/// # Errors
-///
-/// As [`run_workload`] (telemetry from a failed run is discarded); replay
-/// runs skip output verification.
-pub fn run_workload_mode(
-    workload: &mut dyn Workload,
-    cfg: GpuConfig,
-    warp: &dyn WarpSchedulerFactory,
-    cta: Box<dyn CtaScheduler>,
-    max_cycles: u64,
-    telemetry: Option<TelemetryConfig>,
-    mode: RunMode,
-) -> Result<(RunOutcome, GpuDevice, Option<TelemetryData>, Option<ExecRecord>), RunError> {
-    let mut gpu = device(cfg, warp, cta, telemetry, &mode);
-    let desc = workload.prepare(gpu.mem());
-    let kernel = gpu.launch(desc);
-    gpu.run(max_cycles)?;
-    if !matches!(mode, RunMode::Replay(_)) {
-        workload.verify(gpu.mem_ref())?;
-    }
-    let outcome = RunOutcome {
+    let (gpu, kernels) =
+        run_launches(&mut [workload], cfg, warp, cta, max_cycles, RunOptions::default())?;
+    Ok(RunOutcome {
         stats: gpu.stats(),
-        kernel,
-    };
-    let data = gpu.take_telemetry_data();
-    let record = gpu.take_record();
-    Ok((outcome, gpu, data, record))
+        kernel: kernels[0],
+    })
 }
 
-/// Runs two workloads on one device — both launched at cycle 0, or `b`
-/// after `a` when `serial` — and verifies both, parameterized over
-/// [`RunMode`] and optional telemetry (see [`run_workload_mode`]).
+/// How [`run_launches`] sets up its device beyond the config, the
+/// policies and the cycle budget. The default is a direct run with every
+/// workload launched at cycle 0, no telemetry and no observer.
+#[derive(Clone, Default)]
+pub struct RunOptions {
+    /// Launch each workload only after the previous one completes (the
+    /// serial-execution regime) instead of all at cycle 0.
+    pub serial: bool,
+    /// Collect in-memory telemetry (see [`GpuDevice::take_telemetry_data`]).
+    pub telemetry: Option<TelemetryConfig>,
+    /// Direct execution, record capture (see [`GpuDevice::take_record`]),
+    /// or timing replay.
+    pub mode: RunMode,
+    /// A progress observer and its period in cycles (see
+    /// [`GpuDevice::set_progress`]).
+    pub progress: Option<(u64, ProgressCallback)>,
+}
+
+/// Runs `workloads` on one fresh device, prepared and launched in order,
+/// and verifies each output. Returns the device, for its statistics,
+/// memory, telemetry, record, or scheduler state (via
+/// [`CtaScheduler::as_any`]), and the kernel ids in launch order.
 ///
 /// # Errors
 ///
 /// As [`run_workload`]; replay runs skip output verification.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
-pub fn run_pair_mode(
-    a: &mut dyn Workload,
-    b: &mut dyn Workload,
+pub fn run_launches(
+    workloads: &mut [&mut dyn Workload],
     cfg: GpuConfig,
     warp: &dyn WarpSchedulerFactory,
     cta: Box<dyn CtaScheduler>,
-    serial: bool,
     max_cycles: u64,
-    telemetry: Option<TelemetryConfig>,
-    mode: RunMode,
-) -> Result<(SimStats, KernelId, KernelId, Option<TelemetryData>, Option<ExecRecord>), RunError> {
-    let mut gpu = device(cfg, warp, cta, telemetry, &mode);
-    let desc_a = a.prepare(gpu.mem());
-    let desc_b = b.prepare(gpu.mem());
-    let ka = gpu.launch(desc_a);
-    let kb = if serial {
-        gpu.launch_after(desc_b, ka)
-    } else {
-        gpu.launch(desc_b)
-    };
-    gpu.run(max_cycles)?;
-    if !matches!(mode, RunMode::Replay(_)) {
-        a.verify(gpu.mem_ref())?;
-        b.verify(gpu.mem_ref())?;
+    opts: RunOptions,
+) -> Result<(GpuDevice, Vec<KernelId>), RunError> {
+    let mut gpu = GpuDevice::new(cfg, warp, cta);
+    opts.mode.configure(&mut gpu);
+    if let Some(t) = opts.telemetry {
+        gpu.enable_telemetry(t, Box::new(MemorySink::new()));
     }
-    let data = gpu.take_telemetry_data();
-    let record = gpu.take_record();
-    Ok((gpu.stats(), ka, kb, data, record))
+    if let Some((every, cb)) = opts.progress {
+        gpu.set_progress(every, cb);
+    }
+    let descs: Vec<_> = workloads.iter_mut().map(|w| w.prepare(gpu.mem())).collect();
+    let mut kernels: Vec<KernelId> = Vec::with_capacity(descs.len());
+    for desc in descs {
+        let kernel = match kernels.last() {
+            Some(&prev) if opts.serial => gpu.launch_after(desc, prev),
+            _ => gpu.launch(desc),
+        };
+        kernels.push(kernel);
+    }
+    gpu.run(max_cycles)?;
+    if !matches!(opts.mode, RunMode::Replay(_)) {
+        for w in workloads.iter() {
+            w.verify(gpu.mem_ref())?;
+        }
+    }
+    Ok((gpu, kernels))
 }

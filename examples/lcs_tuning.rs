@@ -9,7 +9,7 @@
 use gpgpu_repro::sim::GpuConfig;
 use gpgpu_repro::tbs::{CtaPolicy, Lcs, WarpPolicy};
 use gpgpu_repro::workloads::irregular::SpmvEll;
-use gpgpu_repro::workloads::{run_workload, run_workload_mode, RunMode};
+use gpgpu_repro::workloads::{run_launches, run_workload, RunOptions, RunOutcome};
 
 const MAX_CYCLES: u64 = 400_000_000;
 
@@ -49,16 +49,19 @@ fn main() {
 
     println!("\nLCS (gamma = 0.7), deciding per core from the monitoring period:");
     let mut w = spmv();
-    let (out, gpu, ..) = run_workload_mode(
-        &mut w,
+    let (gpu, kernels) = run_launches(
+        &mut [&mut w],
         GpuConfig::fermi(),
         warp.as_ref(),
         CtaPolicy::Lcs(0.7).scheduler(),
         MAX_CYCLES,
-        None,
-        RunMode::Direct,
+        RunOptions::default(),
     )
     .expect("runs and verifies");
+    let out = RunOutcome {
+        stats: gpu.stats(),
+        kernel: kernels[0],
+    };
     println!(
         "  lcs       : {:>8} cycles  (ipc {:.2}, L1 miss {:.3})  speedup {:.3}x",
         out.cycles(),

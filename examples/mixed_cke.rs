@@ -11,7 +11,7 @@
 use gpgpu_repro::sim::GpuConfig;
 use gpgpu_repro::tbs::CtaPolicy;
 use gpgpu_repro::tbs::WarpPolicy;
-use gpgpu_repro::workloads::{by_name, run_pair_mode, RunMode, Scale};
+use gpgpu_repro::workloads::{by_name, run_launches, RunOptions, Scale};
 
 const MAX_CYCLES: u64 = 400_000_000;
 
@@ -19,19 +19,19 @@ fn run_mode(mem: &str, comp: &str, cta: CtaPolicy, serial: bool) -> u64 {
     let mut a = by_name(mem, Scale::Small).expect("suite member");
     let mut b = by_name(comp, Scale::Small).expect("suite member");
     let warp = WarpPolicy::Gto.factory();
-    let (stats, ..) = run_pair_mode(
-        a.as_mut(),
-        b.as_mut(),
+    let (gpu, _) = run_launches(
+        &mut [a.as_mut(), b.as_mut()],
         GpuConfig::fermi(),
         warp.as_ref(),
         cta.scheduler(),
-        serial,
         MAX_CYCLES,
-        None,
-        RunMode::Direct,
+        RunOptions {
+            serial,
+            ..RunOptions::default()
+        },
     )
     .expect("both kernels run and verify");
-    stats.cycles
+    gpu.stats().cycles
 }
 
 fn main() {

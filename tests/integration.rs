@@ -6,7 +6,7 @@ use gpgpu_repro::isa::dsl::DslKernel;
 use gpgpu_repro::isa::{CmpOp, CmpTy, Dim2, KernelDescriptor};
 use gpgpu_repro::sim::{GpuConfig, GpuDevice, SimError};
 use gpgpu_repro::tbs::{CtaPolicy, Lcs, WarpPolicy};
-use gpgpu_repro::workloads::{by_name, run_workload, run_workload_mode, RunMode, Scale};
+use gpgpu_repro::workloads::{by_name, run_launches, run_workload, RunOptions, Scale};
 use std::sync::Arc;
 
 const MAX_CYCLES: u64 = 50_000_000;
@@ -171,14 +171,13 @@ fn deadlock_detection_fires_on_impossible_barrier() {
 fn lcs_decides_limits_on_real_workload() {
     let mut w = by_name("vecadd", Scale::Tiny).expect("exists");
     let warp = WarpPolicy::Gto.factory();
-    let (_, gpu, ..) = run_workload_mode(
-        w.as_mut(),
+    let (gpu, _) = run_launches(
+        &mut [w.as_mut()],
         small_gpu(),
         warp.as_ref(),
         CtaPolicy::Lcs(0.7).scheduler(),
         MAX_CYCLES,
-        None,
-        RunMode::Direct,
+        RunOptions::default(),
     )
     .expect("runs");
     let lcs = gpu

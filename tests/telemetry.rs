@@ -10,24 +10,30 @@ use gpgpu_repro::sim::{
     TelemetryConfig, TelemetryData, TraceEvent,
 };
 use gpgpu_repro::tbs::{CtaPolicy, WarpPolicy};
-use gpgpu_repro::workloads::{by_name, run_workload, run_workload_mode, RunMode, RunOutcome, Scale};
+use gpgpu_repro::workloads::{by_name, run_launches, run_workload, RunOptions, RunOutcome, Scale};
 
 const MAX_CYCLES: u64 = 50_000_000;
 
 fn traced_run(name: &str, cta: CtaPolicy, sample_every: u64) -> (RunOutcome, TelemetryData) {
     let mut w = by_name(name, Scale::Tiny).expect("suite member");
     let factory = WarpPolicy::Gto.factory();
-    let (outcome, _gpu, data, _) = run_workload_mode(
-        w.as_mut(),
+    let (mut gpu, kernels) = run_launches(
+        &mut [w.as_mut()],
         GpuConfig::test_small(),
         factory.as_ref(),
         cta.scheduler(),
         MAX_CYCLES,
-        Some(TelemetryConfig::new(sample_every)),
-        RunMode::Direct,
+        RunOptions {
+            telemetry: Some(TelemetryConfig::new(sample_every)),
+            ..RunOptions::default()
+        },
     )
     .expect("traced run completes");
-    (outcome, data.expect("telemetry was enabled"))
+    let outcome = RunOutcome {
+        stats: gpu.stats(),
+        kernel: kernels[0],
+    };
+    (outcome, gpu.take_telemetry_data().expect("telemetry was enabled"))
 }
 
 #[test]
@@ -139,17 +145,17 @@ fn telemetry_attached_after_a_run_covers_only_what_follows() {
     // Run vecadd untraced, then attach telemetry and run saxpy on the same
     // device: the intervals must start at the attach cycle and their
     // deltas must sum to what the second run added.
-    let (first, mut gpu, _, _) = run_workload_mode(
-        by_name("vecadd", Scale::Tiny).expect("suite member").as_mut(),
+    let (mut gpu, _) = run_launches(
+        &mut [by_name("vecadd", Scale::Tiny).expect("suite member").as_mut()],
         GpuConfig::test_small(),
         WarpPolicy::Gto.factory().as_ref(),
         CtaPolicy::Baseline(None).scheduler(),
         MAX_CYCLES,
-        None,
-        RunMode::Direct,
+        RunOptions::default(),
     )
     .expect("first run completes");
-    let attach = first.stats.cycles;
+    let first = gpu.stats();
+    let attach = first.cycles;
     gpu.enable_telemetry(TelemetryConfig::new(500), Box::new(MemorySink::new()));
     let mut saxpy = by_name("saxpy", Scale::Tiny).expect("suite member");
     let desc = saxpy.prepare(gpu.mem());
@@ -160,7 +166,7 @@ fn telemetry_attached_after_a_run_covers_only_what_follows() {
     assert!(data.samples.len() >= 2, "second run spans several intervals");
     assert_tiles(&data.samples, attach, after.cycles);
     let (core, l1, l2, dram) = tables(&after);
-    let (core0, l1_0, l2_0, dram0) = tables(&first.stats);
+    let (core0, l1_0, l2_0, dram0) = tables(&first);
     let second = (core.delta(&core0), l1.delta(&l1_0), l2.delta(&l2_0), dram.delta(&dram0));
     assert!(second.1.accesses() > 0, "the second run touches memory");
     assert_eq!(merged(&data.samples), second);
@@ -190,16 +196,16 @@ fn u64_max_period_yields_one_partial_interval() {
     assert_tiles(&data.samples, 0, outcome.stats.cycles);
     assert_eq!(data.samples[0].core.issued, outcome.stats.instructions);
 
-    let (first, mut gpu, _, _) = run_workload_mode(
-        by_name("vecadd", Scale::Tiny).expect("suite member").as_mut(),
+    let (mut gpu, _) = run_launches(
+        &mut [by_name("vecadd", Scale::Tiny).expect("suite member").as_mut()],
         GpuConfig::test_small(),
         WarpPolicy::Gto.factory().as_ref(),
         CtaPolicy::Baseline(None).scheduler(),
         MAX_CYCLES,
-        None,
-        RunMode::Direct,
+        RunOptions::default(),
     )
     .expect("first run completes");
+    let first = gpu.stats();
     gpu.enable_telemetry(TelemetryConfig::new(u64::MAX), Box::new(MemorySink::new()));
     let mut saxpy = by_name("saxpy", Scale::Tiny).expect("suite member");
     let desc = saxpy.prepare(gpu.mem());
@@ -208,10 +214,10 @@ fn u64_max_period_yields_one_partial_interval() {
     let after = gpu.stats();
     let data = gpu.take_telemetry_data().expect("telemetry was enabled");
     assert_eq!(data.samples.len(), 1, "one interval covers the second run");
-    assert_tiles(&data.samples, first.stats.cycles, after.cycles);
+    assert_tiles(&data.samples, first.cycles, after.cycles);
     assert_eq!(
         data.samples[0].core.issued,
-        after.instructions - first.stats.instructions
+        after.instructions - first.instructions
     );
 }
 

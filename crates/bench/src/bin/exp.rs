@@ -25,7 +25,7 @@ use gpgpu_bench::cli::{
 };
 use gpgpu_bench::experiments::{all_ids, collect_experiment, plan_experiment, trace_points};
 use gpgpu_bench::json::Json;
-use gpgpu_bench::service::{Client, Event, RemoteClient, ServeConfig, Server, Source};
+use gpgpu_bench::service::{Event, RemoteClient, ServeConfig, Server, Source};
 use gpgpu_bench::simcheck::{check_case, fuzz_seeds, FuzzCase};
 use gpgpu_bench::{Harness, ReplayMode, ResultStore, RunEngine, RunSpec};
 use gpgpu_sim::TelemetryConfig;
@@ -324,7 +324,6 @@ fn run_submit(h: &Harness, common: &CommonArgs, args: SubmitArgs) -> ExitCode {
             args.addr
         );
         let t0 = std::time::Instant::now();
-        let mut client = client;
         let mut started = 0usize;
         let items = client.run_batch_observed(&specs, &mut |event| match event {
             Event::Accepted { runs, unique } => {

@@ -464,8 +464,8 @@ pub fn stats_from_json(v: &Json) -> Result<SimStats, CodecError> {
 // RunResult
 
 /// Encodes a [`RunResult`]'s persistent parts: stats, kernel ids, and LCS
-/// limits. In-memory telemetry is *not* embedded (the store records
-/// pointer files instead; the wire omits it).
+/// limits. In-memory telemetry is *not* embedded: neither the store nor
+/// the wire carries it.
 pub fn result_to_json(r: &RunResult) -> Json {
     Json::obj()
         .with("stats", stats_to_json(&r.stats))

@@ -842,7 +842,7 @@ fn execute_spec(
         stats: gpu.stats(),
         kernels,
         lcs_limits,
-        telemetry: gpu.take_telemetry_data(),
+        telemetry: gpu.take_telemetry(),
         via_replay,
     };
     (result, gpu.take_record())

@@ -1,15 +1,16 @@
-//! Clients for the `exp serve` protocol: one trait, two transports.
+//! The client of the `exp serve` protocol.
 //!
-//! [`Client`] is the seam experiments run against: [`LocalClient`] wraps
-//! an in-process [`RunEngine`], [`RemoteClient`] speaks the NDJSON wire
-//! protocol to an `exp serve` server. Either way a batch of specs comes
-//! back as results in submission order, so callers (e.g. `exp submit`)
-//! can seed a local engine and collect tables identically to a local run.
+//! [`RemoteClient`] speaks the NDJSON wire protocol to an `exp serve`
+//! server. A batch of specs comes back as results in submission order, so
+//! `exp submit` can seed a local engine and collect tables identically to
+//! a local run.
 
-use super::{event_from_json, request_to_json, Event, Request, ServerStats, ServiceError, Source};
-use crate::engine::{RunEngine, RunResult, RunSpec};
+use super::{
+    event_from_json, read_line, request_to_json, Event, Request, ServerStats, ServiceError, Source,
+};
+use crate::engine::{RunResult, RunSpec};
 use crate::json::Json;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
@@ -26,88 +27,7 @@ pub struct BatchItem {
     pub result: Arc<RunResult>,
 }
 
-/// Executes batches of [`RunSpec`]s — locally or against a server —
-/// returning results in submission order.
-pub trait Client {
-    /// Executes `specs`, invoking `on_event` with every service event as
-    /// it arrives (progress streaming; best-effort — the local transport
-    /// only emits `run_done`-adjacent events).
-    fn run_batch_observed(
-        &mut self,
-        specs: &[RunSpec],
-        on_event: &mut dyn FnMut(&Event),
-    ) -> Result<Vec<BatchItem>, ServiceError>;
-
-    /// As [`run_batch_observed`](Self::run_batch_observed) without an
-    /// observer.
-    fn run_batch(&mut self, specs: &[RunSpec]) -> Result<Vec<BatchItem>, ServiceError> {
-        self.run_batch_observed(specs, &mut |_| {})
-    }
-}
-
-/// In-process transport: batches go straight to a [`RunEngine`].
-pub struct LocalClient {
-    /// The engine batches execute on (public so callers can collect
-    /// tables from it afterwards).
-    pub engine: RunEngine,
-}
-
-impl LocalClient {
-    /// A client over a fresh engine with `jobs` workers.
-    pub fn new(jobs: usize) -> Self {
-        LocalClient {
-            engine: RunEngine::new(jobs),
-        }
-    }
-}
-
-impl Client for LocalClient {
-    fn run_batch_observed(
-        &mut self,
-        specs: &[RunSpec],
-        on_event: &mut dyn FnMut(&Event),
-    ) -> Result<Vec<BatchItem>, ServiceError> {
-        // Classify before executing so hits are reported as such.
-        let sources: Vec<Source> = specs
-            .iter()
-            .map(|s| {
-                if self.engine.lookup(s).is_some() {
-                    Source::Cached
-                } else {
-                    Source::Simulated
-                }
-            })
-            .collect();
-        self.engine.execute_batch(specs);
-        let items = specs
-            .iter()
-            .zip(sources)
-            .enumerate()
-            .map(|(index, (spec, source))| {
-                let key = spec.key().as_str().to_string();
-                let result = self.engine.get(spec);
-                let item = BatchItem {
-                    key: key.clone(),
-                    source,
-                    wall_nanos: 0,
-                    result,
-                };
-                on_event(&Event::RunDone {
-                    index,
-                    key,
-                    source,
-                    wall_nanos: 0,
-                    result: (*item.result).clone(),
-                });
-                item
-            })
-            .collect();
-        on_event(&Event::BatchDone { runs: specs.len() });
-        Ok(items)
-    }
-}
-
-/// Wire transport: one TCP connection per call to an `exp serve` server.
+/// A client of an `exp serve` server: one TCP connection per call.
 pub struct RemoteClient {
     addr: String,
 }
@@ -168,37 +88,18 @@ impl RemoteClient {
             ))),
         }
     }
-}
 
-/// An open event stream for one request.
-struct Connection {
-    reader: BufReader<TcpStream>,
-}
-
-impl Connection {
-    fn next_event(&mut self) -> Result<Event, ServiceError> {
-        let mut line = String::new();
-        loop {
-            line.clear();
-            let n = self.reader.read_line(&mut line)?;
-            if n == 0 {
-                return Err(ServiceError::Protocol(
-                    "server closed the connection mid-stream".into(),
-                ));
-            }
-            if line.trim().is_empty() {
-                continue;
-            }
-            let v = Json::parse(line.trim_end())
-                .map_err(|e| ServiceError::Protocol(e.to_string()))?;
-            return Ok(event_from_json(&v)?);
-        }
+    /// As [`run_batch_observed`](Self::run_batch_observed) without an
+    /// observer.
+    pub fn run_batch(&self, specs: &[RunSpec]) -> Result<Vec<BatchItem>, ServiceError> {
+        self.run_batch_observed(specs, &mut |_| {})
     }
-}
 
-impl Client for RemoteClient {
-    fn run_batch_observed(
-        &mut self,
+    /// Executes `specs` on the server, invoking `on_event` with every
+    /// service event as it arrives, and returns the results in submission
+    /// order.
+    pub fn run_batch_observed(
+        &self,
         specs: &[RunSpec],
         on_event: &mut dyn FnMut(&Event),
     ) -> Result<Vec<BatchItem>, ServiceError> {
@@ -242,5 +143,28 @@ impl Client for RemoteClient {
                 })
             })
             .collect()
+    }
+}
+
+/// An open event stream for one request.
+struct Connection {
+    reader: BufReader<TcpStream>,
+}
+
+impl Connection {
+    fn next_event(&mut self) -> Result<Event, ServiceError> {
+        loop {
+            let Some(line) = read_line(&mut self.reader)? else {
+                return Err(ServiceError::Protocol(
+                    "server closed the connection mid-stream".into(),
+                ));
+            };
+            if line.trim().is_empty() {
+                continue;
+            }
+            let v = Json::parse(line.trim_end())
+                .map_err(|e| ServiceError::Protocol(e.to_string()))?;
+            return Ok(event_from_json(&v)?);
+        }
     }
 }

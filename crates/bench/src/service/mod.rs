@@ -1,6 +1,6 @@
 //! The `exp serve` job service: a std-only TCP server that executes
 //! [`RunSpec`] batches on a shared [`RunEngine`](crate::RunEngine) +
-//! [`ResultStore`](crate::ResultStore), and the matching clients.
+//! [`ResultStore`](crate::ResultStore), and its client.
 //!
 //! # Wire protocol
 //!
@@ -54,7 +54,7 @@
 pub mod client;
 pub mod server;
 
-pub use client::{BatchItem, Client, LocalClient, RemoteClient};
+pub use client::{BatchItem, RemoteClient};
 pub use server::{ServeConfig, Server};
 
 use crate::codec::{
@@ -64,6 +64,7 @@ use crate::codec::{
 use crate::engine::{RunResult, RunSpec};
 use crate::json::Json;
 use std::fmt;
+use std::io::{BufRead, Read};
 
 /// How a `run_done` result was obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -401,6 +402,37 @@ pub fn event_from_json(v: &Json) -> Result<Event, CodecError> {
         "shutdown_ack" => Ok(Event::ShutdownAck),
         other => Err(CodecError(format!("unknown event type {other:?}"))),
     }
+}
+
+/// The longest line, newline excluded, that either side of the protocol
+/// reads. The largest line the repository sends is the request of
+/// `exp submit --all` at Small scale: 402 specs of 1,007 bytes on
+/// average, 405,365 bytes in all. This bound leaves 10× headroom over it.
+pub const MAX_LINE_BYTES: usize = 4 << 20;
+
+/// Reads one protocol line without its newline; `Ok(None)` at end of
+/// stream. At most [`MAX_LINE_BYTES`] + 1 bytes are buffered, however
+/// long the line the peer sends.
+///
+/// # Errors
+///
+/// [`ServiceError::Io`] on a read failure; [`ServiceError::Protocol`]
+/// for a line longer than [`MAX_LINE_BYTES`] or one that is not UTF-8.
+pub(crate) fn read_line(r: &mut impl BufRead) -> Result<Option<String>, ServiceError> {
+    let mut buf = Vec::new();
+    r.take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', &mut buf)?;
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > MAX_LINE_BYTES {
+        return Err(ServiceError::Protocol(format!(
+            "line exceeds the {MAX_LINE_BYTES}-byte limit"
+        )));
+    } else if buf.is_empty() {
+        return Ok(None);
+    }
+    String::from_utf8(buf)
+        .map(Some)
+        .map_err(|_| ServiceError::Protocol("line is not UTF-8".into()))
 }
 
 /// Why a service call failed.

@@ -1,12 +1,14 @@
 //! The `exp serve` server: bounded work queue over a shared
 //! [`RunEngine`], in-flight coalescing, NDJSON event streaming.
 
-use super::{event_to_json, request_from_json, Event, Request, ServerStats, ServiceError, Source};
+use super::{
+    event_to_json, read_line, request_from_json, Event, Request, ServerStats, ServiceError, Source,
+};
 use crate::engine::{ProgressHook, ReplayMode, RunEngine, RunSpec};
 use crate::json::Json;
 use crate::store::ResultStore;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -354,7 +356,7 @@ fn handle_connection(
     stream: TcpStream,
     addr: SocketAddr,
 ) -> Result<(), ServiceError> {
-    let reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream.try_clone()?);
     // Event lines funnel through one channel so the writer thread is the
     // only place that touches the socket's write half: progress callbacks
     // (worker threads) and the coordinator below never block on a slow or
@@ -375,10 +377,16 @@ fn handle_connection(
     let send = |e: &Event| {
         let _ = tx.send(event_to_json(e).render());
     };
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break, // client went away mid-line
+    loop {
+        let line = match read_line(&mut reader) {
+            Ok(Some(l)) => l,
+            Ok(None) | Err(ServiceError::Io(_)) => break, // client went away
+            Err(e) => {
+                send(&Event::Error {
+                    message: e.to_string(),
+                });
+                break;
+            }
         };
         if line.trim().is_empty() {
             continue;

@@ -44,7 +44,7 @@ use gpgpu_isa::dsl::{gen_kernel, GenCfg, GenKernel, MirrorMem};
 use gpgpu_isa::{Dim2, KernelDescriptor};
 use gpgpu_sim::{
     conservation_violations, CtaCompleteEvent, CtaScheduler, Dispatch, DispatchView, ExecRecord,
-    GpuConfig, GpuDevice, KernelId, MemorySink, SimError, TelemetryConfig, TelemetryData,
+    GpuConfig, GpuDevice, KernelId, SimError, TelemetryConfig, TelemetryData,
 };
 use gpgpu_testkit::{Gen, SplitMix64};
 use gpgpu_workloads::RunMode;
@@ -433,7 +433,7 @@ pub fn run_case_mode(
     dev.set_fast_forward(fast_forward);
     mode.configure(&mut dev);
     if telemetry {
-        dev.enable_telemetry(TelemetryConfig::new(500), Box::new(MemorySink::new()));
+        dev.enable_telemetry(TelemetryConfig::new(500));
     }
 
     let mut outputs = Vec::new();
@@ -471,7 +471,7 @@ pub fn run_case_mode(
         RunOutput {
             stats: dev.stats(),
             mem_hash,
-            telemetry: dev.take_telemetry_data(),
+            telemetry: dev.take_telemetry(),
             slots,
         },
         record,

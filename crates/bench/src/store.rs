@@ -11,8 +11,6 @@
 //!
 //! ```text
 //! <root>/<hh>/<128-bit FNV-1a of key, 32 hex chars>.json    one entry
-//! <root>/<hh>/<hash>.events.jsonl                           telemetry ptr
-//! <root>/<hh>/<hash>.intervals.csv                          telemetry ptr
 //! <root>/<hh>/<prefix-hash>.record.bin                      exec record
 //! ```
 //!
@@ -26,9 +24,10 @@
 //! where `<hh>` is the first two hex characters (256-way sharding keeps
 //! directories small at millions of entries). Each entry is one JSON
 //! document: `schema_version`, the full key string (collision/corruption
-//! check), the encoded spec, the encoded result, the wall-clock profile
-//! of the simulation that produced it, and optional pointers to sibling
-//! telemetry files.
+//! check), the encoded spec, the encoded result, and the wall-clock
+//! profile of the simulation that produced it. Telemetry is not stored:
+//! a request for it always simulates. Entries written by older builds
+//! may carry a `telemetry` pointer object; the loader ignores it.
 //!
 //! ## Durability & concurrency
 //!
@@ -249,9 +248,7 @@ impl ResultStore {
     }
 
     /// Persists `result` under `spec`'s content address (atomic
-    /// write-then-rename). When the result carries telemetry, the event
-    /// trace and interval series are written as sibling files and the
-    /// entry records pointers to them.
+    /// write-then-rename). Telemetry the result carries is not written.
     ///
     /// # Errors
     ///
@@ -261,25 +258,6 @@ impl ResultStore {
         let path = self.entry_path(&key);
         let dir = path.parent().expect("entry paths have a shard parent");
         std::fs::create_dir_all(dir)?;
-        let stem = content_address(&key);
-
-        let telemetry = match &result.telemetry {
-            None => Json::Null,
-            Some(data) => {
-                let events_name = format!("{stem}.events.jsonl");
-                let samples_name = format!("{stem}.intervals.csv");
-                let mut events = Vec::new();
-                data.write_events_jsonl(&mut events)?;
-                self.write_atomic(&dir.join(&events_name), &events)?;
-                let mut samples = Vec::new();
-                data.write_samples_csv(&mut samples)?;
-                self.write_atomic(&dir.join(&samples_name), &samples)?;
-                Json::obj()
-                    .with("events", Json::Str(format!("{}/{events_name}", &stem[..2])))
-                    .with("samples", Json::Str(format!("{}/{samples_name}", &stem[..2])))
-            }
-        };
-
         let entry = Json::obj()
             .with("schema_version", Json::Str(SCHEMA_VERSION.into()))
             .with("key", Json::Str(key))
@@ -291,8 +269,7 @@ impl ResultStore {
                     .with("wall_nanos", Json::UInt(wall_nanos))
                     .with("cycles", Json::UInt(result.stats.cycles))
                     .with("instructions", Json::UInt(result.stats.instructions)),
-            )
-            .with("telemetry", telemetry);
+            );
         let mut text = entry.render();
         text.push('\n');
         self.write_atomic(&path, text.as_bytes())?;

@@ -3,7 +3,7 @@
 //! One Tiny single run and one Tiny mixed-CKE pair are traced with a
 //! short sampling period and stored. The test then pins, byte for byte,
 //! every surface that renders the per-core counters: each run's
-//! `intervals.csv`, its JSONL stream (events, then samples), its store
+//! `intervals.csv`, its event trace (`events.jsonl`), its store
 //! encoding (`codec::stats_to_json`), the `exp report --json` document
 //! built from the store and from the trace directory, and the
 //! `stall_breakdown` fragment of `BENCH_sim.json`.
@@ -20,7 +20,7 @@
 use gpgpu_bench::json::Json;
 use gpgpu_bench::report::{self, Report};
 use gpgpu_bench::{codec, Harness, ResultStore, RunEngine, RunSpec};
-use gpgpu_sim::{JsonlSink, TelemetryConfig, TraceSink};
+use gpgpu_sim::TelemetryConfig;
 use std::path::PathBuf;
 use std::sync::Arc;
 use tbs_core::{CtaPolicy, WarpPolicy};
@@ -87,14 +87,9 @@ fn outputs() -> Vec<String> {
             .expect("write trace csv");
         out.push(String::from_utf8(csv).expect("utf-8"));
 
-        let mut sink = JsonlSink::new(Vec::new());
-        for ev in &data.events {
-            sink.event(ev);
-        }
-        for s in &data.samples {
-            sink.sample(s);
-        }
-        out.push(String::from_utf8(sink.into_inner()).expect("utf-8"));
+        let mut events = Vec::new();
+        data.write_events_jsonl(&mut events).expect("in-memory write");
+        out.push(String::from_utf8(events).expect("utf-8"));
 
         out.push(codec::stats_to_json(&result.stats).render() + "\n");
         all_stats.push(result);

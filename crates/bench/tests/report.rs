@@ -102,7 +102,6 @@ fn every_registry_row_reaches_every_consumer() {
     let header = IntervalSample::csv_header();
     let row = sample.csv_row();
     let csv: Vec<(&str, &str)> = header.split(',').zip(row.split(',')).collect();
-    let jsonl = Json::parse(&sample.to_json()).expect("sample line is JSON");
     // The memory tables too, numbered on from the per-core rows.
     let mut next = 5_000;
     let mut l1 = Default::default();
@@ -149,8 +148,6 @@ fn every_registry_row_reaches_every_consumer() {
             continue;
         }
         assert_eq!(in_csv, Some(text.as_str()), "{}: CSV header and row", c.name);
-        let in_jsonl = jsonl.get(name).and_then(Json::as_f64);
-        assert_eq!(in_jsonl, Some(v as f64), "{}: JSONL sample", c.name);
         if let Some(label) = c.stall {
             assert_eq!(breakdown.get(label).and_then(Json::as_u64), Some(v), "{label}: bench");
             let stalls = report.get("rows").and_then(Json::as_arr).and_then(|r| r[0].get("stalls"));

@@ -1,10 +1,15 @@
-//! End-to-end tests of `exp serve`'s job server and the client API:
-//! an in-process server on an ephemeral port, a `RemoteClient` submitting
+//! End-to-end tests of `exp serve`'s job server and its client: an
+//! in-process server on an ephemeral port, a `RemoteClient` submitting
 //! batches over real TCP, and equality against a purely local run.
 
-use gpgpu_bench::service::{Client, Event, LocalClient, RemoteClient, ServeConfig, Server, Source};
-use gpgpu_bench::{Harness, ResultStore, RunSpec};
+use gpgpu_bench::json::Json;
+use gpgpu_bench::service::{
+    event_from_json, Event, RemoteClient, ServeConfig, Server, Source, MAX_LINE_BYTES,
+};
+use gpgpu_bench::{Harness, ResultStore, RunEngine, RunSpec};
 use gpgpu_testkit::TempDir;
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use tbs_core::{CtaPolicy, WarpPolicy};
 
@@ -44,15 +49,15 @@ fn remote_batch_matches_local_run() {
         spec(&h, "vecadd", WarpPolicy::Gto), // duplicate of [0]
     ];
 
-    // Reference: purely local execution through the same Client trait.
-    let mut local = LocalClient::new(2);
-    let expected = local.run_batch(&specs).expect("local batch");
+    // Reference: purely local execution.
+    let local = RunEngine::new(2);
+    local.execute_batch(&specs);
 
     let (addr, handle) = start(ServeConfig {
         jobs: 2,
         ..ServeConfig::default()
     });
-    let mut remote = RemoteClient::new(&addr);
+    let remote = RemoteClient::new(&addr);
 
     let mut events = Vec::new();
     let items = remote
@@ -60,13 +65,14 @@ fn remote_batch_matches_local_run() {
         .expect("remote batch");
 
     assert_eq!(items.len(), specs.len());
-    for (i, (item, want)) in items.iter().zip(&expected).enumerate() {
-        assert_eq!(item.key, want.key, "key order preserved at index {i}");
+    for (i, (item, spec)) in items.iter().zip(&specs).enumerate() {
+        let want = local.get(spec);
+        assert_eq!(item.key, spec.key().as_str(), "key order preserved at index {i}");
         assert_eq!(
-            item.result.stats, want.result.stats,
+            item.result.stats, want.stats,
             "remote stats identical to local at index {i}"
         );
-        assert_eq!(item.result.kernels, want.result.kernels);
+        assert_eq!(item.result.kernels, want.kernels);
     }
     // The duplicate spec shares its twin's key and stats.
     assert_eq!(items[3].key, items[0].key);
@@ -105,7 +111,7 @@ fn second_submission_is_served_from_memory() {
         jobs: 2,
         ..ServeConfig::default()
     });
-    let mut remote = RemoteClient::new(&addr);
+    let remote = RemoteClient::new(&addr);
 
     let first = remote.run_batch(&specs).expect("first batch");
     assert!(
@@ -141,7 +147,7 @@ fn server_store_survives_restart() {
         store: Some(store),
         ..ServeConfig::default()
     });
-    let mut remote = RemoteClient::new(&addr);
+    let remote = RemoteClient::new(&addr);
     let first = remote.run_batch(&specs).expect("first batch");
     assert_eq!(first[0].source, Source::Simulated);
     client_shutdown(&addr);
@@ -154,7 +160,7 @@ fn server_store_survives_restart() {
         store: Some(store),
         ..ServeConfig::default()
     });
-    let mut remote = RemoteClient::new(&addr);
+    let remote = RemoteClient::new(&addr);
     let second = remote.run_batch(&specs).expect("second batch");
     assert_eq!(second[0].source, Source::Cached, "store hit after restart");
     assert_eq!(second[0].result.stats, first[0].result.stats);
@@ -177,15 +183,15 @@ fn replay_mode_serves_policy_variants_from_one_capture() {
     ];
 
     // Reference: a plain local run with replay off.
-    let mut local = LocalClient::new(1);
-    let expected = local.run_batch(&specs).expect("local batch");
+    let local = RunEngine::new(1);
+    local.execute_batch(&specs);
 
     let (addr, handle) = start(ServeConfig {
         jobs: 1,
         replay: ReplayMode::Force,
         ..ServeConfig::default()
     });
-    let mut remote = RemoteClient::new(&addr);
+    let remote = RemoteClient::new(&addr);
     let got = remote.run_batch(&specs).expect("replayed batch");
 
     let replayed = got
@@ -202,9 +208,10 @@ fn replay_mode_serves_policy_variants_from_one_capture() {
         specs.len(),
         "every run either captured or replayed: {got:?}"
     );
-    for (e, g) in expected.iter().zip(&got) {
+    for (spec, g) in specs.iter().zip(&got) {
         assert_eq!(
-            e.result.stats, g.result.stats,
+            local.get(spec).stats,
+            g.result.stats,
             "replayed stats identical to direct execution"
         );
     }
@@ -227,7 +234,7 @@ fn progress_events_stream_for_long_runs() {
         progress_every: 100, // tiny interval so even a Tiny run reports
         ..ServeConfig::default()
     });
-    let mut remote = RemoteClient::new(&addr);
+    let remote = RemoteClient::new(&addr);
 
     let mut started = 0u32;
     let mut progressed = 0u32;
@@ -273,7 +280,7 @@ fn stats_request_reports_server_metrics() {
     assert_eq!(cold.hit_rate(), 0.0);
 
     // A batch, then the same batch again (memo hits).
-    let mut remote = RemoteClient::new(&addr);
+    let remote = RemoteClient::new(&addr);
     remote.run_batch(&specs).expect("first batch");
     remote.run_batch(&specs).expect("second batch");
 
@@ -303,7 +310,7 @@ fn failed_run_names_its_cause_and_the_server_lives_on() {
         jobs: 1,
         ..ServeConfig::default()
     });
-    let mut remote = RemoteClient::new(&addr);
+    let remote = RemoteClient::new(&addr);
     let mut errors = Vec::new();
     let err = remote
         .run_batch_observed(&[starved], &mut |e| {
@@ -326,6 +333,36 @@ fn failed_run_names_its_cause_and_the_server_lives_on() {
         .expect("a good submission after the failure");
     assert_eq!(good[0].source, Source::Simulated);
 
+    client_shutdown(&addr);
+    handle.join().expect("server thread exits cleanly");
+}
+
+#[test]
+fn over_long_request_line_gets_one_error_and_the_server_lives_on() {
+    let (addr, handle) = start(ServeConfig {
+        jobs: 1,
+        ..ServeConfig::default()
+    });
+    // Exactly one byte over the limit, then a half-close: the server has
+    // read every byte when it answers, so closing cannot reset the
+    // connection before the error arrives.
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream.write_all(&vec![b'a'; MAX_LINE_BYTES + 1]).expect("send the line");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).expect("read until the server closes");
+    let lines: Vec<&str> = reply.lines().collect();
+    assert_eq!(lines.len(), 1, "one event, then the connection closes: {reply}");
+    let event = Json::parse(lines[0]).expect("event is JSON");
+    match event_from_json(&event).expect("event decodes") {
+        Event::Error { message } => assert!(
+            message.contains(&format!("{MAX_LINE_BYTES}-byte limit")),
+            "the error names the limit: {message}"
+        ),
+        other => panic!("expected an error event, got {other:?}"),
+    }
+
+    RemoteClient::new(&addr).ping().expect("server still answers ping");
     client_shutdown(&addr);
     handle.join().expect("server thread exits cleanly");
 }

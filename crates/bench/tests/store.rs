@@ -2,6 +2,7 @@
 //! corruption eviction, engine wiring (warm batches simulate nothing),
 //! and concurrent writers sharing one store directory.
 
+use gpgpu_bench::json::Json;
 use gpgpu_bench::store::content_address;
 use gpgpu_bench::{Harness, ReplayMode, ResultStore, RunEngine, RunSpec};
 use gpgpu_testkit::TempDir;
@@ -237,7 +238,7 @@ fn concurrent_writers_share_one_store() {
 }
 
 #[test]
-fn telemetry_specs_bypass_store_loads_but_persist_pointer_files() {
+fn traced_saves_write_one_entry_and_pointer_entries_still_load() {
     let dir = TempDir::new("store-telemetry");
     let store = Arc::new(ResultStore::open(dir.path()).expect("store opens"));
     let h = quick();
@@ -249,25 +250,39 @@ fn telemetry_specs_bypass_store_loads_but_persist_pointer_files() {
     engine.execute_batch(std::slice::from_ref(&traced));
     assert_eq!(engine.runs_executed(), 1);
 
-    // The traced run persisted its result plus sibling telemetry files.
-    let addr = content_address(plain.key().as_str());
-    let shard = dir.path().join(&addr[..2]);
-    assert!(shard.join(format!("{addr}.json")).exists());
-    assert!(shard.join(format!("{addr}.events.jsonl")).exists());
-    assert!(shard.join(format!("{addr}.intervals.csv")).exists());
+    // The traced run persisted its result alone: one entry, no sibling
+    // files, no `telemetry` key.
+    let entry = entry_file(&store, &plain);
+    assert_eq!(files_under(dir.path()), vec![entry.clone()]);
+    let text = std::fs::read_to_string(&entry).expect("entry readable");
+    let doc = Json::parse(&text).expect("entry is JSON");
+    assert!(doc.get("telemetry").is_none(), "no telemetry key: {text}");
 
-    // A fresh engine requesting telemetry must re-simulate (stored
-    // entries cannot rebuild telemetry) …
+    // Older builds wrote a pointer object to sibling telemetry files;
+    // such an entry still serves its untraced twin from the store.
+    let addr = content_address(plain.key().as_str());
+    let pointers = format!(
+        ",\"telemetry\":{{\"events\":\"{0}/{addr}.events.jsonl\",\
+         \"samples\":\"{0}/{addr}.intervals.csv\"}}}}\n",
+        &addr[..2]
+    );
+    let body = text.trim_end().strip_suffix('}').expect("entry is an object");
+    let older = format!("{body}{pointers}");
+    assert!(Json::parse(&older).expect("older entry is JSON").get("telemetry").is_some());
+    std::fs::write(&entry, older).expect("place older entry");
     let mut engine2 = RunEngine::new(1);
     engine2.attach_store(Arc::clone(&store));
-    let r = engine2.get(&traced);
-    assert!(r.telemetry.is_some(), "telemetry request is honored");
-    assert_eq!(engine2.runs_executed(), 1);
-    // … while the plain twin is a pure store hit.
+    let r = engine2.get(&plain);
+    assert!(r.telemetry.is_none());
+    assert_eq!(engine2.runs_executed(), 0);
+    assert_eq!(engine2.runs_from_store(), 1);
+
+    // A fresh engine requesting telemetry must re-simulate (stored
+    // entries cannot rebuild telemetry).
     let mut engine3 = RunEngine::new(1);
     engine3.attach_store(store);
-    let r = engine3.get(&plain);
-    assert!(r.telemetry.is_none());
-    assert_eq!(engine3.runs_executed(), 0);
-    assert_eq!(engine3.runs_from_store(), 1);
+    let r = engine3.get(&traced);
+    assert!(r.telemetry.is_some(), "telemetry request is honored");
+    assert_eq!(engine3.runs_executed(), 1);
+    assert_eq!(engine3.runs_from_store(), 0);
 }

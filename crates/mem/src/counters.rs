@@ -26,8 +26,7 @@
 //! [`DramStats`]: crate::DramStats
 //! [`XbarStats`]: crate::XbarStats
 
-/// How a counter appears in the interval outputs (`intervals.csv` and the
-/// JSONL sample).
+/// How a counter appears in the interval output (`intervals.csv`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sample {
     /// Not sampled.

@@ -11,7 +11,7 @@ use crate::sched_api::{
     WarpSchedulerFactory,
 };
 use crate::stats::{KernelStats, SimStats};
-use crate::telemetry::{MemorySink, Telemetry, TelemetryConfig, TelemetryData, TraceEvent, TraceSink};
+use crate::telemetry::{Telemetry, TelemetryConfig, TelemetryData, TraceEvent};
 use gpgpu_isa::KernelDescriptor;
 use gpgpu_mem::{Cycle, MemFabric};
 use std::error::Error;
@@ -312,25 +312,25 @@ impl GpuDevice {
         })
     }
 
-    /// Attaches telemetry: interval samples and (if configured) trace
-    /// events flow into `sink` from now on. Also enables policy-decision
-    /// tracing on the CTA scheduler.
+    /// Attaches telemetry: interval samples and trace events are
+    /// collected from now on. Also enables policy-decision tracing on the
+    /// CTA scheduler.
     ///
     /// Attaching at any cycle is allowed: the first interval starts at the
     /// current cycle and the sampler's delta baseline is the current
     /// counter values, so the samples cover exactly what runs afterwards.
-    pub fn enable_telemetry(&mut self, cfg: TelemetryConfig, sink: Box<dyn TraceSink>) {
+    pub fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
         if let Some(cs) = self.cta_sched.as_mut() {
-            cs.set_trace_enabled(cfg.trace_events);
+            cs.set_trace_enabled(true);
         }
         self.settle_cores();
-        self.telemetry = Some(Telemetry::new(cfg, sink, self.now, &self.cores, &self.fabric));
+        self.telemetry = Some(Telemetry::new(cfg, self.now, &self.cores, &self.fabric));
     }
 
     /// Detaches telemetry, emitting the final (possibly partial) interval
-    /// sample and flushing the sink. Returns `None` if telemetry was never
-    /// attached.
-    pub fn take_telemetry(&mut self) -> Option<Box<dyn TraceSink>> {
+    /// sample, and returns everything it collected. Returns `None` if
+    /// telemetry was never attached.
+    pub fn take_telemetry(&mut self) -> Option<TelemetryData> {
         let mut t = self.telemetry.take()?;
         t.final_sample(
             self.now,
@@ -339,31 +339,18 @@ impl GpuDevice {
             self.gmem.resident_pages(),
         );
         if let Some(cs) = self.cta_sched.as_mut() {
-            if t.events_enabled() {
-                for d in cs.take_trace_events() {
-                    t.record(TraceEvent::Policy {
-                        cycle: self.now,
-                        core: d.core,
-                        kernel: d.kernel,
-                        action: d.action.to_string(),
-                        value: d.value,
-                    });
-                }
+            for d in cs.take_trace_events() {
+                t.record(TraceEvent::Policy {
+                    cycle: self.now,
+                    core: d.core,
+                    kernel: d.kernel,
+                    action: d.action.to_string(),
+                    value: d.value,
+                });
             }
             cs.set_trace_enabled(false);
         }
-        Some(t.into_sink())
-    }
-
-    /// As [`take_telemetry`](Self::take_telemetry), additionally unpacking
-    /// an in-memory sink ([`MemorySink`]) into its collected
-    /// [`TelemetryData`]. Returns `None` if telemetry was never attached
-    /// or the sink is not a `MemorySink`.
-    pub fn take_telemetry_data(&mut self) -> Option<TelemetryData> {
-        let mut sink = self.take_telemetry()?;
-        sink.as_any_mut()?
-            .downcast_mut::<MemorySink>()
-            .map(MemorySink::take_data)
+        Some(t.into_data())
     }
 
     /// The device configuration.
@@ -477,14 +464,12 @@ impl GpuDevice {
                 cs.on_kernel_launch(KernelId(i), &desc, &self.cfg);
             }
             if let Some(t) = self.telemetry.as_mut() {
-                if t.events_enabled() {
-                    t.record(TraceEvent::KernelLaunch {
-                        cycle: self.now,
-                        kernel: KernelId(i),
-                        name: desc.name_shared(),
-                        ctas: desc.cta_count(),
-                    });
-                }
+                t.record(TraceEvent::KernelLaunch {
+                    cycle: self.now,
+                    kernel: KernelId(i),
+                    name: desc.name_shared(),
+                    ctas: desc.cta_count(),
+                });
             }
         }
     }
@@ -586,18 +571,16 @@ impl GpuDevice {
                 break;
             }
             let code = Arc::clone(&state.code);
-            if self.telemetry.as_ref().is_some_and(Telemetry::events_enabled) {
+            if let Some(t) = self.telemetry.as_mut() {
                 // Co-schedule admission: this dispatch brings `d.kernel`
                 // onto a core already hosting a different kernel's CTAs.
                 let target = &self.cores[d.core];
-                let admit = target.cta_count_of(d.kernel) == 0 && target.active_cta_count() > 0;
-                if admit {
-                    let ev = TraceEvent::CkeAdmit {
+                if target.cta_count_of(d.kernel) == 0 && target.active_cta_count() > 0 {
+                    t.record(TraceEvent::CkeAdmit {
                         cycle: self.now,
                         kernel: d.kernel,
                         core: d.core,
-                    };
-                    self.telemetry.as_mut().expect("checked above").record(ev);
+                    });
                 }
             }
             self.cores[d.core].wake(self.now);
@@ -683,38 +666,32 @@ impl GpuDevice {
                 k.phase = KernelPhase::Done;
                 k.end_cycle = now;
                 cta_sched.on_kernel_finish(c.kernel);
-                if self.telemetry.as_ref().is_some_and(Telemetry::events_enabled) {
-                    let start = self.kernels[c.kernel.0].start_cycle;
+                if let Some(t) = self.telemetry.as_mut() {
                     let instructions = self
                         .cores
                         .iter()
                         .map(|core| core.issued_of(c.kernel))
                         .sum();
-                    self.telemetry
-                        .as_mut()
-                        .expect("checked above")
-                        .record(TraceEvent::KernelComplete {
-                            cycle: now,
-                            kernel: c.kernel,
-                            cycles: now.saturating_sub(start),
-                            instructions,
-                        });
+                    t.record(TraceEvent::KernelComplete {
+                        cycle: now,
+                        kernel: c.kernel,
+                        cycles: now.saturating_sub(k.start_cycle),
+                        instructions,
+                    });
                 }
             }
         }
         // Drain policy decisions buffered this cycle (dispatch- and
         // completion-driven alike) so they land in cycle order.
         if let Some(t) = self.telemetry.as_mut() {
-            if t.events_enabled() {
-                for d in cta_sched.take_trace_events() {
-                    t.record(TraceEvent::Policy {
-                        cycle: now,
-                        core: d.core,
-                        kernel: d.kernel,
-                        action: d.action.to_string(),
-                        value: d.value,
-                    });
-                }
+            for d in cta_sched.take_trace_events() {
+                t.record(TraceEvent::Policy {
+                    cycle: now,
+                    core: d.core,
+                    kernel: d.kernel,
+                    action: d.action.to_string(),
+                    value: d.value,
+                });
             }
         }
         self.cta_sched = Some(cta_sched);

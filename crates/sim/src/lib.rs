@@ -62,10 +62,7 @@ pub use sched_api::{
 };
 pub use simt::{LaneMask, SimtStack, FULL_MASK};
 pub use stats::{KernelStats, SimStats};
-pub use telemetry::{
-    CsvSink, IntervalSample, JsonlSink, MemorySink, NullSink, PolicyDecision, Telemetry,
-    TelemetryConfig, TelemetryData, TraceEvent, TraceSink,
-};
+pub use telemetry::{IntervalSample, PolicyDecision, TelemetryConfig, TelemetryData, TraceEvent};
 
 // Re-export commonly paired items so downstream crates need fewer
 // direct dependencies.

@@ -13,8 +13,12 @@
 //!   interval starts at the cycle telemetry is attached.
 //! * **Event trace** — a [`TraceEvent`] per kernel launch/completion, CTA
 //!   dispatch/retirement (with core id), concurrent-kernel co-schedule
-//!   admission, and policy decision (LCS limits, BCS block placements),
-//!   delivered through a pluggable [`TraceSink`].
+//!   admission, and policy decision (LCS limits, BCS block placements).
+//!
+//! Both go to one place: the device appends them to a [`TelemetryData`],
+//! which [`GpuDevice::take_telemetry`](crate::device::GpuDevice::take_telemetry)
+//! hands back when the run detaches telemetry. Writing files stays out of
+//! the simulation loop.
 //!
 //! Events are emitted in simulation order (cycle-major, with a stable
 //! within-cycle order: launches, dispatches, retirements, completions,
@@ -24,8 +28,7 @@
 //! Events round-trip through flat JSON objects ([`TraceEvent::to_json`]
 //! writes them directly; [`TraceEvent::from_json`] reads them with the
 //! crate's one JSON parser, [`crate::json`]) and samples render as CSV
-//! rows ([`IntervalSample::csv_row`]) or JSON lines
-//! ([`IntervalSample::to_json`]), whose counter columns come from the
+//! rows ([`IntervalSample::csv_row`]), whose counter columns come from the
 //! [counter registry](crate::counters).
 
 use crate::core_model::Core;
@@ -42,17 +45,12 @@ use std::sync::Arc;
 pub struct TelemetryConfig {
     /// Interval length in cycles between samples; `0` disables sampling.
     pub sample_every: u64,
-    /// Whether to emit the structured event trace.
-    pub trace_events: bool,
 }
 
 impl TelemetryConfig {
-    /// Sampling every `sample_every` cycles with the event trace on.
+    /// Sampling every `sample_every` cycles, with the event trace.
     pub fn new(sample_every: u64) -> Self {
-        TelemetryConfig {
-            sample_every,
-            trace_events: true,
-        }
+        TelemetryConfig { sample_every }
     }
 }
 
@@ -375,18 +373,6 @@ impl IntervalSample {
         }
         out
     }
-
-    /// Renders the sample as one flat JSON object (one JSONL line,
-    /// without the trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"type\":\"sample\"");
-        for col in JSONL_LEAD.into_iter().chain(sampled_counters()) {
-            let _ = write!(out, ",\"{}\":", col.name());
-            col.write(self, &mut out);
-        }
-        out.push('}');
-        out
-    }
 }
 
 /// One value of an interval output.
@@ -396,9 +382,8 @@ enum Cell<'a> {
     PerCore(&'a [u32]),
 }
 
-/// One column of `intervals.csv` or of the JSONL sample: the header name
-/// and the value come from the same entry, so they cannot disagree.
-#[derive(Clone, Copy)]
+/// One column of `intervals.csv`: the header name and the value come from
+/// the same entry, so they cannot disagree.
 enum Column {
     /// A value of the sample itself.
     Field(&'static str, for<'a> fn(&'a IntervalSample) -> Cell<'a>),
@@ -463,38 +448,9 @@ const CSV_LEAD: [Column; 24] = [
     Column::Field("gmem_pages", |s| Cell::Int(s.gmem_pages)),
 ];
 
-/// The JSONL sample's fields before the sampled registry rows:
-/// `cycle_start`, `cycle_end`, `instructions`, `ipc`.
-const JSONL_LEAD: [Column; 4] = [CSV_LEAD[0], CSV_LEAD[1], CSV_LEAD[3], CSV_LEAD[2]];
-
-fn sampled_counters() -> impl Iterator<Item = Column> {
-    COUNTERS
-        .iter()
-        .filter(|c| c.sample != Sample::No)
-        .map(Column::Counter)
-}
-
 fn csv_columns() -> impl Iterator<Item = Column> {
-    CSV_LEAD.into_iter().chain(sampled_counters())
-}
-
-/// Where telemetry goes. Implementations must tolerate being handed
-/// events and samples interleaved, in emission order.
-pub trait TraceSink: Send {
-    /// Receives one trace event.
-    fn event(&mut self, ev: &TraceEvent);
-
-    /// Receives one interval sample.
-    fn sample(&mut self, s: &IntervalSample);
-
-    /// Flushes buffered output (called once when telemetry is detached).
-    fn flush(&mut self) {}
-
-    /// Downcast hook so callers can recover a concrete sink (the
-    /// in-memory sink uses this).
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        None
-    }
+    let sampled = COUNTERS.iter().filter(|c| c.sample != Sample::No);
+    CSV_LEAD.into_iter().chain(sampled.map(Column::Counter))
 }
 
 /// Everything a run's telemetry produced, in emission order.
@@ -533,132 +489,13 @@ impl TelemetryData {
     }
 }
 
-/// Collects telemetry in memory — the test sink, and what the experiment
-/// harness uses so file writing stays out of the simulation loop.
-#[derive(Debug, Default)]
-pub struct MemorySink {
-    data: TelemetryData,
-}
-
-impl MemorySink {
-    /// An empty in-memory sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Takes the collected data, leaving the sink empty.
-    pub fn take_data(&mut self) -> TelemetryData {
-        std::mem::take(&mut self.data)
-    }
-
-    /// The collected data so far.
-    pub fn data(&self) -> &TelemetryData {
-        &self.data
-    }
-}
-
-impl TraceSink for MemorySink {
-    fn event(&mut self, ev: &TraceEvent) {
-        self.data.events.push(ev.clone());
-    }
-
-    fn sample(&mut self, s: &IntervalSample) {
-        self.data.samples.push(s.clone());
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
-}
-
-/// Streams events *and* samples as JSON lines (samples get
-/// `"type":"sample"`).
-#[derive(Debug)]
-pub struct JsonlSink<W: Write + Send> {
-    w: W,
-}
-
-impl<W: Write + Send> JsonlSink<W> {
-    /// A sink writing JSONL to `w`.
-    pub fn new(w: W) -> Self {
-        JsonlSink { w }
-    }
-
-    /// Consumes the sink, returning the writer.
-    pub fn into_inner(self) -> W {
-        self.w
-    }
-}
-
-impl<W: Write + Send> TraceSink for JsonlSink<W> {
-    fn event(&mut self, ev: &TraceEvent) {
-        let _ = writeln!(self.w, "{}", ev.to_json());
-    }
-
-    fn sample(&mut self, s: &IntervalSample) {
-        let _ = writeln!(self.w, "{}", s.to_json());
-    }
-
-    fn flush(&mut self) {
-        let _ = self.w.flush();
-    }
-}
-
-/// Streams interval samples as CSV (header first); events are dropped —
-/// pair with a [`JsonlSink`] or [`MemorySink`] when both faces matter.
-#[derive(Debug)]
-pub struct CsvSink<W: Write + Send> {
-    w: W,
-    wrote_header: bool,
-}
-
-impl<W: Write + Send> CsvSink<W> {
-    /// A sink writing sample CSV to `w`.
-    pub fn new(w: W) -> Self {
-        CsvSink {
-            w,
-            wrote_header: false,
-        }
-    }
-
-    /// Consumes the sink, returning the writer.
-    pub fn into_inner(self) -> W {
-        self.w
-    }
-}
-
-impl<W: Write + Send> TraceSink for CsvSink<W> {
-    fn event(&mut self, _ev: &TraceEvent) {}
-
-    fn sample(&mut self, s: &IntervalSample) {
-        if !self.wrote_header {
-            self.wrote_header = true;
-            let _ = writeln!(self.w, "{}", IntervalSample::csv_header());
-        }
-        let _ = writeln!(self.w, "{}", s.csv_row());
-    }
-
-    fn flush(&mut self) {
-        let _ = self.w.flush();
-    }
-}
-
-/// Drops everything (for benchmarking the hook overhead itself).
-#[derive(Debug, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn event(&mut self, _ev: &TraceEvent) {}
-    fn sample(&mut self, _s: &IntervalSample) {}
-}
-
-/// The device-attached telemetry state: a config, a sink, and the
-/// sampler's delta baseline. Constructed via
+/// The device-attached telemetry state: the sampling period, the data
+/// collected so far, and the sampler's delta baseline. Constructed via
 /// [`GpuDevice::enable_telemetry`](crate::device::GpuDevice::enable_telemetry),
 /// which may attach it at any cycle: the first interval starts there.
-pub struct Telemetry {
-    cfg: TelemetryConfig,
-    sink: Box<dyn TraceSink>,
+pub(crate) struct Telemetry {
+    sample_every: u64,
+    data: TelemetryData,
     /// First cycle of the open interval.
     interval_start: Cycle,
     /// The cycle the open interval's sample fires at: `interval_start +
@@ -670,30 +507,15 @@ pub struct Telemetry {
     base: IntervalSample,
 }
 
-impl std::fmt::Debug for Telemetry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Telemetry")
-            .field("cfg", &self.cfg)
-            .field("next_sample_at", &self.next_sample_at)
-            .finish_non_exhaustive()
-    }
-}
-
 impl Telemetry {
-    /// Telemetry with `cfg` delivering to `sink`, attached at cycle `now`
-    /// to a device whose counters read as `cores` and `fabric` do: the
-    /// first interval is `[now, now + sample_every)` and its deltas start
-    /// from those counters.
-    pub(crate) fn new(
-        cfg: TelemetryConfig,
-        sink: Box<dyn TraceSink>,
-        now: Cycle,
-        cores: &[Core],
-        fabric: &MemFabric,
-    ) -> Self {
+    /// Telemetry with `cfg`, attached at cycle `now` to a device whose
+    /// counters read as `cores` and `fabric` do: the first interval is
+    /// `[now, now + sample_every)` and its deltas start from those
+    /// counters.
+    pub(crate) fn new(cfg: TelemetryConfig, now: Cycle, cores: &[Core], fabric: &MemFabric) -> Self {
         Telemetry {
-            cfg,
-            sink,
+            sample_every: cfg.sample_every,
+            data: TelemetryData::default(),
             interval_start: now,
             next_sample_at: if cfg.sample_every == 0 {
                 Cycle::MAX
@@ -704,11 +526,6 @@ impl Telemetry {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> TelemetryConfig {
-        self.cfg
-    }
-
     /// The next cycle a sample fires at (`Cycle::MAX` when sampling is
     /// off). The idle fast-forward caps its jumps here so every interval
     /// boundary is still observed exactly.
@@ -716,16 +533,9 @@ impl Telemetry {
         self.next_sample_at
     }
 
-    /// Whether the event trace is on.
-    pub fn events_enabled(&self) -> bool {
-        self.cfg.trace_events
-    }
-
-    /// Records one event (dropped unless the event trace is on).
-    pub fn record(&mut self, ev: TraceEvent) {
-        if self.cfg.trace_events {
-            self.sink.event(&ev);
-        }
+    /// Records one event.
+    pub(crate) fn record(&mut self, ev: TraceEvent) {
+        self.data.events.push(ev);
     }
 
     /// Emits a sample if `now` reached the next interval boundary. Called
@@ -742,7 +552,7 @@ impl Telemetry {
         }
         self.emit_sample(self.interval_start, now, cores, fabric, gmem_pages);
         self.interval_start = self.next_sample_at;
-        self.next_sample_at = self.next_sample_at.saturating_add(self.cfg.sample_every);
+        self.next_sample_at = self.next_sample_at.saturating_add(self.sample_every);
     }
 
     /// Emits the final, possibly partial interval when the run detaches
@@ -754,12 +564,12 @@ impl Telemetry {
         fabric: &MemFabric,
         gmem_pages: usize,
     ) {
-        if self.cfg.sample_every == 0 || now <= self.interval_start {
+        if self.sample_every == 0 || now <= self.interval_start {
             return;
         }
         self.emit_sample(self.interval_start, now, cores, fabric, gmem_pages);
         self.interval_start = now;
-        self.next_sample_at = now.saturating_add(self.cfg.sample_every);
+        self.next_sample_at = now.saturating_add(self.sample_every);
     }
 
     fn emit_sample(
@@ -772,7 +582,7 @@ impl Telemetry {
     ) {
         let total = totals(cores, fabric);
         let base = std::mem::replace(&mut self.base, total.clone());
-        let s = IntervalSample {
+        self.data.samples.push(IntervalSample {
             cycle_start: start,
             cycle_end: end,
             core: total.core.delta(&base.core),
@@ -781,14 +591,12 @@ impl Telemetry {
             dram: total.dram.delta(&base.dram),
             gmem_pages: gmem_pages as u64,
             ..total
-        };
-        self.sink.sample(&s);
+        });
     }
 
-    /// Flushes and detaches the sink.
-    pub fn into_sink(mut self) -> Box<dyn TraceSink> {
-        self.sink.flush();
-        self.sink
+    /// Detaches the collected data.
+    pub(crate) fn into_data(self) -> TelemetryData {
+        self.data
     }
 }
 
@@ -959,45 +767,6 @@ mod tests {
             "0,0,0.000000,0,0,0,0,0,0,,,0,0,0.000000,0,0,0,0,0.000000,0,0,0.000000,0,0,\
              0,0,0,0,0,0,0.000000,0.000000"
         );
-    }
-
-    #[test]
-    fn memory_sink_collects_in_order() {
-        let mut sink = MemorySink::new();
-        let evs = sample_events();
-        for ev in &evs {
-            sink.event(ev);
-        }
-        sink.sample(&IntervalSample::default());
-        let data = sink.take_data();
-        assert_eq!(data.events, evs);
-        assert_eq!(data.samples.len(), 1);
-        assert!(sink.take_data().events.is_empty(), "take drains");
-    }
-
-    #[test]
-    fn jsonl_and_csv_sinks_write_parseable_output() {
-        let mut jsonl = JsonlSink::new(Vec::new());
-        let mut csv = CsvSink::new(Vec::new());
-        for ev in sample_events() {
-            jsonl.event(&ev);
-            csv.event(&ev);
-        }
-        let s = IntervalSample {
-            cycle_end: 1000,
-            ..IntervalSample::default()
-        };
-        jsonl.sample(&s);
-        csv.sample(&s);
-        let jsonl_out = String::from_utf8(jsonl.into_inner()).unwrap();
-        assert_eq!(jsonl_out.lines().count(), sample_events().len() + 1);
-        for line in jsonl_out.lines().take(sample_events().len()) {
-            TraceEvent::from_json(line).unwrap();
-        }
-        let csv_out = String::from_utf8(csv.into_inner()).unwrap();
-        let mut lines = csv_out.lines();
-        assert_eq!(lines.next(), Some(IntervalSample::csv_header().as_str()));
-        assert_eq!(lines.count(), 1, "events are not CSV rows");
     }
 
     #[test]

@@ -2,8 +2,8 @@
 
 use crate::common::{VerifyError, Workload};
 use gpgpu_sim::{
-    CtaScheduler, ExecRecord, GpuConfig, GpuDevice, KernelId, MemorySink, ProgressCallback,
-    SimError, SimStats, TelemetryConfig, WarpSchedulerFactory,
+    CtaScheduler, ExecRecord, GpuConfig, GpuDevice, KernelId, ProgressCallback, SimError,
+    SimStats, TelemetryConfig, WarpSchedulerFactory,
 };
 use std::error::Error;
 use std::fmt;
@@ -135,7 +135,7 @@ pub struct RunOptions {
     /// Launch each workload only after the previous one completes (the
     /// serial-execution regime) instead of all at cycle 0.
     pub serial: bool,
-    /// Collect in-memory telemetry (see [`GpuDevice::take_telemetry_data`]).
+    /// Collect in-memory telemetry (see [`GpuDevice::take_telemetry`]).
     pub telemetry: Option<TelemetryConfig>,
     /// Direct execution, record capture (see [`GpuDevice::take_record`]),
     /// or timing replay.
@@ -164,7 +164,7 @@ pub fn run_launches(
     let mut gpu = GpuDevice::new(cfg, warp, cta);
     opts.mode.configure(&mut gpu);
     if let Some(t) = opts.telemetry {
-        gpu.enable_telemetry(t, Box::new(MemorySink::new()));
+        gpu.enable_telemetry(t);
     }
     if let Some((every, cb)) = opts.progress {
         gpu.set_progress(every, cb);

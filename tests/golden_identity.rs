@@ -12,7 +12,7 @@
 
 use gpgpu_repro::isa::dsl::DslKernel;
 use gpgpu_repro::isa::{AluOp, Dim2, KernelDescriptor, SpecialReg};
-use gpgpu_repro::sim::{GlobalMem, GpuConfig, GpuDevice, MemorySink, SimStats, TelemetryConfig};
+use gpgpu_repro::sim::{GlobalMem, GpuConfig, GpuDevice, SimStats, TelemetryConfig};
 use gpgpu_repro::tbs::{CtaPolicy, WarpPolicy};
 use gpgpu_repro::workloads::compute::FmaHeavy;
 use gpgpu_repro::workloads::irregular::RandomGather;
@@ -51,10 +51,7 @@ fn run_once(
     let factory = warp.factory();
     let mut gpu = GpuDevice::new(setup.cfg.clone(), factory.as_ref(), cta.scheduler());
     gpu.set_fast_forward(fast);
-    gpu.enable_telemetry(
-        TelemetryConfig::new(setup.sample_every),
-        Box::new(MemorySink::new()),
-    );
+    gpu.enable_telemetry(TelemetryConfig::new(setup.sample_every));
     let mut instances: Vec<Box<dyn Workload>> = workloads.iter().map(|make| make()).collect();
     let mut prev = None;
     for w in &mut instances {
@@ -70,7 +67,7 @@ fn run_once(
     }
     let stats = gpu.stats();
     let mem_hash = gpu.mem_ref().content_hash();
-    let data = gpu.take_telemetry_data().expect("telemetry attached");
+    let data = gpu.take_telemetry().expect("telemetry attached");
     let mut events = Vec::new();
     data.write_events_jsonl(&mut events).expect("serialize events");
     let mut samples = Vec::new();

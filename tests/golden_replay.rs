@@ -10,9 +10,7 @@
 //! from the replay targets — and replay it across 3 CTA policies,
 //! comparing every output against a direct run.
 
-use gpgpu_repro::sim::{
-    ExecRecord, GpuConfig, GpuDevice, MemorySink, SimStats, TelemetryConfig,
-};
+use gpgpu_repro::sim::{ExecRecord, GpuConfig, GpuDevice, SimStats, TelemetryConfig};
 use gpgpu_repro::tbs::{CtaPolicy, WarpPolicy};
 use gpgpu_repro::workloads::compute::FmaHeavy;
 use gpgpu_repro::workloads::streaming::VecAdd;
@@ -53,7 +51,7 @@ fn run_once(
             true
         }
     };
-    gpu.enable_telemetry(TelemetryConfig::new(SAMPLE_EVERY), Box::new(MemorySink::new()));
+    gpu.enable_telemetry(TelemetryConfig::new(SAMPLE_EVERY));
     let mut instances: Vec<Box<dyn Workload>> = workloads.iter().map(|make| make()).collect();
     let mut prev = None;
     for w in &mut instances {
@@ -77,7 +75,7 @@ fn run_once(
     };
     let record = gpu.take_record();
     let stats = gpu.stats();
-    let data = gpu.take_telemetry_data().expect("telemetry attached");
+    let data = gpu.take_telemetry().expect("telemetry attached");
     let mut events = Vec::new();
     data.write_events_jsonl(&mut events).expect("serialize events");
     let mut samples = Vec::new();
@@ -332,7 +330,7 @@ fn replay_composes_with_fast_forward_off() {
             GpuDevice::new(GpuConfig::fermi(), factory.as_ref(), CtaPolicy::Bcs(2).scheduler());
         gpu.set_fast_forward(fast);
         gpu.set_replay(Arc::clone(&record));
-        gpu.enable_telemetry(TelemetryConfig::new(SAMPLE_EVERY), Box::new(MemorySink::new()));
+        gpu.enable_telemetry(TelemetryConfig::new(SAMPLE_EVERY));
         let mut w = vecadd();
         let desc = w.prepare(gpu.mem());
         gpu.launch(desc);

@@ -6,7 +6,7 @@
 
 use gpgpu_repro::mem::{CacheStats, DramStats};
 use gpgpu_repro::sim::{
-    CoreStats, GpuConfig, IntervalSample, KernelId, KernelStats, MemorySink, SimStats,
+    CoreStats, GpuConfig, IntervalSample, KernelId, KernelStats, SimStats,
     TelemetryConfig, TelemetryData, TraceEvent,
 };
 use gpgpu_repro::tbs::{CtaPolicy, WarpPolicy};
@@ -33,7 +33,7 @@ fn traced_run(name: &str, cta: CtaPolicy, sample_every: u64) -> (RunOutcome, Tel
         stats: gpu.stats(),
         kernel: kernels[0],
     };
-    (outcome, gpu.take_telemetry_data().expect("telemetry was enabled"))
+    (outcome, gpu.take_telemetry().expect("telemetry was enabled"))
 }
 
 #[test]
@@ -156,13 +156,13 @@ fn telemetry_attached_after_a_run_covers_only_what_follows() {
     .expect("first run completes");
     let first = gpu.stats();
     let attach = first.cycles;
-    gpu.enable_telemetry(TelemetryConfig::new(500), Box::new(MemorySink::new()));
+    gpu.enable_telemetry(TelemetryConfig::new(500));
     let mut saxpy = by_name("saxpy", Scale::Tiny).expect("suite member");
     let desc = saxpy.prepare(gpu.mem());
     gpu.launch(desc);
     gpu.run(MAX_CYCLES).expect("second run completes");
     let after = gpu.stats();
-    let data = gpu.take_telemetry_data().expect("telemetry was enabled");
+    let data = gpu.take_telemetry().expect("telemetry was enabled");
     assert!(data.samples.len() >= 2, "second run spans several intervals");
     assert_tiles(&data.samples, attach, after.cycles);
     let (core, l1, l2, dram) = tables(&after);
@@ -206,13 +206,13 @@ fn u64_max_period_yields_one_partial_interval() {
     )
     .expect("first run completes");
     let first = gpu.stats();
-    gpu.enable_telemetry(TelemetryConfig::new(u64::MAX), Box::new(MemorySink::new()));
+    gpu.enable_telemetry(TelemetryConfig::new(u64::MAX));
     let mut saxpy = by_name("saxpy", Scale::Tiny).expect("suite member");
     let desc = saxpy.prepare(gpu.mem());
     gpu.launch(desc);
     gpu.run(MAX_CYCLES).expect("second run completes");
     let after = gpu.stats();
-    let data = gpu.take_telemetry_data().expect("telemetry was enabled");
+    let data = gpu.take_telemetry().expect("telemetry was enabled");
     assert_eq!(data.samples.len(), 1, "one interval covers the second run");
     assert_tiles(&data.samples, first.cycles, after.cycles);
     assert_eq!(

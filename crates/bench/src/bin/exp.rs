@@ -14,7 +14,7 @@
 //!
 //! Parsing lives in [`gpgpu_bench::cli`]; this binary only dispatches.
 //! All selected experiments are planned up front and deduplicated through
-//! one shared [`RunEngine`], so a baseline run shared by several
+//! one shared [`gpgpu_bench::RunEngine`], so a baseline run shared by several
 //! experiments simulates exactly once — and, with `--store`, at most once
 //! across *processes*. Exit codes are stable: 0 success, 1 runtime
 //! failure, 2 usage error.
@@ -23,11 +23,11 @@ use gpgpu_bench::cli::{
     Cli, Command, CommonArgs, FuzzArgs, Parsed, PerfArgs, ReportArgs, RunArgs, ServeArgs,
     SubmitArgs, EXIT_RUNTIME, EXIT_USAGE,
 };
-use gpgpu_bench::experiments::{all_ids, collect_experiment, plan_experiment, trace_points};
+use gpgpu_bench::experiments::{all_ids, plan, tabulate, trace_points, write_trace, Runs};
 use gpgpu_bench::json::Json;
 use gpgpu_bench::service::{Event, RemoteClient, ServeConfig, Server, Source};
 use gpgpu_bench::simcheck::{check_case, fuzz_seeds, FuzzCase};
-use gpgpu_bench::{Harness, ReplayMode, ResultStore, RunEngine, RunSpec};
+use gpgpu_bench::{Harness, ReplayMode, ResultStore, RunSpec};
 use gpgpu_sim::TelemetryConfig;
 use std::io::Write;
 use std::path::Path;
@@ -143,53 +143,67 @@ fn ensure_writable_dir(dir: &Path) -> std::io::Result<()> {
     std::fs::remove_file(&probe)
 }
 
-/// Collects `ids` from `engine` and writes each table as CSV under the
-/// harness out-dir (shared by `run` and `submit`, which must produce
-/// byte-identical files from the same results).
-fn collect_and_write(h: &Harness, ids: &[String], engine: &RunEngine) -> ExitCode {
+/// Rejects, as a usage error, a directory flag whose value cannot be
+/// written to — before anything simulates.
+fn check_writable(what: &str, dir: &Path) -> Result<(), ExitCode> {
+    ensure_writable_dir(dir).map_err(|e| {
+        eprintln!(
+            "error: cannot write to {what} {}: {e}\n\n{}",
+            dir.display(),
+            gpgpu_bench::cli::usage()
+        );
+        ExitCode::from(EXIT_USAGE)
+    })
+}
+
+/// The ids `--all` or the positional arguments select.
+fn selected_ids(all: bool, ids: &[String]) -> Vec<String> {
+    if all {
+        all_ids().into_iter().map(String::from).collect()
+    } else {
+        ids.to_vec()
+    }
+}
+
+/// Tabulates `ids` from `runs`, printing each table and writing it as CSV
+/// under the harness out-dir (shared by `run` and `submit`, which must
+/// produce byte-identical files from the same results). Returns whether
+/// every CSV was written.
+fn write_tables(h: &Harness, ids: &[String], runs: &Runs) -> bool {
+    let mut ok = true;
     for id in ids {
         let t0 = std::time::Instant::now();
-        let tables = collect_experiment(id, h, engine);
-        for (i, table) in tables.iter().enumerate() {
+        for (file, table) in tabulate(id, h, runs) {
             println!("{table}");
-            let path = if tables.len() == 1 {
-                h.out_dir.join(format!("{id}.csv"))
-            } else {
-                h.out_dir.join(format!("{id}_{}.csv", (b'a' + i as u8) as char))
-            };
+            let path = h.out_dir.join(file);
             if let Err(e) = table.write_csv(&path) {
-                eprintln!("warning: could not write {}: {e}", path.display());
+                eprintln!("error: could not write {}: {e}", path.display());
+                ok = false;
             }
         }
-        println!("[{id} collected in {:.1?}]\n", t0.elapsed());
+        println!("[{id} tabulated in {:.1?}]\n", t0.elapsed());
     }
-    ExitCode::SUCCESS
+    ok
 }
 
 /// The default `run` path: plan, execute (through the store when given),
-/// collect, write CSVs and traces.
+/// tabulate, write CSVs and traces.
 fn run_experiments(
     h: &Harness,
     common: &CommonArgs,
     args: RunArgs,
     store: Option<Arc<ResultStore>>,
 ) -> ExitCode {
-    let ids: Vec<String> = if args.all {
-        all_ids().into_iter().map(String::from).collect()
-    } else {
-        args.ids.clone()
-    };
-    // Fail on an unusable trace directory before simulating anything —
+    let ids = selected_ids(args.all, &args.ids);
+    // Fail on an unusable output directory before simulating anything —
     // a bad argument value, so it reports as a usage error.
     if let Some(dir) = &args.trace_dir {
-        if let Err(e) = ensure_writable_dir(dir) {
-            eprintln!(
-                "error: cannot write to trace dir {}: {e}\n\n{}",
-                dir.display(),
-                gpgpu_bench::cli::usage()
-            );
-            return ExitCode::from(EXIT_USAGE);
+        if let Err(code) = check_writable("trace dir", dir) {
+            return code;
         }
+    }
+    if let Err(code) = check_writable("out dir", &h.out_dir) {
+        return code;
     }
 
     let total = std::time::Instant::now();
@@ -203,11 +217,8 @@ fn run_experiments(
         engine.attach_store(store);
     }
     engine.set_replay_mode(common.replay);
-    let mut specs = Vec::new();
-    for id in &ids {
-        specs.extend(plan_experiment(id, h));
-    }
-    let mut traces: Vec<(String, RunSpec)> = Vec::new();
+    let mut specs = plan(h, &ids);
+    let mut traces: Vec<(&str, RunSpec)> = Vec::new();
     if args.trace_dir.is_some() {
         let cfg = TelemetryConfig::new(args.sample_every);
         for id in &ids {
@@ -215,14 +226,13 @@ fn run_experiments(
         }
         specs.extend(traces.iter().map(|(_, s)| s.clone()));
     }
-    engine.execute_batch(&specs);
+    let runs = Runs::execute(&engine, &specs);
 
-    let code = collect_and_write(h, &ids, &engine);
-    if code != ExitCode::SUCCESS {
-        return code;
+    if !write_tables(h, &ids, &runs) {
+        return ExitCode::from(EXIT_RUNTIME);
     }
     if let Some(dir) = &args.trace_dir {
-        if let Err(e) = write_traces(dir, &traces, &engine) {
+        if let Err(e) = write_traces(dir, &traces, &runs) {
             eprintln!("error writing traces: {e}");
             return ExitCode::from(EXIT_RUNTIME);
         }
@@ -237,25 +247,13 @@ fn run_experiments(
 }
 
 /// Writes each trace point's event trace and interval series under `dir`.
-fn write_traces(
-    dir: &Path,
-    traces: &[(String, RunSpec)],
-    engine: &RunEngine,
-) -> std::io::Result<()> {
+fn write_traces(dir: &Path, traces: &[(&str, RunSpec)], runs: &Runs) -> std::io::Result<()> {
     for (label, spec) in traces {
-        let result = engine.get(spec);
-        let Some(data) = &result.telemetry else {
+        let Some(data) = &runs.get(spec).telemetry else {
             eprintln!("warning: no telemetry recorded for {label}");
             continue;
         };
-        let events = dir.join(format!("{label}.events.jsonl"));
-        let mut w = std::io::BufWriter::new(std::fs::File::create(&events)?);
-        data.write_events_jsonl(&mut w)?;
-        w.flush()?;
-        let intervals = dir.join(format!("{label}.intervals.csv"));
-        let mut w = std::io::BufWriter::new(std::fs::File::create(&intervals)?);
-        data.write_samples_csv(&mut w)?;
-        w.flush()?;
+        write_trace(dir, label, data)?;
         println!(
             "[trace {label}: {} events, {} samples -> {}]",
             data.events.len(),
@@ -302,21 +300,17 @@ fn run_serve(
     }
 }
 
-/// The `submit` path: plan locally, run the batch on a server, seed a
-/// local engine with the returned results, and collect the same tables a
-/// local `run` would produce — byte-identically.
+/// The `submit` path: plan locally, run the batch on a server, and
+/// tabulate its results into the same tables a local `run` would
+/// produce — byte-identically.
 fn run_submit(h: &Harness, common: &CommonArgs, args: SubmitArgs) -> ExitCode {
     let client = RemoteClient::new(args.addr.clone());
-    let ids: Vec<String> = if args.all {
-        all_ids().into_iter().map(String::from).collect()
-    } else {
-        args.ids.clone()
-    };
+    let ids = selected_ids(args.all, &args.ids);
     if !ids.is_empty() {
-        let mut specs = Vec::new();
-        for id in &ids {
-            specs.extend(plan_experiment(id, h));
+        if let Err(code) = check_writable("out dir", &h.out_dir) {
+            return code;
         }
+        let specs = plan(h, &ids);
         println!(
             "[submit: {} specs from {} experiment(s) -> {}]",
             specs.len(),
@@ -363,18 +357,23 @@ fn run_submit(h: &Harness, common: &CommonArgs, args: SubmitArgs) -> ExitCode {
             items.len(),
             t0.elapsed()
         );
-        // Seed a local engine with the remote results; collect phases
-        // then tabulate exactly as a local run would.
-        let engine = RunEngine::new(h.jobs);
-        for (spec, item) in specs.iter().zip(&items) {
-            engine.seed_result(spec, Arc::clone(&item.result));
-        }
-        let code = collect_and_write(h, &ids, &engine);
-        if code != ExitCode::SUCCESS {
-            return code;
+        let runs: Runs = specs
+            .iter()
+            .zip(&items)
+            .map(|(spec, item)| (spec.key(), Arc::clone(&item.result)))
+            .collect();
+        if !write_tables(h, &ids, &runs) {
+            return ExitCode::from(EXIT_RUNTIME);
         }
         if common.json {
-            println!("{}", engine.summary().to_json());
+            let count = |n: usize| Json::UInt(n as u64);
+            let summary = Json::obj()
+                .with("runs", count(items.len()))
+                .with("simulated", count(simulated))
+                .with("cached", count(cached))
+                .with("coalesced", count(coalesced))
+                .with("replayed", count(replayed));
+            println!("{}", summary.render());
         }
         if args.shutdown {
             if let Err(e) = RemoteClient::new(args.addr).shutdown() {
@@ -424,10 +423,7 @@ fn run_perf(
 ) -> ExitCode {
     let json = common.json;
     let engine = h.engine();
-    let mut specs = Vec::new();
-    for id in all_ids() {
-        specs.extend(plan_experiment(id, h));
-    }
+    let specs = plan(h, &all_ids());
     let t0 = std::time::Instant::now();
     engine.execute_batch(&specs);
     let elapsed = t0.elapsed();

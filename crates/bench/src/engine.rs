@@ -15,11 +15,12 @@
 //!   results are bit-identical to a serial run regardless of the worker
 //!   count or completion order.
 //!
-//! The intended shape is two-phase: experiments *plan* (contribute specs),
-//! the engine *executes* the combined batch, then experiments *collect*
-//! (build their tables by looking results up by spec). [`RunEngine::get`]
-//! also executes on demand, through the same per-spec path as a batch, so
-//! a collect phase can never observe a missing result.
+//! The intended shape is two-phase: experiments *plan* (contribute specs)
+//! and the engine *executes* the combined batch; experiments then
+//! tabulate from the batch's results (`experiments::Runs`), which never
+//! simulate. [`RunEngine::get`] executes on demand, through the same
+//! per-spec path as a batch, for callers that run one spec at a time
+//! (the job server's workers).
 
 use crate::{parallel_map, Harness};
 use gpgpu_isa::KernelDescriptor;
@@ -475,18 +476,6 @@ impl RunEngine {
         self.progress = Some(hook);
     }
 
-    /// Adopts an externally produced result (e.g. one fetched from an
-    /// `exp serve` server) into the memo table, so collect phases can
-    /// tabulate it exactly as if this engine had simulated it. Counts as
-    /// neither executed nor deduplicated; later duplicates of the spec
-    /// dedup against it as usual.
-    pub fn seed_result(&self, spec: &RunSpec, result: Arc<RunResult>) {
-        self.memo
-            .lock()
-            .expect("not poisoned")
-            .insert(spec.key(), result);
-    }
-
     /// Consults the attached store for `spec` (memo-miss path). On a hit
     /// the result is memoized and counted.
     fn load_from_store(&self, key: &RunKey, spec: &RunSpec) -> Option<Arc<RunResult>> {
@@ -692,7 +681,7 @@ impl RunEngine {
     }
 
     /// The memoized result for `spec`, executing it first if no batch has
-    /// covered it yet (so a collect phase can never observe a miss).
+    /// covered it yet.
     ///
     /// A memo hit ignores `spec.telemetry` — to guarantee telemetry,
     /// include the traced spec in the planning batch.
@@ -851,7 +840,6 @@ fn execute_spec(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::plan_experiment;
 
     fn spec(h: &Harness) -> RunSpec {
         RunSpec::single(h, "vecadd", WarpPolicy::Gto, CtaPolicy::Baseline(None))
@@ -905,8 +893,7 @@ mod tests {
         // E7 and E9 both measure the gto/baseline reference point for
         // overlapping workloads; planning both through one engine must
         // simulate the shared specs once.
-        let mut specs = plan_experiment("e7", &h);
-        specs.extend(plan_experiment("e9", &h));
+        let specs = crate::experiments::plan(&h, &["e7", "e9"]);
         let planned = specs.len();
         engine.execute_batch(&specs);
         assert!(

@@ -2,7 +2,8 @@
 //! "simulation configuration" table), one row per knob of
 //! [`gpgpu_sim::GPU_KNOBS`] and its nested tables.
 
-use crate::{Harness, RunEngine, RunSpec, Table};
+use super::Runs;
+use crate::{Harness, RunSpec, Table};
 
 /// E1 simulates nothing — the table is read straight off the config.
 pub(crate) fn plan(_h: &Harness) -> Vec<RunSpec> {
@@ -10,12 +11,7 @@ pub(crate) fn plan(_h: &Harness) -> Vec<RunSpec> {
 }
 
 /// Emits the configuration table.
-pub fn run(h: &Harness) -> Vec<Table> {
-    collect(h, &h.engine())
-}
-
-/// As [`run`]; the engine is unused (E1 has no simulations).
-pub(crate) fn collect(h: &Harness, _engine: &RunEngine) -> Vec<Table> {
+pub(crate) fn tabulate(h: &Harness, _runs: &Runs) -> Vec<Table> {
     let mut t = Table::new(
         "E1: simulated GPU configuration",
         &["parameter", "value", "description"],
@@ -32,11 +28,11 @@ pub(crate) fn collect(h: &Harness, _engine: &RunEngine) -> Vec<Table> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::super::tests::tables;
 
     #[test]
     fn config_table_renders() {
-        let tables = run(&Harness::quick());
+        let tables = tables("e1");
         assert_eq!(tables.len(), 1);
         let t = &tables[0];
         assert_eq!(t.len(), 47, "one row per leaf knob");

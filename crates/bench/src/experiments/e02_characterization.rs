@@ -2,29 +2,22 @@
 //! class, launch geometry, occupancy limit, dynamic instructions, IPC at
 //! the hardware-maximum CTA count, and memory-system behaviour.
 
-use super::r3;
-use crate::{Harness, RunEngine, RunSpec, Table};
+use super::{baseline, r3, Runs};
+use crate::{Harness, RunSpec, Table};
 use gpgpu_sim::core_model::Core;
 use gpgpu_sim::GlobalMem;
-use tbs_core::{CtaPolicy, WarpPolicy};
 
-/// One GTO + baseline run per suite member.
+/// One GTO + baseline run per suite member (each row's one run is its
+/// [`baseline`]).
 pub(crate) fn plan(h: &Harness) -> Vec<RunSpec> {
     gpgpu_workloads::suite(h.scale)
         .iter()
-        .map(|w| RunSpec::single(h, w.name(), WarpPolicy::Gto, CtaPolicy::Baseline(None)))
+        .map(|w| baseline(h, w.name()))
         .collect()
 }
 
-/// Runs every suite member once under GTO + baseline and tabulates.
-pub fn run(h: &Harness) -> Vec<Table> {
-    let engine = h.engine();
-    engine.execute_batch(&plan(h));
-    collect(h, &engine)
-}
-
-/// Tabulates from memoized results.
-pub(crate) fn collect(h: &Harness, engine: &RunEngine) -> Vec<Table> {
+/// Tabulates every suite member under GTO + baseline.
+pub(crate) fn tabulate(h: &Harness, runs: &Runs) -> Vec<Table> {
     let mut t = Table::new(
         "E2: workload characterization (GTO, baseline CTA scheduler, max CTAs)",
         &[
@@ -37,9 +30,7 @@ pub(crate) fn collect(h: &Harness, engine: &RunEngine) -> Vec<Table> {
         let mut scratch = GlobalMem::new();
         let desc = w.prepare(&mut scratch);
         let hw_max = Core::hw_max_ctas(&h.gpu, &desc);
-        let out = engine
-            .get(&RunSpec::single(h, w.name(), WarpPolicy::Gto, CtaPolicy::Baseline(None)))
-            .outcome();
+        let out = runs.get(&baseline(h, w.name())).outcome();
         let ks = out.stats.kernel(out.kernel).expect("kernel ran");
         t.push_row(vec![
             w.name().to_string(),
@@ -60,11 +51,11 @@ pub(crate) fn collect(h: &Harness, engine: &RunEngine) -> Vec<Table> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::super::tests::tables;
 
     #[test]
     fn characterization_covers_suite() {
-        let tables = run(&Harness::quick());
+        let tables = tables("e2");
         assert_eq!(tables[0].len(), 14);
         // Compute workloads must show higher IPC than memory workloads.
         let classes: Vec<String> = (0..14).map(|i| tables[0].cell(i, 1).to_string()).collect();

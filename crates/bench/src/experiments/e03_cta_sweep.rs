@@ -3,11 +3,11 @@
 //! memory-intensive and cache-sensitive kernels (the curve is an inverted
 //! U), while compute-intensive kernels want the maximum.
 
-use super::{r3, LIMIT_SWEEP};
-use crate::{Harness, RunEngine, RunSpec, Table};
-use tbs_core::{CtaPolicy, WarpPolicy};
+use super::{limit_sweep, r3, Runs, LIMIT_SWEEP};
+use crate::{Harness, RunSpec, Table};
 
-/// Representative workloads spanning the three classes.
+/// Representative workloads spanning the three classes (also E6's
+/// accuracy suite).
 pub const SWEEP_SUITE: [&str; 6] = [
     "vecadd",
     "stridedcopy",
@@ -17,35 +17,16 @@ pub const SWEEP_SUITE: [&str; 6] = [
     "matmul-tiled",
 ];
 
-/// The unlimited baseline plus every static limit, per sweep workload.
+/// Each row is one workload's [`limit_sweep`].
 pub(crate) fn plan(h: &Harness) -> Vec<RunSpec> {
-    let mut specs = Vec::new();
-    for name in SWEEP_SUITE {
-        specs.push(RunSpec::single(h, name, WarpPolicy::Gto, CtaPolicy::Baseline(None)));
-        for limit in LIMIT_SWEEP {
-            specs.push(RunSpec::single(
-                h,
-                name,
-                WarpPolicy::Gto,
-                CtaPolicy::Baseline(Some(limit)),
-            ));
-        }
-    }
-    specs
+    SWEEP_SUITE.iter().flat_map(|name| limit_sweep(h, name)).collect()
 }
 
-/// Sweeps the static CTA limit for each representative workload. Reports
-/// IPC normalized to the unlimited (hardware-maximum) baseline.
-pub fn run(h: &Harness) -> Vec<Table> {
-    let engine = h.engine();
-    engine.execute_batch(&plan(h));
-    collect(h, &engine)
-}
-
-/// Tabulates from memoized results.
-pub(crate) fn collect(h: &Harness, engine: &RunEngine) -> Vec<Table> {
+/// IPC at each static CTA limit, normalized to the unlimited
+/// (hardware-maximum) baseline, and the best limit.
+pub(crate) fn tabulate(h: &Harness, runs: &Runs) -> Vec<Table> {
     let mut cols: Vec<String> = vec!["workload".into(), "class".into()];
-    cols.extend(LIMIT_SWEEP.iter().map(|l| format!("limit-{l}")));
+    cols.extend(LIMIT_SWEEP.iter().flatten().map(|l| format!("limit-{l}")));
     cols.push("best-limit".into());
     cols.push("best-vs-max".into());
     let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
@@ -55,21 +36,14 @@ pub(crate) fn collect(h: &Harness, engine: &RunEngine) -> Vec<Table> {
     );
 
     for name in SWEEP_SUITE {
-        let base = engine.get(&RunSpec::single(h, name, WarpPolicy::Gto, CtaPolicy::Baseline(None)));
-        let base_cycles = base.cycles() as f64;
+        let [base, limited @ ..] = limit_sweep(h, name).map(|s| runs.get(&s).cycles() as f64);
         let class = gpgpu_workloads::by_name(name, h.scale)
             .expect("suite member")
             .class();
         let mut row = vec![name.to_string(), class.to_string()];
         let mut best = (0u32, 0.0f64);
-        for limit in LIMIT_SWEEP {
-            let out = engine.get(&RunSpec::single(
-                h,
-                name,
-                WarpPolicy::Gto,
-                CtaPolicy::Baseline(Some(limit)),
-            ));
-            let speedup = base_cycles / out.cycles() as f64;
+        for (&limit, cycles) in LIMIT_SWEEP.iter().flatten().zip(limited) {
+            let speedup = base / cycles;
             if speedup > best.1 {
                 best = (limit, speedup);
             }
@@ -84,14 +58,15 @@ pub(crate) fn collect(h: &Harness, engine: &RunEngine) -> Vec<Table> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::tables;
     use super::*;
 
     #[test]
     fn sweep_reports_all_workloads() {
-        let tables = run(&Harness::quick());
+        let tables = tables("e3");
         assert_eq!(tables[0].len(), SWEEP_SUITE.len());
         // Every speedup entry parses and is positive.
-        for l in LIMIT_SWEEP {
+        for l in LIMIT_SWEEP.iter().flatten() {
             for v in tables[0].column_f64(&format!("limit-{l}")) {
                 assert!(v > 0.0);
             }

@@ -2,33 +2,23 @@
 //! under the baseline CTA scheduler, normalized to LRR. GTO is the
 //! reference point the paper's LCS builds on.
 
-use super::{all_names, r3};
-use crate::{Harness, RunEngine, RunSpec, Table};
+use super::{all_names, r3, Runs};
+use crate::{Harness, RunSpec, Table};
 use tbs_core::{CtaPolicy, WarpPolicy};
 
-/// The three warp schedulers compared.
-const SCHEDULERS: [WarpPolicy; 3] = [WarpPolicy::Lrr, WarpPolicy::Gto, WarpPolicy::TwoLevel(8)];
+/// One table row: `name` under LRR, GTO and two-level warp scheduling.
+fn row(h: &Harness, name: &str) -> [RunSpec; 3] {
+    [WarpPolicy::Lrr, WarpPolicy::Gto, WarpPolicy::TwoLevel(8)]
+        .map(|warp| RunSpec::single(h, name, warp, CtaPolicy::Baseline(None)))
+}
 
-/// Every suite member under each compared warp scheduler.
+/// Every suite member's row.
 pub(crate) fn plan(h: &Harness) -> Vec<RunSpec> {
-    let mut specs = Vec::new();
-    for name in all_names(h) {
-        for warp in SCHEDULERS {
-            specs.push(RunSpec::single(h, &name, warp, CtaPolicy::Baseline(None)));
-        }
-    }
-    specs
+    all_names(h).iter().flat_map(|name| row(h, name)).collect()
 }
 
-/// Runs the whole suite under each warp scheduler.
-pub fn run(h: &Harness) -> Vec<Table> {
-    let engine = h.engine();
-    engine.execute_batch(&plan(h));
-    collect(h, &engine)
-}
-
-/// Tabulates from memoized results.
-pub(crate) fn collect(h: &Harness, engine: &RunEngine) -> Vec<Table> {
+/// Tabulates the suite under each warp scheduler.
+pub(crate) fn tabulate(h: &Harness, runs: &Runs) -> Vec<Table> {
     let mut t = Table::new(
         "E4: warp schedulers, IPC normalized to LRR (baseline CTA scheduler)",
         &["workload", "class", "lrr-ipc", "gto", "two-level", "gto-wins"],
@@ -39,14 +29,7 @@ pub(crate) fn collect(h: &Harness, engine: &RunEngine) -> Vec<Table> {
         let class = gpgpu_workloads::by_name(&name, h.scale)
             .expect("suite member")
             .class();
-        let lrr = engine.get(&RunSpec::single(h, &name, WarpPolicy::Lrr, CtaPolicy::Baseline(None)));
-        let gto = engine.get(&RunSpec::single(h, &name, WarpPolicy::Gto, CtaPolicy::Baseline(None)));
-        let two = engine.get(&RunSpec::single(
-            h,
-            &name,
-            WarpPolicy::TwoLevel(8),
-            CtaPolicy::Baseline(None),
-        ));
+        let [lrr, gto, two] = row(h, &name).map(|s| runs.get(&s));
         let gto_rel = lrr.cycles() as f64 / gto.cycles() as f64;
         let two_rel = lrr.cycles() as f64 / two.cycles() as f64;
         gto_geomean *= gto_rel;
@@ -70,11 +53,11 @@ pub(crate) fn collect(h: &Harness, engine: &RunEngine) -> Vec<Table> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::super::tests::tables;
 
     #[test]
     fn comparison_covers_suite() {
-        let tables = run(&Harness::quick());
+        let tables = tables("e4");
         assert_eq!(tables[0].len(), 14);
         assert_eq!(tables[1].len(), 1);
     }

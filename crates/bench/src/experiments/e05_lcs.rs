@@ -3,139 +3,61 @@
 //! (best value from an offline sweep), plus the `lcs-lrr` ablation showing
 //! the estimate needs its greedy sensor scheduler.
 
-use super::{all_names, r3, LIMIT_SWEEP};
-use crate::{Harness, RunEngine, RunSpec, Table};
+use super::{all_names, baseline, limit_sweep, oracle, r3, Runs};
+use crate::{Harness, RunSpec, Table};
 use tbs_core::{CtaPolicy, WarpPolicy};
 
-/// One row of the LCS experiment.
-#[derive(Debug, Clone)]
-pub struct LcsRow {
-    /// Workload name.
-    pub name: String,
-    /// Workload class.
-    pub class: String,
-    /// Baseline cycles (GTO, max CTAs).
-    pub base_cycles: u64,
-    /// LCS speedup over baseline.
-    pub lcs: f64,
-    /// Oracle (best static limit) speedup over baseline.
-    pub oracle: f64,
-    /// The oracle's limit.
-    pub oracle_limit: u32,
-    /// LCS-with-LRR-sensor speedup over the LRR baseline (ablation).
-    pub lcs_lrr: f64,
-    /// DYNCTA-style adaptive comparator speedup over baseline.
-    pub dyncta: f64,
+/// The runs one table row needs beyond `name`'s [`limit_sweep`]: LCS,
+/// the LRR baseline and LCS fed by LRR issue counts (the sensor
+/// ablation), and the DYNCTA-style adaptive comparator.
+pub(crate) fn row(h: &Harness, name: &str) -> [RunSpec; 4] {
+    [
+        RunSpec::single(h, name, WarpPolicy::Gto, CtaPolicy::Lcs(0.7)),
+        RunSpec::single(h, name, WarpPolicy::Lrr, CtaPolicy::Baseline(None)),
+        RunSpec::single(h, name, WarpPolicy::Lrr, CtaPolicy::Lcs(0.7)),
+        RunSpec::single(h, name, WarpPolicy::Gto, CtaPolicy::Dyncta),
+    ]
 }
 
-/// Per suite member: the baseline, LCS, the static-limit oracle sweep,
-/// the LRR-sensor ablation (and its LRR baseline), and DYNCTA.
+/// Every suite member's limit sweep and row.
 pub(crate) fn plan(h: &Harness) -> Vec<RunSpec> {
-    let mut specs = Vec::new();
-    for name in all_names(h) {
-        specs.push(RunSpec::single(h, &name, WarpPolicy::Gto, CtaPolicy::Baseline(None)));
-        specs.push(RunSpec::single(h, &name, WarpPolicy::Gto, CtaPolicy::Lcs(0.7)));
-        for limit in LIMIT_SWEEP {
-            specs.push(RunSpec::single(
-                h,
-                &name,
-                WarpPolicy::Gto,
-                CtaPolicy::Baseline(Some(limit)),
-            ));
-        }
-        specs.push(RunSpec::single(h, &name, WarpPolicy::Lrr, CtaPolicy::Baseline(None)));
-        specs.push(RunSpec::single(h, &name, WarpPolicy::Lrr, CtaPolicy::Lcs(0.7)));
-        specs.push(RunSpec::single(h, &name, WarpPolicy::Gto, CtaPolicy::Dyncta));
-    }
-    specs
+    all_names(h)
+        .iter()
+        .flat_map(|name| limit_sweep(h, name).into_iter().chain(row(h, name)))
+        .collect()
 }
 
-/// Runs the LCS comparison for every suite member.
-pub fn rows(h: &Harness) -> Vec<LcsRow> {
-    let engine = h.engine();
-    engine.execute_batch(&plan(h));
-    rows_with(h, &engine)
-}
-
-/// As [`rows`], reading from a shared engine's memoized results.
-pub fn rows_with(h: &Harness, engine: &RunEngine) -> Vec<LcsRow> {
-    let mut out = Vec::new();
-    for name in all_names(h) {
-        let class = gpgpu_workloads::by_name(&name, h.scale)
-            .expect("suite member")
-            .class()
-            .to_string();
-        let base =
-            engine.get(&RunSpec::single(h, &name, WarpPolicy::Gto, CtaPolicy::Baseline(None)));
-        let lcs = engine.get(&RunSpec::single(h, &name, WarpPolicy::Gto, CtaPolicy::Lcs(0.7)));
-        // Oracle: best static limit (including "no limit" as the max).
-        let mut oracle = (u32::MAX, base.cycles()); // limit MAX = unlimited
-        for limit in LIMIT_SWEEP {
-            let o = engine.get(&RunSpec::single(
-                h,
-                &name,
-                WarpPolicy::Gto,
-                CtaPolicy::Baseline(Some(limit)),
-            ));
-            if o.cycles() < oracle.1 {
-                oracle = (limit, o.cycles());
-            }
-        }
-        // Ablation: the same estimator fed by LRR issue counts.
-        let lrr_base =
-            engine.get(&RunSpec::single(h, &name, WarpPolicy::Lrr, CtaPolicy::Baseline(None)));
-        let lcs_lrr = engine.get(&RunSpec::single(h, &name, WarpPolicy::Lrr, CtaPolicy::Lcs(0.7)));
-        // Related-work comparator: continuous adaptation.
-        let dyn_out = engine.get(&RunSpec::single(h, &name, WarpPolicy::Gto, CtaPolicy::Dyncta));
-        out.push(LcsRow {
-            name,
-            class,
-            base_cycles: base.cycles(),
-            lcs: base.cycles() as f64 / lcs.cycles() as f64,
-            oracle: base.cycles() as f64 / oracle.1 as f64,
-            oracle_limit: oracle.0,
-            lcs_lrr: lrr_base.cycles() as f64 / lcs_lrr.cycles() as f64,
-            dyncta: base.cycles() as f64 / dyn_out.cycles() as f64,
-        });
-    }
-    out
-}
-
-/// Tabulates [`rows`].
-pub fn run(h: &Harness) -> Vec<Table> {
-    let engine = h.engine();
-    engine.execute_batch(&plan(h));
-    collect(h, &engine)
-}
-
-/// Tabulates from memoized results.
-pub(crate) fn collect(h: &Harness, engine: &RunEngine) -> Vec<Table> {
+/// LCS, oracle, ablation and DYNCTA speedups per suite member, and their
+/// geomeans.
+pub(crate) fn tabulate(h: &Harness, runs: &Runs) -> Vec<Table> {
     let mut t = Table::new(
         "E5: LCS speedup over baseline (GTO, max CTAs); oracle = best static limit",
         &["workload", "class", "base-cycles", "lcs", "oracle", "oracle-limit", "lcs-lrr", "dyncta"],
     );
-    let rs = rows_with(h, engine);
+    let names = all_names(h);
     let (mut g_lcs, mut g_oracle) = (1.0f64, 1.0f64);
-    for r in &rs {
-        g_lcs *= r.lcs;
-        g_oracle *= r.oracle;
-        let limit = if r.oracle_limit == u32::MAX {
-            "max".to_string()
-        } else {
-            r.oracle_limit.to_string()
-        };
+    for name in &names {
+        let class = gpgpu_workloads::by_name(name, h.scale)
+            .expect("suite member")
+            .class();
+        let base = runs.get(&baseline(h, name)).cycles();
+        let [lcs, lrr_base, lcs_lrr, dyncta] = row(h, name).map(|s| runs.get(&s).cycles() as f64);
+        let (oracle_limit, oracle_cycles) = oracle(h, runs, name);
+        let speedup = |cycles: f64| base as f64 / cycles;
+        g_lcs *= speedup(lcs);
+        g_oracle *= speedup(oracle_cycles as f64);
         t.push_row(vec![
-            r.name.clone(),
-            r.class.clone(),
-            r.base_cycles.to_string(),
-            r3(r.lcs),
-            r3(r.oracle),
-            limit,
-            r3(r.lcs_lrr),
-            r3(r.dyncta),
+            name.clone(),
+            class.to_string(),
+            base.to_string(),
+            r3(speedup(lcs)),
+            r3(speedup(oracle_cycles as f64)),
+            oracle_limit.map_or("max".to_string(), |l| l.to_string()),
+            r3(lrr_base / lcs_lrr),
+            r3(speedup(dyncta)),
         ]);
     }
-    let n = rs.len() as f64;
+    let n = names.len() as f64;
     let mut s = Table::new("E5 summary (geomean speedups)", &["metric", "value"]);
     s.push_row(vec!["lcs-geomean".into(), r3(g_lcs.powf(1.0 / n))]);
     s.push_row(vec!["oracle-geomean".into(), r3(g_oracle.powf(1.0 / n))]);
@@ -144,15 +66,18 @@ pub(crate) fn collect(h: &Harness, engine: &RunEngine) -> Vec<Table> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::super::tests::tables;
 
     #[test]
     fn lcs_experiment_shapes() {
-        let rs = rows(&Harness::quick());
-        assert_eq!(rs.len(), 14);
-        for r in &rs {
-            assert!(r.lcs > 0.5, "{}: LCS must not halve performance", r.name);
-            assert!(r.oracle >= 0.999, "{}: oracle can never lose to base", r.name);
+        let tables = tables("e5");
+        let t = &tables[0];
+        assert_eq!(t.len(), 14);
+        let (lcs, oracle) = (t.column_f64("lcs"), t.column_f64("oracle"));
+        for i in 0..t.len() {
+            let name = t.cell(i, 0);
+            assert!(lcs[i] > 0.5, "{name}: LCS must not halve performance");
+            assert!(oracle[i] >= 0.999, "{name}: oracle can never lose to base");
         }
     }
 }

@@ -2,51 +2,29 @@
 //! per-core limits LCS decided during the run versus the best static limit
 //! from an offline sweep.
 
-use super::{r3, LIMIT_SWEEP};
-use crate::{Harness, RunEngine, RunSpec, Table};
+use super::e03_cta_sweep::SWEEP_SUITE;
+use super::{baseline, limit_sweep, oracle, r3, Runs};
+use crate::{Harness, RunSpec, Table};
 use gpgpu_workloads::by_name;
 use tbs_core::{CtaPolicy, WarpPolicy};
 
-/// Workloads shown in the accuracy table (one per class plus extremes).
-pub const ACCURACY_SUITE: [&str; 6] = [
-    "vecadd",
-    "stridedcopy",
-    "spmv-ell",
-    "gather",
-    "fmaheavy",
-    "matmul-tiled",
-];
+/// The run one table row needs beyond `name`'s [`limit_sweep`]: LCS,
+/// whose result carries the limits it decided.
+fn lcs(h: &Harness, name: &str) -> RunSpec {
+    RunSpec::single(h, name, WarpPolicy::Gto, CtaPolicy::Lcs(0.7))
+}
 
-/// Per accuracy workload: the LCS run (whose result carries the decided
-/// limits), the unlimited baseline, and the static-limit oracle sweep.
+/// E3's workloads: each one's LCS run and limit sweep.
 pub(crate) fn plan(h: &Harness) -> Vec<RunSpec> {
-    let mut specs = Vec::new();
-    for name in ACCURACY_SUITE {
-        specs.push(RunSpec::single(h, name, WarpPolicy::Gto, CtaPolicy::Lcs(0.7)));
-        specs.push(RunSpec::single(h, name, WarpPolicy::Gto, CtaPolicy::Baseline(None)));
-        for limit in LIMIT_SWEEP {
-            specs.push(RunSpec::single(
-                h,
-                name,
-                WarpPolicy::Gto,
-                CtaPolicy::Baseline(Some(limit)),
-            ));
-        }
-    }
-    specs
+    SWEEP_SUITE
+        .iter()
+        .flat_map(|name| std::iter::once(lcs(h, name)).chain(limit_sweep(h, name)))
+        .collect()
 }
 
-/// For each workload: run LCS, extract the decided per-core limits, and
-/// compare with the oracle.
-pub fn run(h: &Harness) -> Vec<Table> {
-    let engine = h.engine();
-    engine.execute_batch(&plan(h));
-    collect(h, &engine)
-}
-
-/// Tabulates from memoized results (the engine captures LCS's decided
-/// limits on every LCS run, so no device access is needed here).
-pub(crate) fn collect(h: &Harness, engine: &RunEngine) -> Vec<Table> {
+/// The per-core limits LCS decided next to the oracle's (the engine
+/// captures them on every LCS run, so no device access is needed here).
+pub(crate) fn tabulate(h: &Harness, runs: &Runs) -> Vec<Table> {
     let mut t = Table::new(
         "E6: LCS-decided per-core CTA limit vs the static oracle",
         &[
@@ -54,8 +32,8 @@ pub(crate) fn collect(h: &Harness, engine: &RunEngine) -> Vec<Table> {
             "oracle-speedup",
         ],
     );
-    for name in ACCURACY_SUITE {
-        let lcs = engine.get(&RunSpec::single(h, name, WarpPolicy::Gto, CtaPolicy::Lcs(0.7)));
+    for name in SWEEP_SUITE {
+        let lcs = runs.get(&lcs(h, name));
         // Occupancy limit for context.
         let mut scratch = gpgpu_sim::GlobalMem::new();
         let desc = by_name(name, h.scale).expect("member").prepare(&mut scratch);
@@ -81,33 +59,16 @@ pub(crate) fn collect(h: &Harness, engine: &RunEngine) -> Vec<Table> {
             )
         };
 
-        // Oracle from the static sweep.
-        let base = engine.get(&RunSpec::single(h, name, WarpPolicy::Gto, CtaPolicy::Baseline(None)));
-        let mut oracle = (u32::MAX, base.cycles());
-        for limit in LIMIT_SWEEP {
-            let o = engine.get(&RunSpec::single(
-                h,
-                name,
-                WarpPolicy::Gto,
-                CtaPolicy::Baseline(Some(limit)),
-            ));
-            if o.cycles() < oracle.1 {
-                oracle = (limit, o.cycles());
-            }
-        }
-        let oracle_limit = if oracle.0 == u32::MAX {
-            format!("max({hw_max})")
-        } else {
-            oracle.0.to_string()
-        };
+        let base = runs.get(&baseline(h, name)).cycles();
+        let (oracle_limit, oracle_cycles) = oracle(h, runs, name);
         t.push_row(vec![
             name.to_string(),
             hw_max.to_string(),
             lo.to_string(),
             med.to_string(),
             hi.to_string(),
-            oracle_limit,
-            r3(base.cycles() as f64 / oracle.1 as f64),
+            oracle_limit.map_or(format!("max({hw_max})"), |l| l.to_string()),
+            r3(base as f64 / oracle_cycles as f64),
         ]);
     }
     vec![t]
@@ -115,11 +76,11 @@ pub(crate) fn collect(h: &Harness, engine: &RunEngine) -> Vec<Table> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::tables;
     use super::*;
 
     #[test]
     fn accuracy_table_builds() {
-        let tables = run(&Harness::quick());
-        assert_eq!(tables[0].len(), ACCURACY_SUITE.len());
+        assert_eq!(tables("e6")[0].len(), SWEEP_SUITE.len());
     }
 }

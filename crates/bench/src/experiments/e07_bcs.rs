@@ -2,30 +2,37 @@
 //! the L1-miss/DRAM-row-hit movement that explains it, including the
 //! BCS-without-BAWS ablation.
 
-use super::{r3, LOCALITY_SUITE};
-use crate::{Harness, RunEngine, RunSpec, Table};
+use super::{baseline, r3, Runs};
+use crate::{Harness, RunSpec, Table};
 use tbs_core::{CtaPolicy, WarpPolicy};
 
-/// Baseline, BCS+GTO, and BCS+BAWS per locality workload.
+/// The locality suite: kernels whose consecutive CTAs touch neighbouring
+/// data (shared cache lines or DRAM rows).
+const LOCALITY_SUITE: [&str; 6] = [
+    "stencil2d",
+    "hotspot",
+    "vecadd",
+    "saxpy",
+    "transpose",
+    "matmul-naive",
+];
+
+/// One table row: `name` under the baseline, BCS+GTO, and BCS+BAWS.
+fn row(h: &Harness, name: &str) -> [RunSpec; 3] {
+    [
+        baseline(h, name),
+        RunSpec::single(h, name, WarpPolicy::Gto, CtaPolicy::Bcs(2)),
+        RunSpec::single(h, name, WarpPolicy::Baws(2), CtaPolicy::Bcs(2)),
+    ]
+}
+
+/// Every locality workload's row.
 pub(crate) fn plan(h: &Harness) -> Vec<RunSpec> {
-    let mut specs = Vec::new();
-    for name in LOCALITY_SUITE {
-        specs.push(RunSpec::single(h, name, WarpPolicy::Gto, CtaPolicy::Baseline(None)));
-        specs.push(RunSpec::single(h, name, WarpPolicy::Gto, CtaPolicy::Bcs(2)));
-        specs.push(RunSpec::single(h, name, WarpPolicy::Baws(2), CtaPolicy::Bcs(2)));
-    }
-    specs
+    LOCALITY_SUITE.iter().flat_map(|name| row(h, name)).collect()
 }
 
-/// Runs baseline / BCS+GTO / BCS+BAWS for each locality workload.
-pub fn run(h: &Harness) -> Vec<Table> {
-    let engine = h.engine();
-    engine.execute_batch(&plan(h));
-    collect(h, &engine)
-}
-
-/// Tabulates from memoized results.
-pub(crate) fn collect(h: &Harness, engine: &RunEngine) -> Vec<Table> {
+/// Speedups and memory-behaviour movement per locality workload.
+pub(crate) fn tabulate(h: &Harness, runs: &Runs) -> Vec<Table> {
     let mut t = Table::new(
         "E7: BCS(2) and BAWS vs baseline (GTO + round-robin)",
         &[
@@ -35,9 +42,7 @@ pub(crate) fn collect(h: &Harness, engine: &RunEngine) -> Vec<Table> {
     );
     let mut geo = 1.0f64;
     for name in LOCALITY_SUITE {
-        let base = engine.get(&RunSpec::single(h, name, WarpPolicy::Gto, CtaPolicy::Baseline(None)));
-        let bcs = engine.get(&RunSpec::single(h, name, WarpPolicy::Gto, CtaPolicy::Bcs(2)));
-        let baws = engine.get(&RunSpec::single(h, name, WarpPolicy::Baws(2), CtaPolicy::Bcs(2)));
+        let [base, bcs, baws] = row(h, name).map(|s| runs.get(&s));
         let s_bcs = base.cycles() as f64 / bcs.cycles() as f64;
         let s_baws = base.cycles() as f64 / baws.cycles() as f64;
         geo *= s_baws;
@@ -62,11 +67,12 @@ pub(crate) fn collect(h: &Harness, engine: &RunEngine) -> Vec<Table> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::tables;
     use super::*;
 
     #[test]
     fn bcs_table_builds() {
-        let tables = run(&Harness::quick());
+        let tables = tables("e7");
         assert_eq!(tables[0].len(), LOCALITY_SUITE.len());
         for v in tables[0].column_f64("bcs-baws") {
             assert!(v > 0.4, "BCS must not catastrophically regress");

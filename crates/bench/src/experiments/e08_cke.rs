@@ -3,8 +3,8 @@
 //! the paper's mixed CKE. Mixed CKE co-locates both kernels on every core,
 //! using LCS to size the memory kernel's share.
 
-use super::r3;
-use crate::{Harness, RunEngine, RunSpec, Table};
+use super::{r3, Runs};
+use crate::{Harness, RunSpec, Table};
 use tbs_core::{CtaPolicy, WarpPolicy};
 
 /// The kernel pairs (memory-side, compute-side).
@@ -15,38 +15,25 @@ pub const PAIRS: [(&str, &str); 4] = [
     ("saxpy", "matmul-naive"),
 ];
 
-/// The three execution regimes compared, as (CTA policy, serial) pairs.
-const REGIMES: [(CtaPolicy, bool); 3] = [
-    (CtaPolicy::Baseline(None), true),
-    (CtaPolicy::LeftoverCke, false),
-    (CtaPolicy::MixedCke(0.7), false),
-];
-
-fn spec(h: &Harness, a: &str, b: &str, cta: CtaPolicy, serial: bool) -> RunSpec {
-    RunSpec::pair(h, a, b, WarpPolicy::Gto, cta, serial)
+/// One table row: the pair `a`+`b` run serially, under leftover CKE, and
+/// under mixed CKE.
+pub(crate) fn row(h: &Harness, a: &str, b: &str) -> [RunSpec; 3] {
+    [
+        (CtaPolicy::Baseline(None), true),
+        (CtaPolicy::LeftoverCke, false),
+        (CtaPolicy::MixedCke(0.7), false),
+    ]
+    .map(|(cta, serial)| RunSpec::pair(h, a, b, WarpPolicy::Gto, cta, serial))
 }
 
-/// Every pair under serial, leftover-CKE, and mixed-CKE execution.
+/// Every pair's row.
 pub(crate) fn plan(h: &Harness) -> Vec<RunSpec> {
-    let mut specs = Vec::new();
-    for (a, b) in PAIRS {
-        for (cta, serial) in REGIMES {
-            specs.push(spec(h, a, b, cta, serial));
-        }
-    }
-    specs
+    PAIRS.iter().flat_map(|(a, b)| row(h, a, b)).collect()
 }
 
-/// Runs each pair in the three regimes; reports total time to finish both
-/// kernels, normalized to serial.
-pub fn run(h: &Harness) -> Vec<Table> {
-    let engine = h.engine();
-    engine.execute_batch(&plan(h));
-    collect(h, &engine)
-}
-
-/// Tabulates from memoized results.
-pub(crate) fn collect(h: &Harness, engine: &RunEngine) -> Vec<Table> {
+/// Total time to finish both kernels in each regime, normalized to
+/// serial.
+pub(crate) fn tabulate(h: &Harness, runs: &Runs) -> Vec<Table> {
     let mut t = Table::new(
         "E8: concurrent kernel execution (total cycles for both kernels)",
         &[
@@ -55,15 +42,7 @@ pub(crate) fn collect(h: &Harness, engine: &RunEngine) -> Vec<Table> {
     );
     let mut geo = 1.0f64;
     for (a, b) in PAIRS {
-        let serial = engine
-            .get(&spec(h, a, b, CtaPolicy::Baseline(None), true))
-            .total_cycles();
-        let leftover = engine
-            .get(&spec(h, a, b, CtaPolicy::LeftoverCke, false))
-            .total_cycles();
-        let mixed = engine
-            .get(&spec(h, a, b, CtaPolicy::MixedCke(0.7), false))
-            .total_cycles();
+        let [serial, leftover, mixed] = row(h, a, b).map(|s| runs.get(&s).total_cycles());
         let s_leftover = serial as f64 / leftover as f64;
         let s_mixed = serial as f64 / mixed as f64;
         geo *= s_mixed;
@@ -85,11 +64,12 @@ pub(crate) fn collect(h: &Harness, engine: &RunEngine) -> Vec<Table> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::tables;
     use super::*;
 
     #[test]
     fn cke_table_builds() {
-        let tables = run(&Harness::quick());
+        let tables = tables("e8");
         assert_eq!(tables[0].len(), PAIRS.len());
         for v in tables[0].column_f64("mixed-speedup") {
             assert!(v > 0.5, "mixed CKE must not catastrophically regress");

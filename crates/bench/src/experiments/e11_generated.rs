@@ -11,8 +11,8 @@
 //! generated ones. Every run verifies against the DSL's CPU mirror, so
 //! the table only ever shows functionally-correct simulations.
 
-use super::r3;
-use crate::{Harness, RunEngine, RunSpec, Table};
+use super::{r3, Runs};
+use crate::{Harness, RunSpec, Table};
 use tbs_core::{CtaPolicy, WarpPolicy};
 
 /// The swept family members, one `gen:` name per row of the table.
@@ -27,36 +27,20 @@ pub const FAMILY_SWEEP: [&str; 6] = [
     "gen:rand/seed=7,segs=8",
 ];
 
-/// The CTA policies each family runs under (label, policy).
-fn policies() -> Vec<(&'static str, CtaPolicy)> {
-    vec![
-        ("baseline", CtaPolicy::Baseline(None)),
-        ("lcs", CtaPolicy::Lcs(0.7)),
-        ("bcs", CtaPolicy::Bcs(4)),
-    ]
+/// One table row: family member `name` under the baseline, LCS, and BCS.
+fn row(h: &Harness, name: &str) -> [RunSpec; 3] {
+    [CtaPolicy::Baseline(None), CtaPolicy::Lcs(0.7), CtaPolicy::Bcs(4)]
+        .map(|cta| RunSpec::single(h, name, WarpPolicy::Gto, cta))
 }
 
-/// Every family under every policy.
+/// Every family member's row.
 pub(crate) fn plan(h: &Harness) -> Vec<RunSpec> {
-    let mut specs = Vec::new();
-    for name in FAMILY_SWEEP {
-        for (_, cta) in policies() {
-            specs.push(RunSpec::single(h, name, WarpPolicy::Gto, cta));
-        }
-    }
-    specs
+    FAMILY_SWEEP.iter().flat_map(|name| row(h, name)).collect()
 }
 
-/// Runs the generated-family sweep on a fresh engine.
-pub fn run(h: &Harness) -> Vec<Table> {
-    let engine = h.engine();
-    engine.execute_batch(&plan(h));
-    collect(h, &engine)
-}
-
-/// Tabulates from memoized results: baseline IPC per family, plus each
-/// alternative policy's speedup over the baseline.
-pub(crate) fn collect(h: &Harness, engine: &RunEngine) -> Vec<Table> {
+/// Baseline IPC per family, plus each alternative policy's speedup over
+/// the baseline.
+pub(crate) fn tabulate(h: &Harness, runs: &Runs) -> Vec<Table> {
     let mut t = Table::new(
         "E11: generated-family sweep (DSL workloads)",
         &["family", "class", "base-ipc", "lcs-speedup", "bcs-speedup"],
@@ -66,14 +50,7 @@ pub(crate) fn collect(h: &Harness, engine: &RunEngine) -> Vec<Table> {
             .expect("swept family parses")
             .class()
             .to_string();
-        let base = engine.get(&RunSpec::single(
-            h,
-            name,
-            WarpPolicy::Gto,
-            CtaPolicy::Baseline(None),
-        ));
-        let lcs = engine.get(&RunSpec::single(h, name, WarpPolicy::Gto, CtaPolicy::Lcs(0.7)));
-        let bcs = engine.get(&RunSpec::single(h, name, WarpPolicy::Gto, CtaPolicy::Bcs(4)));
+        let [base, lcs, bcs] = row(h, name).map(|s| runs.get(&s));
         t.push_row(vec![
             name.to_string(),
             class,
@@ -87,6 +64,7 @@ pub(crate) fn collect(h: &Harness, engine: &RunEngine) -> Vec<Table> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::tables;
     use super::*;
 
     #[test]
@@ -101,7 +79,7 @@ mod tests {
 
     #[test]
     fn family_sweep_builds() {
-        let tables = run(&Harness::quick());
+        let tables = tables("e11");
         assert_eq!(tables.len(), 1);
         assert_eq!(tables[0].len(), FAMILY_SWEEP.len());
     }

@@ -58,6 +58,33 @@ fn unwritable_trace_dir_is_rejected_early() {
 }
 
 #[test]
+fn unwritable_out_dir_is_rejected_early() {
+    // `run` and `submit` both check --out-dir before simulating or
+    // connecting (nothing listens on port 1, so a connection attempt
+    // would fail as a runtime error instead).
+    for args in [
+        &["--quick", "e1", "e2", "--out-dir", "/dev/null/out"][..],
+        &["submit", "--quick", "e1", "--addr", "127.0.0.1:1", "--out-dir", "/dev/null/out"][..],
+    ] {
+        let out = exp(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
+        let err = stderr(&out);
+        assert!(err.contains("out dir"), "names the problem: {err}");
+        assert!(err.contains("--help"), "points at --help: {err}");
+    }
+}
+
+#[test]
+fn failed_csv_write_exits_nonzero() {
+    // The out-dir is writable, but a directory squats on E1's CSV path.
+    let dir = Scratch::new("csv-squat");
+    std::fs::create_dir_all(dir.0.join("e1.csv")).expect("create squatting dir");
+    let out = exp(&["--quick", "e1", "--out-dir", dir.path()]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr(&out).contains("e1.csv"), "names the file: {}", stderr(&out));
+}
+
+#[test]
 fn missing_flag_values_are_rejected() {
     for args in [&["--trace-dir"][..], &["--sample-every"][..], &["--jobs"][..]] {
         let out = exp(args);

@@ -370,3 +370,32 @@ fn over_long_request_line_gets_one_error_and_the_server_lives_on() {
 fn client_shutdown(addr: &str) {
     RemoteClient::new(addr).shutdown().expect("shutdown ack");
 }
+
+#[test]
+fn submit_json_counts_the_batch_sources() {
+    // `exp submit --json` reports where the server's results came from:
+    // all simulated on a cold server, all cached when resubmitted.
+    let (addr, handle) = start(ServeConfig {
+        jobs: 2,
+        ..ServeConfig::default()
+    });
+    let dir = TempDir::new("submit-json");
+    let out_dir = dir.path().to_str().expect("utf-8 temp path");
+    let submit = |extra: &[&str]| {
+        let args = ["submit", "--quick", "e7", "--addr", &addr, "--out-dir", out_dir, "--json"];
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_exp"))
+            .args(args)
+            .args(extra)
+            .output()
+            .expect("exp runs");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
+        let line = stdout.lines().rev().find(|l| l.starts_with('{')).expect("a JSON line");
+        let json = Json::parse(line).expect("JSON parses");
+        let count = |key: &str| json.get(key).and_then(Json::as_u64).expect(key);
+        ["runs", "simulated", "cached", "coalesced", "replayed"].map(count)
+    };
+    assert_eq!(submit(&[]), [18, 18, 0, 0, 0], "cold: E7's 18 runs simulate");
+    assert_eq!(submit(&["--shutdown"]), [18, 0, 18, 0, 0], "warm: all from memory");
+    handle.join().expect("server thread exits cleanly");
+}

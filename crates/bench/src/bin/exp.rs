@@ -50,11 +50,6 @@ fn main() -> ExitCode {
         }
     };
 
-    // Apply process-wide simulation settings before anything simulates.
-    if !cli.common.fast_forward {
-        gpgpu_sim::set_fast_forward_default(false);
-    }
-
     let mut h = Harness::default();
     h.scale = cli.common.scale;
     if let Some(jobs) = cli.common.jobs {
@@ -217,6 +212,7 @@ fn run_experiments(
         engine.attach_store(store);
     }
     engine.set_replay_mode(common.replay);
+    engine.set_reference_loop(!common.fast_forward);
     let mut specs = plan(h, &ids);
     let mut traces: Vec<(&str, RunSpec)> = Vec::new();
     if args.trace_dir.is_some() {
@@ -422,7 +418,8 @@ fn run_perf(
     store: Option<Arc<ResultStore>>,
 ) -> ExitCode {
     let json = common.json;
-    let engine = h.engine();
+    let mut engine = h.engine();
+    engine.set_reference_loop(!common.fast_forward);
     let specs = plan(h, &all_ids());
     let t0 = std::time::Instant::now();
     engine.execute_batch(&specs);
@@ -449,6 +446,7 @@ fn run_perf(
             replay_engine.attach_store(store);
         }
         replay_engine.set_replay_mode(common.replay);
+        replay_engine.set_reference_loop(!common.fast_forward);
         let t0 = std::time::Instant::now();
         replay_engine.execute_batch(&specs);
         let replay_elapsed = t0.elapsed();

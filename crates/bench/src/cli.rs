@@ -38,8 +38,9 @@ pub struct CommonArgs {
     pub out_dir: Option<PathBuf>,
     /// Also print machine-readable JSON summaries (`--json`).
     pub json: bool,
-    /// Fast path (core sleep, idle fast-forward) enabled (disabled by
-    /// `--no-fast-forward`).
+    /// Fast path (core sleep, idle fast-forward, booked retries) enabled;
+    /// `--no-fast-forward` disables it for `run` and `perf`, and is a
+    /// usage error elsewhere.
     pub fast_forward: bool,
     /// Persistent result store to consult/populate (`--store`).
     pub store_dir: Option<PathBuf>,
@@ -241,8 +242,8 @@ common options
                     from the record (bit-identical results). Modes:
                     off (default), auto (capture when a batch amortizes
                     it), force (always capture)
-  --no-fast-forward run the reference cycle-by-cycle loop (results are
-                    bit-identical either way; this is the slow path)
+  --no-fast-forward run/perf: use the reference cycle-by-cycle loop
+                    (bit-identical results; this is the slow path)
   --json            also print the run summary as one JSON object
   --list            list experiment ids
   --help            show this help (after a command: that command's help)
@@ -516,7 +517,14 @@ impl Cli {
             }
         }
 
-        let command = match cmd.unwrap_or("run") {
+        let name = cmd.unwrap_or("run");
+        if !common.fast_forward && !matches!(name, "run" | "perf") {
+            return Err(format!(
+                "--no-fast-forward applies only to run and perf; {name} does not choose \
+                 the simulation loop"
+            ));
+        }
+        let command = match name {
             "perf" => {
                 if common.store_dir.is_some() && common.replay == ReplayMode::Off {
                     return Err(

@@ -270,6 +270,9 @@ pub struct RunEngine {
     store: Option<Arc<crate::store::ResultStore>>,
     progress: Option<ProgressHook>,
     replay: ReplayMode,
+    /// Run every simulation on the reference cycle-by-cycle loop (see
+    /// [`RunOptions::reference_loop`]).
+    reference_loop: bool,
     /// In-memory execution records, keyed by the CTA-policy-independent
     /// content-key prefix (the replay-group key).
     records: Mutex<HashMap<String, Arc<ExecRecord>>>,
@@ -428,6 +431,7 @@ impl RunEngine {
             store: None,
             progress: None,
             replay: ReplayMode::default(),
+            reference_loop: false,
             records: Mutex::new(HashMap::new()),
             use_cached_results: true,
         }
@@ -438,6 +442,14 @@ impl RunEngine {
     /// in every mode; only wall-clock cost changes.
     pub fn set_replay_mode(&mut self, mode: ReplayMode) {
         self.replay = mode;
+    }
+
+    /// Runs every simulation this engine executes on the reference
+    /// cycle-by-cycle loop instead of the fast path (default off).
+    /// Results are bit-identical either way, so the content key ignores
+    /// it and memoized or stored results stay valid.
+    pub fn set_reference_loop(&mut self, on: bool) {
+        self.reference_loop = on;
     }
 
     /// The engine's current replay mode.
@@ -650,7 +662,8 @@ impl RunEngine {
                 });
                 move || {
                     let t0 = Instant::now();
-                    let (result, record) = execute_spec(spec, mode, progress);
+                    let (result, record) =
+                        execute_spec(spec, mode, progress, self.reference_loop);
                     let wall_nanos = t0.elapsed().as_nanos() as u64;
                     self.save_to_store(spec, &result, wall_nanos);
                     (i, result, record, wall_nanos)
@@ -780,17 +793,18 @@ fn spec_kernels(spec: &RunSpec) -> Vec<KernelDescriptor> {
     spec_workloads(spec).iter_mut().map(|w| w.prepare(&mut mem)).collect()
 }
 
-/// Runs one spec to completion under the given [`RunMode`] and (except
-/// for replay, which never evaluates semantics) verifies it. Direct
-/// execution is exactly an ad-hoc `run_launches` call on a fresh device,
-/// so results are bit-identical to it; capture and replay are
-/// bit-identical to direct execution (the golden replay suite's
-/// contract). Returns the captured record when `mode` was
-/// [`RunMode::Capture`].
+/// Runs one spec to completion under the given [`RunMode`], on the
+/// reference loop when `reference_loop`, and (except for replay, which
+/// never evaluates semantics) verifies it. Direct execution is exactly an
+/// ad-hoc `run_launches` call on a fresh device, so results are
+/// bit-identical to it; capture and replay are bit-identical to direct
+/// execution (the golden replay suite's contract). Returns the captured
+/// record when `mode` was [`RunMode::Capture`].
 fn execute_spec(
     spec: &RunSpec,
     mode: RunMode,
     progress: Option<(u64, ProgressCallback)>,
+    reference_loop: bool,
 ) -> (RunResult, Option<ExecRecord>) {
     let via_replay = matches!(mode, RunMode::Replay(_));
     let opts = RunOptions {
@@ -798,6 +812,7 @@ fn execute_spec(
         telemetry: spec.telemetry,
         mode,
         progress,
+        reference_loop,
     };
     let mut workloads = spec_workloads(spec);
     let mut launches: Vec<_> =

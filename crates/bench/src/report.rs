@@ -562,6 +562,7 @@ mod tests {
         ];
         let report = Report::from_rows(rows);
         assert!(report.identity_ok());
+        assert!(report.render_text().contains("conservation identity"), "stated in text");
         assert_eq!(report.comparisons.len(), 1, "single-policy groups skip");
         let c = &report.comparisons[0];
         assert_eq!(c.baseline, "baseline");

@@ -129,11 +129,18 @@ fn argument_errors_print_the_full_usage_text() {
         &["fuzz", "--budget-cycles", "12"],
         &["fuzz", "--budget-cycles", "many"],
         &["fuzz", "--repro"],
+        // The reference loop is chosen only where this process simulates
+        // a batch: submit's runs execute on the server, serve takes no
+        // per-run setting, fuzz runs both loops and report none.
+        &["submit", "--quick", "e1", "--no-fast-forward"],
+        &["serve", "--no-fast-forward"],
+        &["fuzz", "--no-fast-forward"],
+        &["report", "--store", "s", "--no-fast-forward"],
         &[],
     ];
     for args in bad {
         let out = exp(args);
-        assert!(!out.status.success(), "{args:?} must exit nonzero");
+        assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
         let err = stderr(&out);
         assert!(err.contains("error:"), "{args:?} reports an error: {err}");
         assert!(

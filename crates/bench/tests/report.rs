@@ -82,6 +82,15 @@ fn store_and_trace_sources_agree_on_one_run() {
     assert_eq!(s.lost_slots, t.lost_slots);
     assert!((s.avg_ctas - t.avg_ctas).abs() < 1e-9, "{} vs {}", s.avg_ctas, t.avg_ctas);
     assert!((s.avg_warps - t.avg_warps).abs() < 1e-9, "{} vs {}", s.avg_warps, t.avg_warps);
+
+    // `exp report --store` re-checks the conservation identity on the
+    // stored rows and reports it.
+    assert!(s.identity_ok(), "{s:?}");
+    let out = exp_report("--store", store_dir);
+    let json = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(json.contains("\"identity_ok\":true"), "{json}");
+    assert!(!json.contains("\"identity_ok\":false"), "{json}");
 }
 
 #[test]

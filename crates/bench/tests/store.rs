@@ -7,6 +7,7 @@ use gpgpu_bench::store::content_address;
 use gpgpu_bench::{Harness, ReplayMode, ResultStore, RunEngine, RunSpec};
 use gpgpu_testkit::TempDir;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::sync::Arc;
 use tbs_core::{CtaPolicy, WarpPolicy};
 
@@ -91,6 +92,51 @@ fn corrupt_entries_are_evicted_and_resimulated() {
     // The address is clear again: a save and a load work normally.
     store.save(&s, &result, 2).expect("re-save succeeds");
     assert!(store.load(&s).is_some(), "address serves hits again");
+
+    // A whole experiment's store, every entry damaged two ways in turn:
+    // truncated to 300 bytes, then replaced by a prefix of itself ending
+    // in an invalid byte. Each time `exp e7` re-simulates every run,
+    // exits 0 and writes the same tables.
+    let store_dir = dir.path().join("e7");
+    let exp_e7 = |out: &str| {
+        let out_dir = dir.path().join(out);
+        let run = Command::new(env!("CARGO_BIN_EXE_exp"))
+            .args(["--quick", "e7", "--jobs", "1", "--store"])
+            .arg(&store_dir)
+            .arg("--out-dir")
+            .arg(&out_dir)
+            .output()
+            .expect("exp runs");
+        let stdout = String::from_utf8_lossy(&run.stdout).into_owned();
+        assert!(run.status.success(), "{stdout}{}", String::from_utf8_lossy(&run.stderr));
+        let count = |what: &str| -> usize {
+            let before = &stdout[..stdout.find(what).expect("summary line")];
+            before.rsplit([' ', '[']).next().unwrap().parse().expect("a count")
+        };
+        let tables: Vec<_> = files_under(&out_dir)
+            .into_iter()
+            .map(|f| (f.file_name().unwrap().to_owned(), std::fs::read(&f).unwrap()))
+            .collect();
+        (count(" simulated"), count(" from store"), tables)
+    };
+    let (simulated, _, cold) = exp_e7("cold");
+    assert!(cold.iter().any(|(name, _)| name == "e7_a.csv"), "{cold:?}");
+    let damages: [fn(&[u8]) -> Vec<u8>; 2] =
+        [|b| b[..300].to_vec(), |b| [&b[..40], &[0xff][..]].concat()];
+    for (round, damage) in damages.into_iter().enumerate() {
+        let entries: Vec<_> = files_under(&store_dir)
+            .into_iter()
+            .filter(|f| f.extension().is_some_and(|e| e == "json"))
+            .collect();
+        assert_eq!(entries.len(), simulated, "one entry per run");
+        for f in &entries {
+            let bytes = std::fs::read(f).expect("entry");
+            std::fs::write(f, damage(&bytes)).expect("damage entry");
+        }
+        let (again, from_store, tables) = exp_e7(&format!("damaged{round}"));
+        assert_eq!((again, from_store), (simulated, 0), "round {round}: every run re-simulates");
+        assert_eq!(tables, cold, "round {round}: the tables are unchanged");
+    }
 }
 
 #[test]

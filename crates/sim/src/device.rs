@@ -16,19 +16,7 @@ use gpgpu_isa::KernelDescriptor;
 use gpgpu_mem::{Cycle, MemFabric};
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// Process-wide default for the idle fast-forward optimization (see
-/// [`GpuDevice::set_fast_forward`]). On by default; results are
-/// bit-identical either way.
-static FAST_FORWARD_DEFAULT: AtomicBool = AtomicBool::new(true);
-
-/// Sets the process-wide default for the idle fast-forward. Devices read
-/// the default at construction; already-built devices are unaffected.
-pub fn set_fast_forward_default(enabled: bool) {
-    FAST_FORWARD_DEFAULT.store(enabled, Ordering::Relaxed);
-}
 
 /// Source-compatibility stub: a simulation always steps its cores on the
 /// calling thread, so `1` is the only valid thread count and setting it
@@ -183,7 +171,7 @@ impl GpuDevice {
             .map(|i| Core::new(i, Arc::clone(&cfg), warp_sched))
             .collect();
         let fabric = MemFabric::new(cfg.fabric.clone());
-        let mut dev = GpuDevice {
+        GpuDevice {
             cores,
             fabric,
             gmem: GlobalMem::new(),
@@ -196,13 +184,11 @@ impl GpuDevice {
             pending_kernels: 0,
             dispatch_dirty: false,
             malformed_dispatches: 0,
-            fast_forward: FAST_FORWARD_DEFAULT.load(Ordering::Relaxed),
+            fast_forward: true,
             telemetry: None,
             progress: None,
             cfg,
-        };
-        dev.set_fast_forward(dev.fast_forward);
-        dev
+        }
     }
 
     /// Attaches a progress observer: every `every` cycles (clamped to at

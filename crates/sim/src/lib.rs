@@ -49,9 +49,7 @@ pub use core_model::{Core, CoreCtaCompletion};
 pub use counters::{
     ratio, CoreStats, Counter, Sample, StallBreakdown, COUNTERS, STALL_CATEGORIES, STALL_LABELS,
 };
-pub use device::{
-    set_fast_forward_default, set_sim_threads_default, GpuDevice, ProgressCallback, SimError,
-};
+pub use device::{set_sim_threads_default, GpuDevice, ProgressCallback, SimError};
 pub use invariants::{assert_conservation, conservation_violations};
 pub use memory::{GlobalMem, SharedMem};
 pub use record::{CtaRecord, ExecRecord, KernelRecord, TraceStep, WarpTrace};

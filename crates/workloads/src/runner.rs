@@ -128,10 +128,14 @@ pub fn run_workload(
 }
 
 /// How [`run_launches`] sets up its device beyond the config, the
-/// policies and the cycle budget. The default is a direct run with every
-/// workload launched at cycle 0, no telemetry and no observer.
+/// policies and the cycle budget. The default is a direct run on the fast
+/// path with every workload launched at cycle 0, no telemetry and no
+/// observer.
 #[derive(Clone, Default)]
 pub struct RunOptions {
+    /// Run the reference cycle-by-cycle loop instead of the fast path
+    /// (see [`GpuDevice::set_fast_forward`]); results are bit-identical.
+    pub reference_loop: bool,
     /// Launch each workload only after the previous one completes (the
     /// serial-execution regime) instead of all at cycle 0.
     pub serial: bool,
@@ -162,6 +166,7 @@ pub fn run_launches(
     opts: RunOptions,
 ) -> Result<(GpuDevice, Vec<KernelId>), RunError> {
     let mut gpu = GpuDevice::new(cfg, warp, cta);
+    gpu.set_fast_forward(!opts.reference_loop);
     opts.mode.configure(&mut gpu);
     if let Some(t) = opts.telemetry {
         gpu.enable_telemetry(t);

@@ -3,7 +3,7 @@
 //! The event-gated dispatch, core sleep and idle fast-forward in
 //! `gpgpu-sim` are pure wall-clock optimizations: every statistic,
 //! per-kernel result, memory byte, and telemetry byte must match the
-//! reference cycle-by-cycle loop (`GpuDevice::set_fast_forward(false)`).
+//! reference cycle-by-cycle loop (`RunOptions::reference_loop`).
 //! These tests run a matrix of workloads against every named warp and CTA
 //! policy — fast path vs reference — and compare `SimStats`, the memory
 //! content hash, the serialized event trace, and the serialized interval
@@ -12,15 +12,16 @@
 
 use gpgpu_repro::isa::dsl::DslKernel;
 use gpgpu_repro::isa::{AluOp, Dim2, KernelDescriptor, SpecialReg};
-use gpgpu_repro::sim::{GlobalMem, GpuConfig, GpuDevice, SimStats, TelemetryConfig};
+use gpgpu_repro::sim::{GlobalMem, GpuConfig, SimStats};
 use gpgpu_repro::tbs::{CtaPolicy, WarpPolicy};
 use gpgpu_repro::workloads::compute::FmaHeavy;
 use gpgpu_repro::workloads::irregular::RandomGather;
 use gpgpu_repro::workloads::streaming::{Saxpy, VecAdd};
-use gpgpu_repro::workloads::{VerifyError, Workload, WorkloadClass};
+use gpgpu_repro::workloads::{RunOptions, VerifyError, Workload, WorkloadClass};
 use std::sync::Arc;
 
-const MAX_CYCLES: u64 = 50_000_000;
+mod common;
+use common::{traced_run, Traced};
 
 /// The device configuration and telemetry sampling period of a run.
 struct Setup {
@@ -38,8 +39,7 @@ impl Default for Setup {
 }
 
 /// One complete traced run; `fast` selects the optimized or the reference
-/// loop. Returns the stats, the byte-serialized telemetry streams, and the
-/// memory content hash.
+/// loop.
 fn run_once(
     setup: &Setup,
     workloads: &[&dyn Fn() -> Box<dyn Workload>],
@@ -47,37 +47,9 @@ fn run_once(
     warp: WarpPolicy,
     cta: CtaPolicy,
     fast: bool,
-) -> (SimStats, String, String, u64) {
-    let factory = warp.factory();
-    let mut gpu = GpuDevice::new(setup.cfg.clone(), factory.as_ref(), cta.scheduler());
-    gpu.set_fast_forward(fast);
-    gpu.enable_telemetry(TelemetryConfig::new(setup.sample_every));
-    let mut instances: Vec<Box<dyn Workload>> = workloads.iter().map(|make| make()).collect();
-    let mut prev = None;
-    for w in &mut instances {
-        let desc = w.prepare(gpu.mem());
-        prev = Some(match (serial, prev) {
-            (true, Some(dep)) => gpu.launch_after(desc, dep),
-            _ => gpu.launch(desc),
-        });
-    }
-    gpu.run(MAX_CYCLES).expect("run completes");
-    for w in &instances {
-        w.verify(gpu.mem_ref()).expect("output verifies");
-    }
-    let stats = gpu.stats();
-    let mem_hash = gpu.mem_ref().content_hash();
-    let data = gpu.take_telemetry().expect("telemetry attached");
-    let mut events = Vec::new();
-    data.write_events_jsonl(&mut events).expect("serialize events");
-    let mut samples = Vec::new();
-    data.write_samples_csv(&mut samples).expect("serialize samples");
-    (
-        stats,
-        String::from_utf8(events).expect("jsonl is utf-8"),
-        String::from_utf8(samples).expect("csv is utf-8"),
-        mem_hash,
-    )
+) -> Traced {
+    let opts = RunOptions { reference_loop: !fast, serial, ..RunOptions::default() };
+    traced_run(setup.cfg.clone(), workloads, warp, cta, setup.sample_every, opts)
 }
 
 /// Runs the fast path and the reference loop and demands identical

@@ -10,83 +10,28 @@
 //! from the replay targets — and replay it across 3 CTA policies,
 //! comparing every output against a direct run.
 
-use gpgpu_repro::sim::{ExecRecord, GpuConfig, GpuDevice, SimStats, TelemetryConfig};
+use gpgpu_repro::sim::{ExecRecord, GpuConfig};
 use gpgpu_repro::tbs::{CtaPolicy, WarpPolicy};
 use gpgpu_repro::workloads::compute::FmaHeavy;
 use gpgpu_repro::workloads::streaming::VecAdd;
-use gpgpu_repro::workloads::Workload;
+use gpgpu_repro::workloads::{RunMode, RunOptions, Workload};
 use std::sync::Arc;
 
-const MAX_CYCLES: u64 = 50_000_000;
+mod common;
+use common::{traced_run, Traced};
+
 const SAMPLE_EVERY: u64 = 500;
 
-/// How to run: direct, capturing, or replaying a record.
-enum Mode {
-    Direct,
-    Capture,
-    Replay(Arc<ExecRecord>),
-}
-
-/// One complete traced run. Returns the stats, the byte-serialized
-/// telemetry streams, the memory content hash (the record's carried hash
-/// on replay runs, which never touch memory data), and the captured
-/// record if capturing.
+/// One complete traced run on the fast path.
 fn run_once(
     workloads: &[&dyn Fn() -> Box<dyn Workload>],
     serial: bool,
     warp: WarpPolicy,
     cta: CtaPolicy,
-    mode: Mode,
-) -> (SimStats, String, String, u64, Option<ExecRecord>) {
-    let factory = warp.factory();
-    let mut gpu = GpuDevice::new(GpuConfig::fermi(), factory.as_ref(), cta.scheduler());
-    let replaying = match &mode {
-        Mode::Direct => false,
-        Mode::Capture => {
-            gpu.set_capture(true);
-            false
-        }
-        Mode::Replay(rec) => {
-            gpu.set_replay(Arc::clone(rec));
-            true
-        }
-    };
-    gpu.enable_telemetry(TelemetryConfig::new(SAMPLE_EVERY));
-    let mut instances: Vec<Box<dyn Workload>> = workloads.iter().map(|make| make()).collect();
-    let mut prev = None;
-    for w in &mut instances {
-        let desc = w.prepare(gpu.mem());
-        prev = Some(match (serial, prev) {
-            (true, Some(dep)) => gpu.launch_after(desc, dep),
-            _ => gpu.launch(desc),
-        });
-    }
-    gpu.run(MAX_CYCLES).expect("run completes");
-    let mem_hash = if replaying {
-        match &mode {
-            Mode::Replay(rec) => rec.mem_hash,
-            _ => unreachable!(),
-        }
-    } else {
-        for w in &instances {
-            w.verify(gpu.mem_ref()).expect("output verifies");
-        }
-        gpu.mem_ref().content_hash()
-    };
-    let record = gpu.take_record();
-    let stats = gpu.stats();
-    let data = gpu.take_telemetry().expect("telemetry attached");
-    let mut events = Vec::new();
-    data.write_events_jsonl(&mut events).expect("serialize events");
-    let mut samples = Vec::new();
-    data.write_samples_csv(&mut samples).expect("serialize samples");
-    (
-        stats,
-        String::from_utf8(events).expect("jsonl is utf-8"),
-        String::from_utf8(samples).expect("csv is utf-8"),
-        mem_hash,
-        record,
-    )
+    mode: RunMode,
+) -> Traced {
+    let opts = RunOptions { mode, serial, ..RunOptions::default() };
+    traced_run(GpuConfig::fermi(), workloads, warp, cta, SAMPLE_EVERY, opts)
 }
 
 fn vecadd() -> Box<dyn Workload> {
@@ -112,7 +57,7 @@ fn assert_replay_identical(
         serial,
         WarpPolicy::Gto,
         capture_cta,
-        Mode::Capture,
+        RunMode::Capture,
     );
     let record = Arc::new(cap.4.expect("capture produced a record"));
     assert!(record.total_steps() > 0, "{label}: empty record proves nothing");
@@ -124,7 +69,7 @@ fn assert_replay_identical(
         serial,
         WarpPolicy::Gto,
         capture_cta,
-        Mode::Direct,
+        RunMode::Direct,
     );
     assert_eq!(cap.0, direct_cap.0, "{label}: capture perturbed SimStats");
     assert_eq!(cap.1, direct_cap.1, "{label}: capture perturbed events");
@@ -133,13 +78,13 @@ fn assert_replay_identical(
     assert_eq!(record.mem_hash, direct_cap.3, "{label}: record mem_hash wrong");
 
     for &(cname, cta) in targets {
-        let direct = run_once(workloads, serial, WarpPolicy::Gto, cta, Mode::Direct);
+        let direct = run_once(workloads, serial, WarpPolicy::Gto, cta, RunMode::Direct);
         let replay = run_once(
             workloads,
             serial,
             WarpPolicy::Gto,
             cta,
-            Mode::Replay(Arc::clone(&record)),
+            RunMode::Replay(Arc::clone(&record)),
         );
         let tag = format!("{label} -> {cname}");
         assert_eq!(replay.0, direct.0, "{tag}: SimStats diverge");
@@ -227,7 +172,7 @@ fn replay_survives_binary_round_trip() {
         false,
         WarpPolicy::Gto,
         CtaPolicy::Baseline(None),
-        Mode::Capture,
+        RunMode::Capture,
     );
     let record = cap.4.expect("capture produced a record");
     let mut buf = Vec::new();
@@ -239,14 +184,14 @@ fn replay_survives_binary_round_trip() {
         false,
         WarpPolicy::Gto,
         CtaPolicy::Lcs(0.7),
-        Mode::Direct,
+        RunMode::Direct,
     );
     let replay = run_once(
         &[&vecadd],
         false,
         WarpPolicy::Gto,
         CtaPolicy::Lcs(0.7),
-        Mode::Replay(decoded),
+        RunMode::Replay(decoded),
     );
     assert_eq!(replay.0, direct.0, "round-tripped record: SimStats diverge");
     assert_eq!(replay.1, direct.1, "round-tripped record: events diverge");
@@ -275,7 +220,7 @@ fn capture_replay_wall_clock_probe() {
             false,
             WarpPolicy::Gto,
             CtaPolicy::Baseline(None),
-            Mode::Direct,
+            RunMode::Direct,
         );
         let direct = t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
@@ -284,7 +229,7 @@ fn capture_replay_wall_clock_probe() {
             false,
             WarpPolicy::Gto,
             CtaPolicy::Baseline(None),
-            Mode::Capture,
+            RunMode::Capture,
         );
         let capture = t0.elapsed().as_secs_f64();
         let record = Arc::new(cap.4.expect("capture produced a record"));
@@ -294,7 +239,7 @@ fn capture_replay_wall_clock_probe() {
             false,
             WarpPolicy::Gto,
             CtaPolicy::Lcs(0.7),
-            Mode::Replay(Arc::clone(&record)),
+            RunMode::Replay(Arc::clone(&record)),
         );
         let replay = t0.elapsed().as_secs_f64();
         println!(
@@ -314,7 +259,7 @@ fn replay_composes_with_fast_forward_off() {
         false,
         WarpPolicy::Gto,
         CtaPolicy::Baseline(None),
-        Mode::Capture,
+        RunMode::Capture,
     );
     let record = Arc::new(cap.4.expect("capture produced a record"));
     let direct = run_once(
@@ -322,19 +267,13 @@ fn replay_composes_with_fast_forward_off() {
         false,
         WarpPolicy::Gto,
         CtaPolicy::Bcs(2),
-        Mode::Direct,
+        RunMode::Direct,
     );
-    for fast in [false, true] {
-        let factory = WarpPolicy::Gto.factory();
-        let mut gpu =
-            GpuDevice::new(GpuConfig::fermi(), factory.as_ref(), CtaPolicy::Bcs(2).scheduler());
-        gpu.set_fast_forward(fast);
-        gpu.set_replay(Arc::clone(&record));
-        gpu.enable_telemetry(TelemetryConfig::new(SAMPLE_EVERY));
-        let mut w = vecadd();
-        let desc = w.prepare(gpu.mem());
-        gpu.launch(desc);
-        gpu.run(MAX_CYCLES).expect("replay completes");
-        assert_eq!(gpu.stats(), direct.0, "fast={fast}: SimStats diverge");
+    for reference_loop in [true, false] {
+        let mode = RunMode::Replay(Arc::clone(&record));
+        let opts = RunOptions { reference_loop, mode, ..RunOptions::default() };
+        let cta = CtaPolicy::Bcs(2);
+        let replay = traced_run(GpuConfig::fermi(), &[&vecadd], WarpPolicy::Gto, cta, SAMPLE_EVERY, opts);
+        assert_eq!(replay.0, direct.0, "reference_loop={reference_loop}: SimStats diverge");
     }
 }

@@ -9,13 +9,12 @@
 
 use gpgpu_repro::mem::FabricConfig;
 use gpgpu_repro::sim::{
-    GpuConfig, GpuDevice, IssueView, SimStats, WarpMeta, WarpScheduler, WarpSchedulerFactory,
-    MAX_WARP_SLOTS,
+    GpuConfig, IssueView, SimStats, WarpMeta, WarpScheduler, WarpSchedulerFactory, MAX_WARP_SLOTS,
 };
 use gpgpu_repro::tbs::{CtaPolicy, WarpPolicy};
 use gpgpu_repro::workloads::irregular::RandomGather;
 use gpgpu_repro::workloads::streaming::VecAdd;
-use gpgpu_repro::workloads::Workload;
+use gpgpu_repro::workloads::{run_launches, RunOptions};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
@@ -77,20 +76,11 @@ fn run(
     cta: CtaPolicy,
     fast: bool,
 ) -> (SimStats, u64) {
-    let mut gpu = GpuDevice::new(cfg, factory, cta.scheduler());
-    gpu.set_fast_forward(fast);
-    let mut work: Vec<Box<dyn Workload>> = vec![
-        Box::new(VecAdd::new(8 * 1024)),
-        Box::new(RandomGather::new(2 * 1024, 8)),
-    ];
-    for w in &mut work {
-        let desc = w.prepare(gpu.mem());
-        gpu.launch(desc);
-    }
-    gpu.run(50_000_000).expect("run completes");
-    for w in &work {
-        w.verify(gpu.mem_ref()).expect("output verifies");
-    }
+    let (mut vecadd, mut gather) = (VecAdd::new(8 * 1024), RandomGather::new(2 * 1024, 8));
+    let opts = RunOptions { reference_loop: !fast, ..RunOptions::default() };
+    let (gpu, _) =
+        run_launches(&mut [&mut vecadd, &mut gather], cfg, factory, cta.scheduler(), 50_000_000, opts)
+            .expect("run completes and verifies");
     (gpu.stats(), gpu.mem_ref().content_hash())
 }
 

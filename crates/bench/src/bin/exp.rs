@@ -270,7 +270,6 @@ fn run_serve(
     let cfg = ServeConfig {
         addr: args.addr,
         jobs: h.jobs,
-        queue_cap: args.queue_cap,
         progress_every: args.progress_every,
         store,
         stats_log_every: args.stats_log_every,

@@ -122,8 +122,6 @@ impl Default for FuzzArgs {
 pub struct ServeArgs {
     /// Address to bind (`--addr`; port 0 picks a free port).
     pub addr: String,
-    /// Work-queue bound (`--queue-cap`); submitters block while full.
-    pub queue_cap: usize,
     /// Cycles between streamed `run_progress` events
     /// (`--progress-every`; 0 disables).
     pub progress_every: u64,
@@ -136,7 +134,6 @@ impl Default for ServeArgs {
     fn default() -> Self {
         ServeArgs {
             addr: "127.0.0.1:7878".into(),
-            queue_cap: 1024,
             progress_every: 1_000_000,
             stats_log_every: 60,
         }
@@ -296,7 +293,8 @@ conservation oracles; failures shrink to a reproducer file under
 reproducer files start with `# simcheck reproducer v2`, then plain
 key=value lines (# comments allowed): seed, warp, grid=WxH, block=WxH,
 kernel (generator seed), segs, smem, divergent, optional
-grid2/block2/kernel2 (concurrent in-place kernel), max_ctas, budget.
+grid2/block2/kernel2 (concurrent in-place kernel), max_ctas, budget,
+optional l1.mshr_entries/l1.mshr_max_merge/l1.miss_queue_len.
 EXPERIMENTS.md documents the full format with examples.
 
 Common options (exp --help) apply.";
@@ -305,15 +303,14 @@ const SERVE_HELP: &str = "\
 usage: exp serve [options]
 
 long-running job server: accepts NDJSON batches of run specs over TCP,
-executes them on a bounded queue over --jobs workers, streams per-run
-progress and results back, and serves --store hits instantly. Duplicate
-in-flight submissions coalesce onto one execution. Stops gracefully when
-a client sends shutdown (exp submit --shutdown).
+runs each batch on one shared engine over --jobs workers (one batch at a
+time; a later batch waits and takes the earlier one's results from
+memory), streams per-run progress and results back, and serves --store
+hits instantly. Duplicates within a batch run once. Stops gracefully
+when a client sends shutdown (exp submit --shutdown).
 
   --addr HOST:PORT   address to bind (default 127.0.0.1:7878; port 0
                      picks a free port, printed on startup)
-  --queue-cap N      bound on the work queue; submitters block while it
-                     is full (default 1024)
   --progress-every N cycles between streamed run_progress events
                      (default 1000000; 0 disables)
   --stats-log-every N seconds between periodic [serve: stats ...] log
@@ -321,8 +318,9 @@ a client sends shutdown (exp submit --shutdown).
                      is served on demand by the `stats` wire request
 
 Common options (exp --help) apply; --store gives the server persistence
-and --replay auto|force lets the shared engine serve policy variants by
-re-timing a captured execution record (reported as source=replayed).";
+and --replay auto|force lets the engine serve a batch's policy variants
+by re-timing one captured execution record (reported as
+source=replayed).";
 
 const REPORT_HELP: &str = "\
 usage: exp report (--store PATH | --trace-dir PATH) [--json]
@@ -464,13 +462,6 @@ impl Cli {
                 }
                 "--addr" => {
                     addr = Some(it.next().ok_or("--addr needs host:port")?.clone());
-                }
-                "--queue-cap" => {
-                    serve.queue_cap = it
-                        .next()
-                        .and_then(|v| v.parse::<usize>().ok())
-                        .filter(|&n| n > 0)
-                        .ok_or("--queue-cap needs a positive integer")?;
                 }
                 "--progress-every" => {
                     serve.progress_every = it
@@ -624,7 +615,7 @@ mod tests {
     fn per_command_help_is_selected() {
         for args in [&["serve", "--help"][..], &["--help", "serve"][..]] {
             match parse(args).expect("parses") {
-                Parsed::Exit(text) => assert!(text.contains("--queue-cap"), "for {args:?}"),
+                Parsed::Exit(text) => assert!(text.contains("--progress-every"), "for {args:?}"),
                 other => panic!("expected help, got {other:?}"),
             }
         }
@@ -687,12 +678,13 @@ mod tests {
 
     #[test]
     fn store_and_serve_flags_parse() {
-        let c = cli(&["serve", "--store", "cache", "--addr", "127.0.0.1:0", "--queue-cap", "7"]);
+        let args = ["serve", "--store", "cache", "--addr", "127.0.0.1:0", "--progress-every", "7"];
+        let c = cli(&args);
         assert_eq!(c.common.store_dir.as_deref(), Some(std::path::Path::new("cache")));
         match c.command {
             Command::Serve(s) => {
                 assert_eq!(s.addr, "127.0.0.1:0");
-                assert_eq!(s.queue_cap, 7);
+                assert_eq!(s.progress_every, 7);
             }
             other => panic!("expected serve, got {other:?}"),
         }

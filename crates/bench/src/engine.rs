@@ -18,10 +18,11 @@
 //! The intended shape is two-phase: experiments *plan* (contribute specs)
 //! and the engine *executes* the combined batch; experiments then
 //! tabulate from the batch's results (`experiments::Runs`), which never
-//! simulate. [`RunEngine::get`] executes on demand, through the same
-//! per-spec path as a batch, for callers that run one spec at a time
-//! (the job server's workers).
+//! simulate. [`RunEngine::get`] reads the memo, or else runs its spec as
+//! a batch of one. The job server hands each submitted batch to the same
+//! executor.
 
+use crate::service::Source;
 use crate::{parallel_map, Harness};
 use gpgpu_isa::KernelDescriptor;
 use gpgpu_sim::{
@@ -144,10 +145,10 @@ impl RunSpec {
     ///
     /// Derivation lives in one documented place —
     /// [`codec::content_key`](crate::codec::content_key) — shared by the
-    /// in-memory memo table, the persistent
-    /// [`ResultStore`](crate::store::ResultStore), and the `exp serve`
-    /// coalescing map, and pinned by a golden test so accidental drift
-    /// (which would silently invalidate every stored result) fails CI.
+    /// in-memory memo table and the persistent
+    /// [`ResultStore`](crate::store::ResultStore), and pinned by a golden
+    /// test so accidental drift (which would silently invalidate every
+    /// stored result) fails CI.
     /// The `telemetry` request is excluded — it observes a run without
     /// changing its results.
     pub fn key(&self) -> RunKey {
@@ -276,23 +277,48 @@ pub struct RunEngine {
     /// In-memory execution records, keyed by the CTA-policy-independent
     /// content-key prefix (the replay-group key).
     records: Mutex<HashMap<String, Arc<ExecRecord>>>,
+    /// The cause of each failed run, by key: a failed key never runs again.
+    failed: Mutex<HashMap<RunKey, String>>,
     /// When false (the `exp perf` setting), the store never *serves*
     /// results — only execution records — so every measured run actually
     /// simulates. Results are still saved.
     use_cached_results: bool,
 }
 
-/// An observer of in-flight simulations: called from the thread running
-/// a spec, every `every_cycles` device cycles, with the run's
-/// key, current cycle, and instructions issued so far. Observation only —
-/// it cannot affect results (`exp serve` uses it to stream `run_progress`
-/// events to clients).
+/// An observer of simulations: called from the thread running a spec
+/// with the run's key and `None` when the run starts, then every
+/// `every_cycles` device cycles with `Some((cycle, instructions issued so
+/// far))`. Observation only — it cannot affect results (`exp serve` uses
+/// it to stream `run_started` and `run_progress` events to clients).
 #[derive(Clone)]
 pub struct ProgressHook {
-    /// Device-cycle interval between callbacks.
+    /// Device-cycle interval between progress callbacks (0: start only).
     pub every_cycles: u64,
     /// The callback itself.
-    pub callback: Arc<dyn Fn(&RunKey, u64, u64) + Send + Sync>,
+    pub callback: Arc<dyn Fn(&RunKey, Option<(u64, u64)>) + Send + Sync>,
+}
+
+/// How [`RunEngine::run_batch`] satisfied one requested spec.
+#[derive(Clone)]
+pub(crate) struct Answer {
+    /// Memo or store hit ([`Source::Cached`]), duplicate within the batch
+    /// ([`Source::Coalesced`]), executed or replayed.
+    pub source: Source,
+    /// Wall-clock nanoseconds the run took: 0 when cached, the first
+    /// occurrence's for a duplicate.
+    pub wall_nanos: u64,
+    /// The run's result.
+    pub result: Arc<RunResult>,
+}
+
+impl Answer {
+    fn cached(result: &Arc<RunResult>) -> Answer {
+        Answer {
+            source: Source::Cached,
+            wall_nanos: 0,
+            result: Arc::clone(result),
+        }
+    }
 }
 
 /// Wall-clock profile of one executed run (one entry per simulation, in
@@ -433,6 +459,7 @@ impl RunEngine {
             replay: ReplayMode::default(),
             reference_loop: false,
             records: Mutex::new(HashMap::new()),
+            failed: Mutex::new(HashMap::new()),
             use_cached_results: true,
         }
     }
@@ -450,11 +477,6 @@ impl RunEngine {
     /// it and memoized or stored results stay valid.
     pub fn set_reference_loop(&mut self, on: bool) {
         self.reference_loop = on;
-    }
-
-    /// The engine's current replay mode.
-    pub fn replay_mode(&self) -> ReplayMode {
-        self.replay
     }
 
     /// When disabled, the attached store never *serves* results — every
@@ -565,38 +587,74 @@ impl RunEngine {
     ///
     /// # Panics
     ///
-    /// Panics if a simulation fails or its output does not verify (an
-    /// experiment must not silently report a broken run).
+    /// Panics, naming the run and its cause, if a simulation fails or its
+    /// output does not verify (an experiment must not silently report a
+    /// broken run).
     pub fn execute_batch(&self, specs: &[RunSpec]) {
-        let mut fresh: Vec<(RunKey, RunSpec)> = Vec::new();
+        for (spec, answer) in specs.iter().zip(self.run_batch(specs)) {
+            if let Err(cause) = answer {
+                panic!("run {} failed: {cause}", spec.key().as_str());
+            }
+        }
+    }
+
+    /// [`execute_batch`](Self::execute_batch) without the panic: for each
+    /// spec, in order, how it was satisfied, or why its run failed. A
+    /// failed key keeps its cause and never runs again.
+    pub(crate) fn run_batch(&self, specs: &[RunSpec]) -> Vec<Result<Answer, String>> {
+        let mut answers: Vec<Option<Result<Answer, String>>> = vec![None; specs.len()];
+        // The first occurrence of each key the memo and the failures
+        // leave open, and each later duplicate's first occurrence.
+        let mut fresh: Vec<(usize, RunKey, RunSpec)> = Vec::new();
+        let mut twins: Vec<(usize, usize)> = Vec::new();
         {
             let memo = self.memo.lock().expect("not poisoned");
+            let failed = self.failed.lock().expect("not poisoned");
             let mut batch_index: HashMap<RunKey, usize> = HashMap::new();
-            for spec in specs {
+            for (i, spec) in specs.iter().enumerate() {
                 let key = spec.key();
-                if memo.contains_key(&key) {
+                if let Some(result) = memo.get(&key) {
                     self.deduped.fetch_add(1, Ordering::Relaxed);
-                } else if let Some(&i) = batch_index.get(&key) {
+                    answers[i] = Some(Ok(Answer::cached(result)));
+                } else if let Some(cause) = failed.get(&key) {
+                    answers[i] = Some(Err(cause.clone()));
+                } else if let Some(&f) = batch_index.get(&key) {
                     self.deduped.fetch_add(1, Ordering::Relaxed);
-                    if fresh[i].1.telemetry.is_none() {
-                        fresh[i].1.telemetry = spec.telemetry;
+                    if fresh[f].2.telemetry.is_none() {
+                        fresh[f].2.telemetry = spec.telemetry;
                     }
+                    twins.push((i, fresh[f].0));
                 } else {
                     batch_index.insert(key.clone(), fresh.len());
-                    fresh.push((key, spec.clone()));
+                    fresh.push((i, key, spec.clone()));
                 }
             }
         }
         // Persistent-store pass: anything already on disk skips the
         // worker pool entirely. (Telemetry-requesting specs always
         // simulate — see `attach_store`; perf mode never serves results.)
-        fresh.retain(|(key, spec)| self.load_from_store(key, spec).is_none());
-        self.run_fresh(&fresh, true);
+        let (mut run, mut run_at) = (Vec::new(), Vec::new());
+        for (i, key, spec) in fresh {
+            match self.load_from_store(&key, &spec) {
+                Some(result) => answers[i] = Some(Ok(Answer::cached(&result))),
+                None => {
+                    run_at.push(i);
+                    run.push((key, spec));
+                }
+            }
+        }
+        for (i, answer) in run_at.into_iter().zip(self.run_fresh(&run)) {
+            answers[i] = Some(answer);
+        }
+        for (i, first) in twins {
+            let shared = answers[first].clone().expect("first occurrence answered");
+            answers[i] = Some(shared.map(|a| Answer { source: Source::Coalesced, ..a }));
+        }
+        answers.into_iter().map(|a| a.expect("every spec answered")).collect()
     }
 
-    /// Runs specs that neither the memo nor the store holds: on the
-    /// worker pool for [`execute_batch`](Self::execute_batch), in order on
-    /// the calling thread for [`get`](Self::get) (`pool` false).
+    /// Runs specs that neither the memo nor the store holds on the worker
+    /// pool, answering each in order.
     ///
     /// Replay planning: specs sharing a CTA-policy-independent key prefix
     /// form a group, and one execution record re-times all of them. A
@@ -605,7 +663,7 @@ impl RunEngine {
     /// its record in a second wave. `Auto` skips capturing for a lone
     /// spec (nothing in the batch amortizes it); `Force` captures anyway
     /// so the record exists for later.
-    fn run_fresh(&self, fresh: &[(RunKey, RunSpec)], pool: bool) {
+    fn run_fresh(&self, fresh: &[(RunKey, RunSpec)]) -> Vec<Result<Answer, String>> {
         let mut modes: Vec<Option<RunMode>> = vec![Some(RunMode::Direct); fresh.len()];
         let mut awaiting: Vec<Option<String>> = vec![None; fresh.len()];
         if self.replay != ReplayMode::Off {
@@ -635,66 +693,102 @@ impl RunEngine {
         // Wave 1: everything not waiting on a capture — direct runs,
         // captures, and replays whose record already exists.
         let wave1 = modes.into_iter().enumerate().filter_map(|(i, m)| Some((i, m?)));
-        self.run_wave(fresh, wave1.collect(), pool);
+        let mut ran = self.run_wave(fresh, wave1.collect());
         // Wave 2: replays waiting on a wave-1 capture. A capture that
-        // produced no record (a degenerate zero-CTA run) falls back to
-        // direct execution.
+        // produced no record (a degenerate zero-CTA run, or a failed one)
+        // falls back to direct execution.
         let wave2 = awaiting.into_iter().enumerate().filter_map(|(i, prefix)| {
             let rec = self.lookup_record(&prefix?, &fresh[i].1);
             Some((i, rec.map_or(RunMode::Direct, RunMode::Replay)))
         });
-        self.run_wave(fresh, wave2.collect(), pool);
+        ran.extend(self.run_wave(fresh, wave2.collect()));
+        ran.sort_unstable_by_key(|(i, _)| *i);
+        ran.into_iter().map(|(_, answer)| answer).collect()
     }
 
-    /// Runs one wave of `fresh` specs and persists each result; then
-    /// adopts each captured record, counts, profiles and memoizes each
-    /// result. The memo keeps the first result for a key, since the
-    /// server's workers call [`get`](Self::get) concurrently.
-    fn run_wave(&self, fresh: &[(RunKey, RunSpec)], wave: Vec<(usize, RunMode)>, pool: bool) {
+    /// Runs one wave of `fresh` specs on the worker pool, then adopts
+    /// each captured record on the calling thread.
+    fn run_wave(
+        &self,
+        fresh: &[(RunKey, RunSpec)],
+        wave: Vec<(usize, RunMode)>,
+    ) -> Vec<(usize, Result<Answer, String>)> {
         let jobs: Vec<_> = wave
             .into_iter()
             .map(|(i, mode)| {
                 let (key, spec) = &fresh[i];
-                let progress = self.progress.as_ref().map(|hook| {
-                    let (key, cb) = (key.clone(), Arc::clone(&hook.callback));
-                    let cb: ProgressCallback = Arc::new(move |cycle, instr| cb(&key, cycle, instr));
-                    (hook.every_cycles, cb)
-                });
-                move || {
-                    let t0 = Instant::now();
-                    let (result, record) =
-                        execute_spec(spec, mode, progress, self.reference_loop);
-                    let wall_nanos = t0.elapsed().as_nanos() as u64;
-                    self.save_to_store(spec, &result, wall_nanos);
-                    (i, result, record, wall_nanos)
-                }
+                move || (i, self.run_one(key, spec, mode))
             })
             .collect();
-        let ran = if pool {
-            parallel_map(jobs, self.jobs)
-        } else {
-            jobs.into_iter().map(|job| job()).collect()
-        };
-        for (i, result, record, wall_nanos) in ran {
-            let (key, spec) = &fresh[i];
+        let adopt = |(answer, record): (Answer, Option<ExecRecord>), spec: &RunSpec| {
             if let Some(rec) = record {
                 self.adopt_record(crate::codec::content_key_prefix(spec), spec, rec);
             }
-            let counter = if result.via_replay { &self.replayed } else { &self.executed };
-            counter.fetch_add(1, Ordering::Relaxed);
-            self.profiles.lock().expect("not poisoned").push(RunProfile {
-                key: key.clone(),
-                wall_nanos,
-                cycles: result.stats.cycles,
-                instructions: result.stats.instructions,
-            });
-            let mut memo = self.memo.lock().expect("not poisoned");
-            memo.entry(key.clone()).or_insert_with(|| Arc::new(result));
-        }
+            answer
+        };
+        let ran = parallel_map(jobs, self.jobs).into_iter();
+        ran.map(|(i, ran)| (i, ran.map(|r| adopt(r, &fresh[i].1)))).collect()
     }
 
-    /// The memoized result for `spec`, executing it first if no batch has
-    /// covered it yet.
+    /// Runs one spec on the calling worker, persists its result, and
+    /// profiles, memoizes and counts it; returns the captured record too.
+    /// A run that panics keeps its cause under its key instead. The memo
+    /// keeps the first result for a key, since callers may run batches
+    /// concurrently.
+    fn run_one(
+        &self,
+        key: &RunKey,
+        spec: &RunSpec,
+        mode: RunMode,
+    ) -> Result<(Answer, Option<ExecRecord>), String> {
+        let progress = self.progress.as_ref().and_then(|hook| {
+            (hook.callback)(key, None);
+            (hook.every_cycles > 0).then(|| {
+                let (key, cb) = (key.clone(), Arc::clone(&hook.callback));
+                let cb: ProgressCallback =
+                    Arc::new(move |cycle, instr| cb(&key, Some((cycle, instr))));
+                (hook.every_cycles, cb)
+            })
+        });
+        let t0 = Instant::now();
+        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            execute_spec(spec, mode, progress, self.reference_loop)
+        }));
+        let wall_nanos = t0.elapsed().as_nanos() as u64;
+        let (result, record) = ran.map_err(|panic| {
+            let payload = panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or("simulation panicked");
+            // The elapsed time separates an instant config failure from a
+            // deadlock detector tripping an hour in.
+            let cause = format!("panicked after {:.2}s: {payload}", wall_nanos as f64 / 1e9);
+            self.failed.lock().expect("not poisoned").insert(key.clone(), cause.clone());
+            cause
+        })?;
+        self.save_to_store(spec, &result, wall_nanos);
+        self.profiles.lock().expect("not poisoned").push(RunProfile {
+            key: key.clone(),
+            wall_nanos,
+            cycles: result.stats.cycles,
+            instructions: result.stats.instructions,
+        });
+        let (counter, source) = if result.via_replay {
+            (&self.replayed, Source::Replayed)
+        } else {
+            (&self.executed, Source::Simulated)
+        };
+        let result = {
+            let mut memo = self.memo.lock().expect("not poisoned");
+            Arc::clone(memo.entry(key.clone()).or_insert_with(|| Arc::new(result)))
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Ok((Answer { source, wall_nanos, result }, record))
+    }
+
+    /// The memoized result for `spec`, or else the result of running it
+    /// as a batch of one.
     ///
     /// A memo hit ignores `spec.telemetry` — to guarantee telemetry,
     /// include the traced spec in the planning batch.
@@ -703,24 +797,18 @@ impl RunEngine {
     ///
     /// As [`RunEngine::execute_batch`].
     pub fn get(&self, spec: &RunSpec) -> Arc<RunResult> {
-        if let Some(r) = self.lookup(spec) {
-            return r;
-        }
         let key = spec.key();
-        self.run_fresh(&[(key.clone(), spec.clone())], false);
-        Arc::clone(&self.memo.lock().expect("not poisoned")[&key])
+        let memoized = || self.memo.lock().expect("not poisoned").get(&key).cloned();
+        if let Some(result) = memoized() {
+            return result;
+        }
+        self.execute_batch(std::slice::from_ref(spec));
+        memoized().expect("a successful batch memoizes its runs")
     }
 
-    /// The result for `spec` if it can be served without simulating —
-    /// from the memo table or the attached store — and `None` otherwise.
-    /// Unlike [`get`](Self::get) this never executes, so callers (e.g.
-    /// the job server) can classify a request as a hit before queueing it.
-    pub fn lookup(&self, spec: &RunSpec) -> Option<Arc<RunResult>> {
-        let key = spec.key();
-        if let Some(r) = self.memo.lock().expect("not poisoned").get(&key) {
-            return Some(Arc::clone(r));
-        }
-        self.load_from_store(&key, spec)
+    /// Number of runs that failed; each failed key runs once.
+    pub(crate) fn runs_failed(&self) -> usize {
+        self.failed.lock().expect("not poisoned").len()
     }
 
     /// Number of simulations actually executed.
@@ -877,6 +965,24 @@ mod tests {
         assert_eq!(engine.runs_executed(), 1);
         assert_eq!(a.stats, b.stats);
         assert!(Arc::ptr_eq(&a, &b), "memo returns the same allocation");
+    }
+
+    #[test]
+    fn failed_run_names_its_cause_and_never_runs_again() {
+        let h = Harness::quick();
+        let mut starved = spec(&h);
+        starved.max_cycles = 1_000;
+        let engine = RunEngine::new(2);
+        let panic_of = |specs: &[RunSpec]| {
+            let run = std::panic::AssertUnwindSafe(|| engine.execute_batch(specs));
+            let panic = std::panic::catch_unwind(run).unwrap_err();
+            panic.downcast_ref::<String>().cloned().expect("a formatted message")
+        };
+        let first = panic_of(&[starved.clone(), starved.clone()]);
+        assert!(first.contains("exceeded the 1000-cycle budget"), "{first}");
+        assert_eq!(panic_of(std::slice::from_ref(&starved)), first);
+        assert_eq!(engine.runs_failed(), 1);
+        assert_eq!(engine.runs_executed(), 0);
     }
 
     #[test]

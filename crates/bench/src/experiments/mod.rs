@@ -123,8 +123,7 @@ impl Runs {
     /// As [`RunEngine::execute_batch`].
     pub fn execute(engine: &RunEngine, specs: &[RunSpec]) -> Runs {
         engine.execute_batch(specs);
-        let result = |s: &RunSpec| engine.lookup(s).expect("the batch ran every spec");
-        specs.iter().map(|s| (s.key(), result(s))).collect()
+        specs.iter().map(|s| (s.key(), engine.get(s))).collect()
     }
 
     /// The result of `spec`.

@@ -78,7 +78,7 @@ impl RemoteClient {
         }
     }
 
-    /// Asks the server to drain its queue and stop.
+    /// Asks the server to finish accepted batches and stop.
     pub fn shutdown(&self) -> Result<(), ServiceError> {
         let mut conn = self.call(&Request::Shutdown)?;
         match conn.next_event()? {

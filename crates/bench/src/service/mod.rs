@@ -19,10 +19,11 @@
 //! {"schema_version":"1.1","type":"shutdown"}
 //! ```
 //!
-//! Events answering a `submit`, in order: one `accepted`, then interleaved
-//! `run_started`/`run_progress` lines as workers pick specs up, then one
-//! `run_done` per submitted spec **in submission order** (each carrying
-//! the full result and its provenance), then one `batch_done`:
+//! Events answering a `submit`, in order: one `accepted`, then one
+//! `run_started` per run the engine starts and `run_progress` lines while
+//! it runs, then one `run_done` per submitted spec **in submission
+//! order** (each carrying the full result and its provenance), then one
+//! `batch_done`:
 //!
 //! ```text
 //! {"schema_version":"1.1","type":"accepted","runs":N,"unique":M}
@@ -33,22 +34,25 @@
 //! ```
 //!
 //! `ping` answers `pong`; `stats` answers one `stats` event — a
-//! [`ServerStats`] snapshot of queue depth, in-flight jobs, busy
+//! [`ServerStats`] snapshot of waiting and executing specs, busy
 //! workers, completion counters, and job wall-time percentiles;
-//! `shutdown` answers `shutdown_ack` and stops the server once queued
-//! work drains. A malformed or incompatible request line answers `error`
-//! and closes the connection.
+//! `shutdown` answers `shutdown_ack` and stops the server once accepted
+//! batches finish. A malformed or incompatible request line answers
+//! `error` and closes the connection.
 //!
 //! # Execution semantics
 //!
-//! Specs are deduplicated by content key at every level: within a batch,
-//! against the server engine's memo table, against the persistent store,
-//! and — via the in-flight job table — against runs other connections are
-//! already executing (*coalescing*: the second submitter waits for the
-//! first execution instead of queueing a duplicate). The work queue is
-//! bounded; submitters block while it is full, which backpressures
-//! clients instead of growing memory. A client disconnect never cancels
-//! in-flight work: results still land in the memo and store, so the next
+//! Each submitted batch goes whole to the server's one
+//! [`RunEngine`](crate::RunEngine), one batch at a time:
+//! [`RunEngine::execute_batch`](crate::RunEngine::execute_batch)'s
+//! dedup, replay planning and worker pool, without its panic. Specs are
+//! deduplicated by content key within the batch, against the engine's
+//! memo table and against the persistent store, so no key executes
+//! twice. A batch submitted while another runs waits for it; its
+//! overlapping keys then come back `cached`. A failed run answers
+//! `error` naming its cause, and so does every later submission of its
+//! key, without running it again. A client disconnect never cancels its
+//! batch: results still land in the memo and store, so the next
 //! submission of the same spec is a hit.
 
 pub mod client;
@@ -66,14 +70,16 @@ use crate::json::Json;
 use std::fmt;
 use std::io::{BufRead, Read};
 
-/// How a `run_done` result was obtained.
+/// How the engine satisfied a requested run (a `run_done` result's
+/// provenance).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Source {
     /// Simulated for this request.
     Simulated,
     /// Served from the engine memo or the persistent store.
     Cached,
-    /// Coalesced onto an execution another request already started.
+    /// A duplicate of an earlier spec of the same batch, answered by that
+    /// spec's run.
     Coalesced,
     /// Re-timed from a captured execution record (`--replay`): a real
     /// simulation of this request, driven by a record instead of
@@ -115,19 +121,22 @@ impl fmt::Display for Source {
 /// structured log line).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerStats {
-    /// Specs queued but not yet picked up by a worker.
+    /// Specs of submitted batches waiting for the engine while another
+    /// batch executes.
     pub queue_depth: u64,
-    /// Jobs a worker is executing right now.
+    /// Specs of the batch the engine is executing (0 when idle).
     pub in_flight: u64,
-    /// Workers currently executing a job.
+    /// Engine workers running a simulation right now.
     pub workers_busy: u64,
-    /// Total worker threads.
+    /// Engine worker threads.
     pub workers: u64,
-    /// Jobs workers have finished (success or failure) since startup.
+    /// Runs the engine has finished (executed, replayed or failed) since
+    /// startup.
     pub jobs_done: u64,
     /// Specs the engine actually simulated.
     pub runs_executed: u64,
-    /// Requests answered from the engine memo table.
+    /// Requests answered from the engine memo table, or by a duplicate
+    /// within their batch.
     pub runs_deduped: u64,
     /// Requests answered from the persistent store.
     pub store_hits: u64,
@@ -181,7 +190,7 @@ pub enum Request {
     Ping,
     /// Ask for a [`ServerStats`] snapshot.
     Stats,
-    /// Drain queued work, then stop the server.
+    /// Finish accepted batches, then stop the server.
     Shutdown,
 }
 
@@ -227,14 +236,14 @@ pub fn request_from_json(v: &Json) -> Result<Request, CodecError> {
 /// A server → client event line.
 #[derive(Debug, Clone)]
 pub enum Event {
-    /// The submit batch was parsed and queued.
+    /// The submit batch was parsed and accepted.
     Accepted {
         /// Specs in the batch.
         runs: usize,
         /// Unique content keys among them.
         unique: usize,
     },
-    /// A worker started simulating the keyed run.
+    /// The engine started simulating the keyed run.
     RunStarted {
         /// The run's content key.
         key: String,

@@ -1,18 +1,16 @@
-//! The `exp serve` server: bounded work queue over a shared
-//! [`RunEngine`], in-flight coalescing, NDJSON event streaming.
+//! The `exp serve` server: hands each submitted batch to one shared
+//! [`RunEngine`], one batch at a time, and streams NDJSON events back.
 
-use super::{
-    event_to_json, read_line, request_from_json, Event, Request, ServerStats, ServiceError, Source,
-};
+use super::{event_to_json, read_line, request_from_json, Event, Request, ServerStats, ServiceError};
 use crate::engine::{ProgressHook, ReplayMode, RunEngine, RunSpec};
 use crate::json::Json;
 use crate::store::ResultStore;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashSet;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Server configuration.
@@ -20,10 +18,8 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Address to bind (e.g. `127.0.0.1:7878`; port 0 picks a free port).
     pub addr: String,
-    /// Worker threads executing simulations.
+    /// Engine worker threads executing a batch's simulations.
     pub jobs: usize,
-    /// Bound on the work queue; submitters block while it is full.
-    pub queue_cap: usize,
     /// Device-cycle interval between `run_progress` events (0 disables).
     pub progress_every: u64,
     /// Persistent store to attach, if any.
@@ -33,7 +29,7 @@ pub struct ServeConfig {
     pub stats_log_every: u64,
     /// Record/replay mode for the shared engine (see
     /// [`RunEngine::set_replay_mode`]). Replayed runs report
-    /// [`Source::Replayed`] to clients.
+    /// [`Source::Replayed`](super::Source::Replayed) to clients.
     pub replay: ReplayMode,
 }
 
@@ -42,7 +38,6 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".into(),
             jobs: crate::default_jobs(),
-            queue_cap: 1024,
             progress_every: 1_000_000,
             store: None,
             stats_log_every: 0,
@@ -51,154 +46,48 @@ impl Default for ServeConfig {
     }
 }
 
-/// In-flight state of a unique content key. Completed keys are *removed*
-/// from the table — their results live in the engine memo — so the table
-/// stays proportional to in-flight work, not history.
-enum JobState {
-    /// Waiting for, or on, a worker.
-    Running,
-    /// Execution panicked (e.g. the simulation deadlocked); kept in the
-    /// table so every waiter — present and future — sees the failure
-    /// instead of hanging or re-queueing a deterministic failure.
-    Failed(String),
+/// Where the engine's run events go: the connection whose batch is
+/// executing, if any.
+#[derive(Default)]
+struct Sink {
+    tx: Mutex<Option<mpsc::Sender<String>>>,
+    /// Runs the engine has started since startup.
+    started: AtomicU64,
 }
-
-/// Per-key subscriber registry for `run_started`/`run_progress` lines,
-/// each sender tagged with a connection-unique id so unsubscription
-/// removes exactly the right entry. Senders whose connection died are
-/// pruned on the next send attempt.
-type Subscribers = Arc<Mutex<HashMap<String, Vec<(u64, mpsc::Sender<String>)>>>>;
 
 struct Inner {
     engine: RunEngine,
-    jobs_table: Mutex<HashMap<String, JobState>>,
-    job_done: Condvar,
-    queue: Mutex<VecDeque<(String, RunSpec)>>,
-    queue_cv: Condvar,
-    queue_cap: usize,
+    /// Held while a batch executes: the engine runs one batch at a time.
+    executor: Mutex<()>,
+    sink: Arc<Sink>,
+    /// Specs of batches waiting for the executor.
+    waiting: AtomicU64,
+    /// Specs of the batch the executor holds.
+    running: AtomicU64,
     shutdown: AtomicBool,
-    subs: Subscribers,
-    next_sub_id: AtomicU64,
-    /// Total worker threads (for the `stats` snapshot).
-    workers: usize,
-    /// Workers currently inside `engine.get`.
-    workers_busy: AtomicUsize,
-    /// Jobs finished by workers (success or failure) since startup.
-    jobs_done: AtomicU64,
-    /// Submissions answered from the engine memo without queueing. The
-    /// engine's own dedup counter only ticks on `execute_batch`, which
-    /// the serve path never uses, so the server counts its memo hits.
-    memo_hits: AtomicU64,
 }
 
 impl Inner {
-    /// Sends an already-rendered event line to every subscriber of `key`,
-    /// pruning subscribers whose connection has gone away.
-    fn notify(subs: &Subscribers, key: &str, line: &str) {
-        let mut subs = subs.lock().expect("not poisoned");
-        if let Some(list) = subs.get_mut(key) {
-            list.retain(|(_, tx)| tx.send(line.to_string()).is_ok());
-        }
-    }
-
-    /// Blocks until `key` leaves the in-flight table (or fails).
-    fn wait_done(&self, key: &str) -> Result<(), String> {
-        let mut table = self.jobs_table.lock().expect("not poisoned");
-        loop {
-            match table.get(key) {
-                None => return Ok(()),
-                Some(JobState::Failed(m)) => return Err(m.clone()),
-                Some(JobState::Running) => {
-                    table = self.job_done.wait(table).expect("not poisoned");
-                }
-            }
-        }
-    }
-
-    /// Worker loop: drain the queue (even after shutdown is requested —
-    /// accepted work always completes), then exit.
-    fn worker(&self) {
-        loop {
-            let item = {
-                let mut q = self.queue.lock().expect("not poisoned");
-                loop {
-                    if let Some(item) = q.pop_front() {
-                        // A submitter may be blocked on a full queue.
-                        self.queue_cv.notify_all();
-                        break Some(item);
-                    }
-                    if self.shutdown.load(Ordering::SeqCst) {
-                        break None;
-                    }
-                    q = self.queue_cv.wait(q).expect("not poisoned");
-                }
-            };
-            let Some((key, spec)) = item else { return };
-            Inner::notify(
-                &self.subs,
-                &key,
-                &event_to_json(&Event::RunStarted { key: key.clone() }).render(),
-            );
-            let started = Instant::now();
-            self.workers_busy.fetch_add(1, Ordering::SeqCst);
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.engine.get(&spec)
-            }));
-            self.workers_busy.fetch_sub(1, Ordering::SeqCst);
-            self.jobs_done.fetch_add(1, Ordering::SeqCst);
-            let mut table = self.jobs_table.lock().expect("not poisoned");
-            match outcome {
-                Ok(_) => {
-                    table.remove(&key);
-                }
-                Err(panic) => {
-                    let payload = panic
-                        .downcast_ref::<String>()
-                        .cloned()
-                        .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-                        .unwrap_or_else(|| "simulation panicked".into());
-                    // The content key names exactly which spec died and the
-                    // elapsed time separates an instant config failure from
-                    // a deadlock detector tripping an hour in; both go to
-                    // the waiter's error event and the server log.
-                    let msg = format!(
-                        "panicked after {:.2}s: {payload}",
-                        started.elapsed().as_secs_f64()
-                    );
-                    eprintln!("error: [serve: job failed key={key} {msg}]");
-                    table.insert(key, JobState::Failed(msg));
-                }
-            }
-            drop(table);
-            self.job_done.notify_all();
-        }
-    }
-
     /// A point-in-time [`ServerStats`] snapshot. Counters are read
     /// without a global lock, so a snapshot racing live work is
     /// approximate but each counter is individually consistent.
     fn stats_snapshot(&self) -> ServerStats {
-        let queue_depth = self.queue.lock().expect("not poisoned").len() as u64;
-        let in_flight = {
-            let table = self.jobs_table.lock().expect("not poisoned");
-            table
-                .values()
-                .filter(|s| matches!(s, JobState::Running))
-                .count() as u64
-        };
-        let mut walls: Vec<u64> = self.engine.profiles().iter().map(|p| p.wall_nanos).collect();
+        let e = &self.engine;
+        let (executed, replayed) = (e.runs_executed() as u64, e.runs_replayed() as u64);
+        let jobs_done = executed + replayed + e.runs_failed() as u64;
+        let started = self.sink.started.load(Ordering::SeqCst);
+        let mut walls: Vec<u64> = e.profiles().iter().map(|p| p.wall_nanos).collect();
         walls.sort_unstable();
         ServerStats {
-            queue_depth,
-            in_flight,
-            workers_busy: self.workers_busy.load(Ordering::SeqCst) as u64,
-            workers: self.workers as u64,
-            jobs_done: self.jobs_done.load(Ordering::SeqCst),
-            runs_executed: self.engine.runs_executed() as u64,
-            runs_deduped: self.engine.runs_deduped() as u64
-                + self.memo_hits.load(Ordering::Relaxed),
-            store_hits: self.engine.runs_from_store() as u64,
-            runs_replayed: self.engine.runs_replayed() as u64,
+            queue_depth: self.waiting.load(Ordering::SeqCst),
+            in_flight: self.running.load(Ordering::SeqCst),
+            workers_busy: started.saturating_sub(jobs_done),
+            workers: e.jobs() as u64,
+            jobs_done,
+            runs_executed: executed,
+            runs_deduped: e.runs_deduped() as u64,
+            store_hits: e.runs_from_store() as u64,
+            runs_replayed: replayed,
             p50_wall_nanos: percentile(&walls, 50),
             p99_wall_nanos: percentile(&walls, 99),
         }
@@ -215,12 +104,11 @@ fn percentile(sorted: &[u64], p: u64) -> u64 {
 }
 
 /// The `exp serve` server: owns one [`RunEngine`] (optionally backed by a
-/// [`ResultStore`]) and executes submitted batches on a worker pool.
+/// [`ResultStore`]) and executes submitted batches on it.
 pub struct Server {
     inner: Arc<Inner>,
     listener: TcpListener,
     addr: SocketAddr,
-    jobs: usize,
     stats_log_every: u64,
 }
 
@@ -230,52 +118,44 @@ impl Server {
     pub fn bind(cfg: ServeConfig) -> Result<Server, ServiceError> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        let subs: Subscribers = Arc::new(Mutex::new(HashMap::new()));
-        // Each worker thread runs one `get()` at a time, so batch-level
-        // parallelism comes from the pool, not from inside the engine.
-        let mut engine = RunEngine::new(1);
+        let sink = Arc::new(Sink::default());
+        let mut engine = RunEngine::new(cfg.jobs);
         if let Some(store) = cfg.store {
             engine.attach_store(store);
         }
         engine.set_replay_mode(cfg.replay);
-        if cfg.progress_every > 0 {
-            let subs = Arc::clone(&subs);
-            engine.set_progress(ProgressHook {
-                every_cycles: cfg.progress_every,
-                callback: Arc::new(move |key, cycle, instructions| {
-                    Inner::notify(
-                        &subs,
-                        key.as_str(),
-                        &event_to_json(&Event::RunProgress {
-                            key: key.as_str().to_string(),
-                            cycle,
-                            instructions,
-                        })
-                        .render(),
-                    );
-                }),
-            });
-        }
-        let jobs = cfg.jobs.max(1);
+        let events = Arc::clone(&sink);
+        engine.set_progress(ProgressHook {
+            every_cycles: cfg.progress_every,
+            callback: Arc::new(move |key, progress| {
+                let key = key.as_str().to_string();
+                let event = match progress {
+                    None => {
+                        events.started.fetch_add(1, Ordering::SeqCst);
+                        Event::RunStarted { key }
+                    }
+                    Some((cycle, instructions)) => Event::RunProgress {
+                        key,
+                        cycle,
+                        instructions,
+                    },
+                };
+                if let Some(tx) = &*events.tx.lock().expect("not poisoned") {
+                    let _ = tx.send(event_to_json(&event).render());
+                }
+            }),
+        });
         Ok(Server {
             inner: Arc::new(Inner {
                 engine,
-                jobs_table: Mutex::new(HashMap::new()),
-                job_done: Condvar::new(),
-                queue: Mutex::new(VecDeque::new()),
-                queue_cv: Condvar::new(),
-                queue_cap: cfg.queue_cap.max(1),
+                executor: Mutex::new(()),
+                sink,
+                waiting: AtomicU64::new(0),
+                running: AtomicU64::new(0),
                 shutdown: AtomicBool::new(false),
-                subs,
-                next_sub_id: AtomicU64::new(0),
-                workers: jobs,
-                workers_busy: AtomicUsize::new(0),
-                jobs_done: AtomicU64::new(0),
-                memo_hits: AtomicU64::new(0),
             }),
             listener,
             addr,
-            jobs,
             stats_log_every: cfg.stats_log_every,
         })
     }
@@ -285,16 +165,10 @@ impl Server {
         self.addr
     }
 
-    /// Accepts connections until a client sends `shutdown`. Queued work
-    /// drains before this returns; every worker and connection thread is
-    /// joined.
+    /// Accepts connections until a client sends `shutdown`. Every
+    /// connection thread is joined, so accepted batches finish before this
+    /// returns.
     pub fn run(self) -> Result<(), ServiceError> {
-        let workers: Vec<_> = (0..self.jobs)
-            .map(|_| {
-                let inner = Arc::clone(&self.inner);
-                std::thread::spawn(move || inner.worker())
-            })
-            .collect();
         // Periodic observability heartbeat: one structured stats line per
         // interval, polling the shutdown flag often enough to exit fast.
         let monitor = (self.stats_log_every > 0).then(|| {
@@ -334,12 +208,6 @@ impl Server {
                 }
             }));
         }
-        // Shutdown: wake idle workers so they observe the flag (they
-        // drain any queued work first).
-        self.inner.queue_cv.notify_all();
-        for w in workers {
-            let _ = w.join();
-        }
         if let Some(m) = monitor {
             let _ = m.join();
         }
@@ -359,8 +227,8 @@ fn handle_connection(
     let mut reader = BufReader::new(stream.try_clone()?);
     // Event lines funnel through one channel so the writer thread is the
     // only place that touches the socket's write half: progress callbacks
-    // (worker threads) and the coordinator below never block on a slow or
-    // dead client, they just enqueue.
+    // (engine worker threads) and the coordinator below never block on a
+    // slow or dead client, they just enqueue.
     let (tx, rx) = mpsc::channel::<String>();
     let mut write_half = stream;
     let writer = std::thread::spawn(move || {
@@ -404,7 +272,6 @@ fn handle_connection(
             Ok(Request::Shutdown) => {
                 send(&Event::ShutdownAck);
                 inner.shutdown.store(true, Ordering::SeqCst);
-                inner.queue_cv.notify_all();
                 // Unblock the accept loop so it can observe the flag.
                 let _ = TcpStream::connect(addr);
                 break;
@@ -417,125 +284,47 @@ fn handle_connection(
     Ok(())
 }
 
-/// Executes one submitted batch, streaming events through `send` (and
-/// subscribing `tx` to worker-side progress lines for the duration).
+/// Executes one submitted batch on the engine, once the executor is
+/// free, streaming its run events through `tx` and then answering each
+/// spec in submission order through `send`.
 fn handle_submit(
-    inner: &Arc<Inner>,
+    inner: &Inner,
     specs: &[RunSpec],
     send: &dyn Fn(&Event),
     tx: &mpsc::Sender<String>,
 ) {
     let keys: Vec<String> = specs.iter().map(|s| s.key().as_str().to_string()).collect();
-    let unique: HashSet<&str> = keys.iter().map(String::as_str).collect();
+    let unique = keys.iter().collect::<HashSet<_>>().len();
     send(&Event::Accepted {
         runs: specs.len(),
-        unique: unique.len(),
+        unique,
     });
-    // Subscribe to progress for every unique key before any worker can
-    // pick one up, so run_started is never missed.
-    let sub_id = inner.next_sub_id.fetch_add(1, Ordering::Relaxed);
-    {
-        let mut subs = inner.subs.lock().expect("not poisoned");
-        for key in &unique {
-            subs.entry((*key).to_string())
-                .or_default()
-                .push((sub_id, tx.clone()));
-        }
-    }
-    // Classify each spec and queue whatever actually needs executing.
-    let mut sources: Vec<Source> = Vec::with_capacity(specs.len());
-    let mut handled: HashSet<&str> = HashSet::new();
-    for (spec, key) in specs.iter().zip(&keys) {
-        if handled.contains(key.as_str()) {
-            sources.push(Source::Coalesced); // duplicate within this batch
-            continue;
-        }
-        handled.insert(key);
-        let store_hits_before = inner.engine.runs_from_store();
-        if inner.engine.lookup(spec).is_some() {
-            // A hit that did not bump the store counter came from the
-            // memo (approximate under concurrent submitters; stats
-            // snapshots are documented as best-effort).
-            if inner.engine.runs_from_store() == store_hits_before {
-                inner.memo_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            sources.push(Source::Cached);
-            continue;
-        }
-        let already_in_flight = {
-            let mut table = inner.jobs_table.lock().expect("not poisoned");
-            if table.contains_key(key.as_str()) {
-                true
-            } else {
-                table.insert(key.clone(), JobState::Running);
-                false
-            }
-        };
-        if already_in_flight {
-            sources.push(Source::Coalesced);
-            continue;
-        }
-        // Bounded queue: block (backpressuring this client) while full.
-        {
-            let mut q = inner.queue.lock().expect("not poisoned");
-            while q.len() >= inner.queue_cap && !inner.shutdown.load(Ordering::SeqCst) {
-                q = inner.queue_cv.wait(q).expect("not poisoned");
-            }
-            q.push_back((key.clone(), spec.clone()));
-        }
-        inner.queue_cv.notify_all();
-        sources.push(Source::Simulated);
-    }
-    // Answer in submission order; later indexes may already be done.
-    for (index, (spec, key)) in specs.iter().zip(&keys).enumerate() {
-        match inner.wait_done(key) {
-            Err(message) => send(&Event::Error {
-                message: format!("run {key} failed: {message}"),
-            }),
-            Ok(()) => match inner.engine.lookup(spec) {
-                None => send(&Event::Error {
-                    message: format!("run {key} completed but has no result"),
-                }),
-                Some(result) => {
-                    let wall_nanos = match sources[index] {
-                        Source::Cached => 0,
-                        _ => inner
-                            .engine
-                            .profiles()
-                            .iter()
-                            .rev()
-                            .find(|p| p.key.as_str() == key)
-                            .map(|p| p.wall_nanos)
-                            .unwrap_or(0),
-                    };
-                    // Whether a queued run was replayed from a record is
-                    // only known once the engine has resolved it.
-                    let source = match sources[index] {
-                        Source::Simulated if result.via_replay => Source::Replayed,
-                        s => s,
-                    };
-                    send(&Event::RunDone {
-                        index,
-                        key: key.clone(),
-                        source,
-                        wall_nanos,
-                        result: (*result).clone(),
-                    });
-                }
+    let n = specs.len() as u64;
+    inner.waiting.fetch_add(n, Ordering::SeqCst);
+    let executor = inner.executor.lock().expect("not poisoned");
+    inner.waiting.fetch_sub(n, Ordering::SeqCst);
+    inner.running.store(n, Ordering::SeqCst);
+    *inner.sink.tx.lock().expect("not poisoned") = Some(tx.clone());
+    let answers = inner.engine.run_batch(specs);
+    *inner.sink.tx.lock().expect("not poisoned") = None;
+    inner.running.store(0, Ordering::SeqCst);
+    drop(executor);
+    for (index, (key, answer)) in keys.into_iter().zip(answers).enumerate() {
+        send(&match answer {
+            Ok(a) => Event::RunDone {
+                index,
+                key,
+                source: a.source,
+                wall_nanos: a.wall_nanos,
+                result: (*a.result).clone(),
             },
-        }
-    }
-    // Unsubscribe exactly this batch's senders.
-    {
-        let mut subs = inner.subs.lock().expect("not poisoned");
-        for key in &unique {
-            if let Some(list) = subs.get_mut(*key) {
-                list.retain(|(id, _)| *id != sub_id);
-                if list.is_empty() {
-                    subs.remove(*key);
+            Err(cause) => {
+                eprintln!("error: [serve: run failed key={key} {cause}]");
+                Event::Error {
+                    message: format!("run {key} failed: {cause}"),
                 }
             }
-        }
+        });
     }
     send(&Event::BatchDone { runs: specs.len() });
 }

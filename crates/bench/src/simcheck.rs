@@ -7,8 +7,9 @@
 //! shared-memory exchange) in which every thread reads its own input word
 //! and writes its own output word. The cases run in random CTA shapes —
 //! 2-D blocks, sub-warp CTAs, partial last warps, a concurrent second
-//! kernel — on tiny device configurations, and the simulator is held to
-//! three families of oracles:
+//! kernel — on tiny device configurations, half of them with one small
+//! L1 limit so memory accesses are refused and retried, and the simulator
+//! is held to three families of oracles:
 //!
 //! * **Differential** — the fast path (core sleep, idle fast-forward)
 //!   ([`GpuDevice::set_fast_forward`](gpgpu_sim::GpuDevice::set_fast_forward))
@@ -42,6 +43,7 @@
 use crate::parallel_map;
 use gpgpu_isa::dsl::{gen_kernel, GenCfg, GenKernel, MirrorMem};
 use gpgpu_isa::{Dim2, KernelDescriptor};
+use gpgpu_mem::{CacheConfig, Config};
 use gpgpu_sim::{
     conservation_violations, CtaCompleteEvent, CtaScheduler, Dispatch, DispatchView, ExecRecord,
     GpuConfig, GpuDevice, KernelId, SimError, TelemetryConfig, TelemetryData,
@@ -105,6 +107,10 @@ pub struct FuzzCase {
     pub max_ctas: u32,
     /// Cycle budget; exceeding it is an oracle failure.
     pub budget: u64,
+    /// The L1 data cache (`GpuConfig::l1`). Part of the cases shrink its
+    /// MSHR file, merge limit or miss queue, so LSQ heads meet refused L1
+    /// accesses; reproducers carry those three knobs.
+    pub l1: CacheConfig,
 }
 
 /// Largest CTA a case may launch: a generated kernel uses at most 64
@@ -137,7 +143,7 @@ impl FuzzCase {
         } else {
             None
         };
-        let case = FuzzCase {
+        let mut case = FuzzCase {
             seed,
             warp,
             k1,
@@ -147,7 +153,16 @@ impl FuzzCase {
             divergent: g.chance(1, 2),
             max_ctas: g.range(1, 9) as u32,
             budget,
+            l1: default_l1(),
         };
+        // The last draw, so every earlier field keeps its value per seed:
+        // half the cases get one small L1 limit.
+        match g.index(6) {
+            0 => case.l1.mshr_entries = g.range(1, 5) as u32,
+            1 => case.l1.mshr_max_merge = g.range(1, 3) as u32,
+            2 => case.l1.miss_queue_len = g.range(1, 3) as u32,
+            _ => {}
+        }
         debug_assert_eq!(case.validate(), Ok(()));
         case
     }
@@ -201,6 +216,7 @@ impl FuzzCase {
         if self.budget < 1_000 {
             return Err(format!("budget {} below 1000 cycles", self.budget));
         }
+        self.l1.check().map_err(|e| format!("l1.{e}"))?;
         self.warp
             .parse::<WarpPolicy>()
             .map_err(|e| format!("bad warp policy {:?}: {e}", self.warp))?;
@@ -208,7 +224,8 @@ impl FuzzCase {
     }
 
     /// Serializes the case as a short `key=value` reproducer (one fact per
-    /// line, `#` comments; at most 14 lines). [`from_repro`](Self::from_repro)
+    /// line, `#` comments; at most 17 lines, the `l1.` keys only where
+    /// they differ from the default). [`from_repro`](Self::from_repro)
     /// round-trips it.
     pub fn to_repro(&self) -> String {
         let wxh = |d: (u32, u32)| format!("{}x{}", d.0, d.1);
@@ -228,6 +245,16 @@ impl FuzzCase {
         }
         s.push_str(&format!("max_ctas={}\n", self.max_ctas));
         s.push_str(&format!("budget={}\n", self.budget));
+        let default = default_l1();
+        for (key, value, default) in [
+            ("mshr_entries", self.l1.mshr_entries, default.mshr_entries),
+            ("mshr_max_merge", self.l1.mshr_max_merge, default.mshr_max_merge),
+            ("miss_queue_len", self.l1.miss_queue_len, default.miss_queue_len),
+        ] {
+            if value != default {
+                s.push_str(&format!("l1.{key}={value}\n"));
+            }
+        }
         s
     }
 
@@ -266,6 +293,7 @@ impl FuzzCase {
             divergent: false,
             max_ctas: 8,
             budget: 1_000_000,
+            l1: default_l1(),
         };
         // Kernel 2 exists only when all three of its keys do.
         let mut k2 = case.k1;
@@ -292,6 +320,9 @@ impl FuzzCase {
                 "kernel2" => (k2.kernel, k2_keys[2]) = (parse_num(value).map_err(at)?, true),
                 "max_ctas" => case.max_ctas = parse_u32(value).map_err(at)?,
                 "budget" => case.budget = parse_num(value).map_err(at)?,
+                "l1.mshr_entries" => case.l1.mshr_entries = parse_u32(value).map_err(at)?,
+                "l1.mshr_max_merge" => case.l1.mshr_max_merge = parse_u32(value).map_err(at)?,
+                "l1.miss_queue_len" => case.l1.miss_queue_len = parse_u32(value).map_err(at)?,
                 other => return Err(format!("line {lineno}: unknown key {other:?}")),
             }
         }
@@ -303,6 +334,11 @@ impl FuzzCase {
         case.validate()?;
         Ok(case)
     }
+}
+
+/// The L1 a case runs with unless it says otherwise: the device's.
+fn default_l1() -> CacheConfig {
+    GpuConfig::test_small().l1
 }
 
 /// Draws one launch. A whole-warp block holds 1 to 4 warps, as one row or
@@ -425,6 +461,7 @@ pub fn run_case_mode(
 ) -> Result<(RunOutput, Option<ExecRecord>), SimError> {
     let mut cfg = GpuConfig::test_small();
     cfg.max_ctas_per_core = case.max_ctas;
+    cfg.l1 = case.l1.clone();
     // A wedged case should fail fast, not burn the whole budget.
     cfg.deadlock_cycles = cfg.deadlock_cycles.min(case.budget);
     let warp: WarpPolicy = case.warp.parse().expect("validated warp policy");
@@ -750,6 +787,7 @@ fn shrink_candidates(case: &FuzzCase) -> Vec<FuzzCase> {
     }
     push(&|c| c.max_ctas = 1);
     push(&|c| c.warp = "lrr".to_string());
+    push(&|c| c.l1 = default_l1());
     out
 }
 
@@ -922,8 +960,9 @@ mod tests {
     }
 
     /// Shape coverage over the CI seed window, with floors at the counts
-    /// the previous two-generator fuzzer drew there. Pure generation, no
-    /// simulation, so it is cheap even in debug builds.
+    /// the previous two-generator fuzzer drew there (the L1 limits' at
+    /// their first counts). Pure generation, no simulation, so it is
+    /// cheap even in debug builds.
     #[test]
     fn generation_is_deterministic_and_valid() {
         let cases: Vec<_> = (0..280).map(|s| FuzzCase::generate(s, 1_000_000)).collect();
@@ -944,6 +983,9 @@ mod tests {
                 count(&|c| c.launches().any(|(_, l)| branches(&c.kernel(l)))),
                 200,
             ),
+            ("small L1 MSHR files", count(&|c| c.l1.mshr_entries < 32), 31),
+            ("small L1 merge limits", count(&|c| c.l1.mshr_max_merge < 8), 55),
+            ("small L1 miss queues", count(&|c| c.l1.miss_queue_len < 8), 48),
         ];
         for (what, got, floor) in histogram {
             assert!(got >= floor, "{what}: {got} of 280 cases, floor {floor}");
@@ -959,7 +1001,7 @@ mod tests {
         for seed in 0..16 {
             let case = FuzzCase::generate(seed, 1_000_000);
             let text = case.to_repro();
-            assert!(text.lines().count() <= 14, "reproducer too long:\n{text}");
+            assert!(text.lines().count() <= 15, "reproducer too long:\n{text}");
             let back = FuzzCase::from_repro(&text).expect("round-trip parses");
             assert_eq!(case, back);
         }
@@ -992,6 +1034,9 @@ mod tests {
             "grid2=1x1\nblock2=2x1",
             "kernel2=5",
             "budget=999",
+            "l1.mshr_entries=0",
+            "l1.miss_queue_len=257",
+            "l1.size_bytes=1024",
         ] {
             assert!(FuzzCase::from_repro(&v2(body)).is_err(), "{body:?} accepted");
         }
@@ -1011,6 +1056,7 @@ mod tests {
             "segs=65",
             "kernel=18446744073709551616",
             "max_ctas=4294967304",
+            "l1.mshr_max_merge=4294967297",
         ] {
             let text = format!("{REPRO_HEADER}\n{body}\n");
             assert!(FuzzCase::from_repro(&text).is_err(), "{body:?} accepted");
@@ -1083,6 +1129,7 @@ mod tests {
         let mut case = FuzzCase::generate(7, 1_000_000);
         case.smem = true;
         case.divergent = true;
+        case.l1.mshr_entries = 2;
         case.k2 = Some(Launch {
             grid: (3, 1),
             block: (24, 2),
@@ -1104,6 +1151,7 @@ mod tests {
             divergent: false,
             max_ctas: 1,
             budget: 1_000_000,
+            l1: default_l1(),
         };
         assert_eq!(small, want);
     }
@@ -1126,6 +1174,7 @@ mod tests {
             divergent: true,
             max_ctas: 4,
             budget: 1_000_000,
+            l1: default_l1(),
         };
         let exercises = |gk: &GenKernel| branches(gk) && has_instr(gk, |i| matches!(i, Instr::Bar));
         case.k1.kernel = (1..)
@@ -1191,6 +1240,7 @@ mod tests {
                     budget=1000000\n";
         let case = FuzzCase::from_repro(text).expect("shrunk reproducer parses");
         assert_eq!(case.k1.block, (3, 1));
+        assert_eq!(case.l1, default_l1(), "no l1 keys: the device's L1");
         assert_eq!(case.to_repro(), text, "repro format drifted");
         let fails = check_case(&case);
         assert!(fails.is_empty(), "{fails:?}");

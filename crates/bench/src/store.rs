@@ -49,7 +49,7 @@
 
 use crate::codec::{
     self, content_key, content_key_prefix, result_from_json, result_to_json, spec_to_json,
-    CodecError, SCHEMA_VERSION,
+    SCHEMA_VERSION,
 };
 use crate::engine::{RunResult, RunSpec};
 use crate::json::Json;
@@ -192,7 +192,7 @@ impl ResultStore {
                 self.saved_nanos.fetch_add(hit.wall_nanos, Ordering::Relaxed);
                 Some(hit)
             }
-            Err(EntryError::Incompatible(_)) => {
+            Err(EntryError::Incompatible) => {
                 self.incompatible.fetch_add(1, Ordering::Relaxed);
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 None
@@ -218,12 +218,7 @@ impl ResultStore {
         // *different* major is a compatibility boundary, not damage.
         match codec::schema_major_of(&doc) {
             None => return Err(EntryError::Corrupt("missing or malformed schema_version".into())),
-            Some(major) if major != codec::SCHEMA_MAJOR => {
-                return Err(EntryError::Incompatible(CodecError(format!(
-                    "schema major {major} (this build reads {})",
-                    codec::SCHEMA_MAJOR
-                ))))
-            }
+            Some(major) if major != codec::SCHEMA_MAJOR => return Err(EntryError::Incompatible),
             Some(_) => {}
         }
         let stored_key = doc
@@ -340,27 +335,13 @@ impl ResultStore {
             let _ = std::fs::remove_file(&tmp);
         })
     }
-
-    /// Round-trips a spec's entry purely in memory — used by tests and by
-    /// `decode_entry`'s callers; exposed for the serve wire format which
-    /// shares the entry codec.
-    ///
-    /// # Errors
-    ///
-    /// As the codec.
-    pub fn decode_entry_text(text: &str, spec: &RunSpec) -> Result<StoredRun, CodecError> {
-        Self::decode_entry(text, &content_key(spec)).map_err(|e| match e {
-            EntryError::Incompatible(c) => c,
-            EntryError::Corrupt(why) => codec::CodecError(why),
-        })
-    }
 }
 
 enum EntryError {
     /// Unreadable: evict and re-simulate.
     Corrupt(String),
     /// Readable by some other schema major, not ours: leave in place.
-    Incompatible(CodecError),
+    Incompatible,
 }
 
 #[cfg(test)]

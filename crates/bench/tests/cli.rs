@@ -136,6 +136,8 @@ fn argument_errors_print_the_full_usage_text() {
         &["serve", "--no-fast-forward"],
         &["fuzz", "--no-fast-forward"],
         &["report", "--store", "s", "--no-fast-forward"],
+        // The server runs one batch at a time and has no work queue.
+        &["serve", "--queue-cap", "4"],
         &[],
     ];
     for args in bad {

@@ -4,13 +4,16 @@
 
 use gpgpu_bench::json::Json;
 use gpgpu_bench::service::{
-    event_from_json, Event, RemoteClient, ServeConfig, Server, Source, MAX_LINE_BYTES,
+    event_from_json, request_to_json, BatchItem, Event, RemoteClient, Request, ServeConfig, Server,
+    Source, MAX_LINE_BYTES,
 };
 use gpgpu_bench::{Harness, ResultStore, RunEngine, RunSpec};
 use gpgpu_testkit::TempDir;
-use std::io::{Read, Write};
+use std::collections::{HashMap, HashSet};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 use tbs_core::{CtaPolicy, WarpPolicy};
 
 fn spec(h: &Harness, name: &str, warp: WarpPolicy) -> RunSpec {
@@ -174,8 +177,8 @@ fn replay_mode_serves_policy_variants_from_one_capture() {
 
     let h = Harness::quick();
     // Same workload + scale + warp policy, three CTA policies — one
-    // replay group, so under `Force` the server captures once and
-    // replays twice.
+    // replay group, so under `Force` and `Auto` alike the server
+    // captures once and replays twice.
     let specs = vec![
         RunSpec::single(&h, "vecadd", WarpPolicy::Gto, CtaPolicy::Baseline(None)),
         RunSpec::single(&h, "vecadd", WarpPolicy::Gto, CtaPolicy::Lcs(0.7)),
@@ -186,39 +189,203 @@ fn replay_mode_serves_policy_variants_from_one_capture() {
     let local = RunEngine::new(1);
     local.execute_batch(&specs);
 
+    for mode in [ReplayMode::Force, ReplayMode::Auto] {
+        let (addr, handle) = start(ServeConfig {
+            jobs: 1,
+            replay: mode,
+            ..ServeConfig::default()
+        });
+        let remote = RemoteClient::new(&addr);
+        let got = remote.run_batch(&specs).expect("replayed batch");
+
+        let replayed = got
+            .iter()
+            .filter(|i| i.source == Source::Replayed)
+            .count();
+        let simulated = got
+            .iter()
+            .filter(|i| i.source == Source::Simulated)
+            .count();
+        assert!(replayed >= 1, "at least one run served via replay: {got:?}");
+        assert_eq!(
+            replayed + simulated,
+            specs.len(),
+            "every run either captured or replayed: {got:?}"
+        );
+        assert_eq!((simulated, replayed), (1, 2), "{mode}: one capture, two replays");
+        for (spec, g) in specs.iter().zip(&got) {
+            assert_eq!(
+                local.get(spec).stats,
+                g.result.stats,
+                "replayed stats identical to direct execution"
+            );
+        }
+
+        let stats = RemoteClient::new(&addr).stats().expect("stats");
+        assert_eq!(stats.runs_replayed as usize, replayed);
+        assert_eq!(stats.runs_executed as usize, simulated);
+
+        client_shutdown(&addr);
+        handle.join().expect("server thread exits cleanly");
+    }
+}
+
+/// A Small-scale run: long enough that requests sent when it starts are
+/// answered before it ends.
+fn long_spec() -> RunSpec {
+    RunSpec::single(&Harness::default(), "gather", WarpPolicy::Gto, CtaPolicy::Baseline(None))
+}
+
+#[test]
+fn no_key_executes_twice_across_connections() {
+    let h = Harness::quick();
+    let tiny = |name: &str, cta: CtaPolicy| RunSpec::single(&h, name, WarpPolicy::Gto, cta);
+    let batches = [
+        vec![
+            tiny("vecadd", CtaPolicy::Baseline(None)),
+            tiny("saxpy", CtaPolicy::Baseline(None)),
+            tiny("vecadd", CtaPolicy::Lcs(0.7)),
+            long_spec(),
+        ],
+        vec![
+            tiny("saxpy", CtaPolicy::Baseline(None)),
+            tiny("vecadd", CtaPolicy::Lcs(0.7)),
+            tiny("saxpy", CtaPolicy::Bcs(2)),
+            long_spec(),
+        ],
+    ];
+    let unique: HashSet<String> = batches
+        .iter()
+        .flatten()
+        .map(|s| s.key().as_str().to_string())
+        .collect();
+    assert_eq!(unique.len(), 5);
+
     let (addr, handle) = start(ServeConfig {
-        jobs: 1,
-        replay: ReplayMode::Force,
+        jobs: 2,
         ..ServeConfig::default()
     });
-    let remote = RemoteClient::new(&addr);
-    let got = remote.run_batch(&specs).expect("replayed batch");
+    // Both connections submit at once; whichever batch executes second
+    // waits for the first. When the long run starts, a third connection
+    // asks for ping and stats.
+    let barrier = Arc::new(Barrier::new(batches.len()));
+    let long_key = long_spec().key().as_str().to_string();
+    let clients: Vec<_> = batches
+        .iter()
+        .cloned()
+        .map(|batch| {
+            let (addr, barrier, long_key) = (addr.clone(), Arc::clone(&barrier), long_key.clone());
+            std::thread::spawn(move || {
+                let probe = RemoteClient::new(&addr);
+                let mut during = None;
+                barrier.wait();
+                let items = RemoteClient::new(&addr)
+                    .run_batch_observed(&batch, &mut |e| {
+                        if matches!(e, Event::RunStarted { key } if *key == long_key) {
+                            probe.ping().expect("ping answered while a batch runs");
+                            let stats = probe.stats().expect("stats answered while a batch runs");
+                            during = Some(stats);
+                        }
+                    })
+                    .expect("batch");
+                (items, during)
+            })
+        })
+        .collect();
+    let answers: Vec<_> = clients.into_iter().map(|c| c.join().expect("client")).collect();
 
-    let replayed = got
-        .iter()
-        .filter(|i| i.source == Source::Replayed)
-        .count();
-    let simulated = got
-        .iter()
-        .filter(|i| i.source == Source::Simulated)
-        .count();
-    assert!(replayed >= 1, "at least one run served via replay: {got:?}");
-    assert_eq!(
-        replayed + simulated,
-        specs.len(),
-        "every run either captured or replayed: {got:?}"
-    );
-    for (spec, g) in specs.iter().zip(&got) {
-        assert_eq!(
-            local.get(spec).stats,
-            g.result.stats,
-            "replayed stats identical to direct execution"
-        );
-    }
+    let during: Vec<_> = answers.iter().filter_map(|(_, d)| *d).collect();
+    assert_eq!(during.len(), 1, "the long run starts once");
+    assert!(during[0].in_flight > 0, "stats answered mid-batch: {:?}", during[0]);
+    assert!(during[0].workers_busy > 0, "the long run is busy: {:?}", during[0]);
 
     let stats = RemoteClient::new(&addr).stats().expect("stats");
-    assert_eq!(stats.runs_replayed as usize, replayed);
-    assert_eq!(stats.runs_executed as usize, simulated);
+    assert_eq!(
+        (stats.runs_executed + stats.runs_replayed) as usize,
+        unique.len(),
+        "each unique key executes once: {stats:?}"
+    );
+    assert_eq!((stats.queue_depth, stats.in_flight, stats.workers_busy), (0, 0, 0));
+    let by_key = |items: &[BatchItem]| -> HashMap<String, BatchItem> {
+        items.iter().map(|i| (i.key.clone(), i.clone())).collect()
+    };
+    let (first, second) = (by_key(&answers[0].0), by_key(&answers[1].0));
+    let mut shared = 0;
+    for (key, a) in &first {
+        if let Some(b) = second.get(key) {
+            shared += 1;
+            assert_eq!(a.result.stats, b.result.stats, "both clients get one result for {key}");
+            let mut sources = [a.source, b.source];
+            sources.sort_by_key(|s| s.as_str());
+            assert_eq!(sources, [Source::Cached, Source::Simulated], "{key}");
+        }
+    }
+    assert_eq!(shared, 3);
+
+    // A failed run answers the same error again without running again.
+    let mut starved = tiny("vecadd", CtaPolicy::Baseline(None));
+    starved.max_cycles = 1_000;
+    let client = RemoteClient::new(&addr);
+    let fail = || client.run_batch(&[starved.clone()]).expect_err("starved run fails").to_string();
+    let first_error = fail();
+    assert!(first_error.contains("exceeded the 1000-cycle budget"), "{first_error}");
+    let before = client.stats().expect("stats");
+    assert_eq!(fail(), first_error, "the resubmission answers the same error");
+    let after = client.stats().expect("stats");
+    assert_eq!(after.runs_executed, before.runs_executed, "the failed key did not run again");
+    assert_eq!(after.jobs_done, before.jobs_done);
+
+    client_shutdown(&addr);
+    handle.join().expect("server thread exits cleanly");
+}
+
+#[test]
+fn dropped_client_leaves_its_batch_in_the_memo() {
+    let h = Harness::quick();
+    let specs = vec![
+        spec(&h, "vecadd", WarpPolicy::Gto),
+        spec(&h, "saxpy", WarpPolicy::Gto),
+        long_spec(),
+    ];
+    let (addr, handle) = start(ServeConfig {
+        jobs: 1,
+        ..ServeConfig::default()
+    });
+    // Submit by hand, read up to the first run_started, then hang up.
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    let request = request_to_json(&Request::Submit(specs.clone())).render();
+    stream.write_all(format!("{request}\n").as_bytes()).expect("send the batch");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone the stream"));
+    let mut line = String::new();
+    while !line.contains("\"run_started\"") {
+        line.clear();
+        assert!(reader.read_line(&mut line).expect("read an event") > 0, "batch started");
+    }
+    stream.shutdown(Shutdown::Both).expect("hang up");
+    drop((reader, stream));
+
+    let client = RemoteClient::new(&addr);
+    let deadline = Instant::now() + Duration::from_secs(300);
+    let idle = loop {
+        let s = client.stats().expect("the server lives on");
+        if s.in_flight == 0 {
+            break s;
+        }
+        assert!(Instant::now() < deadline, "the batch never finished: {s:?}");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!((idle.queue_depth, idle.in_flight, idle.workers_busy), (0, 0, 0));
+    assert_eq!((idle.runs_executed, idle.jobs_done), (3, 3), "{idle:?}");
+
+    let again = client.run_batch(&specs).expect("resubmission");
+    assert!(
+        again.iter().all(|i| i.source == Source::Cached),
+        "the dropped batch landed in the memo: {:?}",
+        again.iter().map(|i| i.source).collect::<Vec<_>>()
+    );
+    let end = client.stats().expect("stats");
+    assert_eq!((end.queue_depth, end.in_flight, end.workers_busy), (0, 0, 0));
+    assert_eq!(end.runs_executed, 3);
 
     client_shutdown(&addr);
     handle.join().expect("server thread exits cleanly");

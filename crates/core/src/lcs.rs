@@ -167,13 +167,6 @@ impl Lcs {
         self.min_window
     }
 
-    /// Overrides the minimum monitoring window (builder-style; `0`
-    /// disables the check).
-    pub fn with_min_window(mut self, cycles: Cycle) -> Self {
-        self.min_window = cycles;
-        self
-    }
-
     /// The limits decided so far, as `((core, kernel), limit)` pairs
     /// (`u32::MAX` = guard kept the hardware maximum). For reports and the
     /// E6 experiment.

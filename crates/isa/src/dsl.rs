@@ -232,11 +232,6 @@ impl DslKernel {
         }
     }
 
-    /// The CTA shape this kernel is built for.
-    pub fn block_dim(&self) -> Dim2 {
-        self.block
-    }
-
     /// The kernel name.
     pub fn name(&self) -> &str {
         &self.name

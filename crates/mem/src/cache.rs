@@ -104,11 +104,6 @@ impl Access {
     pub fn accepted(self) -> bool {
         !matches!(self, Access::Fail(_))
     }
-
-    /// Whether the access hit.
-    pub fn is_hit(self) -> bool {
-        matches!(self, Access::Hit)
-    }
 }
 
 /// Why an access could not be accepted this cycle.

@@ -196,11 +196,6 @@ impl MemFabric {
         (line % self.cfg.partitions as u64) as usize
     }
 
-    /// Whether core `core` can inject a request this cycle.
-    pub fn can_submit(&self, core: usize) -> bool {
-        self.req_xbar.can_send(core)
-    }
-
     /// Injects a request from its core into the request crossbar. Returns
     /// `false` if the core's injection port is full (retry next cycle).
     pub fn try_submit(&mut self, now: Cycle, req: MemRequest) -> bool {

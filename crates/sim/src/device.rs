@@ -115,7 +115,6 @@ pub struct GpuDevice {
     gmem: GlobalMem,
     kernels: Vec<KernelState>,
     cta_sched: Option<Box<dyn CtaScheduler>>,
-    warp_sched_name: String,
     now: Cycle,
     age_counter: u64,
     last_progress: Cycle,
@@ -177,7 +176,6 @@ impl GpuDevice {
             gmem: GlobalMem::new(),
             kernels: Vec::new(),
             cta_sched: Some(cta_sched),
-            warp_sched_name: warp_sched.name().to_string(),
             now: 0,
             age_counter: 0,
             last_progress: 0,
@@ -348,17 +346,6 @@ impl GpuDevice {
     /// [`CtaScheduler::as_any`]).
     pub fn cta_scheduler(&self) -> &dyn CtaScheduler {
         self.cta_sched.as_deref().expect("scheduler present")
-    }
-
-    /// Names of the configured policies: `(warp scheduler, CTA scheduler)`.
-    pub fn policy_names(&self) -> (String, String) {
-        (
-            self.warp_sched_name.clone(),
-            self.cta_sched
-                .as_ref()
-                .map(|c| c.name().to_string())
-                .unwrap_or_default(),
-        )
     }
 
     /// Functional global memory (setup and verification).

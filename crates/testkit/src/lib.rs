@@ -151,12 +151,6 @@ impl Gen {
         }
     }
 
-    /// A finite, comfortably-ranged `f32` (no NaN/Inf/denormal), for tests
-    /// that accumulate arithmetic.
-    pub fn f32_normal(&mut self) -> f32 {
-        (self.range(0, 2_000_001) as f32 - 1_000_000.0) / 1024.0
-    }
-
     /// An LCS gamma knob in `(0, 1]`, quantized to hundredths like the
     /// paper's sweep.
     pub fn gamma(&mut self) -> f64 {
